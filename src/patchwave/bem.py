@@ -57,16 +57,52 @@ def double_layer_kernel(x, eta, y):
     return -num / (_FOUR_PI * r2 * np.sqrt(r2))
 
 
-def _tri_core(R1, R2, R3):
-    """Solid angle of the triangle with corner offsets R1, R2, R3 from the
-    viewpoint (van Oosterom-Strackee), broadcasting over leading axes."""
-    r1 = np.sqrt((R1 * R1).sum(-1))
-    r2 = np.sqrt((R2 * R2).sum(-1))
-    r3 = np.sqrt((R3 * R3).sum(-1))
-    num = (R1 * np.cross(R2, R3)).sum(-1)
-    den = (r1 * r2 * r3 + (R1 * R2).sum(-1) * r3
-           + (R1 * R3).sum(-1) * r2 + (R2 * R3).sum(-1) * r1)
-    return 2.0 * np.arctan2(num, den)
+def _quad_kernel(Q, Y):
+    """Signed solid angles of planar quads seen from points Y.
+
+    Q holds four (x, y, z) component triples, one per quad corner, and Y one
+    (x, y, z) triple; all twelve plus three arrays broadcast to the output
+    shape.  Each quad is split into the triangles (0, 1, 2) and (0, 2, 3),
+    whose solid angles follow van Oosterom-Strackee with the four corner
+    norms and R0.R2 shared.  Every dot is summed (x + y) + z and every cross
+    component is a1*b2 - a2*b1, the order of numpy's .sum(-1) and np.cross,
+    so the values equal bit for bit, signed zeros included, those of the
+    formula written with (..., 3) vectors, .sum(-1) and np.cross.  (A dot
+    here may differ from .sum(-1) in the sign of a zero only; that reaches
+    arctan2 through the numerator alone, since the denominator, led by a
+    product of norms, is never -0.0.)
+    """
+    def dot(a, b):
+        d = a[0] * b[0]
+        d += a[1] * b[1]
+        d += a[2] * b[2]
+        return d
+
+    R = [[q - y for q, y in zip(corner, Y)] for corner in Q]
+    r = [np.sqrt(dot(a, a)) for a in R]
+
+    def triple(a, b, c):
+        """a . (b x c)"""
+        t = a[0] * (b[1] * c[2] - b[2] * c[1])
+        t += a[1] * (b[2] * c[0] - b[0] * c[2])
+        t += a[2] * (b[0] * c[1] - b[1] * c[0])
+        t += 0.0        # .sum(-1) of three -0.0 is +0.0, and arctan2 sees it
+        return t
+
+    def angle(i, j, k, dij, dik, djk):
+        ri, rj, rk = r[i], r[j], r[k]
+        den = ri * rj
+        den *= rk
+        den += dij * rk
+        den += dik * rj
+        den += djk * ri
+        return np.arctan2(triple(R[i], R[j], R[k]), den)
+
+    d02 = dot(R[0], R[2])
+    out = angle(0, 1, 2, dot(R[0], R[1]), d02, dot(R[1], R[2]))
+    out += angle(0, 2, 3, d02, dot(R[0], R[3]), dot(R[2], R[3]))
+    out *= 2.0
+    return out
 
 
 def solid_angles(quads: np.ndarray, Y: np.ndarray,
@@ -77,23 +113,25 @@ def solid_angles(quads: np.ndarray, Y: np.ndarray,
     is then the exact integral of <x - y, eta> / |x - y|^3 over each quad.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    Q = [[np.ascontiguousarray(quads[None, :, k, c]) for c in range(3)]
+         for k in range(4)]
     out = np.empty((len(Y), len(quads)))
     for lo in range(0, len(Y), chunk):
-        R = quads[None, :, :, :] - Y[lo:lo + chunk, None, None, :]
-        out[lo:lo + chunk] = (_tri_core(R[:, :, 0], R[:, :, 1], R[:, :, 2])
-                              + _tri_core(R[:, :, 0], R[:, :, 2], R[:, :, 3]))
+        Yc = [Y[lo:lo + chunk, c, None] for c in range(3)]
+        out[lo:lo + chunk] = _quad_kernel(Q, Yc)
     return out
 
 
 def _solid_angles_paired(quads: np.ndarray, Y: np.ndarray,
-                         chunk: int = 8192) -> np.ndarray:
+                         chunk: int = 1024) -> np.ndarray:
     """Solid angle of quads[i] from each point of Y[i]: (N, 4, 3) with
     (N, q, 3) -> (N, q)."""
     out = np.empty(Y.shape[:2])
     for lo in range(0, len(quads), chunk):
-        R = quads[lo:lo + chunk, None, :, :] - Y[lo:lo + chunk, :, None, :]
-        out[lo:lo + chunk] = (_tri_core(R[:, :, 0], R[:, :, 1], R[:, :, 2])
-                              + _tri_core(R[:, :, 0], R[:, :, 2], R[:, :, 3]))
+        q = quads[lo:lo + chunk]
+        Q = [[q[:, k, c, None] for c in range(3)] for k in range(4)]
+        Yc = [Y[lo:lo + chunk, :, c] for c in range(3)]
+        out[lo:lo + chunk] = _quad_kernel(Q, Yc)
     return out
 
 
@@ -132,11 +170,6 @@ def _cell_gauss(patch, L: int, order: int):
     Jc = jac.reshape(c, n, c, n).transpose(0, 2, 1, 3).reshape(c * c, n * n)
     W = W2.ravel()[None, :] * Jc * h * h
     return P, W
-
-
-def _cell_areas(patch, L: int, order: int = 4) -> np.ndarray:
-    _, W = _cell_gauss(patch, L, order)
-    return W.sum(axis=1)
 
 
 def _orientation_check(surface: PolyhedralSurface) -> None:

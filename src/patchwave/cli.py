@@ -39,7 +39,14 @@ _KINDS = ("norms", "nterm", "embed-check", "bem-solve", "whitney", "synth")
 
 _NAMED_BASES = {"haar": (1, 0), "alpert2": (2, 2)}
 
-_SYNTH_KINDS = ("extremal_a_star", "lacunary", "random_besov", "suffix_saturator")
+# synthetic field kinds and the generator parameters each one needs
+_SYNTH_REQUIRED = {
+    "extremal_a_star": ("level", "alpha"),
+    "lacunary": ("alpha",),
+    "random_besov": ("spec",),
+    "suffix_saturator": ("gamma", "spec"),
+}
+_SYNTH_KINDS = tuple(_SYNTH_REQUIRED)
 
 _ALLOWED_PARAMS = {
     "norms": {"synth", "field"},
@@ -49,6 +56,10 @@ _ALLOWED_PARAMS = {
     "whitney": {"k", "count", "edge", "corner", "funcs"},
     "synth": {"synth"},
 }
+
+# integer parameters with their minimum, and real-valued parameters
+_INT_PARAMS = {"n_lo": 1, "n_hi": 1, "k": 1, "count": 1}
+_REAL_PARAMS = {"rho", "s", "p", "edge"}
 
 # tolerances quoted in report headers, per experiment kind
 _TOLERANCES = {
@@ -256,10 +267,13 @@ def _as_basis(value, chk: _Check, path: tuple) -> tuple:
     return (d, j_star)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _as_space(value, chk: _Check, path: tuple) -> tuple:
     if (not isinstance(value, (list, tuple)) or len(value) != 3
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                       for v in value)):
+            or not all(_is_number(v) for v in value)):
         chk.fail(path, "space must be an [alpha, p, q] triple of numbers")
     alpha, p, q = (float(v) for v in value)
     try:
@@ -287,6 +301,19 @@ def _validate_params(kind: str, params: dict, chk: _Check, base: tuple) -> None:
         if key not in allowed:
             chk.fail(base + (key,), f"parameter not used by '{kind}' "
                                     f"(allowed: {sorted(allowed)})")
+        if key in _INT_PARAMS:
+            _as_int(params[key], chk, base + (key,), _INT_PARAMS[key])
+        elif key in _REAL_PARAMS and not _is_number(params[key]):
+            chk.fail(base + (key,), f"expected a number, got {params[key]!r}")
+    for key, size in (("taus", None), ("corner", 2)):
+        value = params.get(key)
+        if value is not None and (
+                not isinstance(value, list)
+                or not all(_is_number(v) for v in value)
+                or size is not None and len(value) != size):
+            count = "" if size is None else f"{size} "
+            chk.fail(base + (key,),
+                     f"expected a list of {count}numbers, got {value!r}")
     synth = params.get("synth")
     if synth is not None:
         if not isinstance(synth, dict):
@@ -295,6 +322,9 @@ def _validate_params(kind: str, params: dict, chk: _Check, base: tuple) -> None:
         if skind not in _SYNTH_KINDS:
             chk.fail(base + ("synth", "kind"),
                      f"synth kind must be one of {_SYNTH_KINDS}, got {skind!r}")
+        for key in _SYNTH_REQUIRED[skind]:
+            if key not in synth:
+                chk.fail(base + ("synth",), f"{skind} synth needs '{key}'")
         if "spec" in synth:
             _as_space(synth["spec"], chk, base + ("synth", "spec"))
     model = params.get("model")
@@ -307,6 +337,13 @@ def _validate_params(kind: str, params: dict, chk: _Check, base: tuple) -> None:
                      f"model kind must be vertex, edge or constant, got {mk!r}")
         if mk in ("vertex", "edge") and "beta" not in model:
             chk.fail(base + ("model",), f"{mk} model needs a 'beta' exponent")
+        for mkey in ("beta", "value"):
+            if mkey in model and not _is_number(model[mkey]):
+                chk.fail(base + ("model", mkey),
+                         f"expected a number, got {model[mkey]!r}")
+        for mkey in ("vertex", "v0", "v1"):
+            if mkey in model:
+                _as_int(model[mkey], chk, base + ("model", mkey), minimum=0)
     rhs = params.get("rhs")
     if rhs is not None:
         if not isinstance(rhs, list) or not rhs:
@@ -384,6 +421,9 @@ def config_from_dict(doc: dict, *, text: str | None = None,
         chk.fail(("J",), f"'{kind}' needs J to synthesize a field")
     if kind == "synth" and "synth" not in params:
         chk.fail(("params",), "'synth' needs params.synth")
+    if kind in ("norms", "nterm") and "synth" not in params \
+            and "field" not in params:
+        chk.fail(("params",), f"'{kind}' needs params.synth or params.field")
     if kind == "embed-check" and "model" in params and J is None:
         chk.fail(("J",), "tail study needs an analysis depth J")
     if kind == "bem-solve":

@@ -25,8 +25,6 @@ __all__ = [
     "load_surface",
     "surface_text",
     "face_polar_coords",
-    "face_point",
-    "delta_face",
     "partition_eval",
     "unit_cube",
     "fichera_corner",
@@ -167,6 +165,8 @@ class PolyhedralSurface:
         self.vertices.flags.writeable = False
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
             raise SurfaceError("vertices must be an (N, 3) array")
+        if not np.all(np.isfinite(self.vertices)):
+            raise SurfaceError("vertex coordinates must be finite")
         quads = [tuple(int(v) for v in q) for q in patches]
         self._scale = float(np.max(np.ptp(self.vertices, axis=0)))
         self.patches = [self._build_patch(i, q) for i, q in enumerate(quads)]
@@ -180,6 +180,10 @@ class PolyhedralSurface:
     def _build_patch(self, index, quad):
         if len(quad) != 4 or len(set(quad)) != 4:
             raise SurfaceError(f"patch {index}: degenerate patch (needs 4 distinct corners)")
+        for v in quad:
+            if not 0 <= v < self.n_vertices:
+                raise SurfaceError(f"patch {index}: vertex id {v} is not in "
+                                   f"[0, {self.n_vertices})")
         c = self.vertices[list(quad)]
         n_raw = np.cross(c[1] - c[0], c[3] - c[0])
         if np.linalg.norm(n_raw) <= 1e-14 * self._scale ** 2:
@@ -373,37 +377,6 @@ def face_polar_coords(surface: PolyhedralSurface, n: int, t: int, x) -> tuple[fl
     if phi < -tol or phi > f.gamma + tol:
         raise SurfaceError(f"point outside sector ({n},{t}): phi={phi}, gamma={f.gamma}")
     return r, float(min(max(phi, 0.0), f.gamma))
-
-
-def face_point(surface: PolyhedralSurface, n: int, t: int, r: float, phi: float):
-    """Inverse of face_polar_coords: map sector polar coordinates to 3-space."""
-    f = surface.cone_faces(n)[t]
-    return f.apex + r * (math.cos(phi) * f.e1 + math.sin(phi) * f.e2)
-
-
-def _dist_to_ray(y1, y2, ux, uy):
-    """Distance from planar point(s) to the ray {s*(ux,uy): s >= 0}."""
-    p = y1 * ux + y2 * uy
-    perp = np.abs(y1 * uy - y2 * ux)
-    rad = np.hypot(y1, y2)
-    return np.where(p >= 0.0, perp, rad)
-
-
-def delta_face(surface: PolyhedralSurface, n: int, t: int, y, C2: float | None = None):
-    """Truncated distance min{C2, dist(y, sector boundary)} for planar point(s) y.
-
-    `y` is Cartesian in the unfolded sector; the sector boundary is the pair of
-    bounding rays from the origin.
-    """
-    f = surface.cone_faces(n)[t]
-    if C2 is None:
-        C2 = surface.constants.get("C2", surface.min_edge / 8.0)
-    y = np.asarray(y, dtype=float)
-    y1, y2 = y[..., 0], y[..., 1]
-    d0 = _dist_to_ray(y1, y2, 1.0, 0.0)
-    d1 = _dist_to_ray(y1, y2, math.cos(f.gamma), math.sin(f.gamma))
-    out = np.minimum(C2, np.minimum(d0, d1))
-    return float(out) if out.ndim == 0 else out
 
 
 # -- resolution of unity ----------------------------------------------------

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import patchwave.bem as bem
 from patchwave import (
@@ -36,6 +38,65 @@ def test_kernel_hand_values():
     # coplanar points see a vanishing kernel
     y3 = np.array([[0.7, -0.3, 1.0]])
     assert double_layer_kernel(x, eta, y3)[0] == 0.0
+
+
+def _tri_oracle(R1, R2, R3):
+    """van Oosterom-Strackee with numpy's .sum(-1) and np.cross: the formula
+    the fused kernel must reproduce bit for bit."""
+    r1 = np.sqrt((R1 * R1).sum(-1))
+    r2 = np.sqrt((R2 * R2).sum(-1))
+    r3 = np.sqrt((R3 * R3).sum(-1))
+    num = (R1 * np.cross(R2, R3)).sum(-1)
+    den = (r1 * r2 * r3 + (R1 * R2).sum(-1) * r3
+           + (R1 * R3).sum(-1) * r2 + (R2 * R3).sum(-1) * r1)
+    return 2.0 * np.arctan2(num, den)
+
+
+def _quad_oracle(R):
+    return (_tri_oracle(R[..., 0, :], R[..., 1, :], R[..., 2, :])
+            + _tri_oracle(R[..., 0, :], R[..., 2, :], R[..., 3, :]))
+
+
+def _same_bits(a, b):
+    """Bitwise equality, telling -0.0 from 0.0 (CSV reports do)."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+# signed zeros and repeated small integers reach the degenerate branches
+_coords = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                    st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(quads=arrays(float, st.tuples(st.integers(1, 7), st.just(4), st.just(3)),
+                    elements=_coords),
+       data=st.data())
+def test_solid_angle_kernel_is_bitwise_oracle(quads, data):
+    n = len(quads)
+    q = data.draw(st.integers(1, 5))
+    Y = data.draw(arrays(float, (n, q, 3), elements=_coords))
+    # viewpoints on corners hit the 0/0 branch of arctan2
+    Y[0, 0] = quads[0, 2]
+    full = solid_angles(quads, Y.reshape(-1, 3), chunk=3)
+    assert _same_bits(
+        full, _quad_oracle(quads[None, :, :, :] - Y.reshape(-1, 1, 1, 3)))
+    paired = bem._solid_angles_paired(quads, Y, chunk=2)
+    assert _same_bits(
+        paired, _quad_oracle(quads[:, None, :, :] - Y[:, :, None, :]))
+    diag = full.reshape(n, q, n)[np.arange(n), :, np.arange(n)]
+    assert _same_bits(paired, diag)
+
+
+def test_solid_angle_kernel_matches_oracle_on_cells(cube, rng):
+    quads = np.concatenate([bem._cell_quads(p, 3) for p in cube.patches])
+    Y = rng.uniform(-0.5, 1.5, (300, 3))
+    assert _same_bits(solid_angles(quads, Y),
+                      _quad_oracle(quads[None] - Y[:, None, None, :]))
+    P, _ = bem._cell_gauss(cube.patches[2], 3, 4)
+    qn = bem._cell_quads(cube.patches[0], 3)
+    assert _same_bits(bem._solid_angles_paired(qn, P),
+                      _quad_oracle(qn[:, None] - P[:, :, None]))
 
 
 def test_solid_angle_matches_quadrature(cube):
@@ -121,11 +182,33 @@ def test_refinement_consistency(systems):
     assert coarse.A[m2, n2] == pytest.approx(total, abs=1e-11)
 
 
-def test_translation_dedup_matches_full_path(cube, systems, monkeypatch):
+def _moved_cube():
+    """The unit cube rotated twice by the (3, 4, 5) angle, so scaled by 25,
+    and translated: integer-exact vertices keep the patches affine."""
+    rot = (np.array([[3, -4, 0], [4, 3, 0], [0, 0, 5]])
+           @ np.array([[5, 0, 0], [0, 3, -4], [0, 4, 3]]))
+    desc = unit_cube()
+    desc["vertices"] = (np.array(desc["vertices"]) @ rot.T
+                        + [0.5, -1.25, 2.0]).tolist()
+    return load_surface(desc)
+
+
+def _assert_dedup_matches_full_path(surface, fast, monkeypatch):
+    assert all(bem._is_affine(p) for p in surface.patches)
     monkeypatch.setattr(bem, "_is_affine", lambda patch: False)
-    full = assemble(cube, 2)
-    fast = systems[2]
-    assert np.allclose(full.A, fast.A, rtol=1e-12, atol=1e-14)
+    full = assemble(surface, fast.L)
+    # entries scale with the cell area; the unit cube's at L=2 is 1/16
+    scale = 16.0 * float(fast.areas.max())
+    assert np.allclose(full.A, fast.A, rtol=1e-12, atol=1e-14 * scale)
+
+
+def test_translation_dedup_matches_full_path(cube, systems, monkeypatch):
+    _assert_dedup_matches_full_path(cube, systems[2], monkeypatch)
+
+
+def test_translation_dedup_matches_full_path_moved_cube(monkeypatch):
+    moved = _moved_cube()
+    _assert_dedup_matches_full_path(moved, assemble(moved, 2), monkeypatch)
 
 
 def test_assemble_guards(cube):

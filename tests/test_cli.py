@@ -95,6 +95,78 @@ def test_validation_rejects_unknown_pieces(tmp_path):
             {**BASE, "params": {"synth": {"kind": "white_noise"}}})
 
 
+def test_validation_locates_bad_n_lo(tmp_path):
+    # n_lo <= 0 used to make the doubling loop of the nterm runner spin forever
+    doc = {"kind": "nterm", "basis": "haar", "J": 4,
+           "spaces": [[1.0, 2.0, 2.0]],
+           "params": {"synth": {"kind": "random_besov",
+                                "spec": [1.0, 2.0, 2.0]},
+                      "n_lo": 0}}
+    path = _write(tmp_path, "nterm.json", doc)
+    line = next(i for i, ln in enumerate(path.read_text().splitlines(), 1)
+                if '"n_lo"' in ln)
+    with pytest.raises(ConfigError) as err:
+        config_from_file(path)
+    assert str(err.value).startswith(f"{path}:{line}: params.n_lo: must be >= 1")
+    for bad in (-3, 2.5, "16"):
+        doc["params"]["n_lo"] = bad
+        with pytest.raises(ConfigError, match="params.n_lo"):
+            config_from_dict(doc)
+    doc["params"]["n_lo"] = 16
+    doc["params"]["n_hi"] = "big"
+    with pytest.raises(ConfigError, match="params.n_hi: expected an integer"):
+        config_from_dict(doc)
+
+
+EMBED = {"kind": "embed-check", "basis": "haar", "J": 3,
+         "params": {"model": {"kind": "vertex", "beta": 0.6}}}
+BEM = {"kind": "bem-solve", "L": 2, "J": 2, "params": {"rhs": ["constant"]}}
+
+
+WHITNEY = {"kind": "whitney", "params": {}}
+
+
+@pytest.mark.parametrize("base, key, value, message", [
+    (EMBED, "k", "two", "k: expected an integer"),
+    (EMBED, "k", 0, "k: must be >= 1"),
+    (EMBED, "rho", "half", "rho: expected a number"),
+    (EMBED, "s", [0.75], "s: expected a number"),
+    (EMBED, "p", True, "p: expected a number"),
+    (EMBED, "taus", ["a"], "taus: expected a list of numbers"),
+    (EMBED, "model", {"kind": "vertex", "beta": "x"},
+     "model.beta: expected a number"),
+    (EMBED, "model", {"kind": "edge", "beta": 0.6, "v1": -1},
+     "model.v1: must be >= 0"),
+    (BEM, "k", 1.5, "k: expected an integer"),
+    (BEM, "rho", None, "rho: expected a number"),
+    (BEM, "s", "0.75", "s: expected a number"),
+    (WHITNEY, "corner", [0.3], "corner: expected a list of 2 numbers"),
+])
+def test_validation_types_numeric_params(tmp_path, base, key, value, message):
+    doc = {**base, "params": {**base["params"], key: value}}
+    path = _write(tmp_path, "exp.json", doc)
+    with pytest.raises(ConfigError, match=f"params.{message}") as err:
+        config_from_file(path)
+    assert str(err.value).startswith(f"{path}:")
+    assert cli.main([base["kind"], "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize("synth, missing", [
+    ({"kind": "random_besov"}, "spec"),
+    ({"kind": "suffix_saturator", "gamma": 1.0}, "spec"),
+    ({"kind": "lacunary"}, "alpha"),
+    ({"kind": "extremal_a_star", "alpha": 1.0}, "level"),
+])
+def test_validation_requires_synth_parameters(synth, missing):
+    with pytest.raises(ConfigError, match=f"needs '{missing}'"):
+        config_from_dict({**BASE, "params": {"synth": synth}})
+
+
+def test_validation_requires_a_field_source():
+    with pytest.raises(ConfigError, match="params.synth or params.field"):
+        config_from_dict({**BASE, "params": {}})
+
+
 def test_main_reports_errors_and_exit_code(tmp_path, capsys):
     doc = dict(BASE)
     doc["spaces"] = [[0.5, 1.0, 2.0]]

@@ -146,3 +146,19 @@ def test_quasi_random_points_deterministic(cube):
     # every returned point sits on its owning patch
     for pid, (s, t), x in zip(ids1, params1, pts1):
         assert np.allclose(cube.patches[pid].chart(s, t), x)
+
+
+@pytest.mark.parametrize("coord", [np.nan, np.inf, -np.inf])
+def test_load_rejects_nonfinite_vertex(coord):
+    desc = unit_cube()
+    desc["vertices"][6] = [1.0, coord, 1.0]
+    with pytest.raises(SurfaceError, match="finite"):
+        load_surface(desc)
+
+
+@pytest.mark.parametrize("vid", [-1, 8, 100])
+def test_load_rejects_out_of_range_vertex_id(vid):
+    desc = unit_cube()
+    desc["patches"][1] = [4, 5, vid, 7]
+    with pytest.raises(SurfaceError, match=f"patch 1: vertex id {vid}"):
+        load_surface(desc)
