@@ -105,20 +105,28 @@ def _quad_kernel(Q, Y):
     return out
 
 
+_TILE = 1 << 14      # kernel elements per tile: its temporaries stay in cache
+
+
 def solid_angles(quads: np.ndarray, Y: np.ndarray,
                  chunk: int = 1024) -> np.ndarray:
     """Signed solid angles of planar quads (Nq, 4, 3) from points Y (Ny, 3).
 
     Quad corners must wind right-handed about the surface normal; the result
     is then the exact integral of <x - y, eta> / |x - y|^3 over each quad.
+    Points go in chunks of `chunk`, quads in tiles of about 16k kernel
+    elements per chunk; the kernel is elementwise, so tiling changes no bit.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     Q = [[np.ascontiguousarray(quads[None, :, k, c]) for c in range(3)]
          for k in range(4)]
     out = np.empty((len(Y), len(quads)))
+    step = max(1, _TILE // max(1, min(chunk, len(Y))))
     for lo in range(0, len(Y), chunk):
         Yc = [Y[lo:lo + chunk, c, None] for c in range(3)]
-        out[lo:lo + chunk] = _quad_kernel(Q, Yc)
+        for qlo in range(0, len(quads), step):
+            Qt = [[a[:, qlo:qlo + step] for a in corner] for corner in Q]
+            out[lo:lo + chunk, qlo:qlo + step] = _quad_kernel(Qt, Yc)
     return out
 
 
@@ -277,27 +285,41 @@ class DoubleLayerSystem:
         return (patch * c + k1) * c + k2
 
 
+def _near_box(pts, others, reach: float) -> np.ndarray:
+    """Sorted indices of the points within `reach` of the bounding box of
+    `others`.  Per coordinate the box gap never exceeds the gap to any of
+    `others`, in floating point too, so no point within reach is dropped."""
+    gap = np.maximum(np.maximum(others.min(axis=0) - pts,
+                                pts - others.max(axis=0)), 0.0)
+    return np.nonzero((gap ** 2).sum(-1) <= reach ** 2)[0]
+
+
 def _touch_candidates(quads_m, quads_n):
     """Cell-pair lists (touching, near) between two distinct patches.
 
     Cells of distinct patches can only meet along the shared patch edge or
     corner, where the dyadic grids align node-to-node, so touching pairs are
-    exactly the pairs sharing a corner coordinate.  Near pairs (gap below
-    about one cell diameter) get an upgraded quadrature as a safety margin.
+    exactly the pairs sharing a corner coordinate (to 1e-9 cell diagonals).
+    Near pairs (gap below about one cell diameter) get an upgraded
+    quadrature as a safety margin.  Centre distances are taken only between
+    the cells near the other patch, O(4^L) work; both lists are row-major.
     """
     diag = max(np.linalg.norm(quads_m[:, 2] - quads_m[:, 0], axis=1).max(),
                np.linalg.norm(quads_n[:, 2] - quads_n[:, 0], axis=1).max())
     cm = quads_m.mean(axis=1)
     cn = quads_n.mean(axis=1)
-    d2 = ((cm[:, None, :] - cn[None, :, :]) ** 2).sum(-1)
-    mi, ni = np.nonzero(d2 <= (2.5 * diag) ** 2)
-    if len(mi) == 0:
+    rows = _near_box(cm, cn, 2.5 * diag)
+    cols = _near_box(cn, cm, 2.5 * diag)
+    d2 = ((cm[rows, None, :] - cn[None, cols, :]) ** 2).sum(-1)
+    i, j = np.nonzero(d2 <= (2.5 * diag) ** 2)
+    if len(i) == 0:
         return [], []
+    mi, ni = rows[i], cols[j]
     qm = quads_m[mi]
     qn = quads_n[ni]
     cc = ((qm[:, :, None, :] - qn[:, None, :, :]) ** 2).sum(-1).min(axis=(1, 2))
-    touch = cc < 1e-18
-    near = ~touch & (d2[mi, ni] <= (1.8 * diag) ** 2)
+    touch = cc < (1e-9 * diag) ** 2
+    near = ~touch & (d2[i, j] <= (1.8 * diag) ** 2)
     return (list(zip(mi[touch].tolist(), ni[touch].tolist())),
             list(zip(mi[near].tolist(), ni[near].tolist())))
 
@@ -306,24 +328,14 @@ def _is_affine(patch) -> bool:
     return bool(np.all(np.asarray(patch.coeff_d) == 0.0))
 
 
-def _pair_classes(patch_m, patch_n, L: int):
-    """Translation classes of (test, source) cell pairs on affine patches.
+def _offset_classes(V: np.ndarray, scale: float):
+    """Classes of equal offsets among the rows of V (N, 3).
 
-    The Galerkin entry depends on the lattice offset between the two cells
-    only, so entries are computed once per distinct offset.  Returns
-    (class_of_pair, (rep_m, rep_n)) or None when the offsets cannot be
-    separated reliably.
+    Offsets are quantised to scale/8192 and packed into one int64 key.
+    Returns (first, inv) as np.unique(return_index, return_inverse) gives
+    them, or None when the quantisation overflows or merges offsets more
+    than 1e-9 * scale apart.
     """
-    c = 1 << L
-    k = np.arange(c, dtype=float)
-    K1, K2 = np.meshgrid(k, k, indexing="ij")
-    kk = np.stack([K1.ravel(), K2.ravel()], axis=1)
-    sm = kk @ np.stack([patch_m.coeff_b, patch_m.coeff_c])
-    sn = kk @ np.stack([patch_n.coeff_b, patch_n.coeff_c])
-    V = (sn[None, :, :] - sm[:, None, :]).reshape(-1, 3)
-    scale = max(float(np.linalg.norm(v)) for v in
-                (patch_m.coeff_b, patch_m.coeff_c,
-                 patch_n.coeff_b, patch_n.coeff_c))
     q = np.round(V * (8192.0 / scale)).astype(np.int64)
     if np.any(np.abs(q) >= (1 << 20)):
         return None
@@ -333,13 +345,76 @@ def _pair_classes(patch_m, patch_n, L: int):
     # a merge of genuinely distinct offsets would corrupt entries: verify
     if float(np.abs(V - V[first][inv]).max()) > 1e-9 * scale:
         return None
+    return first, inv
+
+
+def _pair_classes(patch_m, patch_n, L: int):
+    """Translation classes of (test, source) cell pairs on affine patches.
+
+    The Galerkin entry depends on the lattice offset between the two cells
+    only, so entries are computed once per distinct offset.  The offset of
+    cells m = (m1, m2) and n = (n1, n2) is (n1 b_n - m1 b_m) + (n2 c_n -
+    m2 c_m), a sum of two groups of c^2 = 4^L one-dimensional offsets;
+    pairing (m1, n2) with (m2, n1) instead collapses more when b_m is
+    parallel to c_n.  Each group is deduplicated, then the sums of the two
+    groups' classes (at most (2c - 1) c^2 on the cube, not c^4).  The cost
+    is O(4^L) per group plus the class sums, never the full 16^L pairs.
+
+    Returns ((cls, ia, ib), (rep_m, rep_n)): pair (m1, m2, n1, n2) lies in
+    class cls[ia, ib], with ia and ib broadcasting to (c, c, c, c), and each
+    class's representative is its first pair in C order, as np.unique of
+    all 16^L offsets would pick it.  None when the offsets cannot be
+    separated reliably.
+    """
+    c = 1 << L
+    k = np.arange(c, dtype=float)
+    bm, cm = patch_m.coeff_b, patch_m.coeff_c
+    bn, cn = patch_n.coeff_b, patch_n.coeff_c
+    scale = max(float(np.linalg.norm(v)) for v in (bm, cm, bn, cn))
+
+    def group(vm, vn):
+        """Offsets k_n vn - k_m vm, C-ordered (k_m, k_n), and their classes."""
+        U = (k[None, :, None] * vn - k[:, None, None] * vm).reshape(-1, 3)
+        return U, _offset_classes(U, scale)
+
+    best = None
+    for swap, (ga, gb) in enumerate((((bm, bn), (cm, cn)),
+                                     ((bm, cn), (cm, bn)))):
+        (UA, A), (UB, B) = group(*ga), group(*gb)
+        if A is not None and B is not None and (
+                best is None or len(A[0]) * len(B[0]) < best[0]):
+            best = len(A[0]) * len(B[0]), UA[A[0]], UB[B[0]], A, B, swap
+    if best is None:
+        return None
+    _, RA, RB, (fa, ia), (fb, ib), swap = best
+    # the first pair of an (A class, B class) combination takes m1 and the
+    # A-side n from A's first pair and m2 and the B-side n from B's, since
+    # the C order (m1, m2, n1, n2) compares m1, then m2
+    ma, na = np.divmod(fa, c)
+    mb, nb = np.divmod(fb, c)
+    n1, n2 = (nb[None, :], na[:, None]) if swap else (na[:, None], nb[None, :])
+    flat = (((ma[:, None] * c + mb[None, :]) * c + n1) * c + n2).ravel()
+    # unique's first occurrences in flat order are the classes' first pairs
+    order = np.argsort(flat)
+    S = (RA[:, None, :] + RB[None, :, :]).reshape(-1, 3)[order]
+    classes = _offset_classes(S, scale)
+    if classes is None:
+        return None
+    first, inv = classes
+    cls = np.empty_like(inv)
+    cls[order] = inv
+    rep = flat[order[first]]
+    shape_a, shape_b = ((c, 1, 1, c), (1, c, c, 1)) if swap else \
+        ((c, 1, c, 1), (1, c, 1, c))
     cells = c * c
-    return inv, (first // cells, first % cells)
+    return ((cls.reshape(len(fa), len(fb)), ia.reshape(shape_a),
+             ib.reshape(shape_b)), (rep // cells, rep % cells))
 
 
 def _cell_feature(qm, qn) -> tuple:
     """Locate the shared feature of a touching pair in cell m's local frame."""
-    on = [point_quad_distance(corner, qn) < 1e-9 for corner in qm]
+    tol = 1e-9 * float(np.linalg.norm(qm[2] - qm[0]))
+    on = [point_quad_distance(corner, qn) < tol for corner in qm]
     # corner order (00, 10, 11, 01) in (s, t)
     locs = [(0, 0), (1, 0), (1, 1), (0, 1)]
     hit = [locs[i] for i in range(4) if on[i]]
@@ -417,19 +492,22 @@ def assemble(surface: PolyhedralSurface, L: int, *, quad_order: int = 4,
         if _is_affine(surface.patches[pm]) and _is_affine(surface.patches[pn]):
             classes = _pair_classes(surface.patches[pm], surface.patches[pn], L)
         if classes is not None:
-            inv, (rep_m, rep_n) = classes
+            (cls, ia, ib), (rep_m, rep_n) = classes
+            ia4 = np.broadcast_to(ia, (c, c, c, c))
+            ib4 = np.broadcast_to(ib, (c, c, c, c))
             om = _solid_angles_paired(qn[rep_n], P[rep_m])
             entries = (W[rep_m] * om).sum(axis=1) / _FOUR_PI
             done: set[int] = set()
             for kind, pairs in (("near", near), ("touch", touching)):
                 for m, n in pairs:
-                    cls = int(inv[m * cells + n])
-                    if cls in done:
+                    at = (m // c, m % c, n // c, n % c)
+                    cid = int(cls[ia4[at], ib4[at]])
+                    if cid in done:
                         continue
-                    done.add(cls)
-                    entries[cls] = (near_value(pm, pn, m, n) if kind == "near"
+                    done.add(cid)
+                    entries[cid] = (near_value(pm, pn, m, n) if kind == "near"
                                     else touching_value(pm, pn, m, n))
-            block = entries[inv].reshape(cells, cells)
+            block = entries[cls][ia, ib].reshape(cells, cells)
         else:
             om = solid_angles(qn, P.reshape(-1, 3))
             om = om.reshape(cells, P.shape[1], cells)

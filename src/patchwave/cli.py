@@ -106,6 +106,10 @@ class ExperimentConfig:
     output_dir: str = "reports"
     workers: int = 1
     params: dict = dataclass_field(default_factory=dict)
+    # source and text for errors that only the run can see, such as a model
+    # vertex the surface does not have; not part of the config's identity
+    check: _Check | None = dataclass_field(default=None, compare=False,
+                                           repr=False)
 
 
 def canonical_config(config: ExperimentConfig) -> dict:
@@ -433,7 +437,7 @@ def config_from_dict(doc: dict, *, text: str | None = None,
             chk.fail(("J",), f"analysis level J={J} must not exceed L={L}")
     return ExperimentConfig(kind=kind, surface=surface, basis=basis, J=J, L=L,
                             spaces=spaces, seed=seed, output_dir=str(output_dir),
-                            workers=workers, params=params)
+                            workers=workers, params=params, check=chk)
 
 
 def config_from_file(path, kind: str | None = None) -> ExperimentConfig:
@@ -563,7 +567,8 @@ def _run_embed_check(config, out, chash):
     if model is not None:
         surface = _surface_from(config.surface)
         basis = _basis_from(config)
-        handle = _model_from(model, surface)
+        handle = _model_from(model, surface,
+                             config.check or _Check(None, None, "config"))
         k = int(config.params.get("k", 1))
         rho = float(config.params.get("rho", 0.5))
         s = float(config.params.get("s", 0.75))
@@ -588,15 +593,23 @@ def _run_embed_check(config, out, chash):
     return files
 
 
-def _model_from(model: dict, surface):
+def _model_from(model: dict, surface, chk: _Check):
     model = dict(model)
     kind = model.pop("kind", "vertex")
+    defaults = {"vertex": {"vertex": 0}, "edge": {"v0": 0, "v1": 1}}
+    ids = {key: model.get(key, d) for key, d in defaults.get(kind, {}).items()}
+    for key, v in ids.items():
+        if v >= surface.n_vertices:
+            chk.fail(("params", "model", key),
+                     f"vertex {v} does not exist: the surface has "
+                     f"{surface.n_vertices} vertices")
     if kind == "vertex":
-        return VertexPowerModel(surface, vertex=int(model.get("vertex", 0)),
+        return VertexPowerModel(surface, vertex=ids["vertex"],
                                 beta=float(model["beta"]))
     if kind == "edge":
-        return EdgePowerModel(surface, v0=int(model.get("v0", 0)),
-                              v1=int(model.get("v1", 1)),
+        if ids["v0"] == ids["v1"]:
+            chk.fail(("params", "model", "v1"), "v1 must differ from v0")
+        return EdgePowerModel(surface, v0=ids["v0"], v1=ids["v1"],
                               beta=float(model["beta"]))
     return ConstantModel(surface, value=float(model.get("value", 1.0)))
 

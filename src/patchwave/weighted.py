@@ -169,6 +169,14 @@ class _FaceHandleBase:
     def __init__(self, surface: PolyhedralSurface):
         self.surface = surface
 
+    def _vertex_id(self, name: str, v):
+        """v if it is a vertex id of the surface, else ValueError."""
+        n = self.surface.n_vertices
+        if not (isinstance(v, (int, np.integer)) and 0 <= v < n):
+            raise ValueError(f"{name} must be a vertex id in [0, {n}), "
+                             f"got {v!r}")
+        return v
+
     def _face(self, n, t):
         return self.surface.cone_faces(n)[t]
 
@@ -198,7 +206,7 @@ class VertexPowerModel(_FaceHandleBase):
 
     def __init__(self, surface, vertex: int, beta: float, cut=(0.25, 0.5)):
         super().__init__(surface)
-        self.vertex = vertex
+        self.vertex = self._vertex_id("vertex", vertex)
         self.beta = float(beta)
         self.cut0, self.cut1 = float(cut[0]), float(cut[1])
         self.center = surface.vertices[vertex]
@@ -233,6 +241,9 @@ class EdgePowerModel(_FaceHandleBase):
     def __init__(self, surface, v0: int, v1: int, beta: float,
                  band=(0.2, 0.6), width=0.08):
         super().__init__(surface)
+        self._vertex_id("v0", v0)
+        if self._vertex_id("v1", v1) == v0:
+            raise ValueError(f"v0 and v1 must differ, got {v0} twice")
         self.beta = float(beta)
         self.a = surface.vertices[v0]
         self.v0 = v0

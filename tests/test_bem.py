@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import patchwave.bem as bem
@@ -24,6 +24,7 @@ from patchwave import (
     unit_cube,
 )
 from patchwave._gauss import unit_rule
+from patchwave.surface import Patch
 
 
 def test_kernel_hand_values():
@@ -182,14 +183,15 @@ def test_refinement_consistency(systems):
     assert coarse.A[m2, n2] == pytest.approx(total, abs=1e-11)
 
 
-def _moved_cube():
+def _moved_cube(s=1.0):
     """The unit cube rotated twice by the (3, 4, 5) angle, so scaled by 25,
-    and translated: integer-exact vertices keep the patches affine."""
+    translated and scaled by s: integer-exact vertices keep the patches
+    affine."""
     rot = (np.array([[3, -4, 0], [4, 3, 0], [0, 0, 5]])
            @ np.array([[5, 0, 0], [0, 3, -4], [0, 4, 3]]))
     desc = unit_cube()
-    desc["vertices"] = (np.array(desc["vertices"]) @ rot.T
-                        + [0.5, -1.25, 2.0]).tolist()
+    desc["vertices"] = ((np.array(desc["vertices"]) @ rot.T
+                         + [0.5, -1.25, 2.0]) * s).tolist()
     return load_surface(desc)
 
 
@@ -209,6 +211,157 @@ def test_translation_dedup_matches_full_path(cube, systems, monkeypatch):
 def test_translation_dedup_matches_full_path_moved_cube(monkeypatch):
     moved = _moved_cube()
     _assert_dedup_matches_full_path(moved, assemble(moved, 2), monkeypatch)
+
+
+def test_touching_tolerances_scale_with_the_surface(systems):
+    # with absolute touching tolerances, touching pairs fell to the near
+    # path at this scale and A / s^2 moved by 2.6e-5 relative
+    s = 25.0 * 1e8
+    big = assemble(_moved_cube(1e8), 2)
+    unit = systems[2].A
+    assert float(np.abs(big.A / s ** 2 - unit).max()) < 1e-12 * float(
+        np.abs(unit).max())
+
+
+# -- the class and touch searches over all 16^L pairs, as oracles ------------
+
+
+def _pair_classes_oracle(patch_m, patch_n, L):
+    """Translation classes from the full (4^L x 4^L, 3) offset array."""
+    c = 1 << L
+    k = np.arange(c, dtype=float)
+    K1, K2 = np.meshgrid(k, k, indexing="ij")
+    kk = np.stack([K1.ravel(), K2.ravel()], axis=1)
+    sm = kk @ np.stack([patch_m.coeff_b, patch_m.coeff_c])
+    sn = kk @ np.stack([patch_n.coeff_b, patch_n.coeff_c])
+    V = (sn[None, :, :] - sm[:, None, :]).reshape(-1, 3)
+    scale = max(float(np.linalg.norm(v)) for v in
+                (patch_m.coeff_b, patch_m.coeff_c,
+                 patch_n.coeff_b, patch_n.coeff_c))
+    q = np.round(V * (8192.0 / scale)).astype(np.int64)
+    if np.any(np.abs(q) >= (1 << 20)):
+        return None
+    base = 1 << 20
+    key = ((q[:, 0] + base) << 42) | ((q[:, 1] + base) << 21) | (q[:, 2] + base)
+    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+    if float(np.abs(V - V[first][inv]).max()) > 1e-9 * scale:
+        return None
+    cells = c * c
+    return inv, (first // cells, first % cells)
+
+
+def _touch_candidates_oracle(quads_m, quads_n):
+    """Touching and near lists from the full centre-distance matrix."""
+    diag = max(np.linalg.norm(quads_m[:, 2] - quads_m[:, 0], axis=1).max(),
+               np.linalg.norm(quads_n[:, 2] - quads_n[:, 0], axis=1).max())
+    cm = quads_m.mean(axis=1)
+    cn = quads_n.mean(axis=1)
+    d2 = ((cm[:, None, :] - cn[None, :, :]) ** 2).sum(-1)
+    mi, ni = np.nonzero(d2 <= (2.5 * diag) ** 2)
+    if len(mi) == 0:
+        return [], []
+    qm = quads_m[mi]
+    qn = quads_n[ni]
+    cc = ((qm[:, :, None, :] - qn[:, None, :, :]) ** 2).sum(-1).min(axis=(1, 2))
+    touch = cc < 1e-18
+    near = ~touch & (d2[mi, ni] <= (1.8 * diag) ** 2)
+    return (list(zip(mi[touch].tolist(), ni[touch].tolist())),
+            list(zip(mi[near].tolist(), ni[near].tolist())))
+
+
+def _assert_same_classes(patch_m, patch_n, L):
+    want = _pair_classes_oracle(patch_m, patch_n, L)
+    got = bem._pair_classes(patch_m, patch_n, L)
+    assert (got is None) == (want is None)
+    if want is None:
+        return
+    inv, (rep_m, rep_n) = want
+    (cls, ia, ib), (new_m, new_n) = got
+    new_inv = cls[ia, ib].ravel()
+    assert len(new_m) == len(rep_m)
+    # the representative of every pair's class: same partition, same reps
+    assert np.array_equal(new_m[new_inv], rep_m[inv])
+    assert np.array_equal(new_n[new_inv], rep_n[inv])
+
+
+def _assert_same_touch_lists(quads_m, quads_n):
+    assert bem._touch_candidates(quads_m, quads_n) == \
+        _touch_candidates_oracle(quads_m, quads_n)
+
+
+@pytest.mark.parametrize("name, L", [("cube", 1), ("cube", 2), ("cube", 3),
+                                     ("cube", 4), ("fichera", 2), ("moved", 3)])
+def test_pair_classes_and_touch_lists_match_oracles(name, L, cube, fichera):
+    surface = {"cube": cube, "fichera": fichera}.get(name) or _moved_cube()
+    quads = {p.index: bem._cell_quads(p, L) for p in surface.patches}
+    for pm in surface.patches:
+        for pn in surface.patches:
+            if pm.index != pn.index:
+                _assert_same_classes(pm, pn, L)
+                _assert_same_touch_lists(quads[pm.index], quads[pn.index])
+
+
+class _Parallelogram:
+    """An affine patch a + b s + c t, enough for the cell and class helpers."""
+
+    chart = Patch.chart
+
+    def __init__(self, a, b, c):
+        self.coeff_a, self.coeff_b, self.coeff_c = (
+            np.asarray(v, dtype=float) for v in (a, b, c))
+        self.coeff_d = np.zeros(3)
+
+
+_small_vec = st.tuples(*[st.integers(-3, 3)] * 3)
+
+
+@settings(max_examples=100, deadline=None)
+# a class whose first pair is not that of its smallest group-A key
+@example(bm=(1, -1, 2), cm=(2, -3, -1), bn=(1, -2, -1), cn=(-1, 1, 2),
+         corner=(0, 0), shift=(0, 0, 0), den=1, share=None, L=3)
+@given(bm=_small_vec, cm=_small_vec, bn=_small_vec, cn=_small_vec,
+       corner=st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1)]),
+       shift=_small_vec, den=st.sampled_from([1, 2, 3, 4]),
+       share=st.sampled_from([None, "b", "c", "-b", "-c"]),
+       L=st.integers(1, 3))
+def test_pair_classes_and_touch_lists_match_oracles_on_parallelograms(
+        bm, cm, bn, cn, corner, shift, den, share, L):
+    bm, cm, bn, cn, shift = (np.array(v) / den
+                             for v in (bm, cm, bn, cn, shift))
+    if share is not None:
+        # a source edge along a test edge: collapsing groups, shared sides
+        bn = {"b": bm, "c": cm, "-b": -bm, "-c": -cm}[share]
+    assume(np.linalg.norm(np.cross(bm, cm)) > 0.0)
+    assume(np.linalg.norm(np.cross(bn, cn)) > 0.0)
+    # the source patch starts at a test-patch corner, or a lattice step off it
+    an = corner[0] * bm + corner[1] * cm + (shift if share is None else 0.0)
+    patch_m = _Parallelogram(np.zeros(3), bm, cm)
+    patch_n = _Parallelogram(an, bn, cn)
+    _assert_same_classes(patch_m, patch_n, L)
+    _assert_same_touch_lists(bem._cell_quads(patch_m, L),
+                             bem._cell_quads(patch_n, L))
+
+
+def _oracle_classes(patch_m, patch_n, L):
+    """The oracle's classes in _pair_classes' (cls, ia, ib) form."""
+    classes = _pair_classes_oracle(patch_m, patch_n, L)
+    if classes is None:
+        return None
+    inv, reps = classes
+    c = 1 << L
+    cell = np.arange(c * c).reshape(c, c)
+    return (inv.reshape(c * c, c * c), cell[:, :, None, None],
+            cell[None, None, :, :]), reps
+
+
+@pytest.mark.parametrize("name, L", [("cube", 3), ("fichera", 2)])
+def test_assemble_is_bitwise_the_oracle_assembly(name, L, systems, fichera,
+                                                 monkeypatch):
+    surface = fichera if name == "fichera" else systems[L].surface
+    new = systems[L].A if name == "cube" else assemble(surface, L).A
+    monkeypatch.setattr(bem, "_pair_classes", _oracle_classes)
+    monkeypatch.setattr(bem, "_touch_candidates", _touch_candidates_oracle)
+    assert _same_bits(new, assemble(surface, L).A)
 
 
 def test_assemble_guards(cube):

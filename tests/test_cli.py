@@ -1,3 +1,4 @@
+import dataclasses
 import filecmp
 import json
 from pathlib import Path
@@ -165,6 +166,32 @@ def test_validation_requires_synth_parameters(synth, missing):
 def test_validation_requires_a_field_source():
     with pytest.raises(ConfigError, match="params.synth or params.field"):
         config_from_dict({**BASE, "params": {}})
+
+
+def test_model_vertex_outside_the_surface(tmp_path):
+    # validation cannot see the surface, so this used to reach the model and
+    # end in a raw IndexError (index 99 out of bounds for size 8)
+    doc = {"kind": "embed-check", "surface": "cube", "J": 3,
+           "params": {"model": {"kind": "vertex", "vertex": 99, "beta": 0.6}}}
+    path = _write(tmp_path, "model.json", doc)
+    line = next(i for i, ln in enumerate(path.read_text().splitlines(), 1)
+                if '"vertex": 99' in ln)
+    config = dataclasses.replace(config_from_file(path),
+                                 output_dir=str(tmp_path / "out"))
+    with pytest.raises(ConfigError) as err:
+        cli.run(config)
+    assert str(err.value).startswith(
+        f"{path}:{line}: params.model.vertex: vertex 99 does not exist")
+    doc["params"]["model"] = {"kind": "edge", "v0": 8, "beta": 0.6}
+    config = dataclasses.replace(config_from_dict(doc),
+                                 output_dir=str(tmp_path / "out"))
+    with pytest.raises(ConfigError, match="params.model.v0: vertex 8"):
+        cli.run(config)
+    doc["params"]["model"] = {"kind": "edge", "v0": 3, "v1": 3, "beta": 0.6}
+    config = dataclasses.replace(config_from_dict(doc),
+                                 output_dir=str(tmp_path / "out"))
+    with pytest.raises(ConfigError, match="params.model.v1: v1 must differ"):
+        cli.run(config)
 
 
 def test_main_reports_errors_and_exit_code(tmp_path, capsys):

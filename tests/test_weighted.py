@@ -77,6 +77,16 @@ def test_edge_power_model_values(cube):
         assert got == pytest.approx(d ** 0.5, rel=1e-6)
 
 
+def test_models_reject_foreign_vertices(cube):
+    for bad in (8, -1, 1.0):
+        with pytest.raises(ValueError, match="vertex id in \\[0, 8\\)"):
+            VertexPowerModel(cube, vertex=bad, beta=0.5)
+    with pytest.raises(ValueError, match="v1 must be a vertex id"):
+        EdgePowerModel(cube, v0=0, v1=8, beta=0.5)
+    with pytest.raises(ValueError, match="must differ"):
+        EdgePowerModel(cube, v0=2, v1=2, beta=0.5)
+
+
 def test_analytic_vs_finite_difference(cube):
     func = lambda p: np.sin(p[:, 0] + 2 * p[:, 1]) * np.exp(p[:, 2])  # noqa: E731
 
