@@ -478,7 +478,9 @@ def assemble(surface: PolyhedralSurface, L: int, *, quad_order: int = 4,
             pts2, wts2 = _graded_cell_nodes(patch_m, L, k1, k2, feat,
                                             grade_depth - 1, quad_order)
             val2 = float(wts2 @ solid_angles(qn1, pts2)[:, 0]) / _FOUR_PI
-            if abs(val - val2) > max(0.05 * abs(val), 1e-12):
+            # entries scale with the cell area, and so must the floor
+            floor = 1e-12 * areas[pm * cells + m]
+            if abs(val - val2) > max(0.05 * abs(val), floor):
                 raise RuntimeError(
                     f"quadrature failure on touching cell pair "
                     f"({pm},{m})x({pn},{n}): {val} vs {val2}")

@@ -17,7 +17,9 @@ import json
 import re
 import sys
 from dataclasses import dataclass, field as dataclass_field
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy
@@ -35,8 +37,6 @@ from .bem import analyze_solution, assemble, solve
 
 SCHEMA_VERSION = "1.0.0"
 
-_KINDS = ("norms", "nterm", "embed-check", "bem-solve", "whitney", "synth")
-
 _NAMED_BASES = {"haar": (1, 0), "alpert2": (2, 2)}
 
 # synthetic field kinds and the generator parameters each one needs
@@ -46,30 +46,12 @@ _SYNTH_REQUIRED = {
     "random_besov": ("spec",),
     "suffix_saturator": ("gamma", "spec"),
 }
-_SYNTH_KINDS = tuple(_SYNTH_REQUIRED)
 
-_ALLOWED_PARAMS = {
-    "norms": {"synth", "field"},
-    "nterm": {"synth", "field", "n_lo", "n_hi", "predicted", "source_space"},
-    "embed-check": {"model", "taus", "k", "rho", "s", "p"},
-    "bem-solve": {"rhs", "k", "rho", "s"},
-    "whitney": {"k", "count", "edge", "corner", "funcs"},
-    "synth": {"synth"},
-}
+_RHS_FORMS = ("constant | harmonic:linear [axis 0-2] | harmonic:pole px py pz"
+              " | file path")
 
-# integer parameters with their minimum, and real-valued parameters
-_INT_PARAMS = {"n_lo": 1, "n_hi": 1, "k": 1, "count": 1}
-_REAL_PARAMS = {"rho", "s", "p", "edge"}
-
-# tolerances quoted in report headers, per experiment kind
-_TOLERANCES = {
-    "norms": {},
-    "nterm": {"slope_rel_tol": 0.1, "slope_abs_tol": 0.05},
-    "embed-check": {"critical_line_tol": 1e-12},
-    "bem-solve": {"residual_max": 1e-10},
-    "whitney": {"ratio_spread": 0.2},
-    "synth": {},
-}
+# singularity models and the fields each one needs
+_MODEL_REQUIRED = {"vertex": ("beta",), "edge": ("beta",), "constant": ()}
 
 _WHITNEY_FUNCS = {
     "exp": lambda x, y: np.exp(x + y),
@@ -108,8 +90,9 @@ class ExperimentConfig:
     params: dict = dataclass_field(default_factory=dict)
     # source and text for errors that only the run can see, such as a model
     # vertex the surface does not have; not part of the config's identity
-    check: _Check | None = dataclass_field(default=None, compare=False,
-                                           repr=False)
+    check: _Check = dataclass_field(
+        default_factory=lambda: _Check(None, None, "config"), compare=False,
+        repr=False)
 
 
 def canonical_config(config: ExperimentConfig) -> dict:
@@ -279,8 +262,8 @@ def _as_space(value, chk: _Check, path: tuple) -> tuple:
     if (not isinstance(value, (list, tuple)) or len(value) != 3
             or not all(_is_number(v) for v in value)):
         chk.fail(path, "space must be an [alpha, p, q] triple of numbers")
-    alpha, p, q = (float(v) for v in value)
     try:
+        alpha, p, q = (float(v) for v in value)
         spec = BesovSpec(alpha, p, q)
     except Exception as exc:
         chk.fail(path, str(exc))
@@ -299,82 +282,69 @@ def _as_int(value, chk: _Check, path: tuple, minimum: int | None = None) -> int:
     return value
 
 
-def _validate_params(kind: str, params: dict, chk: _Check, base: tuple) -> None:
-    allowed = _ALLOWED_PARAMS[kind]
-    for key in params:
-        if key not in allowed:
-            chk.fail(base + (key,), f"parameter not used by '{kind}' "
-                                    f"(allowed: {sorted(allowed)})")
-        if key in _INT_PARAMS:
-            _as_int(params[key], chk, base + (key,), _INT_PARAMS[key])
-        elif key in _REAL_PARAMS and not _is_number(params[key]):
-            chk.fail(base + (key,), f"expected a number, got {params[key]!r}")
-    for key, size in (("taus", None), ("corner", 2)):
-        value = params.get(key)
-        if value is not None and (
-                not isinstance(value, list)
-                or not all(_is_number(v) for v in value)
-                or size is not None and len(value) != size):
-            count = "" if size is None else f"{size} "
-            chk.fail(base + (key,),
-                     f"expected a list of {count}numbers, got {value!r}")
-    synth = params.get("synth")
-    if synth is not None:
-        if not isinstance(synth, dict):
-            chk.fail(base + ("synth",), "synth must be an object")
-        skind = synth.get("kind")
-        if skind not in _SYNTH_KINDS:
-            chk.fail(base + ("synth", "kind"),
-                     f"synth kind must be one of {_SYNTH_KINDS}, got {skind!r}")
-        for key in _SYNTH_REQUIRED[skind]:
-            if key not in synth:
-                chk.fail(base + ("synth",), f"{skind} synth needs '{key}'")
-        if "spec" in synth:
-            _as_space(synth["spec"], chk, base + ("synth", "spec"))
-    model = params.get("model")
-    if model is not None:
-        if not isinstance(model, dict):
-            chk.fail(base + ("model",), "model must be an object")
-        mk = model.get("kind", "vertex")
-        if mk not in ("vertex", "edge", "constant"):
-            chk.fail(base + ("model", "kind"),
-                     f"model kind must be vertex, edge or constant, got {mk!r}")
-        if mk in ("vertex", "edge") and "beta" not in model:
-            chk.fail(base + ("model",), f"{mk} model needs a 'beta' exponent")
-        for mkey in ("beta", "value"):
-            if mkey in model and not _is_number(model[mkey]):
-                chk.fail(base + ("model", mkey),
-                         f"expected a number, got {model[mkey]!r}")
-        for mkey in ("vertex", "v0", "v1"):
-            if mkey in model:
-                _as_int(model[mkey], chk, base + ("model", mkey), minimum=0)
-    rhs = params.get("rhs")
-    if rhs is not None:
-        if not isinstance(rhs, list) or not rhs:
-            chk.fail(base + ("rhs",), "rhs must be a non-empty list of tokens")
-        head = rhs[0]
-        if head == "constant":
-            pass
-        elif head == "harmonic:linear":
-            if len(rhs) > 2:
-                chk.fail(base + ("rhs",), "harmonic:linear takes at most an axis")
-        elif head == "harmonic:pole":
-            if len(rhs) != 4:
-                chk.fail(base + ("rhs",), "harmonic:pole needs px py pz")
-        elif head == "file":
-            if len(rhs) != 2:
-                chk.fail(base + ("rhs",), "file rhs needs a path")
-        else:
-            chk.fail(base + ("rhs",),
-                     f"rhs must start with constant, harmonic:linear, "
-                     f"harmonic:pole or file, got {head!r}")
-    funcs = params.get("funcs")
-    if funcs is not None:
-        for i, name in enumerate(funcs):
-            if name not in _WHITNEY_FUNCS:
-                chk.fail(base + ("funcs", i),
-                         f"unknown function {name!r}; available: "
-                         f"{sorted(_WHITNEY_FUNCS)}")
+def _as_number(value, chk: _Check, path: tuple) -> None:
+    if not _is_number(value):
+        chk.fail(path, f"expected a number, got {value!r}")
+
+
+def _as_numbers(value, chk: _Check, path: tuple, size: int | None = None):
+    if (not isinstance(value, list) or not all(_is_number(v) for v in value)
+            or size is not None and len(value) != size):
+        count = "" if size is None else f"{size} "
+        chk.fail(path, f"expected a list of {count}numbers, got {value!r}")
+
+
+def _as_file(value, chk: _Check, path: tuple) -> None:
+    if not isinstance(value, str) or not value:
+        chk.fail(path, f"expected a file path, got {value!r}")
+
+
+def _as_names(value, chk: _Check, path: tuple, choices: tuple) -> None:
+    if not isinstance(value, list) or not value:
+        chk.fail(path, f"expected a non-empty list of names, got {value!r}")
+    for i, name in enumerate(value):
+        if name not in choices:
+            chk.fail(path + (i,), f"unknown function {name!r}; "
+                                  f"available: {list(choices)}")
+
+
+def _as_object(value, chk: _Check, path: tuple, name: str, required: dict,
+               fields: dict, default_kind: str | None = None) -> None:
+    """An object whose 'kind' is a key of `required`, which lists the
+    fields each kind needs; its other keys are `fields`, with checkers."""
+    if not isinstance(value, dict):
+        chk.fail(path, f"{name} must be an object")
+    kind = value.get("kind", default_kind)
+    if kind not in tuple(required):
+        chk.fail(path + ("kind",), f"{name} kind must be one of "
+                                   f"{tuple(required)}, got {kind!r}")
+    for key in required[kind]:
+        if key not in value:
+            chk.fail(path, f"{kind} {name} needs '{key}'")
+    for key in [key for key in value if key != "kind"]:
+        if key not in fields:
+            chk.fail(path + (key,), f"not a {name} field "
+                                    f"(allowed: {sorted(fields)})")
+        fields[key](value[key], chk, path + (key,))
+
+
+def _rhs_number(token):
+    """The finite number an rhs token spells (flags pass strings), or None."""
+    try:
+        value = float(str(token))
+    except ValueError:
+        return None
+    return value if np.isfinite(value) else None
+
+
+def _as_rhs(value, chk: _Check, path: tuple) -> None:
+    head, *args = value if isinstance(value, list) and value else [None]
+    numbers = [_rhs_number(t) for t in args]
+    if not (head == "constant"
+            or head == "harmonic:linear" and numbers in ([], [0], [1], [2])
+            or head == "harmonic:pole" and len(args) == 3 and None not in numbers
+            or head == "file" and len(args) == 1 and isinstance(args[0], str)):
+        chk.fail(path, f"expected {_RHS_FORMS}, got {value!r}")
 
 
 def config_from_dict(doc: dict, *, text: str | None = None,
@@ -389,9 +359,9 @@ def config_from_dict(doc: dict, *, text: str | None = None,
         if key not in known:
             chk.fail((key,), f"unknown key (allowed: {sorted(known)})")
     kind = doc.get("kind")
-    if kind not in _KINDS:
-        chk.fail(("kind",), f"experiment kind must be one of {_KINDS}, "
-                            f"got {kind!r}")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        chk.fail(("kind",), f"experiment kind must be one of "
+                            f"{tuple(_KINDS)}, got {kind!r}")
     surface = doc.get("surface", "cube")
     if not isinstance(surface, str) or not surface:
         chk.fail(("surface",), "surface must be a builtin name or a file path")
@@ -413,7 +383,12 @@ def config_from_dict(doc: dict, *, text: str | None = None,
     params = doc.get("params", {})
     if not isinstance(params, dict):
         chk.fail(("params",), "params must be an object")
-    _validate_params(kind, params, chk, ("params",))
+    table = _KINDS[kind].params
+    for key, value in params.items():
+        if key not in table:
+            chk.fail(("params", key), f"parameter not used by '{kind}' "
+                                      f"(allowed: {sorted(table)})")
+        table[key].check(value, chk, ("params", key))
 
     # cross-field invariants
     if kind in ("norms", "nterm") and not spaces:
@@ -435,9 +410,15 @@ def config_from_dict(doc: dict, *, text: str | None = None,
             chk.fail(("L",), "'bem-solve' needs a grid level L")
         if J is not None and J > L:
             chk.fail(("J",), f"analysis level J={J} must not exceed L={L}")
-    return ExperimentConfig(kind=kind, surface=surface, basis=basis, J=J, L=L,
-                            spaces=spaces, seed=seed, output_dir=str(output_dir),
-                            workers=workers, params=params, check=chk)
+    config = ExperimentConfig(kind=kind, surface=surface, basis=basis, J=J,
+                              L=L, spaces=spaces, seed=seed,
+                              output_dir=str(output_dir), workers=workers,
+                              params=params, check=chk)
+    # the default taus are built from min(rho, k - rho), which must be >= 0
+    if kind == "embed-check" and "model" in params and not params.get("taus") \
+            and not 0 <= _param(config, "rho") <= _param(config, "k"):
+        chk.fail(("params", "rho"), "without taus, rho must lie in [0, k]")
+    return config
 
 
 def config_from_file(path, kind: str | None = None) -> ExperimentConfig:
@@ -470,19 +451,24 @@ def _write_csv(path: Path, kind: str, chash: str, columns, rows) -> None:
     lines = [f"# schema: {SCHEMA_VERSION}",
              f"# kind: {kind}",
              f"# config: {chash}",
-             "# tolerances: " + json.dumps(_TOLERANCES[kind], sort_keys=True)]
+             "# tolerances: " + json.dumps(_KINDS[kind].tolerances, sort_keys=True)]
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _surface_from(name: str) -> PolyhedralSurface:
-    if name == "cube":
-        return load_surface(unit_cube())
-    if name == "fichera":
-        return load_surface(fichera_corner())
-    return load_surface(name)
+def _param(config: ExperimentConfig, key: str):
+    """The run's value of parameter `key`: as given, else the table's."""
+    return config.params.get(key, _KINDS[config.kind].params[key].default)
+
+
+def _surface_from(config: ExperimentConfig) -> PolyhedralSurface:
+    builtin = {"cube": unit_cube, "fichera": fichera_corner}.get(config.surface)
+    try:
+        return load_surface(builtin() if builtin else config.surface)
+    except OSError as exc:
+        config.check.fail(("surface",), f"cannot read: {exc}")
 
 
 def _basis_from(config: ExperimentConfig) -> BasisSpec:
@@ -496,9 +482,12 @@ def _space_of(triple) -> BesovSpec:
 
 def _field_from(config, surface, basis):
     if "field" in config.params:
-        return load_field(config.params["field"], surface)
-    synth = dict(config.params.get("synth") or {})
-    kind = synth.pop("kind", "random_besov")
+        try:
+            return load_field(config.params["field"], surface)
+        except OSError as exc:
+            config.check.fail(("params", "field"), f"cannot read: {exc}")
+    synth = dict(config.params["synth"])
+    kind = synth.pop("kind")
     if "spec" in synth:
         synth["spec"] = _space_of(synth["spec"])
     if kind == "random_besov":
@@ -510,7 +499,7 @@ def _field_from(config, surface, basis):
 
 
 def _run_norms(config, out, chash):
-    surface = _surface_from(config.surface)
+    surface = _surface_from(config)
     field = _field_from(config, surface, _basis_from(config))
     rows = []
     for alpha, p, q in config.spaces:
@@ -522,19 +511,19 @@ def _run_norms(config, out, chash):
 
 
 def _run_nterm(config, out, chash):
-    surface = _surface_from(config.surface)
+    surface = _surface_from(config)
     field = _field_from(config, surface, _basis_from(config))
     target = _space_of(config.spaces[0])
     plan = n_term_plan(field, target)
-    n_lo = int(config.params.get("n_lo", 16))
-    n_hi = min(int(config.params.get("n_hi", 1 << 14)), plan.n_indices)
+    n_lo = _param(config, "n_lo")
+    n_hi = min(_param(config, "n_hi"), plan.n_indices)
     ns, n = [], n_lo
     while n <= n_hi:
         ns.append(n)
         n *= 2
     samples = [(n, plan.error_at(n)) for n in ns]
     samples = [(n, e) for n, e in samples if e > 0.0]
-    predicted = config.params.get("predicted")
+    predicted = _param(config, "predicted")
     if predicted is None and "source_space" in config.params:
         predicted = predicted_rate(_space_of(config.params["source_space"]),
                                    target)
@@ -563,22 +552,21 @@ def _run_embed_check(config, out, chash):
                ("alpha0", "p0", "q0", "alpha1", "p1", "q1", "embeds"), rows)
     files.append("embeddings.csv")
 
-    model = config.params.get("model")
+    model = _param(config, "model")
     if model is not None:
-        surface = _surface_from(config.surface)
+        surface = _surface_from(config)
         basis = _basis_from(config)
-        handle = _model_from(model, surface,
-                             config.check or _Check(None, None, "config"))
-        k = int(config.params.get("k", 1))
-        rho = float(config.params.get("rho", 0.5))
-        s = float(config.params.get("s", 0.75))
-        p = float(config.params.get("p", 2.0))
+        handle = _model_from(model, surface, config.check)
+        k = _param(config, "k")
+        rho = float(_param(config, "rho"))
+        s = float(_param(config, "s"))
+        p = float(_param(config, "p"))
         weighted = WeightedSpec(k=k, rho=rho)
         field = analyze(surface, handle, basis, config.J,
                         workers=config.workers)
         resolution = ResolutionOfUnity(surface)
         width = min(rho, k - rho)
-        taus = config.params.get("taus") or \
+        taus = _param(config, "taus") or \
             [1.0 / (0.5 + f * width) for f in (0.75, 0.5, 0.25)]
         tail_rows = []
         for tau in taus:
@@ -614,24 +602,31 @@ def _model_from(model: dict, surface, chk: _Check):
     return ConstantModel(surface, value=float(model.get("value", 1.0)))
 
 
-def _parse_rhs(tokens, surface):
+def _parse_rhs(tokens, n_cells: int, chk: _Check):
     head = tokens[0]
     if head == "constant":
         return lambda pts: np.ones(len(pts))
     if head == "harmonic:linear":
-        axis = int(tokens[1]) if len(tokens) > 1 else 0
+        axis = int(_rhs_number(tokens[1])) if len(tokens) > 1 else 0
         return lambda pts: pts[:, axis].copy()
     if head == "harmonic:pole":
-        pole = np.array([float(t) for t in tokens[1:4]])
+        pole = np.array([_rhs_number(t) for t in tokens[1:4]])
         return lambda pts: 1.0 / np.linalg.norm(pts - pole, axis=1)
-    values = np.loadtxt(tokens[1], ndmin=1)
+    try:
+        values = np.loadtxt(tokens[1], ndmin=1)
+    except (OSError, ValueError) as exc:
+        chk.fail(("params", "rhs"), f"cannot read {tokens[1]!r}: {exc}")
+    if values.shape != (n_cells,):
+        chk.fail(("params", "rhs"), f"{tokens[1]!r} holds {values.size} "
+                                    f"values for {n_cells} cells")
     return values
 
 
 def _run_bem_solve(config, out, chash):
-    surface = _surface_from(config.surface)
+    surface = _surface_from(config)
+    rhs = _parse_rhs(_param(config, "rhs"),
+                     surface.n_patches << (2 * config.L), config.check)
     system = assemble(surface, config.L, workers=config.workers)
-    rhs = _parse_rhs(config.params.get("rhs", ["constant"]), surface)
     report = solve(system, rhs)
     c = 1 << config.L
     rows = []
@@ -648,11 +643,11 @@ def _run_bem_solve(config, out, chash):
                "exponent_ratio", "predicted_gamma", "alpha_star", "noise_floor"]
     row = [config.L, report.residual, report.cond, "", "", "", "", "", ""]
     if config.J is not None:
-        weighted = WeightedSpec(k=int(config.params.get("k", 1)),
-                                rho=float(config.params.get("rho", 0.5)))
+        weighted = WeightedSpec(k=_param(config, "k"),
+                                rho=float(_param(config, "rho")))
         sol = analyze_solution(surface, report.density, _basis_from(config),
                                config.J, weighted,
-                               s=float(config.params.get("s", 0.75)),
+                               s=float(_param(config, "s")),
                                workers=config.workers)
         row[3] = "" if sol.adaptive is None else sol.adaptive.decay
         row[4] = "" if sol.uniform is None else sol.uniform.decay
@@ -666,11 +661,11 @@ def _run_bem_solve(config, out, chash):
 
 
 def _run_whitney(config, out, chash):
-    k = int(config.params.get("k", 2))
-    count = int(config.params.get("count", 6))
-    edge0 = float(config.params.get("edge", 0.25))
-    x0, y0 = (float(v) for v in config.params.get("corner", (0.3, 0.4)))
-    names = config.params.get("funcs") or sorted(_WHITNEY_FUNCS)
+    k = _param(config, "k")
+    count = _param(config, "count")
+    edge0 = float(_param(config, "edge"))
+    x0, y0 = (float(v) for v in _param(config, "corner"))
+    names = _param(config, "funcs")
     rows = []
     for name in names:
         f = _WHITNEY_FUNCS[name]
@@ -683,7 +678,7 @@ def _run_whitney(config, out, chash):
 
 
 def _run_synth(config, out, chash):
-    surface = _surface_from(config.surface)
+    surface = _surface_from(config)
     basis = _basis_from(config)
     field = _field_from(config, surface, basis)
     save_field(field, out / "field.npz")
@@ -697,13 +692,101 @@ def _run_synth(config, out, chash):
     return ["field.npz", "synth.csv"]
 
 
-_RUNNERS = {
-    "norms": _run_norms,
-    "nterm": _run_nterm,
-    "embed-check": _run_embed_check,
-    "bem-solve": _run_bem_solve,
-    "whitney": _run_whitney,
-    "synth": _run_synth,
+# -- the experiment kinds and their parameters ------------------------------------
+
+
+def _space_flag(text: str) -> list:
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError(f"expected alpha,p,q, got {text!r}")
+    return [float(v) for v in parts]
+
+
+class _Param(NamedTuple):
+    """One key of `params`.  An object parameter's flag sets its 'kind';
+    `members` maps its other fields to their flags and argparse keywords."""
+
+    check: Callable             # check(value, chk, path) fails through chk
+    default: object             # what a run uses when the key is absent
+    flag: str
+    spec: dict
+    help: str
+    members: dict = {}
+
+
+class _Kind(NamedTuple):
+    help: str
+    run: Callable
+    params: dict
+    tolerances: dict            # quoted in report headers
+
+
+_INT = {"type": int}
+_FLOAT = {"type": float}
+_SPACE = {"type": _space_flag, "metavar": "A,P,Q"}
+_AT_LEAST_0 = partial(_as_int, minimum=0)
+_AT_LEAST_1 = partial(_as_int, minimum=1)
+_FUNC_NAMES = tuple(sorted(_WHITNEY_FUNCS))
+
+_SYNTH = _Param(
+    partial(_as_object, name="synth", required=_SYNTH_REQUIRED, fields={
+        "spec": _as_space, "alpha": _as_number, "gamma": _as_number,
+        "level": _AT_LEAST_0, "seed": _AT_LEAST_0}),
+    None, "--synth", {"choices": tuple(_SYNTH_REQUIRED)}, "field generator",
+    {"alpha": ("--alpha", _FLOAT), "gamma": ("--gamma", _FLOAT),
+     "level": ("--level", _INT), "spec": ("--synth-spec", _SPACE)})
+_FIELD = _Param(_as_file, None, "--field", {}, "saved field (.npz)")
+_K = _Param(_AT_LEAST_1, 1, "--k", _INT, "weighted norm order")
+_RHO = _Param(_as_number, 0.5, "--rho", _FLOAT, "weight exponent")
+_S = _Param(_as_number, 0.75, "--s", _FLOAT, "base space (s, p, p)")
+
+_KINDS = {
+    "norms": _Kind("evaluate space norms of a field", _run_norms,
+                   {"synth": _SYNTH, "field": _FIELD}, {}),
+    "nterm": _Kind("n-term approximation rate study", _run_nterm, {
+        "synth": _SYNTH, "field": _FIELD,
+        "n_lo": _Param(_AT_LEAST_1, 16, "--n-lo", _INT, "first n"),
+        "n_hi": _Param(_AT_LEAST_1, 1 << 14, "--n-hi", _INT, "last n"),
+        "predicted": _Param(_as_number, None, "--predicted", _FLOAT, "rate"),
+        "source_space": _Param(_as_space, None, "--source-space", _SPACE,
+                               "space predicting the rate"),
+    }, {"slope_rel_tol": 0.1, "slope_abs_tol": 0.05}),
+    "embed-check": _Kind("embedding table and tail-sum study",
+                         _run_embed_check, {
+        "model": _Param(
+            partial(_as_object, name="model", required=_MODEL_REQUIRED,
+                    fields={"beta": _as_number, "value": _as_number,
+                            "vertex": _AT_LEAST_0, "v0": _AT_LEAST_0,
+                            "v1": _AT_LEAST_0}, default_kind="vertex"),
+            None, "--model", {"choices": tuple(_MODEL_REQUIRED)},
+            "singularity model of the tail study",
+            {"beta": ("--beta", {"type": float, "default": 0.6,
+                                 "help": "default %(default)s"}),
+             "vertex": ("--vertex", _INT), "v0": ("--v0", _INT),
+             "v1": ("--v1", _INT)}),
+        "taus": _Param(_as_numbers, None, "--tau", {**_FLOAT, "action":
+                       "append"}, "default: three from min(rho, k - rho)"),
+        "k": _K, "rho": _RHO, "s": _S,
+        "p": _Param(_as_number, 2.0, "--p", _FLOAT, "base space (s, p, p)"),
+    }, {"critical_line_tol": 1e-12}),
+    "bem-solve": _Kind("dense double layer solve", _run_bem_solve, {
+        "rhs": _Param(_as_rhs, ("constant",), "--rhs", {"nargs": "+"},
+                      _RHS_FORMS),
+        "k": _K, "rho": _RHO, "s": _S,
+    }, {"residual_max": 1e-10}),
+    "whitney": _Kind("local polynomial approximation ratios on shrinking "
+                     "squares", _run_whitney, {
+        "k": _Param(_AT_LEAST_1, 2, "--k", _INT, "seminorm order"),
+        "count": _Param(_AT_LEAST_1, 6, "--count", _INT, "squares"),
+        "edge": _Param(_as_number, 0.25, "--edge", _FLOAT, "largest edge"),
+        "corner": _Param(partial(_as_numbers, size=2), (0.3, 0.4),
+                         "--corner", {**_FLOAT, "nargs": 2}, "lower left"),
+        "funcs": _Param(partial(_as_names, choices=_FUNC_NAMES), _FUNC_NAMES,
+                        "--func", {"action": "append", "choices": _FUNC_NAMES},
+                        "test functions"),
+    }, {"ratio_spread": 0.2}),
+    "synth": _Kind("generate and save a field", _run_synth,
+                   {"synth": _SYNTH}, {}),
 }
 
 
@@ -712,7 +795,7 @@ def run(config: ExperimentConfig) -> int:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     chash = config_hash(config)
-    artifacts = _RUNNERS[config.kind](config, out, chash)
+    artifacts = _KINDS[config.kind].run(config, out, chash)
     manifest = {
         "schema": SCHEMA_VERSION,
         "kind": config.kind,
@@ -720,7 +803,7 @@ def run(config: ExperimentConfig) -> int:
         "config_hash": chash,
         "versions": {"patchwave": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__},
-        "tolerances": _TOLERANCES[config.kind],
+        "tolerances": _KINDS[config.kind].tolerances,
         "artifacts": sorted(artifacts),
     }
     (out / "manifest.json").write_text(
@@ -740,84 +823,45 @@ def _add_common(parser):
     parser.add_argument("-J", type=int, default=None,
                         help="finest analysis level")
     parser.add_argument("-L", type=int, default=None, help="grid level")
-    parser.add_argument("--space", action="append", default=[],
-                        metavar="A,P,Q", help="space triple; repeatable")
+    parser.add_argument("--space", action="append", default=[], **_SPACE,
+                        help="space triple; repeatable")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--output-dir", default="reports")
     parser.add_argument("--workers", type=int, default=1)
 
 
-def _space_flag(text: str):
-    parts = [float(v) for v in text.split(",")]
-    if len(parts) != 3:
-        raise ConfigError(f"--space needs alpha,p,q, got {text!r}")
-    return parts
+def _add_params(parser, params: dict) -> None:
+    """The flags of `params`; one not given sets nothing, unless its
+    keywords carry a default (--beta)."""
+    for key, prm in params.items():
+        default = "" if prm.default is None else \
+            f"; default {json.dumps(prm.default)}"
+        parser.add_argument(prm.flag, dest=key, default=argparse.SUPPRESS,
+                            help=f"params.{key}: {prm.help}{default}",
+                            **prm.spec)
+        for member, (name, spec) in prm.members.items():
+            parser.add_argument(name, dest=f"{key}.{member}",
+                                **{"default": argparse.SUPPRESS, **spec})
 
 
-def _synth_params(args) -> dict:
-    synth = {"kind": args.synth}
-    for key in ("alpha", "gamma", "level"):
-        value = getattr(args, key, None)
-        if value is not None:
-            synth[key] = value
-    if getattr(args, "synth_spec", None):
-        synth["spec"] = _space_flag(args.synth_spec)
-    return synth
-
-
-def _build_doc(args) -> dict:
-    doc = {
-        "kind": args.command,
-        "surface": args.surface,
-        "basis": args.basis,
-        "spaces": [_space_flag(s) for s in args.space],
-        "seed": args.seed,
-        "output_dir": args.output_dir,
-        "workers": args.workers,
-        "params": {},
-    }
-    if args.J is not None:
-        doc["J"] = args.J
-    if args.L is not None:
-        doc["L"] = args.L
-    params = doc["params"]
-    if getattr(args, "field", None):
-        params["field"] = args.field
-    elif getattr(args, "synth", None):
-        params["synth"] = _synth_params(args)
-    if args.command == "nterm":
-        for key in ("n_lo", "n_hi", "predicted"):
-            value = getattr(args, key)
-            if value is not None:
-                params[key] = value
-        if args.source_space:
-            params["source_space"] = _space_flag(args.source_space)
-    if args.command == "embed-check":
-        if args.model:
-            model = {"kind": args.model, "beta": args.beta}
-            if args.model == "vertex":
-                model["vertex"] = args.vertex
-            if args.model == "edge":
-                model["v0"], model["v1"] = args.v0, args.v1
-            params["model"] = model
-            for key in ("k", "rho", "s", "p"):
-                params[key] = getattr(args, key)
-            if args.tau:
-                params["taus"] = args.tau
-    if args.command == "bem-solve":
-        params["rhs"] = args.rhs
-        for key in ("k", "rho", "s"):
-            value = getattr(args, key)
-            if value is not None:
-                params[key] = value
-    if args.command == "whitney":
-        params["k"] = args.k
-        params["count"] = args.count
-        params["edge"] = args.edge
-        params["corner"] = args.corner
-        if args.func:
-            params["funcs"] = args.func
-    return doc
+def _flag_doc(args) -> dict:
+    """The config of a flag run; its params hold the flags given (and
+    model.beta's default), as a config file spelling them out would."""
+    given = vars(args)
+    params = {}
+    for key, prm in _KINDS[args.command].params.items():
+        if key in given:
+            params[key] = given[key]
+            if prm.members:
+                params[key] = {"kind": given[key], **{
+                    member: given[f"{key}.{member}"] for member in prm.members
+                    if f"{key}.{member}" in given}}
+    if "field" in params:           # a saved field replaces the generator
+        params.pop("synth", None)
+    doc = {key: given[key] for key in ("surface", "basis", "J", "L", "seed",
+                                       "output_dir", "workers")
+           if given[key] is not None}
+    return {**doc, "kind": args.command, "spaces": args.space, "params": params}
 
 
 def main(argv=None) -> int:
@@ -826,58 +870,10 @@ def main(argv=None) -> int:
         description="Wavelet regularity and boundary-integral experiments "
                     "on piecewise-flat surfaces.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_norms = sub.add_parser("norms", help="evaluate space norms of a field")
-    p_nterm = sub.add_parser("nterm", help="n-term approximation rate study")
-    p_embed = sub.add_parser("embed-check",
-                             help="embedding table and tail-sum study")
-    p_bem = sub.add_parser("bem-solve", help="dense double layer solve")
-    p_whit = sub.add_parser("whitney", help="local polynomial approximation "
-                                            "ratios on shrinking squares")
-    p_synth = sub.add_parser("synth", help="generate and save a field")
-
-    for p in (p_norms, p_nterm, p_embed, p_bem, p_whit, p_synth):
+    for name, kind in _KINDS.items():
+        p = sub.add_parser(name, help=kind.help)
         _add_common(p)
-    for p in (p_norms, p_nterm, p_synth):
-        p.add_argument("--synth", choices=_SYNTH_KINDS,
-                       help="synthetic field kind")
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--gamma", type=float, default=None)
-        p.add_argument("--level", type=int, default=None)
-        p.add_argument("--synth-spec", metavar="A,P,Q", default=None,
-                       help="target space of the generator")
-        p.add_argument("--field", default=None, help="saved field (.npz)")
-
-    p_nterm.add_argument("--n-lo", type=int, default=None, dest="n_lo")
-    p_nterm.add_argument("--n-hi", type=int, default=None, dest="n_hi")
-    p_nterm.add_argument("--predicted", type=float, default=None)
-    p_nterm.add_argument("--source-space", metavar="A,P,Q", default=None)
-
-    p_embed.add_argument("--model", choices=("vertex", "edge", "constant"),
-                         default=None)
-    p_embed.add_argument("--beta", type=float, default=0.6)
-    p_embed.add_argument("--vertex", type=int, default=0)
-    p_embed.add_argument("--v0", type=int, default=0)
-    p_embed.add_argument("--v1", type=int, default=1)
-    p_embed.add_argument("--k", type=int, default=1)
-    p_embed.add_argument("--rho", type=float, default=0.5)
-    p_embed.add_argument("--s", type=float, default=0.75)
-    p_embed.add_argument("--p", type=float, default=2.0)
-    p_embed.add_argument("--tau", type=float, action="append", default=[])
-
-    p_bem.add_argument("--rhs", nargs="+", default=["constant"],
-                       help="constant | harmonic:linear [axis] | "
-                            "harmonic:pole px py pz | file path")
-    p_bem.add_argument("--k", type=int, default=None)
-    p_bem.add_argument("--rho", type=float, default=None)
-    p_bem.add_argument("--s", type=float, default=None)
-
-    p_whit.add_argument("--k", type=int, default=2)
-    p_whit.add_argument("--count", type=int, default=6)
-    p_whit.add_argument("--edge", type=float, default=0.25)
-    p_whit.add_argument("--corner", type=float, nargs=2, default=[0.3, 0.4])
-    p_whit.add_argument("--func", action="append", default=[],
-                        choices=sorted(_WHITNEY_FUNCS))
+        _add_params(p, kind.params)
 
     args = parser.parse_args(argv)
     try:
@@ -887,7 +883,7 @@ def main(argv=None) -> int:
                 config = dataclasses.replace(config,
                                              output_dir=args.output_dir)
         else:
-            config = config_from_dict(_build_doc(args))
+            config = config_from_dict(_flag_doc(args))
         return run(config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

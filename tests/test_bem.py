@@ -223,6 +223,22 @@ def test_touching_tolerances_scale_with_the_surface(systems):
         np.abs(unit).max())
 
 
+@pytest.mark.parametrize("scale", [None, 1e-6])
+def test_verify_quadrature_fires_at_any_scale(scale, cube, monkeypatch):
+    # with an absolute 1e-12 floor the check missed a 10% disagreement on the
+    # small cube, whose largest touching entry is 4.3e-12
+    graded = bem._graded_cell_nodes
+
+    def skewed(patch, L, k1, k2, feature, depth, order):
+        pts, wts = graded(patch, L, k1, k2, feature, depth, order)
+        return pts, wts * (1.1 if depth == 3 else 1.0)
+
+    monkeypatch.setattr(bem, "_graded_cell_nodes", skewed)
+    surface = cube if scale is None else _moved_cube(scale)
+    with pytest.raises(RuntimeError, match="quadrature failure"):
+        assemble(surface, 2, grade_depth=4)
+
+
 # -- the class and touch searches over all 16^L pairs, as oracles ------------
 
 

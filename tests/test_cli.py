@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from patchwave import cli
 from patchwave.cli import (
@@ -125,6 +126,10 @@ BEM = {"kind": "bem-solve", "L": 2, "J": 2, "params": {"rhs": ["constant"]}}
 
 
 WHITNEY = {"kind": "whitney", "params": {}}
+NTERM = {"kind": "nterm", "J": 3, "spaces": [[1.0, 2.0, 2.0]],
+         "params": {"synth": {"kind": "lacunary", "alpha": 1.0}}}
+SYNTH = {"kind": "synth", "J": 3,
+         "params": {"synth": {"kind": "lacunary", "alpha": 1.0}}}
 
 
 @pytest.mark.parametrize("base, key, value, message", [
@@ -142,6 +147,19 @@ WHITNEY = {"kind": "whitney", "params": {}}
     (BEM, "rho", None, "rho: expected a number"),
     (BEM, "s", "0.75", "s: expected a number"),
     (WHITNEY, "corner", [0.3], "corner: expected a list of 2 numbers"),
+    (NTERM, "predicted", "x", "predicted: expected a number"),
+    (NTERM, "source_space", "x", "source_space: space must be"),
+    (WHITNEY, "funcs", 3, "funcs: expected a non-empty list of names"),
+    (SYNTH, "synth", {"kind": "lacunary", "alpha": "x"},
+     "synth.alpha: expected a number"),
+    (SYNTH, "synth", {"kind": "lacunary", "alpha": 1.0, "beta": 2.0},
+     "synth.beta: not a synth field"),
+    (EMBED, "model", {"kind": "vertex", "beta": 0.6, "seed": 1},
+     "model.seed: not a model field"),
+    (BEM, "rhs", ["harmonic:linear", 7], "rhs: expected constant"),
+    (BEM, "rhs", ["harmonic:pole", "a", "1", "2"], "rhs: expected constant"),
+    (BEM, "rhs", ["file"], "rhs: expected constant"),
+    (EMBED, "rho", 3.0, "rho: without taus, rho must lie in"),
 ])
 def test_validation_types_numeric_params(tmp_path, base, key, value, message):
     doc = {**base, "params": {**base["params"], key: value}}
@@ -150,6 +168,33 @@ def test_validation_types_numeric_params(tmp_path, base, key, value, message):
         config_from_file(path)
     assert str(err.value).startswith(f"{path}:")
     assert cli.main([base["kind"], "--config", str(path)]) == 2
+
+
+# the smallest valid config of each kind, and the params keys it knows
+_MINIMAL = {
+    "norms": (BASE, ["synth", "field"]),
+    "nterm": (NTERM, ["synth", "field", "n_lo", "n_hi", "predicted",
+                      "source_space"]),
+    "embed-check": (EMBED, ["model", "taus", "k", "rho", "s", "p"]),
+    "bem-solve": (BEM, ["rhs", "k", "rho", "s"]),
+    "whitney": (WHITNEY, ["k", "count", "edge", "corner", "funcs"]),
+    "synth": (SYNTH, ["synth"]),
+}
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+_JSON = _SCALARS | st.recursive(
+    _SCALARS, lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4), max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(sorted(_MINIMAL)), data=st.data(), value=_JSON)
+def test_config_fuzz_raises_only_config_errors(kind, data, value):
+    doc, keys = _MINIMAL[kind]
+    key = data.draw(st.sampled_from(keys) | st.text(max_size=6))
+    try:
+        config_from_dict({**doc, "params": {**doc["params"], key: value}})
+    except ConfigError:
+        pass
 
 
 @pytest.mark.parametrize("synth, missing", [
@@ -192,6 +237,28 @@ def test_model_vertex_outside_the_surface(tmp_path):
                                  output_dir=str(tmp_path / "out"))
     with pytest.raises(ConfigError, match="params.model.v1: v1 must differ"):
         cli.run(config)
+
+
+@pytest.mark.parametrize("doc, where, message", [
+    ({**BEM, "surface": "absent.json"}, "surface", "cannot read"),
+    ({**BASE, "params": {"field": "absent.npz"}}, "params.field",
+     "cannot read"),
+    ({**BEM, "params": {"rhs": ["file", "absent.txt"]}}, "params.rhs",
+     "cannot read"),
+    ({**BEM, "params": {"rhs": ["file", "rhs95.txt"]}}, "params.rhs",
+     "'rhs95.txt' holds 95 values for 96 cells"),
+])
+def test_missing_inputs_fail_cleanly(tmp_path, monkeypatch, capsys, doc,
+                                     where, message):
+    # these used to end in a raw FileNotFoundError, or in solve()
+    monkeypatch.chdir(tmp_path)
+    Path("rhs95.txt").write_text("1.0\n" * 95, encoding="utf-8")
+    path = _write(tmp_path, "exp.json", doc)
+    line = next(i for i, ln in enumerate(path.read_text().splitlines(), 1)
+                if f'"{where.split(".")[-1]}"' in ln)
+    assert cli.main([doc["kind"], "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:{line}: {where}: {message}")
 
 
 def test_main_reports_errors_and_exit_code(tmp_path, capsys):
@@ -322,3 +389,71 @@ def test_cli_main_end_to_end(tmp_path):
     assert code == 0
     assert (out / "field.npz").exists()
     assert (out / "manifest.json").exists()
+
+
+# each kind's flags at small sizes, and the config file that spells them out
+_FLAG_RUNS = {
+    "norms": (["--synth", "random_besov", "--synth-spec", "1,2,2", "-J", "3",
+               "--space", "1,2,2", "--seed", "4"],
+              {"J": 3, "seed": 4, "spaces": [[1.0, 2.0, 2.0]],
+               "params": {"synth": {"kind": "random_besov",
+                                    "spec": [1.0, 2.0, 2.0]}}}),
+    "nterm": (["--synth", "suffix_saturator", "--gamma", "1", "--synth-spec",
+               "0,2,2", "-J", "5", "--space", "0,2,2", "--n-hi", "256",
+               "--predicted", "0.5"],
+              {"J": 5, "spaces": [[0.0, 2.0, 2.0]],
+               "params": {"synth": {"kind": "suffix_saturator", "gamma": 1.0,
+                                    "spec": [0.0, 2.0, 2.0]},
+                          "n_hi": 256, "predicted": 0.5}}),
+    "embed-check": (["--model", "edge", "--v1", "2", "-J", "2", "--tau", "1.6",
+                     "--rho", "0.4", "--space", "1,2,2", "--space", "1.5,1,1"],
+                    {"J": 2, "spaces": [[1.0, 2.0, 2.0], [1.5, 1.0, 1.0]],
+                     "params": {"model": {"kind": "edge", "beta": 0.6,
+                                          "v1": 2},
+                                "taus": [1.6], "rho": 0.4}}),
+    "bem-solve": (["-L", "2", "-J", "2", "--rhs", "harmonic:linear", "1"],
+                  {"L": 2, "J": 2,
+                   "params": {"rhs": ["harmonic:linear", "1"]}}),
+    "whitney": (["--count", "2", "--func", "exp"],
+                {"params": {"count": 2, "funcs": ["exp"]}}),
+    "synth": (["--synth", "lacunary", "--alpha", "1.0", "-J", "3"],
+              {"J": 3, "params": {"synth": {"kind": "lacunary",
+                                            "alpha": 1.0}}}),
+}
+
+# every parameter each subcommand's --help must list, with its default
+_HELP_DEFAULTS = {
+    "norms": {"synth": None, "field": None},
+    "nterm": {"synth": None, "field": None, "n_lo": "16", "n_hi": "16384",
+              "predicted": None, "source_space": None},
+    "embed-check": {"model": None, "taus": None, "k": "1", "rho": "0.5",
+                    "s": "0.75", "p": "2.0"},
+    "bem-solve": {"rhs": '["constant"]', "k": "1", "rho": "0.5", "s": "0.75"},
+    "whitney": {"k": "2", "count": "6", "edge": "0.25", "corner": "[0.3, 0.4]",
+                "funcs": '["exp", "rational", "sinxy"]'},
+    "synth": {"synth": None},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_FLAG_RUNS))
+def test_flags_and_config_write_the_same_bytes(tmp_path, capsys, kind):
+    # flag runs used to record the flags' defaults (whitney: corner, edge, k)
+    # that the equivalent config file leaves out, so their hashes differed
+    flags, doc = _FLAG_RUNS[kind]
+    path = _write(tmp_path, "exp.json", {"kind": kind, **doc})
+    a, b = tmp_path / "flags", tmp_path / "config"
+    assert cli.main([kind, *flags, "--output-dir", str(a)]) == 0
+    assert cli.main([kind, "--config", str(path), "--output-dir", str(b)]) == 0
+    manifest = json.loads((a / "manifest.json").read_text())
+    names = [n for n in manifest["artifacts"] if n.endswith(".csv")]
+    for name in names + ["manifest.json"]:
+        assert filecmp.cmp(a / name, b / name, shallow=False), name
+
+    with pytest.raises(SystemExit):
+        cli.main([kind, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    entries = {e.split(":")[0]: e for e in text.split("params.")[1:]}
+    assert set(entries) == set(_HELP_DEFAULTS[kind])
+    for key, default in _HELP_DEFAULTS[kind].items():
+        if default is not None:
+            assert f"default {default}" in entries[key], key
