@@ -282,6 +282,11 @@ def _as_int(value, chk: _Check, path: tuple, minimum: int | None = None) -> int:
     return value
 
 
+def _as_weighted_order(value, chk: _Check, path: tuple) -> None:
+    if _as_int(value, chk, path, minimum=1) > 2:
+        chk.fail(path, f"weighted norm order must be 1 or 2, got {value}")
+
+
 def _as_number(value, chk: _Check, path: tuple) -> None:
     if not _is_number(value):
         chk.fail(path, f"expected a number, got {value!r}")
@@ -418,6 +423,10 @@ def config_from_dict(doc: dict, *, text: str | None = None,
     if kind == "embed-check" and "model" in params and not params.get("taus") \
             and not 0 <= _param(config, "rho") <= _param(config, "k"):
         chk.fail(("params", "rho"), "without taus, rho must lie in [0, k]")
+    if kind == "nterm" and _param(config, "n_lo") > _param(config, "n_hi"):
+        chk.fail(("params", "n_lo" if "n_lo" in params else "n_hi"),
+                 f"n_lo={_param(config, 'n_lo')} exceeds "
+                 f"n_hi={_param(config, 'n_hi')}")
     return config
 
 
@@ -523,6 +532,10 @@ def _run_nterm(config, out, chash):
         n *= 2
     samples = [(n, plan.error_at(n)) for n in ns]
     samples = [(n, e) for n, e in samples if e > 0.0]
+    if len(samples) < 4:
+        config.check.fail(("params", "n_lo"), (
+            f"{len(samples)} positive errors at n = {ns}, the rate fit "
+            "needs at least 4 (widen [n_lo, n_hi] or use a larger field)"))
     predicted = _param(config, "predicted")
     if predicted is None and "source_space" in config.params:
         predicted = predicted_rate(_space_of(config.params["source_space"]),
@@ -736,7 +749,7 @@ _SYNTH = _Param(
     {"alpha": ("--alpha", _FLOAT), "gamma": ("--gamma", _FLOAT),
      "level": ("--level", _INT), "spec": ("--synth-spec", _SPACE)})
 _FIELD = _Param(_as_file, None, "--field", {}, "saved field (.npz)")
-_K = _Param(_AT_LEAST_1, 1, "--k", _INT, "weighted norm order")
+_K = _Param(_as_weighted_order, 1, "--k", _INT, "weighted norm order")
 _RHO = _Param(_as_number, 0.5, "--rho", _FLOAT, "weight exponent")
 _S = _Param(_as_number, 0.75, "--s", _FLOAT, "base space (s, p, p)")
 

@@ -174,6 +174,9 @@ class PolyhedralSurface:
         self._check_edges()
         self.cones = self._build_cones()
         self.min_edge = min(p.min_edge for p in self.patches)
+        # read-only interior cell masks per wavelet level, filled on demand
+        # by ``wavelets.classify_level``
+        self._interior_masks: dict[int, np.ndarray] = {}
 
     # -- construction -------------------------------------------------------
 

@@ -16,12 +16,13 @@ import io
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from math import sqrt
 
 import numpy as np
 
 from ._gauss import unit_rule
-from .surface import PolyhedralSurface, point_segment_distance
+from .surface import PolyhedralSurface
 
 __all__ = [
     "BasisSpec",
@@ -46,6 +47,11 @@ __all__ = [
 ]
 
 _SQ3 = sqrt(3.0)
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -441,13 +447,31 @@ def support_of(basis: BasisSpec, idx: WaveletIndex,
     return rect, param_area, surface_area
 
 
-def _cell_image(patch, rect):
-    (s0, s1), (t0, t1) = rect
-    corners = np.array([patch.chart(s, t) for s, t in
-                        ((s0, t0), (s1, t0), (s1, t1), (s0, t1))])
-    center = corners.mean(axis=0)
-    radius = float(np.max(np.linalg.norm(corners - center, axis=1)))
-    return corners, center, radius
+def _cell_witness(patch, j: int, k1, k2):
+    """Ball around the image of level-j cell (k1, k2) and its clearance.
+
+    Returns (center, radius, clearance): the corner mean, the largest corner
+    distance from it, and the distance from the center to the patch boundary
+    minus the radius. Broadcasts over k1 and k2 using elementwise operations
+    and last-axis sums only, so one cell and a whole level agree bit for bit.
+    """
+    h = 0.5 ** j
+    s0 = np.asarray(k1) * h
+    t0 = np.asarray(k2) * h
+    c = [patch.chart(s0 + ds, t0 + dt)
+         for ds, dt in ((0.0, 0.0), (h, 0.0), (h, h), (0.0, h))]
+    center = (c[0] + c[1] + c[2] + c[3]) / 4.0
+    radius = np.sqrt(((c[0] - center) ** 2).sum(-1))
+    for ck in c[1:]:
+        radius = np.maximum(radius, np.sqrt(((ck - center) ** 2).sum(-1)))
+    dist = np.inf
+    for ke in range(4):
+        a, b = patch.corners[ke], patch.corners[(ke + 1) % 4]
+        ab = b - a
+        tpar = np.clip(((center - a) * ab).sum(-1) / (ab * ab).sum(-1), 0.0, 1.0)
+        foot = center - (a + tpar[..., None] * ab)
+        dist = np.minimum(dist, np.sqrt((foot * foot).sum(-1)))
+    return center, radius, dist - radius
 
 
 def classify_index(surface: PolyhedralSurface, basis: BasisSpec,
@@ -465,14 +489,11 @@ def classify_index(surface: PolyhedralSurface, basis: BasisSpec,
     rect, _, _ = support_of(basis, idx)
     if idx.k1 == 0 or idx.k2 == 0 or idx.k1 == cells - 1 or idx.k2 == cells - 1:
         return IndexClass(kind="boundary", rect=rect)
-    patch = surface.patches[idx.patch]
-    corners, center, radius = _cell_image(patch, rect)
-    dist = min(point_segment_distance(center, patch.corners[k], patch.corners[(k + 1) % 4])
-               for k in range(4))
-    clearance = dist - radius
+    center, radius, clearance = _cell_witness(surface.patches[idx.patch], j,
+                                              idx.k1, idx.k2)
     kind = "interior" if clearance > 0.5 ** j else "boundary"
     return IndexClass(kind=kind, rect=rect, ball_center=center,
-                      ball_radius=radius, edge_clearance=clearance)
+                      ball_radius=float(radius), edge_clearance=float(clearance))
 
 
 def classify_level(surface: PolyhedralSurface, basis: BasisSpec, j: int):
@@ -480,30 +501,20 @@ def classify_level(surface: PolyhedralSurface, basis: BasisSpec, j: int):
 
     A cell is interior when it avoids the parameter boundary and the
     circumscribed ball of its image clears the patch boundary by more than
-    2^{-j} surface units; agrees cell-by-cell with ``classify_index``.
+    2^{-j} surface units; agrees cell-by-cell with ``classify_index``. The
+    mask depends on the surface and j only; it is computed once per surface
+    and level and returned read-only.
     """
-    cells = 1 << j
-    h = 0.5 ** j
-    masks = np.zeros((surface.n_patches, cells, cells), dtype=bool)
-    k = np.arange(cells)
-    K1, K2 = np.meshgrid(k, k, indexing="ij")
-    s0 = (K1.ravel()) * h
-    t0 = (K2.ravel()) * h
-    inner = (K1 > 0) & (K2 > 0) & (K1 < cells - 1) & (K2 < cells - 1)
-    for patch in surface.patches:
-        corner_imgs = np.stack(
-            [patch.chart(s0 + ds, t0 + dt) for ds, dt in
-             ((0.0, 0.0), (h, 0.0), (h, h), (0.0, h))], axis=1)   # (N, 4, 3)
-        centers = corner_imgs.mean(axis=1)
-        radii = np.linalg.norm(corner_imgs - centers[:, None, :], axis=2).max(axis=1)
-        dmin = np.full(len(centers), np.inf)
-        for ke in range(4):
-            a, b = patch.corners[ke], patch.corners[(ke + 1) % 4]
-            ab = b - a
-            tpar = np.clip((centers - a) @ ab / float(np.dot(ab, ab)), 0.0, 1.0)
-            dmin = np.minimum(dmin, np.linalg.norm(centers - (a + tpar[:, None] * ab), axis=1))
-        ok = (dmin - radii) > h
-        masks[patch.index] = inner & ok.reshape(cells, cells)
+    masks = surface._interior_masks.get(j)
+    if masks is None:
+        cells = 1 << j
+        k = np.arange(cells)
+        inner = (k > 0) & (k < cells - 1)
+        ring = inner[:, None] & inner[None, :]
+        masks = _readonly(np.stack([
+            ring & (_cell_witness(patch, j, k[:, None], k[None, :])[2] > 0.5 ** j)
+            for patch in surface.patches]))
+        surface._interior_masks[j] = masks
     return masks
 
 
@@ -522,18 +533,23 @@ def iter_level_indices(basis: BasisSpec, n_patches: int, j: int):
 
 # -- inner products and moments -------------------------------------------------
 
-def _index_values(basis: BasisSpec, idx: WaveletIndex, x, dim: int):
-    """1-D factor values of a basis function at parameter points x."""
+def _factor_values(basis: BasisSpec, j: int, k: int, m: int, wavelet: bool, x):
+    """1-D factor at parameter points x: component m of the wavelet (or
+    scaling function) on cell k of level j, zero off the cell."""
     fam = family_for(basis)
-    j = basis.j_star if idx.etype == 0 else idx.level
-    k = idx.k1 if dim == 0 else idx.k2
-    m = idx.m1 if dim == 0 else idx.m2
     local = np.asarray(x) * (1 << j) - k
     inside = (local >= 0.0) & (local <= 1.0)
-    use_wavelet = (idx.etype in (1, 3)) if dim == 0 else (idx.etype in (2, 3))
-    vals = fam.wavelet(m, np.clip(local, 0.0, 1.0)) if use_wavelet \
+    vals = fam.wavelet(m, np.clip(local, 0.0, 1.0)) if wavelet \
         else fam.scaling(m, np.clip(local, 0.0, 1.0))
     return np.where(inside, vals, 0.0) * sqrt(2.0) ** j
+
+
+def _index_values(basis: BasisSpec, idx: WaveletIndex, x, dim: int):
+    """1-D factor values of a basis function at parameter points x."""
+    j = basis.j_star if idx.etype == 0 else idx.level
+    if dim == 0:
+        return _factor_values(basis, j, idx.k1, idx.m1, idx.etype in (1, 3), x)
+    return _factor_values(basis, j, idx.k2, idx.m2, idx.etype in (2, 3), x)
 
 
 def index_values_param(basis: BasisSpec, idx: WaveletIndex, S, T):
@@ -577,37 +593,67 @@ def dual_l2_norm(surface: PolyhedralSurface, basis: BasisSpec,
     return float(np.sqrt(np.sum(W * vals ** 2 * jac)))
 
 
+def _horner(c, x):
+    """numpy's ``polyval`` Horner scheme over the first axis of c, with the
+    same operations in the same order, so the values agree bit for bit."""
+    p = c[-1] + x * 0.0
+    for ci in c[-2::-1]:
+        p = ci + p * x
+    return p
+
+
+@lru_cache(maxsize=4096)
+def _moment_factor(basis: BasisSpec, order: int, j: int, k: int,
+                   wavelet: bool, m: int):
+    """Read-only nodes and 1-D factor values for ``moment_check``: an
+    `order`-point Gauss rule on each half of cell k at level j."""
+    x, _ = unit_rule(order)
+    half = 0.5 ** (j + 1)
+    nodes = np.concatenate([k * 2 * half + x * half, k * 2 * half + half + x * half])
+    return _readonly(nodes), _readonly(_factor_values(basis, j, k, m, wavelet, nodes))
+
+
+@lru_cache(maxsize=256)
+def _moment_weights(order: int, j: int) -> np.ndarray:
+    """Read-only tensor weights matching the nodes of ``_moment_factor``."""
+    _, w = unit_rule(order)
+    half = 0.5 ** (j + 1)
+    ws = np.concatenate([w * half, w * half])
+    return _readonly(np.outer(ws, ws))
+
+
 def moment_check(surface: PolyhedralSurface, basis: BasisSpec,
                  idx: WaveletIndex, poly_coeffs) -> float:
     """|<P, dual wavelet>| in the patch inner product, for interior indices.
 
     ``poly_coeffs[a, b]`` multiplies s^a t^b; the total degree must be < dt.
     Refuses boundary and generator indices: the vanishing-moment property is
-    only asserted for interior duals.
+    only asserted for interior duals. The interior test reads the cached
+    ``classify_level`` mask, and the nodes, factor values and weights come
+    from bounded caches, so a call costs a few small array operations.
     """
     C = np.atleast_2d(np.asarray(poly_coeffs, dtype=float))
-    deg = -1
-    for aa in range(C.shape[0]):
-        for bb in range(C.shape[1]):
-            if C[aa, bb] != 0.0:
-                deg = max(deg, aa + bb)
+    a, b = np.nonzero(C)
+    deg = int((a + b).max()) if a.size else -1
     if deg >= basis.dt:
         raise ValueError(f"polynomial degree {deg} not below dt={basis.dt}")
-    cls = classify_index(surface, basis, idx)
-    if not cls.interior:
-        raise ValueError("moment_check applies to interior indices only")
+    if idx.etype == 0:
+        raise ValueError("generator-block indices are not classified")
     j = idx.level
+    cells = 1 << j
+    if not (0 <= idx.patch < surface.n_patches
+            and 0 <= idx.k1 < cells and 0 <= idx.k2 < cells):
+        raise ValueError(f"{idx} lies outside the surface's level-{j} cells")
+    if not classify_level(surface, basis, j)[idx.patch, idx.k1, idx.k2]:
+        raise ValueError("moment_check applies to interior indices only")
     order = max(basis.quad_order, basis.d + max(deg, 0) // 2 + 1)
-    x, w = unit_rule(order)
     # integrate over the support cell, split at the midpoint in each direction
-    half = 0.5 ** (j + 1)
-    xs = np.concatenate([idx.k1 * 2 * half + x * half, idx.k1 * 2 * half + half + x * half])
-    ws = np.concatenate([w * half, w * half])
-    xt = np.concatenate([idx.k2 * 2 * half + x * half, idx.k2 * 2 * half + half + x * half])
-    S, T = np.meshgrid(xs, xt, indexing="ij")
-    P = np.polynomial.polynomial.polyval2d(S, T, C)
-    vals = index_values_param(basis, idx, S, T)
-    return float(abs(np.sum(np.outer(ws, ws) * P * vals)))
+    xs, fs = _moment_factor(basis, order, j, idx.k1, idx.etype in (1, 3), idx.m1)
+    xt, ft = _moment_factor(basis, order, j, idx.k2, idx.etype in (2, 3), idx.m2)
+    # polyval2d(S, T, C) on the tensor grid: Horner in s per node, then in t
+    P = _horner(_horner(C[:, :, None], xs)[:, :, None], xt)
+    vals = np.multiply.outer(fs, ft)
+    return float(abs((_moment_weights(order, j) * P * vals).sum()))
 
 
 # -- serialization --------------------------------------------------------------

@@ -29,7 +29,8 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from ._gauss import unit_rule
-from .surface import (PolyhedralSurface, ResolutionOfUnity, _smooth_step_derivs)
+from .surface import (PolyhedralSurface, ResolutionOfUnity, _smooth_step,
+                      _smooth_step_derivs)
 
 __all__ = [
     "WeightedSpec",
@@ -223,8 +224,7 @@ class VertexPowerModel(_FaceHandleBase):
     def __call__(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         d = np.linalg.norm(pts - self.center, axis=-1)
-        chi, _, _ = _step_down_derivs(d, self.cut0, self.cut1)
-        return d ** self.beta * chi
+        return d ** self.beta * _smooth_step((self.cut1 - d) / (self.cut1 - self.cut0))
 
     def plane_derivs(self, pts, e1, e2):
         return _compose_radial(self._G, pts, e1, e2, self.center)
@@ -252,16 +252,15 @@ class EdgePowerModel(_FaceHandleBase):
         self.band = (float(band[0]), float(band[1]))
         self.width = float(width)
 
-    def _ann(self, dv):
-        return _window_derivs(dv, self.band[0], self.band[1], self.width)
-
     def __call__(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         w = pts - self.a
         along = w @ self.direction
         dl = np.linalg.norm(w - along[:, None] * self.direction, axis=-1)
         dv = np.linalg.norm(w, axis=-1)
-        ann, _, _ = self._ann(dv)
+        lo, hi = self.band
+        ann = (_smooth_step((dv - lo) / self.width)
+               * _smooth_step((hi - dv) / self.width))
         return dl ** self.beta * ann
 
     def plane_derivs(self, pts, e1, e2):
@@ -272,7 +271,7 @@ class EdgePowerModel(_FaceHandleBase):
         g = dl ** b
         gp = b * dl ** (b - 1.0)
         gpp = b * (b - 1.0) * dl ** (b - 2.0)
-        A, A1, A2 = self._ann(dv)
+        A, A1, A2 = _window_derivs(dv, *self.band, self.width)
         # product (g o dl) * (A o dv)
         u = g * A
         u1 = gp * l1 * A + g * A1 * v1

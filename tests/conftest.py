@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from patchwave import (
     ResolutionOfUnity,
@@ -10,6 +11,11 @@ from patchwave import (
     multiwavelet_basis,
     unit_cube,
 )
+
+# one profile for the whole suite: a property test must not fail because a
+# loaded machine made one example slow, so no test carries a deadline
+settings.register_profile("patchwave", deadline=None)
+settings.load_profile("patchwave")
 
 
 @pytest.fixture(scope="session")

@@ -69,7 +69,7 @@ _coords = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
                     st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(quads=arrays(float, st.tuples(st.integers(1, 7), st.just(4), st.just(3)),
                     elements=_coords),
        data=st.data())
@@ -331,7 +331,7 @@ class _Parallelogram:
 _small_vec = st.tuples(*[st.integers(-3, 3)] * 3)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 # a class whose first pair is not that of its smallest group-A key
 @example(bm=(1, -1, 2), cm=(2, -3, -1), bn=(1, -2, -1), cn=(-1, 1, 2),
          corner=(0, 0), shift=(0, 0, 0), den=1, share=None, L=3)

@@ -160,6 +160,10 @@ SYNTH = {"kind": "synth", "J": 3,
     (BEM, "rhs", ["harmonic:pole", "a", "1", "2"], "rhs: expected constant"),
     (BEM, "rhs", ["file"], "rhs: expected constant"),
     (EMBED, "rho", 3.0, "rho: without taus, rho must lie in"),
+    (EMBED, "k", 3, "k: weighted norm order must be 1 or 2, got 3"),
+    (BEM, "k", 3, "k: weighted norm order must be 1 or 2, got 3"),
+    (NTERM, "n_lo", 20000, "n_lo: n_lo=20000 exceeds n_hi=16384"),
+    (NTERM, "n_hi", 8, "n_hi: n_lo=16 exceeds n_hi=8"),
 ])
 def test_validation_types_numeric_params(tmp_path, base, key, value, message):
     doc = {**base, "params": {**base["params"], key: value}}
@@ -186,7 +190,7 @@ _JSON = _SCALARS | st.recursive(
     | st.dictionaries(st.text(max_size=6), inner, max_size=4), max_leaves=12)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(kind=st.sampled_from(sorted(_MINIMAL)), data=st.data(), value=_JSON)
 def test_config_fuzz_raises_only_config_errors(kind, data, value):
     doc, keys = _MINIMAL[kind]
@@ -315,6 +319,25 @@ def test_nterm_run(tmp_path):
     row = dict(zip(rate[4].split(","), rate[5].split(",")))
     assert row["verdict"] in ("consistent", "inconsistent")
     assert float(row["decay"]) > 0.3
+
+
+def test_weighted_order_flag_fails_before_the_solve(capsys):
+    assert cli.main(["bem-solve", "-L", "1", "-J", "1", "--k", "3"]) == 2
+    assert "params.k: weighted norm order must be 1 or 2" in capsys.readouterr().err
+
+
+def test_nterm_needs_four_positive_errors(tmp_path):
+    doc = {"kind": "nterm", "J": 4, "spaces": [[1.0, 2.0, 2.0]],
+           "output_dir": str(tmp_path / "out"),
+           "params": {"synth": {"kind": "random_besov",
+                                "spec": [1.0, 2.0, 2.0]},
+                      "n_lo": 16, "n_hi": 100}}
+    path = _write(tmp_path, "exp.json", doc)
+    with pytest.raises(ConfigError, match="params.n_lo: 3 positive errors "
+                                          "at n = \\[16, 32, 64\\]") as err:
+        cli.run(config_from_file(path))
+    assert str(err.value).startswith(f"{path}:")
+    assert cli.main(["nterm", "--config", str(path)]) == 2
 
 
 def test_bem_solve_constant_density_near_one(tmp_path):

@@ -1,5 +1,8 @@
+from math import sqrt
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from patchwave import (
     BasisSpec,
@@ -10,10 +13,12 @@ from patchwave import (
     classify_level,
     dual_l2_norm,
     empty_field,
+    fichera_corner,
     haar_basis,
     iter_level_indices,
     level_size,
     load_field,
+    load_surface,
     moment_check,
     multiwavelet_basis,
     save_field,
@@ -21,7 +26,11 @@ from patchwave import (
     synth_field,
     synthesize,
     synthesize_params,
+    unit_cube,
 )
+from patchwave._gauss import unit_rule
+from patchwave.wavelets import family_for
+from test_bem import _moved_cube
 
 
 class _FieldSampler:
@@ -129,20 +138,116 @@ def test_moment_check_refuses_boundary(cube, haar):
         moment_check(cube, haar, edge_idx, [[1.0]])
 
 
-def test_classify_level_matches_classify_index(cube, haar):
-    j = 3
-    mask = classify_level(cube, haar, j)
+def test_moment_check_refuses_generators_and_foreign_indices(cube, haar):
+    with pytest.raises(ValueError, match="generator"):
+        moment_check(cube, haar, WaveletIndex(-1, 0, 0, 0, 0), [[1.0]])
+    for idx in (WaveletIndex(3, 6, 1, 3, 4), WaveletIndex(3, -1, 1, 3, 4),
+                WaveletIndex(3, 0, 1, 8, 4), WaveletIndex(3, 0, 1, 3, -2)):
+        with pytest.raises(ValueError, match="outside"):
+            moment_check(cube, haar, idx, [[1.0]])
+
+
+def _classify_matches(surface, j, patches):
+    mask = classify_level(surface, haar_basis(), j)
     cells = 1 << j
-    for i in (0, 4):
+    for i in patches:
         for k1 in range(cells):
             for k2 in range(cells):
-                cls = classify_index(cube, haar, WaveletIndex(j, i, 1, k1, k2, 0, 0))
+                cls = classify_index(surface, haar_basis(),
+                                     WaveletIndex(j, i, 1, k1, k2, 0, 0))
                 assert cls.interior == bool(mask[i, k1, k2])
+    return mask
+
+
+def test_classify_level_matches_classify_index(cube):
+    mask = _classify_matches(cube, 3, (0, 4))
     # the outermost ring can never be interior
     assert not mask[:, 0, :].any()
     assert not mask[:, -1, :].any()
     assert not mask[:, :, 0].any()
     assert not mask[:, :, -1].any()
+
+
+@pytest.mark.parametrize("name", ["fichera", "moved_cube"])
+@pytest.mark.parametrize("j", [2, 3, 4, 5, 6])
+def test_classify_level_matches_classify_index_off_the_cube(fichera, name, j):
+    surface = fichera if name == "fichera" else _moved_cube()
+    n = surface.n_patches
+    mask = _classify_matches(surface, j, (0, n // 2, n - 1))
+    assert mask.shape == (n, 1 << j, 1 << j)
+    if j >= 4:
+        assert mask.any()
+
+
+def test_classify_level_mask_is_cached_and_read_only(cube, haar, alpert2):
+    mask = classify_level(cube, haar, 4)
+    assert not mask.flags.writeable
+    with pytest.raises(ValueError):
+        mask[0, 5, 5] = False
+    # the mask is a property of the surface and the level, not of the basis
+    assert classify_level(cube, alpert2, 4) is mask
+
+
+def _index_values_oracle(basis, idx, x, dim):
+    """1-D factor of a basis function, as evaluated before the caches."""
+    fam = family_for(basis)
+    j = basis.j_star if idx.etype == 0 else idx.level
+    k = idx.k1 if dim == 0 else idx.k2
+    m = idx.m1 if dim == 0 else idx.m2
+    local = np.asarray(x) * (1 << j) - k
+    inside = (local >= 0.0) & (local <= 1.0)
+    use_wavelet = (idx.etype in (1, 3)) if dim == 0 else (idx.etype in (2, 3))
+    vals = fam.wavelet(m, np.clip(local, 0.0, 1.0)) if use_wavelet \
+        else fam.scaling(m, np.clip(local, 0.0, 1.0))
+    return np.where(inside, vals, 0.0) * sqrt(2.0) ** j
+
+
+def _moment_oracle(basis, idx, poly_coeffs):
+    """The per-call moment formula from before the caches, for an index
+    already known to be interior."""
+    C = np.atleast_2d(np.asarray(poly_coeffs, dtype=float))
+    deg = -1
+    for aa in range(C.shape[0]):
+        for bb in range(C.shape[1]):
+            if C[aa, bb] != 0.0:
+                deg = max(deg, aa + bb)
+    j = idx.level
+    order = max(basis.quad_order, basis.d + max(deg, 0) // 2 + 1)
+    x, w = unit_rule(order)
+    half = 0.5 ** (j + 1)
+    xs = np.concatenate([idx.k1 * 2 * half + x * half, idx.k1 * 2 * half + half + x * half])
+    ws = np.concatenate([w * half, w * half])
+    xt = np.concatenate([idx.k2 * 2 * half + x * half, idx.k2 * 2 * half + half + x * half])
+    S, T = np.meshgrid(xs, xt, indexing="ij")
+    P = np.polynomial.polynomial.polyval2d(S, T, C)
+    vals = _index_values_oracle(basis, idx, S, 0) * _index_values_oracle(basis, idx, T, 1)
+    return float(abs(np.sum(np.outer(ws, ws) * P * vals)))
+
+
+_SURFACES = {"cube": load_surface(unit_cube()),
+             "fichera": load_surface(fichera_corner()),
+             "moved_cube": _moved_cube()}
+_COEFF = st.one_of(st.just(0.0), st.floats(-1e3, 1e3, allow_nan=False))
+
+
+@settings(max_examples=200)
+@given(order=st.sampled_from([1, 2]), name=st.sampled_from(sorted(_SURFACES)),
+       j=st.integers(2, 5), data=st.data())
+def test_moment_check_is_bitwise_the_per_call_formula(order, name, j, data):
+    basis = haar_basis() if order == 1 else multiwavelet_basis()
+    surface = _SURFACES[name]
+    cells = np.argwhere(classify_level(surface, basis, j))
+    assume(len(cells) > 0)
+    i, k1, k2 = (int(v) for v in cells[data.draw(st.integers(0, len(cells) - 1))])
+    idx = WaveletIndex(j, i, data.draw(st.integers(1, 3)), k1, k2,
+                       data.draw(st.integers(0, order - 1)),
+                       data.draw(st.integers(0, order - 1)))
+    shape = data.draw(st.tuples(st.integers(1, 2), st.integers(1, 2)))
+    coeffs = np.array([[data.draw(_COEFF) if a + b < basis.dt else 0.0
+                        for b in range(shape[1])] for a in range(shape[0])])
+    got = np.float64(moment_check(surface, basis, idx, coeffs))
+    want = np.float64(_moment_oracle(basis, idx, coeffs))
+    assert got.view(np.int64) == want.view(np.int64)
 
 
 def test_support_of(cube, haar):

@@ -13,6 +13,7 @@ from patchwave import (
     sector_q,
     weighted_sobolev_norm,
 )
+from patchwave.weighted import _step_down_derivs, _window_derivs
 
 FAST = dict(depth=16, quad_order=4)
 
@@ -75,6 +76,56 @@ def test_edge_power_model_values(cube):
         x = mid + d * inward
         got = float(model(np.atleast_2d(x))[0])
         assert got == pytest.approx(d ** 0.5, rel=1e-6)
+
+
+# smooth-step arguments at the centre, in both clamp regions and on the ramp
+_STEP_TS = np.concatenate([
+    [-0.5, 0.0, 1e-9, 5e-8, 1e-7, 2e-7, 1 - 2e-7, 1 - 1e-7, 1 - 5e-8, 1.0, 1.5],
+    np.random.default_rng(3).uniform(0.0, 1.0, 256)])
+
+
+def _around(center, radii, seed=5):
+    rng = np.random.default_rng(seed)
+    dirs = rng.normal(size=(16, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    return (center + radii[:, None, None] * dirs).reshape(-1, 3)
+
+
+def test_vertex_model_values_are_the_derivative_path_values(cube):
+    # a ramp width that is not a power of two, so rounding shows
+    model = VertexPowerModel(cube, vertex=0, beta=0.6, cut=(0.2, 0.47))
+    w = model.cut1 - model.cut0
+    radii = np.concatenate([[0.0], model.cut1 - _STEP_TS * w])
+    pts = _around(model.center, radii)
+    d = np.linalg.norm(pts - model.center, axis=-1)
+    want = d ** model.beta * _step_down_derivs(d, model.cut0, model.cut1)[0]
+    got = model(pts)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    t = (model.cut1 - d) / w
+    assert (got[d == 0.0] == 0.0).all() and (d == 0.0).sum() == 16
+    assert (got[t <= 1e-7] == 0.0).all()
+    assert (got[t >= 1 - 1e-7] == d[t >= 1 - 1e-7] ** model.beta).all()
+    ramp = (t > 0.01) & (t < 0.99)
+    assert ramp.any() and (got[ramp] > 0.0).all()
+
+
+def test_edge_model_values_are_the_derivative_path_values(cube):
+    model = EdgePowerModel(cube, v0=0, v1=1, beta=0.5)
+    (lo, hi), width = model.band, model.width
+    radii = np.concatenate([[0.0], lo + _STEP_TS * width,
+                            hi - _STEP_TS * width, [0.4]])
+    pts = _around(model.a, radii)
+    w = pts - model.a
+    dl = np.linalg.norm(w - (w @ model.direction)[:, None] * model.direction,
+                        axis=-1)
+    dv = np.linalg.norm(w, axis=-1)
+    want = dl ** model.beta * _window_derivs(dv, lo, hi, width)[0]
+    got = model(pts)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert (got[dv <= lo] == 0.0).all() and (got[dv >= hi] == 0.0).all()
+    plateau = (dv >= lo + width) & (dv <= hi - width)
+    assert plateau.any()
+    assert (got[plateau] == dl[plateau] ** model.beta).all()
 
 
 def test_models_reject_foreign_vertices(cube):
