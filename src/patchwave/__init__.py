@@ -4,9 +4,9 @@ piecewise-flat closed surfaces."""
 __version__ = "0.1.0"
 
 from .surface import (ConeFace, Patch, PolyhedralSurface, ResolutionOfUnity,
-                      SurfaceError, face_polar_coords, fichera_corner,
-                      load_surface, partition_eval, quasi_random_points,
-                      surface_text, unit_cube)
+                      SurfaceError, fichera_corner, load_surface,
+                      partition_eval, quasi_random_points, surface_text,
+                      unit_cube)
 from .wavelets import (BasisSpec, CoefficientField, WaveletIndex, analyze,
                        basis_inner_product, classify_index, classify_level,
                        dual_l2_norm, empty_field, haar_basis,

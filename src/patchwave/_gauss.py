@@ -14,34 +14,3 @@ def unit_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("quadrature order must be >= 1")
     x, w = roots_legendre(order)
     return 0.5 * (x + 1.0), 0.5 * w
-
-
-def interval_rule(a: float, b: float, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre rule on [a, b]."""
-    x, w = unit_rule(order)
-    return a + (b - a) * x, (b - a) * w
-
-
-def composite_rule(breaks: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss rule over consecutive intervals given by `breaks` (sorted)."""
-    breaks = np.asarray(breaks, dtype=float)
-    x, w = unit_rule(order)
-    a = breaks[:-1]
-    h = np.diff(breaks)
-    nodes = (a[:, None] + h[:, None] * x[None, :]).ravel()
-    weights = (h[:, None] * w[None, :]).ravel()
-    return nodes, weights
-
-
-def dyadic_rule(level: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite rule on [0, 1] with 2**level equal cells, `order` points per cell."""
-    breaks = np.linspace(0.0, 1.0, (1 << level) + 1)
-    return composite_rule(breaks, order)
-
-
-def tensor_rule(xs, ws, xt, wt):
-    """Tensor grid from two 1-D rules: returns S, T, W arrays of shape (len(xs)*len(xt),)."""
-    S = np.repeat(xs, len(xt))
-    T = np.tile(xt, len(xs))
-    W = np.repeat(ws, len(xt)) * np.tile(wt, len(xs))
-    return S, T, W

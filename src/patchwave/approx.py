@@ -10,17 +10,16 @@ checks classified tail sums against norm bounds.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .spaces import BesovSpec, admissible, besov_norm, embedding_predicate
-from .surface import PolyhedralSurface, ResolutionOfUnity
-from .wavelets import (BasisSpec, CoefficientField, WaveletIndex,
+from .surface import PolyhedralSurface
+from .wavelets import (BasisSpec, CoefficientField, WaveletIndex, _zero_arrays,
                        classify_level, level_size)
-from .weighted import WeightedSpec, weighted_sobolev_norm
+from .weighted import WeightedSpec
 
 _TOL = 1e-12
 # Below this many stored weights, tail sums use math.fsum (exactly rounded);
@@ -237,25 +236,18 @@ def _level_class_sum(field: CoefficientField, j: int, tau: float,
 
 
 def level_tail_sums(field: CoefficientField, tau: float,
-                    kinds: str = "all", workers: int = 1) -> dict[int, float]:
+                    kinds: str = "all") -> dict[int, float]:
     """Per-level sums of |c|^tau over indices of the requested class.
 
     kinds: "all", "interior", or "boundary" (cell classification against the
-    patch boundary).  Results are combined in fixed level order regardless
-    of worker count.
+    patch boundary).
     """
     if kinds not in ("all", "interior", "boundary"):
         raise ValueError(f"unknown index class {kinds!r}")
     if kinds != "all" and field.surface is None:
         raise ValueError("classified tail sums need the field's surface")
-    levels = list(field.level_range())
-    if workers > 1 and len(levels) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            sums = list(pool.map(
-                lambda j: _level_class_sum(field, j, tau, kinds), levels))
-    else:
-        sums = [_level_class_sum(field, j, tau, kinds) for j in levels]
-    return dict(zip(levels, sums))
+    return {j: _level_class_sum(field, j, tau, kinds)
+            for j in field.level_range()}
 
 
 @dataclass(frozen=True)
@@ -302,6 +294,13 @@ def cumulative_tail(level_sums: dict[int, float]) -> np.ndarray:
     return np.cumsum([level_sums[j] for j in sorted(level_sums)])
 
 
+def _inverse_tau(tau: float) -> float:
+    """1/tau for a positive finite tau, else ValueError."""
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau must be a positive finite number, got {tau!r}")
+    return 1.0 / tau
+
+
 def boundary_tail_check(field: CoefficientField, s: float, p: float,
                         tau: float) -> tuple[float, float, float]:
     """Compare the boundary-index tail sum against a Besov norm bound.
@@ -313,7 +312,7 @@ def boundary_tail_check(field: CoefficientField, s: float, p: float,
     spec = BesovSpec(s, p, p)
     if not admissible(spec):
         raise ValueError(f"(s, p, p) = {spec} is not admissible")
-    it, ip = 1.0 / tau, spec.inv_p
+    it, ip = _inverse_tau(tau), spec.inv_p
     in_range = (0.5 - _TOL <= it <= ip + _TOL) or (ip < it < 1.0 - ip + s)
     if not in_range:
         raise ValueError(f"1/tau = {it} outside the admitted range")
@@ -323,18 +322,18 @@ def boundary_tail_check(field: CoefficientField, s: float, p: float,
     return lhs, rhs, ratio
 
 
-def interior_tail_check(field: CoefficientField, handle,
-                        weighted: WeightedSpec, tau: float,
-                        resolution: ResolutionOfUnity | None = None,
-                        **norm_kwargs) -> tuple[float, float, float]:
+def interior_tail_check(field: CoefficientField, norm: float,
+                        weighted: WeightedSpec,
+                        tau: float) -> tuple[float, float, float]:
     """Compare the interior-index tail sum against a weighted norm bound.
 
     lhs = sum over interior-classified wavelet indices of |c|^tau,
-    rhs = weighted_sobolev_norm(handle, ...)^tau; returns (lhs, rhs, lhs/rhs).
-    Requires 1/2 <= 1/tau < 1/2 + min(rho, k - rho) and a basis whose dual
-    order covers the derivative order k.
+    rhs = norm^tau, where `norm` is the caller's weighted_sobolev_norm of the
+    analyzed function at `weighted` (one value serves every tau); returns
+    (lhs, rhs, lhs/rhs). Requires 1/2 <= 1/tau < 1/2 + min(rho, k - rho) and
+    a basis whose dual order covers the derivative order k.
     """
-    it = 1.0 / tau
+    it = _inverse_tau(tau)
     bound = 0.5 + min(weighted.rho, weighted.k - weighted.rho)
     if not (0.5 - _TOL <= it < bound - _TOL):
         raise ValueError(f"1/tau = {it} outside [1/2, {bound})")
@@ -343,10 +342,7 @@ def interior_tail_check(field: CoefficientField, handle,
     if field.surface is None:
         raise ValueError("interior tail check needs the field's surface")
     lhs = math.fsum(level_tail_sums(field, tau, kinds="interior").values())
-    if resolution is None:
-        resolution = ResolutionOfUnity(field.surface)
-    rhs = weighted_sobolev_norm(handle, field.surface, resolution,
-                                weighted, **norm_kwargs) ** tau
+    rhs = norm ** tau
     ratio = 0.0 if lhs == 0.0 else lhs / rhs
     return lhs, rhs, ratio
 
@@ -488,15 +484,6 @@ def fit_rate(samples, predicted: float | None = None, *,
 # -- synthetic coefficient fields ------------------------------------------------
 
 
-def _blank_arrays(basis: BasisSpec, n_patches: int, J: int):
-    K = 1 << basis.j_star
-    r = basis.d
-    coarse = np.zeros((n_patches, K, K, r, r))
-    levels = {j: np.zeros((n_patches, 3, 1 << j, 1 << j, r, r))
-              for j in range(basis.j_star, J + 1)}
-    return coarse, levels
-
-
 def synth_field(surface: PolyhedralSurface | None, basis: BasisSpec,
                 kind: str, J: int, **params) -> CoefficientField:
     """Deterministic coefficient-field generators for approximation studies.
@@ -515,7 +502,7 @@ def synth_field(surface: PolyhedralSurface | None, basis: BasisSpec,
     n_patches = surface.n_patches if surface is not None else params.pop("n_patches")
     if J < basis.j_star:
         raise ValueError("J must be at least the generator level")
-    coarse, levels = _blank_arrays(basis, n_patches, J)
+    coarse, levels = _zero_arrays(basis, n_patches, J)
 
     if kind == "extremal_a_star":
         j0 = int(params["level"])

@@ -433,15 +433,14 @@ def _cell_feature(qm, qn) -> tuple:
 
 def assemble(surface: PolyhedralSurface, L: int, *, quad_order: int = 4,
              grade_depth: int = 4, workers: int = 1,
-             verify_quadrature: bool = True,
              max_cells: int = 8192) -> DoubleLayerSystem:
     """Galerkin matrix A[m, n] = (1/2) delta_mn |cell_m| - (K-part).
 
     The source-cell integral is the closed-form signed solid angle; the
     test-cell integral uses 4x4 Gauss, upgraded to a 2x2 subdivision on
     near pairs and to grade_depth-graded panels toward the shared feature
-    on touching pairs.  verify_quadrature recomputes touching entries one
-    grading level coarser and raises on disagreement.
+    on touching pairs.  Every touching entry is recomputed one grading level
+    coarser, and a disagreement of more than 5% raises.
     """
     if L < 1:
         raise ValueError("L must be >= 1")
@@ -474,16 +473,15 @@ def assemble(surface: PolyhedralSurface, L: int, *, quad_order: int = 4,
         pts, wts = _graded_cell_nodes(patch_m, L, k1, k2, feat,
                                       grade_depth, quad_order)
         val = float(wts @ solid_angles(qn1, pts)[:, 0]) / _FOUR_PI
-        if verify_quadrature:
-            pts2, wts2 = _graded_cell_nodes(patch_m, L, k1, k2, feat,
-                                            grade_depth - 1, quad_order)
-            val2 = float(wts2 @ solid_angles(qn1, pts2)[:, 0]) / _FOUR_PI
-            # entries scale with the cell area, and so must the floor
-            floor = 1e-12 * areas[pm * cells + m]
-            if abs(val - val2) > max(0.05 * abs(val), floor):
-                raise RuntimeError(
-                    f"quadrature failure on touching cell pair "
-                    f"({pm},{m})x({pn},{n}): {val} vs {val2}")
+        pts2, wts2 = _graded_cell_nodes(patch_m, L, k1, k2, feat,
+                                        grade_depth - 1, quad_order)
+        val2 = float(wts2 @ solid_angles(qn1, pts2)[:, 0]) / _FOUR_PI
+        # entries scale with the cell area, and so must the floor
+        floor = 1e-12 * areas[pm * cells + m]
+        if abs(val - val2) > max(0.05 * abs(val), floor):
+            raise RuntimeError(
+                f"quadrature failure on touching cell pair "
+                f"({pm},{m})x({pn},{n}): {val} vs {val2}")
         return val
 
     def do_pair(pm: int, pn: int) -> None:
@@ -662,8 +660,7 @@ def interior_dirichlet_density(system: DoubleLayerSystem,
     return solve(system, lambda pts: -np.asarray(h(pts)))
 
 
-def potential_eval(surface: PolyhedralSurface, density: np.ndarray, y,
-                   min_clearance: float | None = None):
+def potential_eval(surface: PolyhedralSurface, density: np.ndarray, y):
     """Double layer potential of a cellwise density at interior points.
 
     Exact for piecewise-constant densities (per-cell solid angles); refuses
@@ -677,16 +674,11 @@ def potential_eval(surface: PolyhedralSurface, density: np.ndarray, y,
     y = np.asarray(y, dtype=float)
     single = y.ndim == 1
     Y = np.atleast_2d(y)
-    if min_clearance is None:
-        edge = max(float(np.linalg.norm(p.coeff_b) + np.linalg.norm(p.coeff_d))
-                   for p in surface.patches)
-        edge = max(edge, max(float(np.linalg.norm(p.coeff_c)
-                                   + np.linalg.norm(p.coeff_d))
-                             for p in surface.patches))
-        min_clearance = edge * 0.5 ** L
+    edge = max(float(np.linalg.norm(v) + np.linalg.norm(p.coeff_d))
+               for p in surface.patches for v in (p.coeff_b, p.coeff_c))
     for pt in Y:
         d = min(point_quad_distance(pt, p.corners) for p in surface.patches)
-        if d <= min_clearance:
+        if d <= edge * 0.5 ** L:
             raise ValueError(f"evaluation point {pt} within one cell size "
                              "of the surface")
     out = np.zeros(len(Y))

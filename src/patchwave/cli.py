@@ -30,7 +30,7 @@ from .surface import (PolyhedralSurface, ResolutionOfUnity, fichera_corner,
 from .wavelets import BasisSpec, analyze, level_size, load_field, save_field
 from .spaces import BesovSpec, admissible, besov_norm, embedding_predicate, seq_norm
 from .weighted import (ConstantModel, EdgePowerModel, VertexPowerModel,
-                       WeightedSpec)
+                       WeightedSpec, weighted_sobolev_norm)
 from .approx import (boundary_tail_check, fit_rate, interior_tail_check,
                      n_term_plan, predicted_rate, synth_field, whitney_check)
 from .bem import analyze_solution, assemble, solve
@@ -299,6 +299,14 @@ def _as_numbers(value, chk: _Check, path: tuple, size: int | None = None):
         chk.fail(path, f"expected a list of {count}numbers, got {value!r}")
 
 
+def _as_taus(value, chk: _Check, path: tuple) -> None:
+    _as_numbers(value, chk, path)
+    for i, tau in enumerate(value):
+        if not (np.isfinite(tau) and tau > 0):
+            chk.fail(path + (i,), f"tau must be a positive finite number, "
+                                  f"got {tau!r}")
+
+
 def _as_file(value, chk: _Check, path: tuple) -> None:
     if not isinstance(value, str) or not value:
         chk.fail(path, f"expected a file path, got {value!r}")
@@ -419,10 +427,11 @@ def config_from_dict(doc: dict, *, text: str | None = None,
                               L=L, spaces=spaces, seed=seed,
                               output_dir=str(output_dir), workers=workers,
                               params=params, check=chk)
-    # the default taus are built from min(rho, k - rho), which must be >= 0
+    # the default taus are built from min(rho, k - rho), which must be > 0:
+    # at 0 they all land on 1/tau = 1/2, outside the empty interior window
     if kind == "embed-check" and "model" in params and not params.get("taus") \
-            and not 0 <= _param(config, "rho") <= _param(config, "k"):
-        chk.fail(("params", "rho"), "without taus, rho must lie in [0, k]")
+            and not 0 < _param(config, "rho") < _param(config, "k"):
+        chk.fail(("params", "rho"), "without taus, rho must lie in (0, k)")
     if kind == "nterm" and _param(config, "n_lo") > _param(config, "n_hi"):
         chk.fail(("params", "n_lo" if "n_lo" in params else "n_hi"),
                  f"n_lo={_param(config, 'n_lo')} exceeds "
@@ -577,15 +586,15 @@ def _run_embed_check(config, out, chash):
         weighted = WeightedSpec(k=k, rho=rho)
         field = analyze(surface, handle, basis, config.J,
                         workers=config.workers)
-        resolution = ResolutionOfUnity(surface)
+        norm = weighted_sobolev_norm(handle, surface,
+                                     ResolutionOfUnity(surface), weighted)
         width = min(rho, k - rho)
         taus = _param(config, "taus") or \
             [1.0 / (0.5 + f * width) for f in (0.75, 0.5, 0.25)]
         tail_rows = []
         for tau in taus:
             b_lhs, _, b_ratio = boundary_tail_check(field, s, p, tau)
-            i_lhs, _, i_ratio = interior_tail_check(field, handle, weighted,
-                                                    tau, resolution)
+            i_lhs, _, i_ratio = interior_tail_check(field, norm, weighted, tau)
             tail_rows.append((tau, b_lhs, b_ratio, i_lhs, i_ratio))
         _write_csv(out / "tails.csv", config.kind, chash,
                    ("tau", "boundary_tail", "boundary_ratio",
@@ -777,7 +786,7 @@ _KINDS = {
                                  "help": "default %(default)s"}),
              "vertex": ("--vertex", _INT), "v0": ("--v0", _INT),
              "v1": ("--v1", _INT)}),
-        "taus": _Param(_as_numbers, None, "--tau", {**_FLOAT, "action":
+        "taus": _Param(_as_taus, None, "--tau", {**_FLOAT, "action":
                        "append"}, "default: three from min(rho, k - rho)"),
         "k": _K, "rho": _RHO, "s": _S,
         "p": _Param(_as_number, 2.0, "--p", _FLOAT, "base space (s, p, p)"),

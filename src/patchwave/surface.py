@@ -24,7 +24,6 @@ __all__ = [
     "ResolutionOfUnity",
     "load_surface",
     "surface_text",
-    "face_polar_coords",
     "partition_eval",
     "unit_cube",
     "fichera_corner",
@@ -306,10 +305,6 @@ class PolyhedralSurface:
     def incident_patches(self, n):
         return [f.patch for f in self.cone_faces(n)]
 
-    def corner_position(self, patch_index, vertex_id):
-        ids = self.patches[patch_index].corner_ids
-        return ids.index(vertex_id)
-
     def description(self):
         return {
             "vertices": [[float(x) for x in v] for v in self.vertices],
@@ -360,28 +355,6 @@ def load_surface(source) -> PolyhedralSurface:
     return PolyhedralSurface(doc["vertices"], doc["patches"], doc.get("constants"))
 
 
-# -- cone geometry ops ------------------------------------------------------
-
-def face_polar_coords(surface: PolyhedralSurface, n: int, t: int, x) -> tuple[float, float]:
-    """Polar coordinates (r, phi) of a 3D point on cone face t of vertex n.
-
-    r is the distance to the vertex, phi in [0, gamma] measured from the first
-    bounding ray. Raises if the point is off the face plane or outside the sector.
-    """
-    f = surface.cone_faces(n)[t]
-    x = np.asarray(x, dtype=float)
-    d = x - f.apex
-    if abs(float(np.dot(d, f.normal))) > 1e-9 * (np.linalg.norm(d) + surface.min_edge):
-        raise SurfaceError(f"point not on the plane of cone face ({n},{t})")
-    y1, y2 = float(np.dot(d, f.e1)), float(np.dot(d, f.e2))
-    r = math.hypot(y1, y2)
-    phi = math.atan2(y2, y1)
-    tol = 1e-12 + 1e-12 * abs(f.gamma)
-    if phi < -tol or phi > f.gamma + tol:
-        raise SurfaceError(f"point outside sector ({n},{t}): phi={phi}, gamma={f.gamma}")
-    return r, float(min(max(phi, 0.0), f.gamma))
-
-
 # -- resolution of unity ----------------------------------------------------
 
 def _smooth_step(t):
@@ -418,6 +391,13 @@ def _smooth_step_derivs(t):
     v1 = np.where(inside, v1, 0.0)
     v2 = np.where(inside, v2, 0.0)
     return v, v1, v2
+
+
+def _step_down_derivs(d, lo, hi):
+    """Smooth descent from 1 below lo to 0 above hi, with two derivatives."""
+    w = hi - lo
+    v, v1, v2 = _smooth_step_derivs((hi - np.asarray(d, dtype=float)) / w)
+    return v, -v1 / w, v2 / w ** 2
 
 
 class ResolutionOfUnity:
@@ -500,10 +480,7 @@ class ResolutionOfUnity:
 
     def profile_derivs(self, n, r):
         """Profile value and first two radial derivatives at radii r."""
-        w = self.r1[n] - self.r0[n]
-        t = (self.r1[n] - np.asarray(r, dtype=float)) / w
-        v, v1, v2 = _smooth_step_derivs(t)
-        return v, -v1 / w, v2 / w ** 2
+        return _step_down_derivs(r, self.r0[n], self.r1[n])
 
     def _bump_sum(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))

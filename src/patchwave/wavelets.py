@@ -58,8 +58,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 class BasisSpec:
     """Basis family parameters: primal order d, dual moments dt, coarsest level, quadrature.
 
-    Supported families have d == dt in {1, 2}; order 1 is Haar. ``order`` is an
-    alias for d. Wavelet levels run from j_star upward; the generator block sits
+    Supported families have d == dt in {1, 2}; order 1 is Haar. Wavelet levels run from j_star upward; the generator block sits
     at level j_star - 1 by convention.
     """
 
@@ -79,12 +78,6 @@ class BasisSpec:
         if self.quad_order < self.d:
             raise ValueError("quadrature order must be at least the primal order")
 
-    @property
-    def order(self) -> int:
-        return self.d
-
-    def wavelets_per_cell(self) -> int:
-        return 3 * self.d * self.d
 
 
 def haar_basis(j_star: int = 0, quad_order: int = 4) -> BasisSpec:
@@ -245,13 +238,19 @@ class CoefficientField:
                        levels=levels)
 
 
-def empty_field(basis: BasisSpec, n_patches: int, J: int,
-                surface: PolyhedralSurface | None = None,
-                dtype=np.float64) -> CoefficientField:
+def _zero_arrays(basis: BasisSpec, n_patches: int, J: int, dtype=np.float64):
+    """Writable zero coarse block and levels j_star..J of a field layout."""
     r, K = basis.d, 1 << basis.j_star
     coarse = np.zeros((n_patches, K, K, r, r), dtype=dtype)
     levels = {j: np.zeros((n_patches, 3, 1 << j, 1 << j, r, r), dtype=dtype)
               for j in range(basis.j_star, J + 1)}
+    return coarse, levels
+
+
+def empty_field(basis: BasisSpec, n_patches: int, J: int,
+                surface: PolyhedralSurface | None = None,
+                dtype=np.float64) -> CoefficientField:
+    coarse, levels = _zero_arrays(basis, n_patches, J, dtype)
     return CoefficientField(basis=basis, J=J, n_patches=n_patches,
                             coarse=coarse, levels=levels, surface=surface)
 
@@ -313,11 +312,7 @@ def analyze(surface: PolyhedralSurface, sampler, basis: BasisSpec, J: int,
                     np.array([[0.21]]), np.array([[0.37]]))
     dtype = np.complex128 if np.iscomplexobj(probe) else np.float64
 
-    r = basis.d
-    K = 1 << basis.j_star
-    coarse = np.zeros((surface.n_patches, K, K, r, r), dtype=dtype)
-    levels = {j: np.zeros((surface.n_patches, 3, 1 << j, 1 << j, r, r), dtype=dtype)
-              for j in range(basis.j_star, J + 1)}
+    coarse, levels = _zero_arrays(basis, surface.n_patches, J, dtype)
 
     def run(job):
         patch, j = job
@@ -552,11 +547,6 @@ def _index_values(basis: BasisSpec, idx: WaveletIndex, x, dim: int):
     return _factor_values(basis, j, idx.k2, idx.m2, idx.etype in (2, 3), x)
 
 
-def index_values_param(basis: BasisSpec, idx: WaveletIndex, S, T):
-    """Values of the (primal) basis function at parameter points of its patch."""
-    return _index_values(basis, idx, S, 0) * _index_values(basis, idx, T, 1)
-
-
 def basis_inner_product(surface: PolyhedralSurface, basis: BasisSpec,
                         a: WaveletIndex, b: WaveletIndex) -> float:
     """Parametric inner product of two basis functions (exact quadrature)."""
@@ -587,7 +577,7 @@ def dual_l2_norm(surface: PolyhedralSurface, basis: BasisSpec,
     x = (np.arange(cells)[:, None] / cells + nodes[None, :] / cells).ravel()
     w = np.tile(weights / cells, cells)
     S, T = np.meshgrid(x, x, indexing="ij")
-    vals = index_values_param(basis, idx, S, T)
+    vals = _index_values(basis, idx, S, 0) * _index_values(basis, idx, T, 1)
     jac = patch.jacobian_det(S.ravel(), T.ravel()).reshape(S.shape)
     W = np.outer(w, w)
     return float(np.sqrt(np.sum(W * vals ** 2 * jac)))

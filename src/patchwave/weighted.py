@@ -15,7 +15,9 @@ slow-but-summable tails.
 
 Function data enters through handles that evaluate in-plane Cartesian
 derivatives on each cone face; polar derivatives are produced by the chain
-rule. Models with known membership thresholds (power of the vertex distance,
+rule. Every in-plane derivative table here (the models', and that of the
+partition of unity) comes from two rules: `_chain`, a 1-D profile composed
+with a point- or line-distance table, and `_leibniz`, the product rule. Models with known membership thresholds (power of the vertex distance,
 power of the edge distance) are provided for calibration: the radial model
 r^beta lies in the scale iff rho < beta + 1, the edge model iff rho < beta + 1/2.
 """
@@ -24,18 +26,16 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb, pi
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 
 from ._gauss import unit_rule
 from .surface import (PolyhedralSurface, ResolutionOfUnity, _smooth_step,
-                      _smooth_step_derivs)
+                      _smooth_step_derivs, _step_down_derivs)
 
 __all__ = [
     "WeightedSpec",
     "WeightedNormDivergence",
-    "SmoothFunctionHandle",
     "VertexPowerModel",
     "EdgePowerModel",
     "AnalyticModel",
@@ -88,38 +88,35 @@ class WeightedNormDivergence(RuntimeError):
         super().__init__(msg)
 
 
-@runtime_checkable
-class SmoothFunctionHandle(Protocol):
-    """Function on the surface with in-plane derivatives on each cone face."""
-
-    def __call__(self, pts): ...
-
-    def face_derivs(self, n: int, t: int, Y, upto: int) -> dict: ...
-
-
 def sector_q(phi, gamma):
     """Angle to the nearest ray of a sector of opening gamma."""
     phi = np.asarray(phi, dtype=float)
     return np.minimum(phi, gamma - phi)
 
 
-# -- distance fields and their in-plane derivatives -----------------------------
+# -- derivative tables -----------------------------------------------------------
+#
+# A table maps (a, b), a + b <= 2, to the derivative d^a/de1^a d^b/de2^b along
+# an orthonormal in-plane frame (e1, e2), one value per point.
+
+_TERMS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
-def _point_distance_derivs(pts, e1, e2, center):
-    """d = |x - center| with first and second derivatives along (e1, e2)."""
+def _point_distance(pts, e1, e2, center):
+    """Derivative table of d = |x - center|."""
     w = pts - center
     d = np.linalg.norm(w, axis=-1)
-    d1 = w @ e1 / d
-    d2 = w @ e2 / d
-    d11 = (1.0 - d1 * d1) / d
-    d12 = (-d1 * d2) / d
-    d22 = (1.0 - d2 * d2) / d
-    return d, (d1, d2), (d11, d12, d22)
+    dsafe = np.maximum(d, 1e-300)
+    d1 = w @ e1 / dsafe
+    d2 = w @ e2 / dsafe
+    return {(0, 0): d, (1, 0): d1, (0, 1): d2,
+            (2, 0): (1.0 - d1 * d1) / dsafe, (1, 1): (-d1 * d2) / dsafe,
+            (0, 2): (1.0 - d2 * d2) / dsafe}
 
 
-def _line_distance_derivs(pts, e1, e2, a, direction):
-    """Distance to the line through `a` with unit `direction`, with derivatives."""
+def _line_distance(pts, e1, e2, a, direction):
+    """Derivative table of the distance to the line through `a` with unit
+    `direction`."""
     w = pts - a
     along = w @ direction
     perp = w - along[:, None] * direction[None, :]
@@ -128,21 +125,32 @@ def _line_distance_derivs(pts, e1, e2, a, direction):
     f2 = e2 - (e2 @ direction) * direction
     d1 = perp @ f1 / d
     d2 = perp @ f2 / d
-    d11 = (f1 @ f1 - d1 * d1) / d
-    d12 = (f1 @ f2 - d1 * d2) / d
-    d22 = (f2 @ f2 - d2 * d2) / d
-    return d, (d1, d2), (d11, d12, d22)
+    return {(0, 0): d, (1, 0): d1, (0, 1): d2,
+            (2, 0): (f1 @ f1 - d1 * d1) / d, (1, 1): (f1 @ f2 - d1 * d2) / d,
+            (0, 2): (f2 @ f2 - d2 * d2) / d}
 
 
-def _compose_radial(G, pts, e1, e2, center):
-    """In-plane derivatives of G(|x - center|): G returns (g, g', g'')."""
-    d, (d1, d2), (d11, d12, d22) = _point_distance_derivs(pts, e1, e2, center)
-    g, gp, gpp = G(d)
-    out = {(0, 0): g,
-           (1, 0): gp * d1, (0, 1): gp * d2,
-           (2, 0): gpp * d1 * d1 + gp * d11,
-           (1, 1): gpp * d1 * d2 + gp * d12,
-           (0, 2): gpp * d2 * d2 + gp * d22}
+def _chain(G, dist):
+    """Chain rule: the table of G(d) for a distance table `dist`, where G
+    returns the profile and its first two derivatives (g, g', g'')."""
+    d1, d2 = dist[(1, 0)], dist[(0, 1)]
+    g, gp, gpp = G(dist[(0, 0)])
+    return {(0, 0): g, (1, 0): gp * d1, (0, 1): gp * d2,
+            (2, 0): gpp * d1 * d1 + gp * dist[(2, 0)],
+            (1, 1): gpp * d1 * d2 + gp * dist[(1, 1)],
+            (0, 2): gpp * d2 * d2 + gp * dist[(0, 2)]}
+
+
+def _leibniz(fd, gd, upto):
+    """Product rule: the table of f * g from the tables of f and g."""
+    out = {}
+    for a in range(upto + 1):
+        for b in range(upto + 1 - a):
+            acc = 0.0
+            for i in range(a + 1):
+                for j in range(b + 1):
+                    acc = acc + comb(a, i) * comb(b, j) * fd[(i, j)] * gd[(a - i, b - j)]
+            out[(a, b)] = acc
     return out
 
 
@@ -155,13 +163,6 @@ def _window_derivs(d, lo, hi, width):
     w2 = (v2_up / width ** 2 * v_dn - 2.0 * v1_up * v1_dn / width ** 2
           + v_up * v2_dn / width ** 2)
     return w, w1, w2
-
-
-def _step_down_derivs(d, lo, hi):
-    """Smooth descent from 1 below lo to 0 above hi, with two derivatives."""
-    w = hi - lo
-    v, v1, v2 = _smooth_step_derivs((hi - np.asarray(d, dtype=float)) / w)
-    return v, -v1 / w, v2 / w ** 2
 
 
 class _FaceHandleBase:
@@ -227,7 +228,7 @@ class VertexPowerModel(_FaceHandleBase):
         return d ** self.beta * _smooth_step((self.cut1 - d) / (self.cut1 - self.cut0))
 
     def plane_derivs(self, pts, e1, e2):
-        return _compose_radial(self._G, pts, e1, e2, self.center)
+        return _chain(self._G, _point_distance(pts, e1, e2, self.center))
 
 
 class EdgePowerModel(_FaceHandleBase):
@@ -265,25 +266,12 @@ class EdgePowerModel(_FaceHandleBase):
 
     def plane_derivs(self, pts, e1, e2):
         b = self.beta
-        dl, (l1, l2), (l11, l12, l22) = _line_distance_derivs(
-            pts, e1, e2, self.a, self.direction)
-        dv, (v1, v2), (v11, v12, v22) = _point_distance_derivs(pts, e1, e2, self.a)
-        g = dl ** b
-        gp = b * dl ** (b - 1.0)
-        gpp = b * (b - 1.0) * dl ** (b - 2.0)
-        A, A1, A2 = _window_derivs(dv, *self.band, self.width)
-        # product (g o dl) * (A o dv)
-        u = g * A
-        u1 = gp * l1 * A + g * A1 * v1
-        u2 = gp * l2 * A + g * A1 * v2
-        u11 = (gpp * l1 * l1 + gp * l11) * A + 2 * gp * l1 * A1 * v1 \
-            + g * (A2 * v1 * v1 + A1 * v11)
-        u12 = (gpp * l1 * l2 + gp * l12) * A + gp * (l1 * v2 + l2 * v1) * A1 \
-            + g * (A2 * v1 * v2 + A1 * v12)
-        u22 = (gpp * l2 * l2 + gp * l22) * A + 2 * gp * l2 * A1 * v2 \
-            + g * (A2 * v2 * v2 + A1 * v22)
-        return {(0, 0): u, (1, 0): u1, (0, 1): u2,
-                (2, 0): u11, (1, 1): u12, (0, 2): u22}
+        line = _chain(lambda d: (d ** b, b * d ** (b - 1.0),
+                                 b * (b - 1.0) * d ** (b - 2.0)),
+                      _line_distance(pts, e1, e2, self.a, self.direction))
+        ann = _chain(lambda d: _window_derivs(d, *self.band, self.width),
+                     _point_distance(pts, e1, e2, self.a))
+        return _leibniz(line, ann, upto=2)
 
 
 class AnalyticModel(_FaceHandleBase):
@@ -383,66 +371,36 @@ def partition_face_derivs(resolution: ResolutionOfUnity, n: int, t: int, pts,
     """In-plane Cartesian derivatives (to order 2) of phi_n at face points.
 
     phi_n = B_n / sum_m B_m with radial bumps B_m = psi_m(|x - v_m|); the
-    quotient rule needs every active bump's distance field differentiated
-    along the face frame. Near its own vertex the profile is flat, so the
-    1/r curvature of the distance never enters.
+    quotient rule needs every active bump's table. Near its own vertex the
+    profile is flat, so the 1/r curvature of the distance never enters.
     """
     surf = resolution.surface
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    N = len(pts)
-    S = np.zeros(N)
-    S1 = np.zeros(N)
-    S2 = np.zeros(N)
-    S11 = np.zeros(N)
-    S12 = np.zeros(N)
-    S22 = np.zeros(N)
-    B = {}
+    S = {ab: np.zeros(len(pts)) for ab in _TERMS}
     for m in range(surf.n_vertices):
-        w = pts - surf.vertices[m]
-        d = np.linalg.norm(w, axis=-1)
-        active = d < resolution.r1[m]
-        if not np.any(active) and m != n:
+        dist = _point_distance(pts, e1, e2, surf.vertices[m])
+        if m != n and not np.any(dist[(0, 0)] < resolution.r1[m]):
             continue
-        psi, psi1, psi2 = resolution.profile_derivs(m, d)
-        flat = d <= resolution.r0[m]
-        psi1 = np.where(flat, 0.0, psi1)
-        psi2 = np.where(flat, 0.0, psi2)
-        dsafe = np.maximum(d, 1e-300)
-        d1 = w @ e1 / dsafe
-        d2 = w @ e2 / dsafe
-        d11 = (1.0 - d1 * d1) / dsafe
-        d12 = -d1 * d2 / dsafe
-        d22 = (1.0 - d2 * d2) / dsafe
-        b = psi
-        b1 = psi1 * d1
-        b2 = psi1 * d2
-        b11 = psi2 * d1 * d1 + psi1 * d11
-        b12 = psi2 * d1 * d2 + psi1 * d12
-        b22 = psi2 * d2 * d2 + psi1 * d22
-        S += b; S1 += b1; S2 += b2; S11 += b11; S12 += b12; S22 += b22
+
+        def bump(d, m=m):
+            psi, psi1, psi2 = resolution.profile_derivs(m, d)
+            flat = d <= resolution.r0[m]
+            return psi, np.where(flat, 0.0, psi1), np.where(flat, 0.0, psi2)
+
+        table = _chain(bump, dist)
+        for ab in _TERMS:
+            S[ab] += table[ab]
         if m == n:
-            B = {"b": b, "b1": b1, "b2": b2, "b11": b11, "b12": b12, "b22": b22}
-    phi = B["b"] / S
-    p1 = (B["b1"] - phi * S1) / S
-    p2 = (B["b2"] - phi * S2) / S
-    p11 = (B["b11"] - 2.0 * p1 * S1 - phi * S11) / S
-    p12 = (B["b12"] - p1 * S2 - p2 * S1 - phi * S12) / S
-    p22 = (B["b22"] - 2.0 * p2 * S2 - phi * S22) / S
+            b, b1, b2, b11, b12, b22 = (table[ab] for ab in _TERMS)
+    s, s1, s2, s11, s12, s22 = (S[ab] for ab in _TERMS)
+    phi = b / s
+    p1 = (b1 - phi * s1) / s
+    p2 = (b2 - phi * s2) / s
+    p11 = (b11 - 2.0 * p1 * s1 - phi * s11) / s
+    p12 = (b12 - p1 * s2 - p2 * s1 - phi * s12) / s
+    p22 = (b22 - 2.0 * p2 * s2 - phi * s22) / s
     return {(0, 0): phi, (1, 0): p1, (0, 1): p2,
             (2, 0): p11, (1, 1): p12, (0, 2): p22}
-
-
-def _leibniz(fd, gd, upto):
-    """2-D Leibniz rule for the product of two derivative tables."""
-    out = {}
-    for a in range(upto + 1):
-        for b in range(upto + 1 - a):
-            acc = 0.0
-            for i in range(a + 1):
-                for j in range(b + 1):
-                    acc = acc + comb(a, i) * comb(b, j) * fd[(i, j)] * gd[(a - i, b - j)]
-            out[(a, b)] = acc
-    return out
 
 
 def _polar_derivs(cart, R, PHI, upto):
@@ -500,98 +458,80 @@ def _sector_mesh(r_max: float, gamma: float, depth: int, order: int):
     return (rn, rw, rl), (pn, pw, pl)
 
 
-def _shell_sums(F, rw, rl, pw, pl, depth):
-    """Integral contributions per refinement shell (max of the two layer indices)."""
-    contrib = F * np.outer(rw, pw)
-    shell = np.maximum(rl[:, None], pl[None, :])
-    return np.bincount(shell.ravel(), weights=contrib.ravel(), minlength=depth)
+def _face_table(handle, surface, resolution, k, n, t, depth, order):
+    """phi_n u on the graded sector mesh of cone face (n, t).
+
+    Returns its Cartesian derivative table to order k, the mesh's polar
+    coordinates R and PHI, the angle q to the nearest ray, and `shells(F)`:
+    the integral of F r dr dphi per refinement shell (the larger of the two
+    layer indices).
+    """
+    face = surface.cone_faces(n)[t]
+    (rn, rw, rl), (pn, pw, pl) = _sector_mesh(float(resolution.r1[n]),
+                                              face.gamma, depth, order)
+    R, PHI = np.meshgrid(rn, pn, indexing="ij")
+    Y = np.stack([(R * np.cos(PHI)).ravel(), (R * np.sin(PHI)).ravel()], axis=1)
+    pts = face.apex + Y[:, :1] * face.e1 + Y[:, 1:2] * face.e2
+    ud = handle.face_derivs(n, t, Y, upto=k)
+    pd = partition_face_derivs(resolution, n, t, pts, face.e1, face.e2)
+    cart = {ab: np.asarray(v).reshape(R.shape)
+            for ab, v in _leibniz(pd, ud, upto=k).items()}
+    weights = np.outer(rw, pw)
+    shell = np.maximum(rl[:, None], pl[None, :]).ravel()
+
+    def shells(F):
+        return np.bincount(shell, weights=(F * R * weights).ravel(),
+                           minlength=depth)
+
+    return cart, R, PHI, sector_q(PHI, face.gamma), shells
 
 
-def _classify_tail(shell_sums, growth_tol, window=5):
-    """(converged?, total, growth list over the last `window` shells)."""
+# a term diverges when each of its deepest _WINDOW shells grows its running
+# total by more than _GROWTH_TOL
+_GROWTH_TOL = 0.01
+_WINDOW = 5
+
+
+def _converged(shell_sums, vertex, patch, term) -> float:
+    """A term's total over all shells, or WeightedNormDivergence."""
     totals = np.cumsum(shell_sums)
     growths = []
-    for ell in range(len(shell_sums) - window, len(shell_sums)):
+    for ell in range(len(shell_sums) - _WINDOW, len(shell_sums)):
         prev = totals[ell - 1] if ell >= 1 else 0.0
         growths.append(shell_sums[ell] / prev if prev > 0 else 0.0)
-    diverged = all(g > growth_tol for g in growths)
-    return (not diverged), float(totals[-1]), growths
+    if all(g > _GROWTH_TOL for g in growths):
+        raise WeightedNormDivergence(vertex, patch, term, growths)
+    return float(totals[-1])
 
 
 # -- the norm ---------------------------------------------------------------------
 
 
-def _face_term_sums(handle, surface, resolution, spec, n, t,
-                    depth, order, weight_mode):
-    """Per-shell sums of every integral term on cone face (n, t).
-
-    weight_mode "polar" gives the weighted polar-derivative terms plus the L2
-    term; "delta" gives min(C2, distance-to-rays)^(k-rho) times Cartesian
-    derivatives (the flattened-weight variant used for the comparison bound).
-    """
-    face = surface.cone_faces(n)[t]
-    gamma = face.gamma
-    r_max = float(resolution.r1[n])
-    (rn, rw, rl), (pn, pw, pl) = _sector_mesh(r_max, gamma, depth, order)
-    R, PHI = np.meshgrid(rn, pn, indexing="ij")
-    Y = np.stack([(R * np.cos(PHI)).ravel(), (R * np.sin(PHI)).ravel()], axis=1)
-    pts = face.apex + Y[:, :1] * face.e1 + Y[:, 1:2] * face.e2
-
-    k = spec.k
-    ud = handle.face_derivs(n, t, Y, upto=k)
-    pd = partition_face_derivs(resolution, n, t, pts, face.e1, face.e2)
-    cart = _leibniz(pd, ud, upto=k)
-    shape = R.shape
-    cart = {ab: np.asarray(v).reshape(shape) for ab, v in cart.items()}
-
-    out = {}
-    q = sector_q(PHI, gamma)
-    if weight_mode == "polar":
-        pol = _polar_derivs(cart, R, PHI, upto=k)
-        g0 = pol[(0, 0)]
-        out[(0, 0)] = _shell_sums(np.abs(g0) ** 2 * R, rw, rl, pw, pl, depth)
-        for br, bp in spec.derivative_terms():
-            W = (R ** (br - spec.rho) * (1.0 + R) ** spec.rho
-                 * q ** (br + bp - spec.rho))
-            F = np.abs(W * pol[(br, bp)]) ** 2 * R
-            out[(br, bp)] = _shell_sums(F, rw, rl, pw, pl, depth)
-    else:
-        delta = np.minimum(resolution.C2, R * np.sin(np.minimum(q, pi / 2.0)))
-        Wd = delta ** (k - spec.rho)
-        for ab, vals in cart.items():
-            F = np.abs(Wd * vals) ** 2 * R
-            out[ab] = _shell_sums(F, rw, rl, pw, pl, depth)
-    return out
-
-
-def _cone_jobs(surface, vertices):
-    jobs = []
-    for n in vertices:
-        for t in range(len(surface.cone_faces(n))):
-            jobs.append((n, t))
-    return jobs
-
-
 def weighted_sobolev_norm(handle, surface: PolyhedralSurface,
                           resolution: ResolutionOfUnity, spec: WeightedSpec,
                           *, depth: int = 32, quad_order: int = 8,
-                          growth_tol: float = 0.01, workers: int = 1,
-                          return_report: bool = False):
+                          workers: int = 1, return_report: bool = False):
     """Graded-quadrature evaluation of the order-k weighted norm.
 
     Sums over vertices: the cone L2 norm of phi_n u plus one weighted L2 norm
     per face and derivative pair. Raises WeightedNormDivergence when the
-    deepest five refinement shells of any term all grow by more than
-    `growth_tol`; convergent power-type tails fall under that rate well before
-    `depth` layers, divergent ones never do.
+    deepest five refinement shells of any term all grow by more than 1%;
+    convergent power-type tails fall under that rate well before `depth`
+    layers, divergent ones never do.
     """
-    jobs = _cone_jobs(surface, range(surface.n_vertices))
-
     def run(job):
-        n, t = job
-        return job, _face_term_sums(handle, surface, resolution, spec, n, t,
-                                    depth, quad_order, "polar")
+        cart, R, PHI, q, shells = _face_table(handle, surface, resolution,
+                                              spec.k, *job, depth, quad_order)
+        pol = _polar_derivs(cart, R, PHI, upto=spec.k)
+        sums = {(0, 0): shells(np.abs(pol[(0, 0)]) ** 2)}
+        for br, bp in spec.derivative_terms():
+            W = (R ** (br - spec.rho) * (1.0 + R) ** spec.rho
+                 * q ** (br + bp - spec.rho))
+            sums[(br, bp)] = shells(np.abs(W * pol[(br, bp)]) ** 2)
+        return job, sums
 
+    jobs = [(n, t) for n in range(surface.n_vertices)
+            for t in range(len(surface.cone_faces(n)))]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
             results = dict(ex.map(run, jobs))
@@ -601,23 +541,15 @@ def weighted_sobolev_norm(handle, surface: PolyhedralSurface,
     report = {}
     total = 0.0
     for n in range(surface.n_vertices):
-        faces = range(len(surface.cone_faces(n)))
         l2_sq = 0.0
-        for t in faces:
-            sums = results[(n, t)]
-            ok, value, growths = _classify_tail(sums[(0, 0)], growth_tol)
-            if not ok:
-                raise WeightedNormDivergence(n, surface.cone_faces(n)[t].patch,
-                                             (0, 0), growths)
-            l2_sq += value
-            report[(n, t, (0, 0))] = value
-            for term in spec.derivative_terms():
-                ok, value, growths = _classify_tail(sums[term], growth_tol)
-                if not ok:
-                    raise WeightedNormDivergence(
-                        n, surface.cone_faces(n)[t].patch, term, growths)
+        for t, face in enumerate(surface.cone_faces(n)):
+            for term, sums in results[(n, t)].items():
+                value = _converged(sums, n, face.patch, term)
                 report[(n, t, term)] = value
-                total += np.sqrt(value)
+                if term == (0, 0):
+                    l2_sq += value
+                else:
+                    total += np.sqrt(value)
         total += np.sqrt(l2_sq)
     if return_report:
         return total, report
@@ -626,19 +558,18 @@ def weighted_sobolev_norm(handle, surface: PolyhedralSurface,
 
 def delta_weighted_norm(handle, surface: PolyhedralSurface,
                         resolution: ResolutionOfUnity, spec: WeightedSpec,
-                        vertex: int, *, depth: int = 32, quad_order: int = 8,
-                        growth_tol: float = 0.01) -> float:
+                        vertex: int, *, depth: int = 32,
+                        quad_order: int = 8) -> float:
     """Sum over faces of ||min(C2, ray distance)^(k-rho) D^a (phi_n u)||_L2,
     |a| <= k, in Cartesian in-plane derivatives: the flattened-weight side of
     the comparison inequality against the weighted norm."""
     total = 0.0
-    for t in range(len(surface.cone_faces(vertex))):
-        sums = _face_term_sums(handle, surface, resolution, spec, vertex, t,
-                               depth, quad_order, "delta")
-        for term, s in sorted(sums.items()):
-            ok, value, growths = _classify_tail(s, growth_tol)
-            if not ok:
-                raise WeightedNormDivergence(
-                    vertex, surface.cone_faces(vertex)[t].patch, term, growths)
-            total += np.sqrt(value)
+    for t, face in enumerate(surface.cone_faces(vertex)):
+        cart, R, _, q, shells = _face_table(handle, surface, resolution, spec.k,
+                                            vertex, t, depth, quad_order)
+        Wd = np.minimum(resolution.C2,
+                        R * np.sin(np.minimum(q, pi / 2.0))) ** (spec.k - spec.rho)
+        for term in sorted(cart):
+            sums = shells(np.abs(Wd * cart[term]) ** 2)
+            total += np.sqrt(_converged(sums, vertex, face.patch, term))
     return total

@@ -295,17 +295,17 @@ def test_criterion_06_tail_ranges_and_boundary_census(cube, rou, haar,
     tau_i = 2.0
     i_rep = assess_growth(cumulative_tail(
         level_tail_sums(vertex_field_fine, tau_i, kinds="interior")))
-    i_lhs, _, i_ratio = interior_tail_check(vertex_field_fine, vertex_handle,
-                                            wspec, tau_i, rou,
-                                            depth=20, quad_order=6)
+    wnorm = weighted_sobolev_norm(vertex_handle, cube, rou, wspec,
+                                  depth=20, quad_order=6)
+    i_lhs, _, i_ratio = interior_tail_check(vertex_field_fine, wnorm, wspec,
+                                            tau_i)
     i_ok = i_rep.stable and math.isfinite(i_lhs) and i_ratio < 1.0
 
     tau_i_probe = 0.95                        # 1/tau just above the window
     ip_rep = assess_growth(cumulative_tail(
         level_tail_sums(vertex_field_fine, tau_i_probe, kinds="interior")))
     with pytest.raises(ValueError):
-        interior_tail_check(vertex_field_fine, vertex_handle, wspec,
-                            tau_i_probe, rou)
+        interior_tail_check(vertex_field_fine, wnorm, wspec, tau_i_probe)
     i_ok &= ip_rep.growing
 
     js = list(range(3, 9))

@@ -5,7 +5,6 @@ import pytest
 
 from patchwave import (
     BesovSpec,
-    VertexPowerModel,
     WeightedSpec,
     alpha_star,
     analyze,
@@ -224,9 +223,26 @@ def test_tail_check_ranges(cube, haar):
     assert lhs > 0 and rhs > 0 and ratio == pytest.approx(lhs / rhs)
     with pytest.raises(ValueError):
         boundary_tail_check(field, 0.75, 2.0, 0.4)
-    handle = VertexPowerModel(cube, vertex=0, beta=0.6)
     with pytest.raises(ValueError):
-        interior_tail_check(field, handle, WeightedSpec(1, 0.5), 0.95)
+        interior_tail_check(field, 1.0, WeightedSpec(1, 0.5), 0.95)
+
+
+def test_interior_tail_check_raises_the_given_norm_to_tau(cube, haar):
+    field = _random_field(cube, haar, seed=13)
+    lhs, rhs, ratio = interior_tail_check(field, 3.0, WeightedSpec(1, 0.5), 1.6)
+    assert lhs == math.fsum(level_tail_sums(field, 1.6,
+                                            kinds="interior").values())
+    assert rhs == 3.0 ** 1.6 and ratio == lhs / rhs
+
+
+@pytest.mark.parametrize("tau", [0, 0.0, -1.25, math.inf, math.nan])
+def test_tail_checks_reject_tau_that_is_not_positive_and_finite(cube, haar,
+                                                                 tau):
+    field = _random_field(cube, haar, seed=13)
+    with pytest.raises(ValueError, match="tau must be a positive finite"):
+        boundary_tail_check(field, 0.75, 2.0, tau)
+    with pytest.raises(ValueError, match="tau must be a positive finite"):
+        interior_tail_check(field, 1.0, WeightedSpec(1, 0.5), tau)
 
 
 def test_whitney_polynomial_reproduction():

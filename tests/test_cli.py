@@ -164,6 +164,14 @@ SYNTH = {"kind": "synth", "J": 3,
     (BEM, "k", 3, "k: weighted norm order must be 1 or 2, got 3"),
     (NTERM, "n_lo", 20000, "n_lo: n_lo=20000 exceeds n_hi=16384"),
     (NTERM, "n_hi", 8, "n_hi: n_lo=16 exceeds n_hi=8"),
+    # the default taus collapse onto 1/tau = 1/2 at rho = 0 and rho = k
+    (EMBED, "rho", 0.0, "rho: without taus, rho must lie in \\(0, k\\)"),
+    (EMBED, "rho", 1, "rho: without taus, rho must lie in \\(0, k\\)"),
+    (EMBED, "taus", [1.6, 0], "taus\\[1\\]: tau must be a positive finite "
+                              "number, got 0"),
+    (EMBED, "taus", [-2.0], "taus\\[0\\]: tau must be a positive finite"),
+    (EMBED, "taus", [float("inf")], "taus\\[0\\]: tau must be a positive"),
+    (EMBED, "taus", [float("nan")], "taus\\[0\\]: tau must be a positive"),
 ])
 def test_validation_types_numeric_params(tmp_path, base, key, value, message):
     doc = {**base, "params": {**base["params"], key: value}}
@@ -324,6 +332,19 @@ def test_nterm_run(tmp_path):
 def test_weighted_order_flag_fails_before_the_solve(capsys):
     assert cli.main(["bem-solve", "-L", "1", "-J", "1", "--k", "3"]) == 2
     assert "params.k: weighted norm order must be 1 or 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--tau", "0"], "params.taus[0]: tau must be a positive finite number"),
+    (["--tau", "1.6", "--tau=-inf"], "params.taus[1]: tau must be a "
+                                 "positive finite number"),
+    (["--rho", "1"], "params.rho: without taus, rho must lie in (0, k)"),
+])
+def test_embed_check_flags_fail_before_the_analysis(capsys, flags, message):
+    # these ended in a raw ZeroDivisionError or ValueError after analyze
+    argv = ["embed-check", "--model", "vertex", "-J", "2", *flags]
+    assert cli.main(argv) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_nterm_needs_four_positive_errors(tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from patchwave import (
     AnalyticModel,
@@ -9,11 +10,15 @@ from patchwave import (
     VertexPowerModel,
     WeightedNormDivergence,
     WeightedSpec,
+    ResolutionOfUnity,
     delta_weighted_norm,
+    partition_face_derivs,
     sector_q,
     weighted_sobolev_norm,
 )
-from patchwave.weighted import _step_down_derivs, _window_derivs
+from patchwave.surface import _smooth_step_derivs
+from patchwave.weighted import _sector_mesh, _step_down_derivs, _window_derivs
+from test_bem import _moved_cube
 
 FAST = dict(depth=16, quad_order=4)
 
@@ -199,3 +204,184 @@ def test_workers_do_not_change_the_norm(cube, rou):
     v1 = weighted_sobolev_norm(handle, cube, rou, spec, workers=1, **FAST)
     v4 = weighted_sobolev_norm(handle, cube, rou, spec, workers=4, **FAST)
     assert v1 == v4
+
+
+# -- the hand-expanded derivative tables, kept as oracles ---------------------
+
+
+def _point_distance_oracle(pts, e1, e2, center):
+    w = pts - center
+    d = np.linalg.norm(w, axis=-1)
+    d1 = w @ e1 / d
+    d2 = w @ e2 / d
+    return d, (d1, d2), ((1.0 - d1 * d1) / d, (-d1 * d2) / d,
+                         (1.0 - d2 * d2) / d)
+
+
+def _vertex_plane_derivs_oracle(model, pts, e1, e2):
+    d, (d1, d2), (d11, d12, d22) = _point_distance_oracle(pts, e1, e2,
+                                                          model.center)
+    g, gp, gpp = model._G(d)
+    return {(0, 0): g, (1, 0): gp * d1, (0, 1): gp * d2,
+            (2, 0): gpp * d1 * d1 + gp * d11,
+            (1, 1): gpp * d1 * d2 + gp * d12,
+            (0, 2): gpp * d2 * d2 + gp * d22}
+
+
+def _edge_plane_derivs_oracle(model, pts, e1, e2):
+    b, direction = model.beta, model.direction
+    w = pts - model.a
+    perp = w - (w @ direction)[:, None] * direction[None, :]
+    dl = np.linalg.norm(perp, axis=-1)
+    f1 = e1 - (e1 @ direction) * direction
+    f2 = e2 - (e2 @ direction) * direction
+    l1, l2 = perp @ f1 / dl, perp @ f2 / dl
+    l11 = (f1 @ f1 - l1 * l1) / dl
+    l12 = (f1 @ f2 - l1 * l2) / dl
+    l22 = (f2 @ f2 - l2 * l2) / dl
+    dv, (v1, v2), (v11, v12, v22) = _point_distance_oracle(pts, e1, e2,
+                                                           model.a)
+    g, gp, gpp = dl ** b, b * dl ** (b - 1.0), b * (b - 1.0) * dl ** (b - 2.0)
+    A, A1, A2 = _window_derivs(dv, *model.band, model.width)
+    return {(0, 0): g * A,
+            (1, 0): gp * l1 * A + g * A1 * v1,
+            (0, 1): gp * l2 * A + g * A1 * v2,
+            (2, 0): (gpp * l1 * l1 + gp * l11) * A + 2 * gp * l1 * A1 * v1
+            + g * (A2 * v1 * v1 + A1 * v11),
+            (1, 1): (gpp * l1 * l2 + gp * l12) * A
+            + gp * (l1 * v2 + l2 * v1) * A1 + g * (A2 * v1 * v2 + A1 * v12),
+            (0, 2): (gpp * l2 * l2 + gp * l22) * A + 2 * gp * l2 * A1 * v2
+            + g * (A2 * v2 * v2 + A1 * v22)}
+
+
+def _partition_face_derivs_oracle(resolution, n, pts, e1, e2):
+    surf = resolution.surface
+    S = [np.zeros(len(pts)) for _ in range(6)]
+    own = None
+    for m in range(surf.n_vertices):
+        w = pts - surf.vertices[m]
+        d = np.linalg.norm(w, axis=-1)
+        if not np.any(d < resolution.r1[m]) and m != n:
+            continue
+        width = resolution.r1[m] - resolution.r0[m]
+        psi, v1, v2 = _smooth_step_derivs((resolution.r1[m] - d) / width)
+        flat = d <= resolution.r0[m]
+        psi1 = np.where(flat, 0.0, -v1 / width)
+        psi2 = np.where(flat, 0.0, v2 / width ** 2)
+        dsafe = np.maximum(d, 1e-300)
+        d1 = w @ e1 / dsafe
+        d2 = w @ e2 / dsafe
+        b = (psi, psi1 * d1, psi1 * d2,
+             psi2 * d1 * d1 + psi1 * ((1.0 - d1 * d1) / dsafe),
+             psi2 * d1 * d2 + psi1 * (-d1 * d2 / dsafe),
+             psi2 * d2 * d2 + psi1 * ((1.0 - d2 * d2) / dsafe))
+        for acc, term in zip(S, b):
+            acc += term
+        if m == n:
+            own = b
+    (S0, S1, S2, S11, S12, S22), (b, b1, b2, b11, b12, b22) = S, own
+    phi = b / S0
+    p1 = (b1 - phi * S1) / S0
+    p2 = (b2 - phi * S2) / S0
+    return {(0, 0): phi, (1, 0): p1, (0, 1): p2,
+            (2, 0): (b11 - 2.0 * p1 * S1 - phi * S11) / S0,
+            (1, 1): (b12 - p1 * S2 - p2 * S1 - phi * S12) / S0,
+            (0, 2): (b22 - 2.0 * p2 * S2 - phi * S22) / S0}
+
+
+def _sector_faces(surface, resolution, depth=32, order=2):
+    """(n, t, face, points) for every cone face's graded sector mesh."""
+    for n in range(surface.n_vertices):
+        for t, face in enumerate(surface.cone_faces(n)):
+            (rn, _, _), (pn, _, _) = _sector_mesh(float(resolution.r1[n]),
+                                                  face.gamma, depth, order)
+            R, PHI = np.meshgrid(rn, pn, indexing="ij")
+            y1, y2 = (R * np.cos(PHI)).ravel(), (R * np.sin(PHI)).ravel()
+            yield n, t, face, (face.apex + y1[:, None] * face.e1
+                               + y2[:, None] * face.e2)
+
+
+def _same_bits(got, want):
+    assert got.keys() == want.keys()
+    for ab in want:
+        assert np.array_equal(np.asarray(got[ab]).view(np.int64),
+                              np.asarray(want[ab]).view(np.int64)), ab
+
+
+@pytest.mark.parametrize("name", ["cube", "fichera", "moved_cube"])
+def test_chain_rule_tables_match_the_hand_expanded_ones(name, cube, fichera):
+    surface = {"cube": cube, "fichera": fichera,
+               "moved_cube": _moved_cube()}[name]
+    rou = ResolutionOfUnity(surface)
+    h = surface.min_edge
+    worst_edge = 0.0
+    for n, t, face, pts in _sector_faces(surface, rou):
+        e1, e2 = face.e1, face.e2
+        _same_bits(partition_face_derivs(rou, n, t, pts, e1, e2),
+                   _partition_face_derivs_oracle(rou, n, pts, e1, e2))
+        model = VertexPowerModel(surface, n, 0.6)
+        _same_bits(model.plane_derivs(pts, e1, e2),
+                   _vertex_plane_derivs_oracle(model, pts, e1, e2))
+        # the edge from the apex along the face's first ray
+        others = [v for v in surface.patches[face.patch].corner_ids if v != n]
+        ray = [(surface.vertices[v] - face.apex) @ e1
+               / np.linalg.norm(surface.vertices[v] - face.apex) for v in others]
+        edge = EdgePowerModel(surface, n, others[int(np.argmax(ray))], 0.6,
+                              band=(0.2 * h, 0.6 * h), width=0.08 * h)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got = edge.plane_derivs(pts, e1, e2)
+            want = _edge_plane_derivs_oracle(edge, pts, e1, e2)
+        assert got.keys() == want.keys()
+        for ab in want:
+            # mesh points that round onto the edge line are 0/0 in both
+            finite = np.isfinite(want[ab])
+            assert np.array_equal(np.isfinite(got[ab]), finite), (n, t, ab)
+            err = float(np.abs(got[ab] - want[ab])[finite].max())
+            scale = float(np.abs(want[ab])[finite].max())
+            assert err <= 1e-13 * scale, (n, t, ab)
+            worst_edge = max(worst_edge, err / scale if scale else 0.0)
+    assert worst_edge <= 1e-13
+
+
+# -- every model's table against central differences of its values -----------
+
+_FD_MODELS = {
+    "vertex": lambda surface: VertexPowerModel(surface, 0, 0.6),
+    "edge": lambda surface: EdgePowerModel(surface, 0, 1, 0.6),
+    "constant": lambda surface: ConstantModel(surface, 1.5),
+}
+
+
+@settings(max_examples=300)
+@given(kind=st.sampled_from(sorted(_FD_MODELS)), n=st.integers(0, 7),
+       t=st.integers(0, 2), r=st.floats(0.02, 0.75),
+       frac=st.floats(0.02, 0.98))
+def test_plane_derivs_match_central_differences(cube, kind, n, t, r, frac):
+    model = _FD_MODELS[kind](cube)
+    face = cube.cone_faces(n)[t]
+    x = face.apex + r * (np.cos(frac * face.gamma) * face.e1
+                         + np.sin(frac * face.gamma) * face.e2)
+    # away from the singular set: vertex 0, and the line through edge (0, 1)
+    w = x - cube.vertices[0]
+    if kind == "vertex":
+        assume(np.linalg.norm(w) > 0.05)
+    if kind == "edge":
+        assume(np.linalg.norm(w - (w @ model.direction) * model.direction)
+               > 0.05)
+    e1, e2, h = face.e1, face.e2, 1e-5
+
+    def f(a, b):
+        return float(model(x + h * a * e1 + h * b * e2)[0])
+
+    fd = {(0, 0): f(0, 0),
+          (1, 0): (f(1, 0) - f(-1, 0)) / (2 * h),
+          (0, 1): (f(0, 1) - f(0, -1)) / (2 * h),
+          (2, 0): (f(1, 0) - 2 * f(0, 0) + f(-1, 0)) / h ** 2,
+          (1, 1): (f(1, 1) - f(1, -1) - f(-1, 1) + f(-1, -1)) / (4 * h ** 2),
+          (0, 2): (f(0, 1) - 2 * f(0, 0) + f(0, -1)) / h ** 2}
+    table = model.plane_derivs(x[None, :], e1, e2)
+    assert table.keys() == fd.keys()
+    for ab, approx in fd.items():
+        exact = float(np.ravel(table[ab])[0])
+        # truncation and rounding of the differences stay below 4e-5 here
+        assert abs(approx - exact) <= 1e-3 * (1.0 + abs(exact)), ab
