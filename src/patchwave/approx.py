@@ -301,6 +301,25 @@ def _inverse_tau(tau: float) -> float:
     return 1.0 / tau
 
 
+def _boundary_window(s: float, p: float, tau: float) -> BesovSpec:
+    """(s, p, p), or ValueError unless boundary_tail_check admits it and tau."""
+    spec = BesovSpec(s, p, p)
+    if not admissible(spec):
+        raise ValueError(f"(s, p, p) = {spec} is not admissible")
+    it, ip = _inverse_tau(tau), spec.inv_p
+    if not (0.5 - _TOL <= it <= ip + _TOL or ip < it < 1.0 - ip + s):
+        raise ValueError(f"1/tau = {it} outside the admitted range")
+    return spec
+
+
+def _interior_window(weighted: WeightedSpec, tau: float) -> None:
+    """ValueError unless interior_tail_check admits tau at `weighted`."""
+    it = _inverse_tau(tau)
+    bound = 0.5 + min(weighted.rho, weighted.k - weighted.rho)
+    if not (0.5 - _TOL <= it < bound - _TOL):
+        raise ValueError(f"1/tau = {it} outside [1/2, {bound})")
+
+
 def boundary_tail_check(field: CoefficientField, s: float, p: float,
                         tau: float) -> tuple[float, float, float]:
     """Compare the boundary-index tail sum against a Besov norm bound.
@@ -309,13 +328,7 @@ def boundary_tail_check(field: CoefficientField, s: float, p: float,
     rhs = besov_norm(field, (s, p, p))^tau; returns (lhs, rhs, lhs/rhs).
     tau must satisfy 1/2 <= 1/tau <= 1/p or 1/p < 1/tau < 1 - 1/p + s.
     """
-    spec = BesovSpec(s, p, p)
-    if not admissible(spec):
-        raise ValueError(f"(s, p, p) = {spec} is not admissible")
-    it, ip = _inverse_tau(tau), spec.inv_p
-    in_range = (0.5 - _TOL <= it <= ip + _TOL) or (ip < it < 1.0 - ip + s)
-    if not in_range:
-        raise ValueError(f"1/tau = {it} outside the admitted range")
+    spec = _boundary_window(s, p, tau)
     lhs = math.fsum(level_tail_sums(field, tau, kinds="boundary").values())
     rhs = besov_norm(field, spec) ** tau
     ratio = 0.0 if lhs == 0.0 else lhs / rhs
@@ -333,10 +346,7 @@ def interior_tail_check(field: CoefficientField, norm: float,
     (lhs, rhs, lhs/rhs). Requires 1/2 <= 1/tau < 1/2 + min(rho, k - rho) and
     a basis whose dual order covers the derivative order k.
     """
-    it = _inverse_tau(tau)
-    bound = 0.5 + min(weighted.rho, weighted.k - weighted.rho)
-    if not (0.5 - _TOL <= it < bound - _TOL):
-        raise ValueError(f"1/tau = {it} outside [1/2, {bound})")
+    _interior_window(weighted, tau)
     if field.basis.dt < weighted.k:
         raise ValueError("basis dual order is below the derivative order")
     if field.surface is None:

@@ -30,9 +30,11 @@ from .surface import (PolyhedralSurface, ResolutionOfUnity, fichera_corner,
 from .wavelets import BasisSpec, analyze, level_size, load_field, save_field
 from .spaces import BesovSpec, admissible, besov_norm, embedding_predicate, seq_norm
 from .weighted import (ConstantModel, EdgePowerModel, VertexPowerModel,
-                       WeightedSpec, weighted_sobolev_norm)
-from .approx import (boundary_tail_check, fit_rate, interior_tail_check,
-                     n_term_plan, predicted_rate, synth_field, whitney_check)
+                       WeightedNormDivergence, WeightedSpec,
+                       weighted_sobolev_norm)
+from .approx import (_boundary_window, _interior_window, boundary_tail_check,
+                     fit_rate, interior_tail_check, n_term_plan,
+                     predicted_rate, synth_field, whitney_check)
 from .bem import analyze_solution, assemble, solve
 
 SCHEMA_VERSION = "1.0.0"
@@ -299,14 +301,6 @@ def _as_numbers(value, chk: _Check, path: tuple, size: int | None = None):
         chk.fail(path, f"expected a list of {count}numbers, got {value!r}")
 
 
-def _as_taus(value, chk: _Check, path: tuple) -> None:
-    _as_numbers(value, chk, path)
-    for i, tau in enumerate(value):
-        if not (np.isfinite(tau) and tau > 0):
-            chk.fail(path + (i,), f"tau must be a positive finite number, "
-                                  f"got {tau!r}")
-
-
 def _as_file(value, chk: _Check, path: tuple) -> None:
     if not isinstance(value, str) or not value:
         chk.fail(path, f"expected a file path, got {value!r}")
@@ -427,16 +421,35 @@ def config_from_dict(doc: dict, *, text: str | None = None,
                               L=L, spaces=spaces, seed=seed,
                               output_dir=str(output_dir), workers=workers,
                               params=params, check=chk)
-    # the default taus are built from min(rho, k - rho), which must be > 0:
-    # at 0 they all land on 1/tau = 1/2, outside the empty interior window
-    if kind == "embed-check" and "model" in params and not params.get("taus") \
-            and not 0 < _param(config, "rho") < _param(config, "k"):
-        chk.fail(("params", "rho"), "without taus, rho must lie in (0, k)")
+    if kind == "embed-check" and "model" in params:
+        # what the tail checks would reject after the analysis, rejected now
+        k, rho, s, p = (_param(config, key) for key in ("k", "rho", "s", "p"))
+        # the default taus are built from min(rho, k - rho), which must be > 0:
+        # at 0 they all land on 1/tau = 1/2, outside the empty interior window
+        if not params.get("taus") and not 0 < rho < k:
+            chk.fail(("params", "rho"), "without taus, rho must lie in (0, k)")
+        if basis[0] < k:
+            chk.fail(("params", "k"), f"the basis' dual order {basis[0]} is "
+                                      f"below the derivative order {k}")
+        for i, tau in enumerate(_tail_taus(config)):
+            try:
+                _interior_window(WeightedSpec(k, float(rho)), tau)
+                _boundary_window(float(s), float(p), tau)
+            except (ValueError, OverflowError) as exc:
+                chk.fail(("params", "taus", i) if params.get("taus")
+                         else ("params", "s"), str(exc))
     if kind == "nterm" and _param(config, "n_lo") > _param(config, "n_hi"):
         chk.fail(("params", "n_lo" if "n_lo" in params else "n_hi"),
                  f"n_lo={_param(config, 'n_lo')} exceeds "
                  f"n_hi={_param(config, 'n_hi')}")
     return config
+
+
+def _tail_taus(config: ExperimentConfig) -> list:
+    """The tail study's taus: as given, else three inside the interior window."""
+    k, rho = _param(config, "k"), _param(config, "rho")
+    return _param(config, "taus") or \
+        [1.0 / (0.5 + f * min(rho, k - rho)) for f in (0.75, 0.5, 0.25)]
 
 
 def config_from_file(path, kind: str | None = None) -> ExperimentConfig:
@@ -494,10 +507,6 @@ def _basis_from(config: ExperimentConfig) -> BasisSpec:
     return BasisSpec(d=d, dt=d, j_star=j_star)
 
 
-def _space_of(triple) -> BesovSpec:
-    return BesovSpec(*triple)
-
-
 def _field_from(config, surface, basis):
     if "field" in config.params:
         try:
@@ -507,7 +516,7 @@ def _field_from(config, surface, basis):
     synth = dict(config.params["synth"])
     kind = synth.pop("kind")
     if "spec" in synth:
-        synth["spec"] = _space_of(synth["spec"])
+        synth["spec"] = BesovSpec(*synth["spec"])
     if kind == "random_besov":
         synth.setdefault("seed", config.seed)
     return synth_field(surface, basis, kind, config.J, **synth)
@@ -531,7 +540,7 @@ def _run_norms(config, out, chash):
 def _run_nterm(config, out, chash):
     surface = _surface_from(config)
     field = _field_from(config, surface, _basis_from(config))
-    target = _space_of(config.spaces[0])
+    target = BesovSpec(*config.spaces[0])
     plan = n_term_plan(field, target)
     n_lo = _param(config, "n_lo")
     n_hi = min(_param(config, "n_hi"), plan.n_indices)
@@ -547,7 +556,7 @@ def _run_nterm(config, out, chash):
             "needs at least 4 (widen [n_lo, n_hi] or use a larger field)"))
     predicted = _param(config, "predicted")
     if predicted is None and "source_space" in config.params:
-        predicted = predicted_rate(_space_of(config.params["source_space"]),
+        predicted = predicted_rate(BesovSpec(*config.params["source_space"]),
                                    target)
     rate = fit_rate(samples, predicted=predicted)
     _write_csv(out / "samples.csv", config.kind, chash, ("n", "error"), samples)
@@ -569,7 +578,7 @@ def _run_embed_check(config, out, chash):
             if i == j:
                 continue
             rows.append((*s0, *s1,
-                         embedding_predicate(_space_of(s0), _space_of(s1))))
+                         embedding_predicate(BesovSpec(*s0), BesovSpec(*s1))))
     _write_csv(out / "embeddings.csv", config.kind, chash,
                ("alpha0", "p0", "q0", "alpha1", "p1", "q1", "embeds"), rows)
     files.append("embeddings.csv")
@@ -588,11 +597,8 @@ def _run_embed_check(config, out, chash):
                         workers=config.workers)
         norm = weighted_sobolev_norm(handle, surface,
                                      ResolutionOfUnity(surface), weighted)
-        width = min(rho, k - rho)
-        taus = _param(config, "taus") or \
-            [1.0 / (0.5 + f * width) for f in (0.75, 0.5, 0.25)]
         tail_rows = []
-        for tau in taus:
+        for tau in _tail_taus(config):
             b_lhs, _, b_ratio = boundary_tail_check(field, s, p, tau)
             i_lhs, _, i_ratio = interior_tail_check(field, norm, weighted, tau)
             tail_rows.append((tau, b_lhs, b_ratio, i_lhs, i_ratio))
@@ -786,7 +792,7 @@ _KINDS = {
                                  "help": "default %(default)s"}),
              "vertex": ("--vertex", _INT), "v0": ("--v0", _INT),
              "v1": ("--v1", _INT)}),
-        "taus": _Param(_as_taus, None, "--tau", {**_FLOAT, "action":
+        "taus": _Param(_as_numbers, None, "--tau", {**_FLOAT, "action":
                        "append"}, "default: three from min(rho, k - rho)"),
         "k": _K, "rho": _RHO, "s": _S,
         "p": _Param(_as_number, 2.0, "--p", _FLOAT, "base space (s, p, p)"),
@@ -907,9 +913,9 @@ def main(argv=None) -> int:
         else:
             config = config_from_dict(_flag_doc(args))
         return run(config)
-    except ConfigError as exc:
+    except (ConfigError, WeightedNormDivergence) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 __all__ = [
     "SurfaceError",
@@ -466,8 +465,7 @@ class ResolutionOfUnity:
                     f"r0+r1={self.r0[n] + self.r1[m]:.6g} > dist={d[m]:.6g}")
         # supports must cover the surface
         _, _, pts = quasi_random_points(surf, 2048)
-        s = self._bump_sum(pts)
-        if np.min(s) < 1e-6:
+        if np.min(self._bumps(pts).sum(axis=0)) < 1e-6:
             raise SurfaceError("resolution radii leave part of the surface uncovered")
 
     # profile and bumps ------------------------------------------------------
@@ -482,28 +480,20 @@ class ResolutionOfUnity:
         """Profile value and first two radial derivatives at radii r."""
         return _step_down_derivs(r, self.r0[n], self.r1[n])
 
-    def _bump_sum(self, pts):
+    def _bumps(self, pts):
+        """Every vertex's bump at the given points: shape (n_vertices, N)."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        s = np.zeros(len(pts))
-        for m in range(self.surface.n_vertices):
-            r = np.linalg.norm(pts - self.surface.vertices[m], axis=1)
-            s += self.profile(m, r)
-        return s
+        return np.vstack([self.profile(m, np.linalg.norm(pts - v, axis=1))
+                          for m, v in enumerate(self.surface.vertices)])
 
     def eval(self, n, pts):
         """phi_n at surface points `pts` ((3,) or (N,3))."""
-        single = np.asarray(pts).ndim == 1
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        r = np.linalg.norm(pts - self.surface.vertices[n], axis=1)
-        val = self.profile(n, r) / self._bump_sum(pts)
-        return float(val[0]) if single else val
+        val = self.eval_all(pts)[n]
+        return float(val[0]) if np.asarray(pts).ndim == 1 else val
 
     def eval_all(self, pts):
         """All phi_n at the given points: array of shape (n_vertices, N)."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        bumps = np.vstack([
-            self.profile(m, np.linalg.norm(pts - self.surface.vertices[m], axis=1))
-            for m in range(self.surface.n_vertices)])
+        bumps = self._bumps(pts)
         return bumps / np.sum(bumps, axis=0, keepdims=True)
 
 
@@ -574,9 +564,14 @@ def quasi_random_points(surface: PolyhedralSurface, count: int):
     if rem > 0:
         order = np.argsort(-(quota - counts))
         counts[order[:rem]] += 1
-    halton = qmc.Halton(d=2, scramble=False)
-    halton.fast_forward(1)  # skip the origin sample
-    params = halton.random(int(counts.sum()))
+    # unscrambled Halton in bases 2 and 3 from index 1 (the origin skipped),
+    # with the radical-inverse digits summed in scipy.stats.qmc's order
+    params = np.zeros((int(counts.sum()), 2))
+    for col, base in enumerate((2, 3)):
+        q, b2r = np.arange(1, len(params) + 1), 1.0 / base
+        while q.any():
+            params[:, col] += (q % base) * b2r
+            q, b2r = q // base, b2r / base
     patch_ids = np.repeat(np.arange(surface.n_patches), counts)
     pts = np.vstack([
         surface.patches[pi].chart(params[i, 0], params[i, 1])

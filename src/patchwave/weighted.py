@@ -373,23 +373,36 @@ def partition_face_derivs(resolution: ResolutionOfUnity, n: int, t: int, pts,
     phi_n = B_n / sum_m B_m with radial bumps B_m = psi_m(|x - v_m|); the
     quotient rule needs every active bump's table. Near its own vertex the
     profile is flat, so the 1/r curvature of the distance never enters.
+    A bump's table is built only where it varies: another vertex's only where
+    it is nonzero, its profile only off the plateau. Every term left out is an
+    exact zero, and the sums, which start at +0.0, are never -0.0.
     """
-    surf = resolution.surface
+    v, r0, r1 = resolution.surface.vertices, resolution.r0, resolution.r1
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     S = {ab: np.zeros(len(pts)) for ab in _TERMS}
-    for m in range(surf.n_vertices):
-        dist = _point_distance(pts, e1, e2, surf.vertices[m])
-        if m != n and not np.any(dist[(0, 0)] < resolution.r1[m]):
+    own = _point_distance(pts, e1, e2, v[n])
+    # distances to the cylinder about v_n (axis e1 x e2) that holds the points
+    normal, w = np.cross(e1, e2), v - v[n]
+    lift = np.abs((pts - v[n]) @ normal).max(initial=0.0)
+    gap = np.hypot(np.maximum(np.abs(w @ normal) - lift, 0.0), np.maximum(
+        np.hypot(w @ e1, w @ e2) - own[(0, 0)].max(initial=0.0), 0.0))
+    for m in range(len(v)):
+        if m == n:
+            at, dist = slice(None), own
+        elif gap[m] >= r1[m]:
             continue
+        else:
+            at = np.linalg.norm(pts - v[m], axis=-1) < r1[m]
+            dist = _point_distance(pts[at], e1, e2, v[m])
 
         def bump(d, m=m):
-            psi, psi1, psi2 = resolution.profile_derivs(m, d)
-            flat = d <= resolution.r0[m]
-            return psi, np.where(flat, 0.0, psi1), np.where(flat, 0.0, psi2)
+            out, ramp = np.zeros((3, len(d))), d > r0[m]
+            out[0], out[:, ramp] = 1.0, resolution.profile_derivs(m, d[ramp])
+            return out
 
         table = _chain(bump, dist)
         for ab in _TERMS:
-            S[ab] += table[ab]
+            S[ab][at] += table[ab]
         if m == n:
             b, b1, b2, b11, b12, b22 = (table[ab] for ab in _TERMS)
     s, s1, s2, s11, s12, s22 = (S[ab] for ab in _TERMS)

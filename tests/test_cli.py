@@ -1,6 +1,9 @@
 import dataclasses
 import filecmp
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -172,6 +175,15 @@ SYNTH = {"kind": "synth", "J": 3,
     (EMBED, "taus", [-2.0], "taus\\[0\\]: tau must be a positive finite"),
     (EMBED, "taus", [float("inf")], "taus\\[0\\]: tau must be a positive"),
     (EMBED, "taus", [float("nan")], "taus\\[0\\]: tau must be a positive"),
+    # what the tail checks reject after the analysis is rejected before it
+    (EMBED, "taus", [0.9], "taus\\[0\\]: 1/tau = 1.1111111111111112 outside "
+                           "\\[1/2, 1.0\\)"),
+    (EMBED, "taus", [1.6, 2.5], "taus\\[1\\]: 1/tau = 0.4 outside \\[1/2"),
+    (EMBED, "k", 2, "k: the basis' dual order 1 is below the derivative "
+                    "order 2"),
+    (EMBED, "s", 0.0, "s: 1/tau = 0.875 outside the admitted range"),
+    (EMBED, "p", 1.0, "s: \\(s, p, p\\) = .* is not admissible"),
+    (EMBED, "p", -2.0, "s: p must be positive"),
 ])
 def test_validation_types_numeric_params(tmp_path, base, key, value, message):
     doc = {**base, "params": {**base["params"], key: value}}
@@ -339,12 +351,35 @@ def test_weighted_order_flag_fails_before_the_solve(capsys):
     (["--tau", "1.6", "--tau=-inf"], "params.taus[1]: tau must be a "
                                  "positive finite number"),
     (["--rho", "1"], "params.rho: without taus, rho must lie in (0, k)"),
+    (["--tau", "0.9"], "params.taus[0]: 1/tau = 1.1111111111111112 outside "
+                       "[1/2, 1.0)"),
 ])
 def test_embed_check_flags_fail_before_the_analysis(capsys, flags, message):
     # these ended in a raw ZeroDivisionError or ValueError after analyze
     argv = ["embed-check", "--model", "vertex", "-J", "2", *flags]
     assert cli.main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+def test_divergent_norm_is_a_cli_error(tmp_path, capsys):
+    # rho = 0.9 lies beyond the radial threshold beta + 1 = 0.7
+    argv = ["embed-check", "--model", "vertex", "--beta=-0.3", "-J", "2",
+            "--rho", "0.9", "--output-dir", str(tmp_path)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: weighted norm diverges at vertex 0, ")
+    assert err.count("\n") == 1
+
+
+def test_import_loads_no_scipy_stats():
+    # scipy.stats costs most of a process's import time and is not needed
+    code = ("import sys, patchwave.cli; "
+            "print([m for m in sys.modules if m.startswith('scipy.stats')])")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_nterm_needs_four_positive_errors(tmp_path):

@@ -136,6 +136,18 @@ def test_partition_profile_shape(rou):
     assert np.all(np.diff(vals) <= 1e-15)
 
 
+@pytest.mark.parametrize("count", [0, 1, 7, 64, 2048, 2049])
+def test_quasi_random_points_are_scipy_halton(cube, count):
+    # the package's own Halton; only this test imports scipy.stats
+    from scipy.stats import qmc
+    halton = qmc.Halton(d=2, scramble=False)
+    halton.fast_forward(1)
+    want = halton.random(count)
+    _, params, _ = quasi_random_points(cube, count)
+    assert params.shape == want.shape
+    assert np.array_equal(params.view(np.int64), want.view(np.int64))
+
+
 def test_quasi_random_points_deterministic(cube):
     ids1, params1, pts1 = quasi_random_points(cube, 64)
     ids2, params2, pts2 = quasi_random_points(cube, 64)

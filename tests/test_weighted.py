@@ -17,7 +17,8 @@ from patchwave import (
     weighted_sobolev_norm,
 )
 from patchwave.surface import _smooth_step_derivs
-from patchwave.weighted import _sector_mesh, _step_down_derivs, _window_derivs
+from patchwave.weighted import (_TERMS, _sector_mesh, _step_down_derivs,
+                                _window_derivs)
 from test_bem import _moved_cube
 
 FAST = dict(depth=16, quad_order=4)
@@ -341,6 +342,61 @@ def test_chain_rule_tables_match_the_hand_expanded_ones(name, cube, fichera):
             assert err <= 1e-13 * scale, (n, t, ab)
             worst_edge = max(worst_edge, err / scale if scale else 0.0)
     assert worst_edge <= 1e-13
+
+
+def _shrunk_faces(surface, rou, radius, lift=0.0):
+    """_sector_faces pulled toward the apex to `radius(n)` and moved `lift`
+    along the face normal."""
+    for n, t, face, pts in _sector_faces(surface, rou):
+        normal = np.cross(face.e1, face.e2)
+        scale = radius(n) / float(rou.r1[n])
+        yield n, t, face, face.apex + (pts - face.apex) * scale + lift * normal
+
+
+@pytest.mark.parametrize("name", ["cube", "fichera"])
+def test_partition_on_the_own_plateau(name, cube, fichera):
+    surface = {"cube": cube, "fichera": fichera}[name]
+    rou = ResolutionOfUnity(surface)
+    signed = 0
+    for n in range(surface.n_vertices):
+        # a whole disc in each cone face's plane, apex included, so that
+        # d1 and d2 take both signs
+        R, PHI = np.meshgrid(np.linspace(0.0, rou.r0[n], 9),
+                             np.linspace(0.0, 2 * np.pi, 64, endpoint=False))
+        for t, face in enumerate(surface.cone_faces(n)):
+            pts = face.apex + ((R * np.cos(PHI)).reshape(-1, 1) * face.e1
+                               + (R * np.sin(PHI)).reshape(-1, 1) * face.e2)
+            got = partition_face_derivs(rou, n, t, pts, face.e1, face.e2)
+            _same_bits(got, _partition_face_derivs_oracle(rou, n, pts,
+                                                          face.e1, face.e2))
+            assert (got[(0, 0)] == 1.0).all()
+            assert all((got[ab] == 0.0).all() for ab in _TERMS[1:])
+            signed += int(np.signbit(got[(1, 0)]).sum())
+    assert signed > 0           # the -0.0 of a flat bump times d1 < 0
+
+
+@pytest.mark.parametrize("name", ["cube", "fichera"])
+def test_partition_with_no_other_bump_in_reach(name, cube, fichera):
+    surface = {"cube": cube, "fichera": fichera}[name]
+    rou = ResolutionOfUnity(surface)
+    for n, t, face, pts in _shrunk_faces(surface, rou,
+                                         lambda n: 0.3 * rou.r1[n]):
+        d = np.linalg.norm(pts[:, None, :] - surface.vertices[None], axis=-1)
+        others = np.delete(d - rou.r1, n, axis=1)
+        assert (others > 0).all() and (d[:, n] > rou.r0[n]).any()
+        _same_bits(partition_face_derivs(rou, n, t, pts, face.e1, face.e2),
+                   _partition_face_derivs_oracle(rou, n, pts, face.e1,
+                                                 face.e2))
+
+
+@pytest.mark.parametrize("lift", [-0.4, 0.4])
+def test_partition_off_the_face_plane(cube, rou, lift):
+    # bumps of vertices above or below the face reach lifted points
+    for n, t, face, pts in _shrunk_faces(cube, rou, lambda n: 0.5 * rou.r1[n],
+                                         lift):
+        _same_bits(partition_face_derivs(rou, n, t, pts, face.e1, face.e2),
+                   _partition_face_derivs_oracle(rou, n, pts, face.e1,
+                                                 face.e2))
 
 
 # -- every model's table against central differences of its values -----------
