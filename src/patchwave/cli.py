@@ -25,8 +25,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .surface import (PolyhedralSurface, ResolutionOfUnity, fichera_corner,
-                      load_surface, unit_cube)
+from .surface import (PolyhedralSurface, ResolutionOfUnity, SurfaceError,
+                      fichera_corner, load_surface, unit_cube)
 from .wavelets import BasisSpec, analyze, level_size, load_field, save_field
 from .spaces import BesovSpec, admissible, besov_norm, embedding_predicate, seq_norm
 from .weighted import (ConstantModel, EdgePowerModel, VertexPowerModel,
@@ -500,6 +500,8 @@ def _surface_from(config: ExperimentConfig) -> PolyhedralSurface:
         return load_surface(builtin() if builtin else config.surface)
     except OSError as exc:
         config.check.fail(("surface",), f"cannot read: {exc}")
+    except SurfaceError as exc:
+        config.check.fail(("surface",), str(exc))
 
 
 def _basis_from(config: ExperimentConfig) -> BasisSpec:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -109,6 +110,27 @@ class Patch:
         dt = self.coeff_c + self.coeff_d * s[..., None]
         return np.linalg.norm(np.cross(ds, dt), axis=-1)
 
+    def _ball_box(self, center, r):
+        """Parameter box ((s0, s1), (t0, t1)) holding every (s, t) in the unit
+        square whose chart point lies within r of `center`; margins absorb
+        rounding, so it never cuts into the ball.
+
+        On the unit square the bilinear term d s t moves a point by at most
+        |d|, so the affine part a + M (s, t) comes within R = r + |d|. That
+        is, in the patch plane at distance p, a disc about the foot st0 (none
+        if p >= R) with box st0 +- sqrt(R^2 - p^2) sqrt(diag((M^T M)^-1)).
+        """
+        M = np.column_stack([self.coeff_b, self.coeff_c])
+        G = np.linalg.inv(M.T @ M)
+        off = np.asarray(center, dtype=float) - self.coeff_a
+        st0 = G @ (M.T @ off)
+        R = (r + np.linalg.norm(self.coeff_d)) * (1.0 + 1e-6)
+        p = abs(float(off @ self.normal))
+        if p >= R:
+            return ((np.inf, np.inf), (np.inf, np.inf))
+        half = np.sqrt(R * R - p * p) * np.sqrt(np.diag(G)) + 1e-6 * np.abs(st0)
+        return tuple(zip(st0 - half, st0 + half))
+
     def chart_inverse(self, x, tol=1e-13, maxit=40):
         """Invert the chart for a point known to lie on the patch plane."""
         x = np.asarray(x, dtype=float)
@@ -159,13 +181,26 @@ class PolyhedralSurface:
     """Immutable closed surface made of planar convex quadrilateral patches."""
 
     def __init__(self, vertices, patches, constants=None):
-        self.vertices = np.asarray(vertices, dtype=float)
+        try:
+            self.vertices = np.asarray(vertices, dtype=float)
+        except (TypeError, ValueError):
+            raise SurfaceError("vertices must be an (N, 3) array of numbers") from None
         self.vertices.flags.writeable = False
-        if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
+        if self.vertices.ndim != 2 or self.vertices.shape[1] != 3 or not len(self.vertices):
             raise SurfaceError("vertices must be an (N, 3) array")
-        if not np.all(np.isfinite(self.vertices)):
-            raise SurfaceError("vertex coordinates must be finite")
+        if not np.all(np.abs(self.vertices) < 1e150):     # tolerances square the extent
+            raise SurfaceError("vertex coordinates must be finite and below 1e150")
+        if not isinstance(patches, (list, tuple, np.ndarray)) or not len(patches):
+            raise SurfaceError("patches must be a non-empty list of [v0, v1, v2, v3]")
+        for i, q in enumerate(patches):
+            if not isinstance(q, (list, tuple, np.ndarray)) or any(
+                    isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in q):
+                raise SurfaceError(f"patch {i}: vertex ids must be integers, got {q!r}")
         quads = [tuple(int(v) for v in q) for q in patches]
+        if constants is not None and not (isinstance(constants, dict) and all(
+                isinstance(c, numbers.Real) and not isinstance(c, bool)
+                for c in constants.values())):
+            raise SurfaceError("constants must map names to numbers")
         self._scale = float(np.max(np.ptp(self.vertices, axis=0)))
         self.patches = [self._build_patch(i, q) for i, q in enumerate(quads)]
         self.constants = dict(constants or {})

@@ -276,18 +276,28 @@ def _value_matrices(basis: BasisSpec, subcells: int):
     return nodes, S, W
 
 
-def _sample(sampler, patch, S, T):
-    if hasattr(sampler, "eval_params"):
-        return np.asarray(sampler.eval_params(patch.index, S, T))
-    pts = patch.chart(S.ravel(), T.ravel())
-    return np.asarray(sampler(pts)).reshape(S.shape)
+def _sample(sampler, patch, xs, ys):
+    """The sampler on the tensor grid xs x ys of one patch: (len(xs), len(ys)).
 
-
-def _grid(nodes_per_cell, j):
-    cells = 1 << j
-    x1d = ((np.arange(cells)[:, None] + nodes_per_cell[None, :]) / cells).ravel()
-    S, T = np.meshgrid(x1d, x1d, indexing="ij")
-    return x1d, S, T
+    A model with a support ball ``_support = (center, r)``, beyond which it is
+    exactly +0.0, is charted and evaluated only on the sub-grid in the ball's
+    parameter box, bit for bit as on the full grid; None if that is empty.
+    Other samplers see the full meshgrid.
+    """
+    support = getattr(sampler, "_support", None)
+    if support is None:
+        S, T = np.meshgrid(xs, ys, indexing="ij")
+        if hasattr(sampler, "eval_params"):
+            return np.asarray(sampler.eval_params(patch.index, S, T))
+        return np.asarray(sampler(patch.chart(S.ravel(), T.ravel()))).reshape(S.shape)
+    (s0, s1), (t0, t1) = patch._ball_box(*support)
+    i0, i1 = np.searchsorted(xs, (s0, s1))
+    j0, j1 = np.searchsorted(ys, (t0, t1))
+    if i0 == i1 or j0 == j1:
+        return None
+    out = np.zeros((len(xs), len(ys)))
+    out[i0:i1, j0:j1] = sampler(patch.chart(xs[i0:i1, None], ys[None, j0:j1]))
+    return out
 
 
 def analyze(surface: PolyhedralSurface, sampler, basis: BasisSpec, J: int,
@@ -307,9 +317,9 @@ def analyze(surface: PolyhedralSurface, sampler, basis: BasisSpec, J: int,
         for j in range(basis.j_star, J + 1):
             jobs.append((patch, j))
 
-    # probe dtype cheaply
+    # probe dtype cheaply (None: a model with a support ball, which is real)
     probe = _sample(sampler, surface.patches[0],
-                    np.array([[0.21]]), np.array([[0.37]]))
+                    np.array([0.21]), np.array([0.37]))
     dtype = np.complex128 if np.iscomplexobj(probe) else np.float64
 
     coarse, levels = _zero_arrays(basis, surface.n_patches, J, dtype)
@@ -322,17 +332,18 @@ def analyze(surface: PolyhedralSurface, sampler, basis: BasisSpec, J: int,
             lev, kind = j, "wavelet"
         sub = 1 << max(0, max(lev + (kind == "wavelet"), min_cell_level) - lev)
         nodes, Smat, Wmat = _value_matrices(basis, sub)
-        x1d, _, _ = _grid(nodes, lev)
         cells = 1 << lev
+        x1d = ((np.arange(cells)[:, None] + nodes[None, :]) / cells).ravel()
         npc = len(nodes)
         scale = 0.5 ** lev  # 2^{-lev/2} per direction: cell width times L2 normalization
         # chunk rows of parent cells to bound the sampled grid size
         chunk = max(1, min(cells, 4_000_000 // (npc * cells * npc)))
         for c0 in range(0, cells, chunk):
             c1 = min(cells, c0 + chunk)
-            xs = x1d[c0 * npc:c1 * npc]
-            S, T = np.meshgrid(xs, x1d, indexing="ij")
-            U4 = _sample(sampler, patch, S, T).reshape(c1 - c0, npc, cells, npc)
+            U = _sample(sampler, patch, x1d[c0 * npc:c1 * npc], x1d)
+            if U is None:       # the rows miss the support: coefficients stay +0.0
+                continue
+            U4 = U.reshape(c1 - c0, npc, cells, npc)
             if kind == "coarse":
                 coarse[patch.index, c0:c1] = (
                     np.einsum("ma,nb,kalb->klmn", Smat, Smat, U4) * scale)

@@ -211,7 +211,10 @@ class VertexPowerModel(_FaceHandleBase):
         self.vertex = self._vertex_id("vertex", vertex)
         self.beta = float(beta)
         self.cut0, self.cut1 = float(cut[0]), float(cut[1])
+        if not self.cut0 < self.cut1:
+            raise ValueError(f"cut must satisfy cut0 < cut1, got {cut!r}")
         self.center = surface.vertices[vertex]
+        self._support = (self.center, self.cut1)    # +0.0 beyond it
 
     def _G(self, d):
         b = self.beta
@@ -252,12 +255,17 @@ class EdgePowerModel(_FaceHandleBase):
         self.direction = direction / np.linalg.norm(direction)
         self.band = (float(band[0]), float(band[1]))
         self.width = float(width)
+        if not (self.band[0] < self.band[1] and self.width > 0.0):
+            raise ValueError(f"need band[0] < band[1] and width > 0, got {band}, {width}")
+        self._support = (self.a, self.band[1])      # the annulus is 0 beyond it
 
     def __call__(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         w = pts - self.a
-        along = w @ self.direction
-        dl = np.linalg.norm(w - along[:, None] * self.direction, axis=-1)
+        # elementwise, not `w @ direction`: BLAS rounds a one-row block
+        # differently, and `analyze` calls this on sub-grids of any shape
+        along = (w * self.direction).sum(-1)
+        dl = np.linalg.norm(w - along[..., None] * self.direction, axis=-1)
         dv = np.linalg.norm(w, axis=-1)
         lo, hi = self.band
         ann = (_smooth_step((dv - lo) / self.width)
@@ -533,16 +541,21 @@ def weighted_sobolev_norm(handle, surface: PolyhedralSurface,
     layers, divergent ones never do.
     """
     def run(job):
+        n, t = job
+        patch = surface.cone_faces(n)[t].patch
         cart, R, PHI, q, shells = _face_table(handle, surface, resolution,
-                                              spec.k, *job, depth, quad_order)
+                                              spec.k, n, t, depth, quad_order)
         pol = _polar_derivs(cart, R, PHI, upto=spec.k)
-        sums = {(0, 0): shells(np.abs(pol[(0, 0)]) ** 2)}
-        for br, bp in spec.derivative_terms():
-            W = (R ** (br - spec.rho) * (1.0 + R) ** spec.rho
-                 * q ** (br + bp - spec.rho))
-            sums[(br, bp)] = shells(np.abs(W * pol[(br, bp)]) ** 2)
-        return job, sums
+        values = {}
+        for br, bp in [(0, 0)] + spec.derivative_terms():
+            W = 1.0 if br + bp == 0 else (R ** (br - spec.rho) * (1.0 + R) ** spec.rho
+                                          * q ** (br + bp - spec.rho))
+            values[(br, bp)] = _converged(shells(np.abs(W * pol[(br, bp)]) ** 2),
+                                          n, patch, (br, bp))
+        return job, values
 
+    # a divergent term raises inside its job, so a serial run stops at the
+    # first divergent face, and either map raises the first one in job order
     jobs = [(n, t) for n in range(surface.n_vertices)
             for t in range(len(surface.cone_faces(n)))]
     if workers > 1:
@@ -555,9 +568,8 @@ def weighted_sobolev_norm(handle, surface: PolyhedralSurface,
     total = 0.0
     for n in range(surface.n_vertices):
         l2_sq = 0.0
-        for t, face in enumerate(surface.cone_faces(n)):
-            for term, sums in results[(n, t)].items():
-                value = _converged(sums, n, face.patch, term)
+        for t in range(len(surface.cone_faces(n))):
+            for term, value in results[(n, t)].items():
                 report[(n, t, term)] = value
                 if term == (0, 0):
                     l2_sq += value

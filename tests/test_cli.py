@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from patchwave import cli
+from patchwave import cli, unit_cube
 from patchwave.cli import (
     ConfigError,
     ExperimentConfig,
@@ -283,6 +283,28 @@ def test_missing_inputs_fail_cleanly(tmp_path, monkeypatch, capsys, doc,
     assert cli.main([doc["kind"], "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}:{line}: {where}: {message}")
+
+
+@pytest.mark.parametrize("vertex, message", [
+    ([1.0, 1.0, 1.5], "patch 1: non-planar quadrilateral"),
+    ([1.0, 1.0], "vertices must be an (N, 3) array of numbers"),
+])
+def test_bad_surface_file_is_a_config_error(tmp_path, capsys, vertex, message):
+    # a SurfaceError used to end in a traceback with exit status 1
+    desc = unit_cube()
+    desc["vertices"][6] = vertex
+    surface = _write(tmp_path, "bad.json", desc)
+    path = _write(tmp_path, "exp.json", {**BASE, "surface": str(surface)})
+    line = next(i for i, ln in enumerate(path.read_text().splitlines(), 1)
+                if '"surface"' in ln)
+    assert cli.main(["norms", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {path}:{line}: surface: {message}")
+    argv = ["norms", "--surface", str(surface), "-J", "2", "--space", "1,2,2",
+            "--synth", "random_besov", "--synth-spec", "1,2,2",
+            "--output-dir", str(tmp_path)]
+    assert cli.main(argv) == 2
+    assert f"surface: {message}" in capsys.readouterr().err
 
 
 def test_main_reports_errors_and_exit_code(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from patchwave import (
     SurfaceError,
@@ -174,3 +175,57 @@ def test_load_rejects_out_of_range_vertex_id(vid):
     desc["patches"][1] = [4, 5, vid, 7]
     with pytest.raises(SurfaceError, match=f"patch 1: vertex id {vid}"):
         load_surface(desc)
+
+
+def _patched(**fields):
+    return {**unit_cube(), **fields}
+
+
+def _patch0(*ids):
+    return _patched(patches=[list(ids)] + unit_cube()["patches"][1:])
+
+
+@pytest.mark.parametrize("desc, message", [
+    (_patched(vertices=[[0, 0, 0], [1, 0]]), "vertices must be an"),
+    (_patched(vertices=[["a", 0, 0]]), "vertices must be an"),
+    (_patched(vertices=[[0, 0, 1e200]] * 8), "vertex coordinates must be"),
+    (_patched(patches=None), "patches must be a non-empty list"),
+    (_patched(patches=[]), "patches must be a non-empty list"),
+    (_patched(patches=[5] + unit_cube()["patches"][1:]),
+     "patch 0: vertex ids must be integers, got 5"),
+    (_patched(constants=[1, 2]), "constants must map names to numbers"),
+    (_patched(constants={"C1": "0.1"}), "constants must map names to numbers"),
+    (_patch0(0, 3, 2, "x"), "patch 0: .* got \\[0, 3, 2, 'x'\\]"),
+    (_patch0(0, 3, 2, 1.5), "patch 0: .* got \\[0, 3, 2, 1.5\\]"),
+    (_patch0(0, 3, 2, True), "patch 0: .* got \\[0, 3, 2, True\\]"),
+])
+def test_load_rejects_malformed_fields(desc, message):
+    # these used to raise a raw ValueError or TypeError, or (1.5, true) to
+    # be read as vertex 1
+    with pytest.raises(SurfaceError, match=message):
+        load_surface(desc)
+
+
+_JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 30), st.floats(),
+                  st.text(max_size=2), st.lists(st.integers(-1, 9), max_size=4),
+                  st.dictionaries(st.text(max_size=2), st.floats(), max_size=2))
+
+
+@settings(max_examples=200)
+@given(name=st.sampled_from(["cube", "fichera"]), data=st.data())
+def test_fuzzed_descriptions_raise_only_surface_errors(name, data):
+    desc = unit_cube() if name == "cube" else fichera_corner()
+    for _ in range(data.draw(st.integers(1, 3))):
+        # replace a whole field, one of its rows, or one entry of a row
+        parent = desc
+        key = data.draw(st.sampled_from(["vertices", "patches", "constants"]))
+        for _ in range(data.draw(st.integers(0, 2))):
+            child = parent.get(key) if isinstance(parent, dict) else parent[key]
+            if not isinstance(child, list) or not child:
+                break
+            parent, key = child, data.draw(st.integers(0, len(child) - 1))
+        parent[key] = data.draw(_JUNK)
+    try:
+        load_surface(desc)
+    except SurfaceError:
+        pass

@@ -6,6 +6,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from patchwave import (
     BasisSpec,
+    EdgePowerModel,
+    VertexPowerModel,
     WaveletIndex,
     analyze,
     basis_inner_product,
@@ -28,6 +30,7 @@ from patchwave import (
     synthesize_params,
     unit_cube,
 )
+from patchwave import bem
 from patchwave._gauss import unit_rule
 from patchwave.wavelets import family_for
 from test_bem import _moved_cube
@@ -110,6 +113,101 @@ def test_analyze_workers_match(cube, haar):
     assert np.array_equal(a1.coarse, a4.coarse)
     for j in a1.level_range():
         assert np.array_equal(a1.level(j), a4.level(j))
+
+
+def _frustum():
+    """A square frustum: its four sides are planar trapezoids, whose charts
+    have a bilinear term."""
+    desc = unit_cube()
+    desc["vertices"] = [[0, 0, 0], [2, 0, 0], [2, 2, 0], [0, 2, 0],
+                        [0.5, 0.5, 1], [1.5, 0.5, 1], [1.5, 1.5, 1], [0.5, 1.5, 1]]
+    return load_surface(desc)
+
+
+def _bitwise_equal(a, b):
+    return np.array_equal(a.coarse.view(np.int64), b.coarse.view(np.int64)) \
+        and all(np.array_equal(a.level(j).view(np.int64), b.level(j).view(np.int64))
+                for j in a.level_range())
+
+
+@settings(max_examples=60)
+@given(name=st.sampled_from(["cube", "fichera", "moved_cube", "frustum"]),
+       order=st.sampled_from([1, 2]), edge=st.booleans(),
+       workers=st.sampled_from([1, 2]), data=st.data())
+def test_analyze_on_the_support_is_bitwise_the_full_grid(name, order, edge,
+                                                         workers, data):
+    surface = _frustum() if name == "frustum" else _SURFACES[name]
+    basis = haar_basis() if order == 1 else multiwavelet_basis()
+    h = surface.min_edge
+    frac = st.floats(0.02, 1.5)
+    if edge:
+        ids = surface.patches[data.draw(st.integers(0, surface.n_patches - 1))].corner_ids
+        k = data.draw(st.integers(0, 3))
+        lo = data.draw(frac) * h
+        model = EdgePowerModel(surface, ids[k], ids[(k + 1) % 4],
+                               data.draw(st.floats(0.1, 1.0)),
+                               band=(lo, lo + data.draw(frac) * h),
+                               width=data.draw(frac) * h / 4)
+    else:
+        cut0 = data.draw(frac) * h
+        model = VertexPowerModel(surface, data.draw(st.integers(0, surface.n_vertices - 1)),
+                                 data.draw(st.floats(-0.4, 1.5)),
+                                 cut=(cut0, cut0 + data.draw(frac) * h))
+    J = basis.j_star + data.draw(st.integers(0, 2))
+    got = analyze(surface, model, basis, J, workers=workers)
+    # a plain callable declares no support, so it takes the full-grid path
+    want = analyze(surface, lambda pts: model(pts), basis, J)
+    assert _bitwise_equal(got, want)
+
+
+@pytest.mark.parametrize("name", ["cube", "fichera", "moved_cube", "frustum"])
+def test_ball_box_never_cuts_into_the_ball(name, rng):
+    surface = _frustum() if name == "frustum" else _SURFACES[name]
+    lo, hi = surface.vertices.min(axis=0), surface.vertices.max(axis=0)
+    grid = np.linspace(0.0, 1.0, 101)
+    for patch in surface.patches:
+        pts = patch.chart(grid[:, None], grid[None, :])
+        for k in range(12):
+            r = rng.uniform(0.05, 0.8) * float(np.max(hi - lo))
+            center = rng.uniform(lo, hi)
+            if k >= 8:      # balls that just touch, or just miss, the plane
+                center = (patch.chart(*grid[rng.integers(0, 101, 2)])
+                          + patch.normal * r * (1.0 + 1e-9 * (k - 10)))
+            (s0, s1), (t0, t1) = patch._ball_box(center, r)
+            outside = ~(((grid >= s0) & (grid <= s1))[:, None]
+                        & ((grid >= t0) & (grid <= t1))[None, :])
+            assert (np.linalg.norm(pts - center, axis=-1)[outside] >= r).all()
+    if name == "frustum":
+        assert not any(bem._is_affine(p) for p in surface.patches[2:])
+
+
+def test_plain_callables_see_every_grid_point(cube, haar):
+    calls = []
+
+    def plain(pts):
+        calls.append(pts.shape)
+        return np.ones(len(pts))
+
+    J, q = 3, haar.quad_order
+    analyze(cube, plain, haar, J)
+    # the dtype probe, then the coarse grid and, per level j, the grid of
+    # two sub-cells per cell, on every patch
+    per_patch = q ** 2 + sum((2 * q << j) ** 2 for j in range(J + 1))
+    assert sum(n for n, _ in calls) == 1 + cube.n_patches * per_patch
+    assert all(shape[1:] == (3,) for shape in calls)
+
+    class CountingVertexModel(VertexPowerModel):
+        seen = 0
+
+        def __call__(self, pts):
+            self.seen += pts[..., 0].size
+            return super().__call__(pts)
+
+    model = CountingVertexModel(cube, 0, 0.6)
+    analyze(cube, model, haar, J)
+    # the probe point, then a quarter of each of the 3 faces that the ball
+    # of radius 1/2 about a corner meets
+    assert model.seen == 1 + 3 * per_patch // 4
 
 
 def test_synthesize_at_points(cube, haar):

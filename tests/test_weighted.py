@@ -16,6 +16,7 @@ from patchwave import (
     sector_q,
     weighted_sobolev_norm,
 )
+from patchwave import weighted
 from patchwave.surface import _smooth_step_derivs
 from patchwave.weighted import (_TERMS, _sector_mesh, _step_down_derivs,
                                 _window_derivs)
@@ -190,6 +191,28 @@ def test_divergence_detected(cube, rou):
         weighted_sobolev_norm(handle, cube, rou, WeightedSpec(1, 1.5),
                               depth=24, quad_order=4)
     assert err.value.vertex == 0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_divergence_stops_at_the_first_divergent_face(cube, rou, monkeypatch,
+                                                      workers):
+    # the norm of `embed-check --model vertex --beta=-0.3 --rho 0.9`: term
+    # (1, 0) of the first face diverges, and a serial run computes no other
+    faces = []
+    face_table = weighted._face_table
+
+    def counted(*args):
+        faces.append(args[4:6])
+        return face_table(*args)
+
+    monkeypatch.setattr(weighted, "_face_table", counted)
+    handle = VertexPowerModel(cube, vertex=0, beta=-0.3)
+    with pytest.raises(WeightedNormDivergence) as err:
+        weighted_sobolev_norm(handle, cube, rou, WeightedSpec(1, 0.9),
+                              workers=workers)
+    assert (err.value.vertex, err.value.patch, err.value.term) == (0, 0, (1, 0))
+    if workers == 1:
+        assert faces == [(0, 0)]
 
 
 def test_delta_weighted_norm_runs(cube, rou):
