@@ -915,7 +915,7 @@ def main(argv=None) -> int:
         else:
             config = config_from_dict(_flag_doc(args))
         return run(config)
-    except (ConfigError, WeightedNormDivergence) as exc:
+    except (ValueError, WeightedNormDivergence) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigError) else 1
 

@@ -176,6 +176,25 @@ class ConeFace:
         d = np.asarray(x, dtype=float) - self.apex
         return d @ self.e1, d @ self.e2
 
+    def _ball_radii(self, center, r):
+        """Interval (R0, R1) of sector radii |y| holding every face point
+        within r of `center`; margins absorb rounding, so it never cuts into
+        the ball. The cone-face counterpart of `Patch._ball_box`.
+
+        With the centre's projection at in-plane distance rho from the apex
+        and the centre at height h off the face plane, a point at radius R
+        lies at distance >= sqrt((R - rho)^2 + h^2): the interval is
+        rho +- sqrt(r^2 - h^2), and empty if |h| >= r.
+        """
+        off = np.asarray(center, dtype=float) - self.apex
+        rho = float(np.hypot(off @ self.e1, off @ self.e2))
+        h = abs(float(off @ self.normal))
+        r = r * (1.0 + 1e-6)
+        if h >= r:
+            return (np.inf, np.inf)
+        half = np.sqrt(r * r - h * h) + 1e-6 * rho
+        return (rho - half, rho + half)
+
 
 class PolyhedralSurface:
     """Immutable closed surface made of planar convex quadrilateral patches."""

@@ -280,8 +280,9 @@ def _sample(sampler, patch, xs, ys):
     """The sampler on the tensor grid xs x ys of one patch: (len(xs), len(ys)).
 
     A model with a support ball ``_support = (center, r)``, beyond which it is
-    exactly +0.0, is charted and evaluated only on the sub-grid in the ball's
-    parameter box, bit for bit as on the full grid; None if that is empty.
+    exactly +0.0 (the contract is stated on `weighted._FaceHandleBase`), is
+    charted and evaluated only on the sub-grid in the ball's parameter box,
+    bit for bit as on the full grid; None if that is empty.
     Other samplers see the full meshgrid.
     """
     support = getattr(sampler, "_support", None)

@@ -17,9 +17,11 @@ Function data enters through handles that evaluate in-plane Cartesian
 derivatives on each cone face; polar derivatives are produced by the chain
 rule. Every in-plane derivative table here (the models', and that of the
 partition of unity) comes from two rules: `_chain`, a 1-D profile composed
-with a point- or line-distance table, and `_leibniz`, the product rule. Models with known membership thresholds (power of the vertex distance,
-power of the edge distance) are provided for calibration: the radial model
-r^beta lies in the scale iff rho < beta + 1, the edge model iff rho < beta + 1/2.
+with a point- or line-distance table, and `_leibniz`, the product rule.
+
+Models with known membership thresholds (power of the vertex distance, power
+of the edge distance) are provided for calibration: the radial model r^beta
+lies in the scale iff rho < beta + 1, the edge model iff rho < beta + 1/2.
 """
 from __future__ import annotations
 
@@ -166,7 +168,14 @@ def _window_derivs(d, lo, hi, width):
 
 
 class _FaceHandleBase:
-    """Shared plumbing: resolve a cone face to (apex, frame) and delegate."""
+    """Shared plumbing: resolve a cone face to (apex, frame) and delegate.
+
+    A model may declare a private support ball ``_support = (center, r)``.
+    The contract: at distance >= r from the centre the model's value is
+    exactly +0.0 and every derivative of it is exactly zero.
+    `wavelets._sample` and `_face_table` rely on the contract and evaluate
+    such a model only where the ball can reach.
+    """
 
     def __init__(self, surface: PolyhedralSurface):
         self.surface = surface
@@ -279,7 +288,11 @@ class EdgePowerModel(_FaceHandleBase):
                       _line_distance(pts, e1, e2, self.a, self.direction))
         ann = _chain(lambda d: _window_derivs(d, *self.band, self.width),
                      _point_distance(pts, e1, e2, self.a))
-        return _leibniz(line, ann, upto=2)
+        # where the annulus's table is all zero, u is zero with every
+        # derivative, also at points rounded onto the line (0/0 in its table)
+        off = np.all([v == 0.0 for v in ann.values()], axis=0)
+        return {ab: np.where(off, 0.0, v)
+                for ab, v in _leibniz(line, ann, upto=2).items()}
 
 
 class AnalyticModel(_FaceHandleBase):
@@ -486,17 +499,32 @@ def _face_table(handle, surface, resolution, k, n, t, depth, order):
     coordinates R and PHI, the angle q to the nearest ray, and `shells(F)`:
     the integral of F r dr dphi per refinement shell (the larger of the two
     layer indices).
+
+    A handle with a support ball (see `_FaceHandleBase`) is evaluated only on
+    the mesh rows whose radius the ball can reach, and a face with no such
+    row calls neither the handle nor the partition. Every point left out
+    would add +0.0 to its shell, so the shell sums are bit for bit those of
+    the full mesh.
     """
     face = surface.cone_faces(n)[t]
     (rn, rw, rl), (pn, pw, pl) = _sector_mesh(float(resolution.r1[n]),
                                               face.gamma, depth, order)
+    support = getattr(handle, "_support", None)
+    if support is not None:
+        lo, hi = face._ball_radii(*support)
+        rows = (rn >= lo) & (rn <= hi)
+        rn, rw, rl = rn[rows], rw[rows], rl[rows]
     R, PHI = np.meshgrid(rn, pn, indexing="ij")
-    Y = np.stack([(R * np.cos(PHI)).ravel(), (R * np.sin(PHI)).ravel()], axis=1)
-    pts = face.apex + Y[:, :1] * face.e1 + Y[:, 1:2] * face.e2
-    ud = handle.face_derivs(n, t, Y, upto=k)
-    pd = partition_face_derivs(resolution, n, t, pts, face.e1, face.e2)
-    cart = {ab: np.asarray(v).reshape(R.shape)
-            for ab, v in _leibniz(pd, ud, upto=k).items()}
+    if len(rn):
+        Y = np.stack([(R * np.cos(PHI)).ravel(), (R * np.sin(PHI)).ravel()],
+                     axis=1)
+        pts = face.apex + Y[:, :1] * face.e1 + Y[:, 1:2] * face.e2
+        ud = handle.face_derivs(n, t, Y, upto=k)
+        pd = partition_face_derivs(resolution, n, t, pts, face.e1, face.e2)
+        cart = {ab: np.asarray(v).reshape(R.shape)
+                for ab, v in _leibniz(pd, ud, upto=k).items()}
+    else:
+        cart = {ab: np.zeros(R.shape) for ab in _TERMS if sum(ab) <= k}
     weights = np.outer(rw, pw)
     shell = np.maximum(rl[:, None], pl[None, :]).ravel()
 
@@ -514,8 +542,14 @@ _WINDOW = 5
 
 
 def _converged(shell_sums, vertex, patch, term) -> float:
-    """A term's total over all shells, or WeightedNormDivergence."""
+    """A term's total over all shells, or WeightedNormDivergence; ValueError
+    if a shell sum is not finite."""
     totals = np.cumsum(shell_sums)
+    if not np.isfinite(totals[-1]):
+        bad = np.flatnonzero(~np.isfinite(shell_sums)).tolist()
+        raise ValueError(f"weighted norm is not finite at vertex {vertex}, "
+                         f"face patch {patch}, derivative term {term}: "
+                         f"shells {bad}")
     growths = []
     for ell in range(len(shell_sums) - _WINDOW, len(shell_sums)):
         prev = totals[ell - 1] if ell >= 1 else 0.0

@@ -20,6 +20,7 @@ from patchwave.cli import (
     config_hash,
     report_schema_version,
 )
+from test_weighted import _nan_near_vertex_0
 
 
 def _write(tmp_path, name, doc):
@@ -390,6 +391,17 @@ def test_divergent_norm_is_a_cli_error(tmp_path, capsys):
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: weighted norm diverges at vertex 0, ")
+    assert err.count("\n") == 1
+
+
+def test_non_finite_norm_is_a_cli_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_model_from",
+                        lambda model, surface, chk: _nan_near_vertex_0(surface))
+    argv = ["embed-check", "--model", "vertex", "-J", "2",
+            "--output-dir", str(tmp_path)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: weighted norm is not finite at vertex 0, ")
     assert err.count("\n") == 1
 
 

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,8 +14,11 @@ from patchwave import (
     WeightedSpec,
     ResolutionOfUnity,
     delta_weighted_norm,
+    fichera_corner,
+    load_surface,
     partition_face_derivs,
     sector_q,
+    unit_cube,
     weighted_sobolev_norm,
 )
 from patchwave import weighted
@@ -230,6 +235,133 @@ def test_workers_do_not_change_the_norm(cube, rou):
     assert v1 == v4
 
 
+# -- the norm evaluates a model only where its support ball reaches -----------
+
+
+class _NoSupport:
+    """A model's face derivatives without its support ball: every mesh row."""
+
+    def __init__(self, model):
+        self.face_derivs = model.face_derivs
+
+
+def _outcome(fn, *args, **kwargs):
+    """fn's value (and report) as int64 bits, or the divergence it raises."""
+    bits = lambda x: np.float64(x).view(np.int64)
+    try:
+        result = fn(*args, **kwargs)
+    except WeightedNormDivergence as exc:
+        return exc.vertex, exc.patch, exc.term, exc.growths
+    if isinstance(result, tuple):
+        value, report = result
+        return bits(value), {key: bits(v) for key, v in report.items()}
+    return bits(result)
+
+
+@functools.cache
+def _surface_and_rou(name):
+    surface = {"cube": lambda: load_surface(unit_cube()),
+               "fichera": lambda: load_surface(fichera_corner()),
+               "moved_cube": _moved_cube}[name]()
+    return surface, ResolutionOfUnity(surface)
+
+
+@settings(max_examples=16)
+@given(name=st.sampled_from(["cube", "fichera", "moved_cube"]),
+       edge=st.booleans(), k=st.sampled_from([1, 2]),
+       workers=st.sampled_from([1, 2]), data=st.data())
+def test_the_norm_on_the_support_is_bitwise_the_full_mesh(name, edge, k,
+                                                          workers, data):
+    surface, rou = _surface_and_rou(name)
+    h = surface.min_edge
+    frac = st.floats(0.05, 1.0)
+    if edge:
+        ids = surface.patches[data.draw(st.integers(0, surface.n_patches - 1))].corner_ids
+        j = data.draw(st.integers(0, 3))
+        lo = data.draw(frac) * h / 2
+        model = EdgePowerModel(surface, ids[j], ids[(j + 1) % 4],
+                               data.draw(st.floats(0.1, 1.0)),
+                               band=(lo, lo + data.draw(frac) * h / 2),
+                               width=data.draw(frac) * h / 8)
+        vertex = ids[j]
+    else:
+        cut0 = data.draw(frac) * h / 2
+        vertex = data.draw(st.integers(0, surface.n_vertices - 1))
+        model = VertexPowerModel(surface, vertex, data.draw(st.floats(-0.4, 1.5)),
+                                 cut=(cut0, cut0 + data.draw(frac) * h / 2))
+    spec = WeightedSpec(k, 0.5)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert (_outcome(weighted_sobolev_norm, model, surface, rou, spec,
+                         workers=workers, return_report=True, **FAST)
+                == _outcome(weighted_sobolev_norm, _NoSupport(model), surface,
+                            rou, spec, return_report=True, **FAST))
+        assert (_outcome(delta_weighted_norm, model, surface, rou, spec,
+                         vertex, **FAST)
+                == _outcome(delta_weighted_norm, _NoSupport(model), surface,
+                            rou, spec, vertex, **FAST))
+
+
+def test_face_derivs_only_where_the_support_ball_reaches(cube, rou,
+                                                         monkeypatch):
+    # the ball of radius 0.5 about vertex 0 reaches its own three faces up to
+    # radius 0.5, and the six faces of its neighbours that lie in a plane
+    # through it from radius 1 - 0.5 = 0.5 on; sectors have radius 0.75
+    calls, partitions = {}, []
+    model = VertexPowerModel(cube, 0, 0.6)
+    face_derivs = model.face_derivs
+
+    def counted(n, t, Y, upto=2):
+        calls[(n, t)] = len(Y)
+        return face_derivs(n, t, Y, upto)
+
+    def partition(resolution, n, t, *args):
+        partitions.append((n, t))
+        return partition_face_derivs(resolution, n, t, *args)
+
+    model.face_derivs = counted
+    monkeypatch.setattr(weighted, "partition_face_derivs", partition)
+    weighted_sobolev_norm(model, cube, rou, WeightedSpec(1, 0.5))
+    (rn, _, _), (pn, _, _) = _sector_mesh(0.75, np.pi / 2, 32, 8)
+    own = {(0, t) for t in range(3)}
+    touched = {(n, t) for n in (1, 3, 4) for t, face in
+               enumerate(cube.cone_faces(n))
+               if abs((cube.vertices[0] - face.apex) @ face.normal) < 0.5}
+    assert len(touched) == 6 and set(calls) == own | touched
+    assert sorted(partitions) == sorted(calls)
+    inner, outer = int((rn <= 0.5).sum()), int((rn >= 0.5).sum())
+    assert (inner, outer) == (251, 5)
+    assert all(calls[face] == inner * len(pn) for face in own)
+    assert all(calls[face] == outer * len(pn) for face in touched)
+
+
+def test_edge_norm_is_finite_on_the_fichera_corner(cube, fichera):
+    # the mesh has points rounded onto the edge line near vertex 0, in the
+    # annulus's hole: the line distance's table is 0/0 there, the model's
+    # +0.0. Vertex 0 of both surfaces sees the same corner, so the norms agree
+    spec = WeightedSpec(1, 0.5)
+    value = weighted_sobolev_norm(EdgePowerModel(fichera, 0, 1, 0.6), fichera,
+                                  ResolutionOfUnity(fichera), spec, **FAST)
+    want = weighted_sobolev_norm(EdgePowerModel(cube, 0, 1, 0.6), cube,
+                                 ResolutionOfUnity(cube), spec, **FAST)
+    assert np.isfinite(value) and value == pytest.approx(want, rel=1e-12)
+
+
+def _nan_near_vertex_0(surface):
+    v = surface.vertices[0]
+    return AnalyticModel(
+        surface,
+        lambda pts: np.where(np.linalg.norm(pts - v, axis=-1) < 0.1, np.nan, 0.0),
+        lambda pts: np.zeros((len(pts), 3)))
+
+
+def test_a_nan_in_a_sector_is_a_value_error(cube, rou):
+    patch = cube.cone_faces(0)[0].patch
+    with pytest.raises(ValueError, match=f"not finite at vertex 0, face patch "
+                                         rf"{patch}, derivative term \(0, 0\)"):
+        weighted_sobolev_norm(_nan_near_vertex_0(cube), cube, rou,
+                              WeightedSpec(1, 0.5), **FAST)
+
+
 # -- the hand-expanded derivative tables, kept as oracles ---------------------
 
 
@@ -357,9 +489,10 @@ def test_chain_rule_tables_match_the_hand_expanded_ones(name, cube, fichera):
             want = _edge_plane_derivs_oracle(edge, pts, e1, e2)
         assert got.keys() == want.keys()
         for ab in want:
-            # mesh points that round onto the edge line are 0/0 in both
+            # mesh points that round onto the edge line are 0/0 in the
+            # oracle; they lie in the annulus's hole, where u is +0.0
             finite = np.isfinite(want[ab])
-            assert np.array_equal(np.isfinite(got[ab]), finite), (n, t, ab)
+            assert (got[ab][~finite] == 0.0).all(), (n, t, ab)
             err = float(np.abs(got[ab] - want[ab])[finite].max())
             scale = float(np.abs(want[ab])[finite].max())
             assert err <= 1e-13 * scale, (n, t, ab)
