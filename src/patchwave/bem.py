@@ -216,28 +216,19 @@ def _graded_cell_nodes(patch, L: int, k1: int, k2: int, feature: tuple,
                        depth: int, order: int):
     """Gauss nodes on one cell, graded toward a side or corner.
 
-    feature = ("side", axis, end) grades the coordinate `axis` toward
-    end in {0, 1}; feature = ("corner", e1, e2) grades both coordinates.
+    feature = (end1, end2) names, per coordinate, the end in {0, 1} of the
+    cell toward which it is graded, or None for a plain 2-panel split: a
+    side grades one coordinate, a corner both.
     """
     nodes, wts = unit_rule(order)
     segs = _graded_segments(depth)
-    uniform = [(0.0, 0.5), (0.5, 1.0)]
 
-    def axis_panels(graded: bool, end: int):
-        if not graded:
-            return uniform
-        if end == 0:
-            return segs
-        return [(1.0 - b, 1.0 - a) for a, b in segs]
+    def panels(end):
+        if end is None:
+            return [(0.0, 0.5), (0.5, 1.0)]
+        return segs if end == 0 else [(1.0 - b, 1.0 - a) for a, b in segs]
 
-    if feature[0] == "side":
-        _, axis, end = feature
-        pans1 = axis_panels(axis == 0, end if axis == 0 else 0)
-        pans2 = axis_panels(axis == 1, end if axis == 1 else 0)
-    else:
-        _, e1, e2 = feature
-        pans1 = axis_panels(True, e1)
-        pans2 = axis_panels(True, e2)
+    pans1, pans2 = map(panels, feature)
     h = 0.5 ** L
     S, T, W = [], [], []
     for a1, b1 in pans1:
@@ -294,15 +285,29 @@ def _near_box(pts, others, reach: float) -> np.ndarray:
     return np.nonzero((gap ** 2).sum(-1) <= reach ** 2)[0]
 
 
+def _shared_feature(shared) -> tuple:
+    """The feature of a cell that a touching cell shares, in
+    _graded_cell_nodes' form, from flags telling which of its corners
+    coincide with a corner of the other: the coordinates that all those
+    corners share are graded toward their value."""
+    # the corners in (s, t), in _cell_quads' winding
+    corners = ((0, 0), (1, 0), (1, 1), (0, 1))
+    s, t = zip(*(loc for loc, on in zip(corners, shared) if on))
+    return tuple(v[0] if len(set(v)) == 1 else None for v in (s, t))
+
+
 def _touch_candidates(quads_m, quads_n):
     """Cell-pair lists (touching, near) between two distinct patches.
 
     Cells of distinct patches can only meet along the shared patch edge or
     corner, where the dyadic grids align node-to-node, so touching pairs are
     exactly the pairs sharing a corner coordinate (to 1e-9 cell diagonals).
-    Near pairs (gap below about one cell diameter) get an upgraded
-    quadrature as a safety margin.  Centre distances are taken only between
-    the cells near the other patch, O(4^L) work; both lists are row-major.
+    Each touching pair (m, n, feature) carries the side or corner of cell m
+    it touches along, in _graded_cell_nodes' form, read from which corners
+    of m coincide with corners of n.  Near pairs (m, n) (gap below about one
+    cell diameter) get an upgraded quadrature as a safety margin.  Centre
+    distances are taken only between the cells near the other patch, O(4^L)
+    work; both lists are row-major.
     """
     diag = max(np.linalg.norm(quads_m[:, 2] - quads_m[:, 0], axis=1).max(),
                np.linalg.norm(quads_n[:, 2] - quads_n[:, 0], axis=1).max())
@@ -317,10 +322,13 @@ def _touch_candidates(quads_m, quads_n):
     mi, ni = rows[i], cols[j]
     qm = quads_m[mi]
     qn = quads_n[ni]
-    cc = ((qm[:, :, None, :] - qn[:, None, :, :]) ** 2).sum(-1).min(axis=(1, 2))
-    touch = cc < (1e-9 * diag) ** 2
+    # (pair, corner of m, corner of n): which corners coincide
+    shared = ((qm[:, :, None, :] - qn[:, None, :, :]) ** 2).sum(-1) \
+        < (1e-9 * diag) ** 2
+    touch = shared.any(axis=(1, 2))
     near = ~touch & (d2[i, j] <= (1.8 * diag) ** 2)
-    return (list(zip(mi[touch].tolist(), ni[touch].tolist())),
+    features = map(_shared_feature, shared[touch].any(axis=2).tolist())
+    return (list(zip(mi[touch].tolist(), ni[touch].tolist(), features)),
             list(zip(mi[near].tolist(), ni[near].tolist())))
 
 
@@ -348,25 +356,35 @@ def _offset_classes(V: np.ndarray, scale: float):
     return first, inv
 
 
-def _pair_classes(patch_m, patch_n, L: int):
-    """Translation classes of (test, source) cell pairs on affine patches.
+def _every_pair(c: int):
+    """One class per pair of a block, in _pair_classes' form."""
+    cell = np.arange(c * c)
+    return ((np.arange(c ** 4).reshape(c * c, c * c), cell.reshape(c, c, 1, 1),
+             cell.reshape(1, 1, c, c)), np.divmod(np.arange(c ** 4), c * c))
 
-    The Galerkin entry depends on the lattice offset between the two cells
-    only, so entries are computed once per distinct offset.  The offset of
-    cells m = (m1, m2) and n = (n1, n2) is (n1 b_n - m1 b_m) + (n2 c_n -
-    m2 c_m), a sum of two groups of c^2 = 4^L one-dimensional offsets;
-    pairing (m1, n2) with (m2, n1) instead collapses more when b_m is
-    parallel to c_n.  Each group is deduplicated, then the sums of the two
-    groups' classes (at most (2c - 1) c^2 on the cube, not c^4).  The cost
-    is O(4^L) per group plus the class sums, never the full 16^L pairs.
+
+def _pair_classes(patch_m, patch_n, L: int):
+    """Translation classes of (test, source) cell pairs.
+
+    Between affine patches the Galerkin entry depends on the lattice offset
+    between the two cells only, so entries are computed once per distinct
+    offset.  The offset of cells m = (m1, m2) and n = (n1, n2) is (n1 b_n -
+    m1 b_m) + (n2 c_n - m2 c_m), a sum of two groups of c^2 = 4^L
+    one-dimensional offsets; pairing (m1, n2) with (m2, n1) instead
+    collapses more when b_m is parallel to c_n.  Each group is deduplicated,
+    then the sums of the two groups' classes (at most (2c - 1) c^2 on the
+    cube, not c^4).  The cost is O(4^L) per group plus the class sums, never
+    the full 16^L pairs.
 
     Returns ((cls, ia, ib), (rep_m, rep_n)): pair (m1, m2, n1, n2) lies in
     class cls[ia, ib], with ia and ib broadcasting to (c, c, c, c), and each
     class's representative is its first pair in C order, as np.unique of
-    all 16^L offsets would pick it.  None when the offsets cannot be
-    separated reliably.
+    all 16^L offsets would pick it.  When a patch is bilinear, or the
+    offsets cannot be separated reliably, every pair is its own class.
     """
     c = 1 << L
+    if not (_is_affine(patch_m) and _is_affine(patch_n)):
+        return _every_pair(c)
     k = np.arange(c, dtype=float)
     bm, cm = patch_m.coeff_b, patch_m.coeff_c
     bn, cn = patch_n.coeff_b, patch_n.coeff_c
@@ -385,7 +403,7 @@ def _pair_classes(patch_m, patch_n, L: int):
                 best is None or len(A[0]) * len(B[0]) < best[0]):
             best = len(A[0]) * len(B[0]), UA[A[0]], UB[B[0]], A, B, swap
     if best is None:
-        return None
+        return _every_pair(c)
     _, RA, RB, (fa, ia), (fb, ib), swap = best
     # the first pair of an (A class, B class) combination takes m1 and the
     # A-side n from A's first pair and m2 and the B-side n from B's, since
@@ -399,7 +417,7 @@ def _pair_classes(patch_m, patch_n, L: int):
     S = (RA[:, None, :] + RB[None, :, :]).reshape(-1, 3)[order]
     classes = _offset_classes(S, scale)
     if classes is None:
-        return None
+        return _every_pair(c)
     first, inv = classes
     cls = np.empty_like(inv)
     cls[order] = inv
@@ -411,26 +429,6 @@ def _pair_classes(patch_m, patch_n, L: int):
              ib.reshape(shape_b)), (rep // cells, rep % cells))
 
 
-def _cell_feature(qm, qn) -> tuple:
-    """Locate the shared feature of a touching pair in cell m's local frame."""
-    tol = 1e-9 * float(np.linalg.norm(qm[2] - qm[0]))
-    on = [point_quad_distance(corner, qn) < tol for corner in qm]
-    # corner order (00, 10, 11, 01) in (s, t)
-    locs = [(0, 0), (1, 0), (1, 1), (0, 1)]
-    hit = [locs[i] for i in range(4) if on[i]]
-    if len(hit) >= 2:
-        (a1, a2), (b1, b2) = hit[0], hit[1]
-        if a1 == b1:
-            return ("side", 0, a1)
-        if a2 == b2:
-            return ("side", 1, a2)
-    if len(hit) == 1:
-        return ("corner", hit[0][0], hit[0][1])
-    # closest corner fallback for vertex-on-edge contact
-    dists = [point_quad_distance(corner, qn) for corner in qm]
-    return ("corner", *locs[int(np.argmin(dists))])
-
-
 def assemble(surface: PolyhedralSurface, L: int, *, quad_order: int = 4,
              grade_depth: int = 4, workers: int = 1,
              max_cells: int = 8192) -> DoubleLayerSystem:
@@ -440,10 +438,13 @@ def assemble(surface: PolyhedralSurface, L: int, *, quad_order: int = 4,
     test-cell integral uses 4x4 Gauss, upgraded to a 2x2 subdivision on
     near pairs and to grade_depth-graded panels toward the shared feature
     on touching pairs.  Every touching entry is recomputed one grading level
-    coarser, and a disagreement of more than 5% raises.
+    coarser, and a disagreement of more than 5% raises.  Each patch-pair
+    block is a table with one entry per class of _pair_classes.
     """
     if L < 1:
         raise ValueError("L must be >= 1")
+    if grade_depth < 1:
+        raise ValueError(f"grade_depth must be >= 1, got {grade_depth}")
     _orientation_check(surface)
     c = 1 << L
     cells = c * c
@@ -458,24 +459,15 @@ def assemble(surface: PolyhedralSurface, L: int, *, quad_order: int = 4,
 
     A = np.zeros((N, N))
 
-    def near_value(pm, pn, m, n):
+    def graded_value(pm, pn, m, n, feature, depth):
         k1, k2 = divmod(m, c)
         pts, wts = _graded_cell_nodes(surface.patches[pm], L, k1, k2,
-                                      ("side", 0, 0), 1, quad_order)
-        # depth-1 grading is a plain 2x2 subdivision on both axes
+                                      feature, depth, quad_order)
         return float(wts @ solid_angles(quads[pn][n:n + 1], pts)[:, 0]) / _FOUR_PI
 
-    def touching_value(pm, pn, m, n):
-        k1, k2 = divmod(m, c)
-        feat = _cell_feature(quads[pm][m], quads[pn][n])
-        patch_m = surface.patches[pm]
-        qn1 = quads[pn][n:n + 1]
-        pts, wts = _graded_cell_nodes(patch_m, L, k1, k2, feat,
-                                      grade_depth, quad_order)
-        val = float(wts @ solid_angles(qn1, pts)[:, 0]) / _FOUR_PI
-        pts2, wts2 = _graded_cell_nodes(patch_m, L, k1, k2, feat,
-                                        grade_depth - 1, quad_order)
-        val2 = float(wts2 @ solid_angles(qn1, pts2)[:, 0]) / _FOUR_PI
+    def touching_value(pm, pn, m, n, feature):
+        val = graded_value(pm, pn, m, n, feature, grade_depth)
+        val2 = graded_value(pm, pn, m, n, feature, grade_depth - 1)
         # entries scale with the cell area, and so must the floor
         floor = 1e-12 * areas[pm * cells + m]
         if abs(val - val2) > max(0.05 * abs(val), floor):
@@ -488,37 +480,30 @@ def assemble(surface: PolyhedralSurface, L: int, *, quad_order: int = 4,
         qn = quads[pn]
         P, W = gauss[pm]                      # (cells, q2, 3), (cells, q2)
         touching, near = _touch_candidates(quads[pm], qn)
-        classes = None
-        if _is_affine(surface.patches[pm]) and _is_affine(surface.patches[pn]):
-            classes = _pair_classes(surface.patches[pm], surface.patches[pn], L)
-        if classes is not None:
-            (cls, ia, ib), (rep_m, rep_n) = classes
-            ia4 = np.broadcast_to(ia, (c, c, c, c))
-            ib4 = np.broadcast_to(ib, (c, c, c, c))
-            om = _solid_angles_paired(qn[rep_n], P[rep_m])
-            entries = (W[rep_m] * om).sum(axis=1) / _FOUR_PI
-            done: set[int] = set()
-            for kind, pairs in (("near", near), ("touch", touching)):
-                for m, n in pairs:
-                    at = (m // c, m % c, n // c, n % c)
-                    cid = int(cls[ia4[at], ib4[at]])
-                    if cid in done:
-                        continue
-                    done.add(cid)
-                    entries[cid] = (near_value(pm, pn, m, n) if kind == "near"
-                                    else touching_value(pm, pn, m, n))
-            block = entries[cls][ia, ib].reshape(cells, cells)
-        else:
-            om = solid_angles(qn, P.reshape(-1, 3))
-            om = om.reshape(cells, P.shape[1], cells)
-            block = np.einsum("mq,mqn->mn", W, om) / _FOUR_PI
-            for m, n in near:
-                block[m, n] = near_value(pm, pn, m, n)
-            for m, n in touching:
-                block[m, n] = touching_value(pm, pn, m, n)
+        (cls, ia, ib), (rep_m, rep_n) = _pair_classes(
+            surface.patches[pm], surface.patches[pn], L)
+        entries = np.empty(len(rep_m))
+        step = 1024             # classes per gather of their nodes and quads
+        for lo in range(0, len(entries), step):
+            rm, rn = rep_m[lo:lo + step], rep_n[lo:lo + step]
+            om = _solid_angles_paired(qn[rn], P[rm])
+            entries[lo:lo + step] = (W[rm] * om).sum(axis=1)
+        entries /= _FOUR_PI
+        ia4 = np.broadcast_to(ia, (c, c, c, c))
+        ib4 = np.broadcast_to(ib, (c, c, c, c))
+        done: set[int] = set()
+        for m, n, feature in [(m, n, None) for m, n in near] + touching:
+            at = (m // c, m % c, n // c, n % c)
+            cid = int(cls[ia4[at], ib4[at]])
+            if cid in done:
+                continue
+            done.add(cid)
+            entries[cid] = (graded_value(pm, pn, m, n, (None, None), 1)
+                            if feature is None
+                            else touching_value(pm, pn, m, n, feature))
         rows = slice(pm * cells, (pm + 1) * cells)
         cols = slice(pn * cells, (pn + 1) * cells)
-        A[rows, cols] = block
+        A[rows, cols] = entries[cls][ia, ib].reshape(cells, cells)
 
     pairs = [(pm, pn) for pm in range(surface.n_patches)
              for pn in range(surface.n_patches) if pm != pn]
@@ -736,7 +721,8 @@ def analyze_solution(surface: PolyhedralSurface, density: np.ndarray,
 
     Targets (s_prime, 2, 2); the adaptive prediction is gamma*/2 from the
     assumed interior regularity (k, rho) and boundary smoothness s, with
-    alpha* = min(rho, k - rho, s); s is restricted to (0, 1).
+    alpha* = min(rho, k - rho, s); s is restricted to (0, 1) and rho to
+    (0, k).
     """
     if isinstance(density, SolveReport):
         density = density.density
@@ -747,6 +733,9 @@ def analyze_solution(surface: PolyhedralSurface, density: np.ndarray,
         raise ValueError("analysis level J must not exceed the grid level L")
     if not (0.0 < s < 1.0):
         raise ValueError("predictions require s in (0, 1)")
+    if not (0.0 < weighted.rho < weighted.k):
+        raise ValueError(f"predictions require rho in (0, k), got rho = "
+                         f"{weighted.rho} with k = {weighted.k}")
     field = analyze(surface, _CellDensitySampler(density), basis, J,
                     min_cell_level=L, workers=workers)
     target = BesovSpec(s_prime, 2.0, 2.0)

@@ -287,7 +287,6 @@ class PolyhedralSurface:
                 raise SurfaceError(
                     f"inconsistent orientation across edge ({a},{b}) "
                     f"between patches {uses[0][0]} and {uses[1][0]}")
-        self._edge_table = seen
 
     def _build_cones(self):
         incident: dict[int, list[tuple[int, int]]] = {}

@@ -506,6 +506,9 @@ def _face_table(handle, surface, resolution, k, n, t, depth, order):
     would add +0.0 to its shell, so the shell sums are bit for bit those of
     the full mesh.
     """
+    if depth <= _WINDOW:
+        raise ValueError(f"depth must exceed the {_WINDOW}-shell divergence "
+                         f"window, got {depth}")
     face = surface.cone_faces(n)[t]
     (rn, rw, rl), (pn, pw, pl) = _sector_mesh(float(resolution.r1[n]),
                                               face.gamma, depth, order)

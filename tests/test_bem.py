@@ -24,7 +24,7 @@ from patchwave import (
     unit_cube,
 )
 from patchwave._gauss import unit_rule
-from patchwave.surface import Patch
+from patchwave.surface import Patch, point_quad_distance
 
 
 def test_kernel_hand_values():
@@ -157,15 +157,16 @@ def test_assemble_structure(systems):
 
 
 def test_row_sums_are_cell_areas(systems):
-    system = systems[3]
     c = 1 << 3
-    sums = system.A @ np.ones(system.n_cells)
-    err = np.abs(sums - system.areas) / system.areas
     k1, k2 = np.divmod(np.arange(c * c), c)
     interior = (k1 > 0) & (k1 < c - 1) & (k2 > 0) & (k2 < c - 1)
     off_edge = np.tile(interior, 6)
-    assert float(err[off_edge].max()) < 1e-8
-    assert float(err.max()) < 1e-3
+    # the frustum's four bilinear sides give blocks of one class per pair
+    for system in (systems[3], assemble(_frustum(), 3)):
+        sums = system.A @ np.ones(system.n_cells)
+        err = np.abs(sums - system.areas) / system.areas
+        assert float(err[off_edge].max()) < 1e-8
+        assert float(err.max()) < 1e-3
 
 
 def test_refinement_consistency(systems):
@@ -192,6 +193,15 @@ def _moved_cube(s=1.0):
     desc = unit_cube()
     desc["vertices"] = ((np.array(desc["vertices"]) @ rot.T
                          + [0.5, -1.25, 2.0]) * s).tolist()
+    return load_surface(desc)
+
+
+def _frustum():
+    """A square frustum: its four sides are planar trapezoids, whose charts
+    have a bilinear term."""
+    desc = unit_cube()
+    desc["vertices"] = [[0, 0, 0], [2, 0, 0], [2, 2, 0], [0, 2, 0],
+                        [0.5, 0.5, 1], [1.5, 0.5, 1], [1.5, 1.5, 1], [0.5, 1.5, 1]]
     return load_surface(desc)
 
 
@@ -242,9 +252,18 @@ def test_verify_quadrature_fires_at_any_scale(scale, cube, monkeypatch):
 # -- the class and touch searches over all 16^L pairs, as oracles ------------
 
 
+def _every_pair_oracle(c):
+    cells = c * c
+    pair = np.arange(cells * cells)
+    return pair, (pair // cells, pair % cells)
+
+
 def _pair_classes_oracle(patch_m, patch_n, L):
-    """Translation classes from the full (4^L x 4^L, 3) offset array."""
+    """Translation classes from the full (4^L x 4^L, 3) offset array; one
+    class per pair on a bilinear patch or when the offsets do not separate."""
     c = 1 << L
+    if np.any(patch_m.coeff_d != 0.0) or np.any(patch_n.coeff_d != 0.0):
+        return _every_pair_oracle(c)
     k = np.arange(c, dtype=float)
     K1, K2 = np.meshgrid(k, k, indexing="ij")
     kk = np.stack([K1.ravel(), K2.ravel()], axis=1)
@@ -256,18 +275,40 @@ def _pair_classes_oracle(patch_m, patch_n, L):
                  patch_n.coeff_b, patch_n.coeff_c))
     q = np.round(V * (8192.0 / scale)).astype(np.int64)
     if np.any(np.abs(q) >= (1 << 20)):
-        return None
+        return _every_pair_oracle(c)
     base = 1 << 20
     key = ((q[:, 0] + base) << 42) | ((q[:, 1] + base) << 21) | (q[:, 2] + base)
     _, first, inv = np.unique(key, return_index=True, return_inverse=True)
     if float(np.abs(V - V[first][inv]).max()) > 1e-9 * scale:
-        return None
+        return _every_pair_oracle(c)
     cells = c * c
     return inv, (first // cells, first % cells)
 
 
+def _cell_feature_oracle(qm, qn) -> tuple:
+    """The shared feature of a touching pair in cell m's local frame, from
+    the corners of m lying on quad n, as per-axis grading ends."""
+    tol = 1e-9 * float(np.linalg.norm(qm[2] - qm[0]))
+    on = [point_quad_distance(corner, qn) < tol for corner in qm]
+    # corner order (00, 10, 11, 01) in (s, t)
+    locs = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    hit = [locs[i] for i in range(4) if on[i]]
+    if len(hit) >= 2:
+        (a1, a2), (b1, b2) = hit[0], hit[1]
+        if a1 == b1:
+            return (a1, None)
+        if a2 == b2:
+            return (None, a2)
+    if len(hit) == 1:
+        return hit[0]
+    # closest corner fallback for vertex-on-edge contact
+    dists = [point_quad_distance(corner, qn) for corner in qm]
+    return locs[int(np.argmin(dists))]
+
+
 def _touch_candidates_oracle(quads_m, quads_n):
-    """Touching and near lists from the full centre-distance matrix."""
+    """Touching and near lists from the full centre-distance matrix, and
+    touching features from the point-to-quad rule."""
     diag = max(np.linalg.norm(quads_m[:, 2] - quads_m[:, 0], axis=1).max(),
                np.linalg.norm(quads_n[:, 2] - quads_n[:, 0], axis=1).max())
     cm = quads_m.mean(axis=1)
@@ -281,18 +322,14 @@ def _touch_candidates_oracle(quads_m, quads_n):
     cc = ((qm[:, :, None, :] - qn[:, None, :, :]) ** 2).sum(-1).min(axis=(1, 2))
     touch = cc < 1e-18
     near = ~touch & (d2[mi, ni] <= (1.8 * diag) ** 2)
-    return (list(zip(mi[touch].tolist(), ni[touch].tolist())),
+    return ([(m, n, _cell_feature_oracle(quads_m[m], quads_n[n]))
+             for m, n in zip(mi[touch].tolist(), ni[touch].tolist())],
             list(zip(mi[near].tolist(), ni[near].tolist())))
 
 
 def _assert_same_classes(patch_m, patch_n, L):
-    want = _pair_classes_oracle(patch_m, patch_n, L)
-    got = bem._pair_classes(patch_m, patch_n, L)
-    assert (got is None) == (want is None)
-    if want is None:
-        return
-    inv, (rep_m, rep_n) = want
-    (cls, ia, ib), (new_m, new_n) = got
+    inv, (rep_m, rep_n) = _pair_classes_oracle(patch_m, patch_n, L)
+    (cls, ia, ib), (new_m, new_n) = bem._pair_classes(patch_m, patch_n, L)
     new_inv = cls[ia, ib].ravel()
     assert len(new_m) == len(rep_m)
     # the representative of every pair's class: same partition, same reps
@@ -300,15 +337,23 @@ def _assert_same_classes(patch_m, patch_n, L):
     assert np.array_equal(new_n[new_inv], rep_n[inv])
 
 
-def _assert_same_touch_lists(quads_m, quads_n):
-    assert bem._touch_candidates(quads_m, quads_n) == \
-        _touch_candidates_oracle(quads_m, quads_n)
+def _assert_same_touch_lists(quads_m, quads_n, features=True):
+    (touching, near), (want_touching, want_near) = (
+        bem._touch_candidates(quads_m, quads_n),
+        _touch_candidates_oracle(quads_m, quads_n))
+    assert near == want_near
+    if not features:
+        touching = [(m, n) for m, n, _ in touching]
+        want_touching = [(m, n) for m, n, _ in want_touching]
+    assert touching == want_touching
 
 
 @pytest.mark.parametrize("name, L", [("cube", 1), ("cube", 2), ("cube", 3),
-                                     ("cube", 4), ("fichera", 2), ("moved", 3)])
+                                     ("cube", 4), ("fichera", 2), ("moved", 3),
+                                     ("frustum", 2)])
 def test_pair_classes_and_touch_lists_match_oracles(name, L, cube, fichera):
-    surface = {"cube": cube, "fichera": fichera}.get(name) or _moved_cube()
+    surface = {"cube": cube, "fichera": fichera, "frustum": _frustum()}.get(
+        name) or _moved_cube()
     quads = {p.index: bem._cell_quads(p, L) for p in surface.patches}
     for pm in surface.patches:
         for pn in surface.patches:
@@ -354,16 +399,15 @@ def test_pair_classes_and_touch_lists_match_oracles_on_parallelograms(
     patch_m = _Parallelogram(np.zeros(3), bm, cm)
     patch_n = _Parallelogram(an, bn, cn)
     _assert_same_classes(patch_m, patch_n, L)
+    # overlapping parallelograms are no surface: corners of one cell may lie
+    # on the other cell off its corners, so only the pairs are compared
     _assert_same_touch_lists(bem._cell_quads(patch_m, L),
-                             bem._cell_quads(patch_n, L))
+                             bem._cell_quads(patch_n, L), features=False)
 
 
 def _oracle_classes(patch_m, patch_n, L):
     """The oracle's classes in _pair_classes' (cls, ia, ib) form."""
-    classes = _pair_classes_oracle(patch_m, patch_n, L)
-    if classes is None:
-        return None
-    inv, reps = classes
+    inv, reps = _pair_classes_oracle(patch_m, patch_n, L)
     c = 1 << L
     cell = np.arange(c * c).reshape(c, c)
     return (inv.reshape(c * c, c * c), cell[:, :, None, None],
@@ -385,6 +429,10 @@ def test_assemble_guards(cube):
         assemble(cube, 0)
     with pytest.raises(MemoryError):
         assemble(cube, 5, max_cells=1000)
+    # at 0 the coarser check grading had no panels, and numpy failed with
+    # "need at least one array to concatenate"
+    with pytest.raises(ValueError, match="grade_depth must be >= 1"):
+        assemble(cube, 1, grade_depth=0)
     flipped = unit_cube()
     flipped["patches"] = [list(q)[::-1] for q in flipped["patches"]]
     inward = load_surface(flipped)
@@ -473,6 +521,10 @@ def test_analyze_solution_validation(cube, systems, haar):
         analyze_solution(cube, report, haar, 3, WeightedSpec(1, 0.5))  # J > L
     with pytest.raises(ValueError):
         analyze_solution(cube, report, haar, 2, WeightedSpec(1, 0.5), s=1.0)
+    # rho = 2 ended in a ZeroDivisionError, rho = 1.5 wrote alpha* = -0.5
+    for k, rho in [(1, 0.0), (1, 1.0), (1, 1.5), (1, 2.0), (2, 3.0)]:
+        with pytest.raises(ValueError, match="rho in \\(0, k\\)"):
+            analyze_solution(cube, report, haar, 2, WeightedSpec(k, rho))
 
 
 def test_solve_rejects_zero_diagonal(systems):

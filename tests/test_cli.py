@@ -185,6 +185,10 @@ SYNTH = {"kind": "synth", "J": 3,
     (EMBED, "s", 0.0, "s: 1/tau = 0.875 outside the admitted range"),
     (EMBED, "p", 1.0, "s: \\(s, p, p\\) = .* is not admissible"),
     (EMBED, "p", -2.0, "s: p must be positive"),
+    # the prediction and the interior tail exponent need min(rho, k - rho) > 0
+    (BEM, "rho", 2.0, "rho: with J, rho must lie in \\(0, k\\)"),
+    (BEM, "rho", 1.5, "rho: with J, rho must lie in \\(0, k\\)"),
+    (BEM, "rho", 0, "rho: with J, rho must lie in \\(0, k\\)"),
 ])
 def test_validation_types_numeric_params(tmp_path, base, key, value, message):
     doc = {**base, "params": {**base["params"], key: value}}
@@ -220,6 +224,55 @@ def test_config_fuzz_raises_only_config_errors(kind, data, value):
         config_from_dict({**doc, "params": {**doc["params"], key: value}})
     except ConfigError:
         pass
+
+
+# well-typed values of every param: valid ones, and ones that only a
+# cross-field check or the run itself can reject
+_RUN_POOL = {
+    "synth": [{"kind": "random_besov", "spec": [1.0, 2.0, 2.0]},
+              {"kind": "lacunary", "alpha": 1.0},
+              {"kind": "suffix_saturator", "gamma": 1.0,
+               "spec": [0.5, 2.0, 2.0]},
+              {"kind": "extremal_a_star", "alpha": 1.0, "level": 1}],
+    "field": ["missing.npz"],
+    "n_lo": [1, 16, 64], "n_hi": [8, 16, 1 << 14],
+    "predicted": [0.5, -1.0, 0.0],
+    "source_space": [[1.0, 2.0, 2.0], [0.5, 1.0, 1.0], [-1.0, 2.0, 2.0]],
+    "model": [{"kind": "vertex", "beta": 0.6},
+              {"kind": "vertex", "beta": -0.3, "vertex": 7},
+              {"kind": "vertex", "beta": 0.6, "vertex": 8},
+              {"kind": "edge", "beta": 0.6},
+              {"kind": "edge", "beta": 0.6, "v0": 0, "v1": 6},
+              {"kind": "constant", "value": 2.0}],
+    "taus": [[1.6], [0.9], [1.2, 1.9]],
+    "k": [1, 2], "rho": [0.0, 0.5, 0.9, 1.5, 2.0, 3.0],
+    "s": [0.0, 0.25, 0.75, 1.0, 1.5], "p": [1.0, 2.0, 4.0],
+    "rhs": [["constant"], ["harmonic:linear", "2"],
+            ["harmonic:pole", "2", "2", "2"],
+            ["harmonic:pole", "0.5", "0.5", "0.5"]],
+    "count": [1, 3, 6], "edge": [0.25, 1.0, 0.0, -1.0],
+    "corner": [[0.3, 0.4], [-1.0, 5.0]],
+    "funcs": [["exp"], ["rational", "sinxy"]],
+}
+
+
+@settings(max_examples=50)
+@given(kind=st.sampled_from(sorted(_MINIMAL)), data=st.data())
+def test_run_fuzz_exits_with_a_status(tmp_path_factory, kind, data):
+    """Runs of well-typed configs either work or fail with the package's
+    own error, exit status 0, 1 or 2, and never raise."""
+    doc, keys = _MINIMAL[kind]
+    doc = {**doc, "J": data.draw(st.integers(0, 2))} if "J" in doc else doc
+    if kind == "bem-solve":
+        doc = {**doc, "L": 1}
+    params = dict(doc["params"])
+    for key in data.draw(st.lists(st.sampled_from(keys), min_size=1,
+                                  max_size=2, unique=True)):
+        params[key] = data.draw(st.sampled_from(_RUN_POOL[key]))
+    out = tmp_path_factory.mktemp("run")
+    path = _write(out, "run.json", {**doc, "params": params})
+    argv = [kind, "--config", str(path), "--output-dir", str(out)]
+    assert cli.main(argv) in (0, 1, 2)
 
 
 @pytest.mark.parametrize("synth, missing", [

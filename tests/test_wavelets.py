@@ -33,7 +33,7 @@ from patchwave import (
 from patchwave import bem
 from patchwave._gauss import unit_rule
 from patchwave.wavelets import family_for
-from test_bem import _moved_cube
+from test_bem import _frustum, _moved_cube
 
 
 class _FieldSampler:
@@ -113,15 +113,6 @@ def test_analyze_workers_match(cube, haar):
     assert np.array_equal(a1.coarse, a4.coarse)
     for j in a1.level_range():
         assert np.array_equal(a1.level(j), a4.level(j))
-
-
-def _frustum():
-    """A square frustum: its four sides are planar trapezoids, whose charts
-    have a bilinear term."""
-    desc = unit_cube()
-    desc["vertices"] = [[0, 0, 0], [2, 0, 0], [2, 2, 0], [0, 2, 0],
-                        [0.5, 0.5, 1], [1.5, 0.5, 1], [1.5, 1.5, 1], [0.5, 1.5, 1]]
-    return load_surface(desc)
 
 
 def _bitwise_equal(a, b):

@@ -220,6 +220,20 @@ def test_divergence_stops_at_the_first_divergent_face(cube, rou, monkeypatch,
         assert faces == [(0, 0)]
 
 
+@pytest.mark.parametrize("depth", [0, 3, 5])
+def test_depth_must_exceed_the_divergence_window(cube, rou, depth):
+    # the test reads the deepest 5 shells, so at depth 5 this divergent norm
+    # returned 10.77 (depth 6 raises), and at depth 0 numpy failed
+    handle = VertexPowerModel(cube, vertex=0, beta=-0.3)
+    spec = WeightedSpec(1, 0.9)
+    with pytest.raises(ValueError, match="depth must exceed the 5-shell"):
+        weighted_sobolev_norm(handle, cube, rou, spec, depth=depth)
+    with pytest.raises(ValueError, match="depth must exceed the 5-shell"):
+        delta_weighted_norm(handle, cube, rou, spec, 0, depth=depth)
+    with pytest.raises(WeightedNormDivergence):
+        weighted_sobolev_norm(handle, cube, rou, spec, depth=6, quad_order=4)
+
+
 def test_delta_weighted_norm_runs(cube, rou):
     handle = ConstantModel(cube, 1.0)
     value = delta_weighted_norm(handle, cube, rou, WeightedSpec(1, 0.5), 0,
