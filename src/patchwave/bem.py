@@ -24,11 +24,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.lapack import dgecon
 
 from ._gauss import unit_rule
-from .surface import PolyhedralSurface, SurfaceError, point_quad_distance
+from .surface import PolyhedralSurface, SurfaceError, points_quad_distance
 from .spaces import BesovSpec
 from .wavelets import BasisSpec, CoefficientField, analyze
 from .weighted import WeightedSpec
@@ -621,6 +619,8 @@ def solve(system: DoubleLayerSystem, g, quad_order: int = 4,
             raise RuntimeError(f"GMRES did not converge (info={info})")
         cond = math.nan
     else:
+        from scipy.linalg import lu_factor, lu_solve
+        from scipy.linalg.lapack import dgecon
         lu, piv = lu_factor(system.A)
         if np.any(np.abs(np.diag(lu)) == 0.0):
             raise RuntimeError("singular Galerkin matrix: discretization bug")
@@ -661,11 +661,11 @@ def potential_eval(surface: PolyhedralSurface, density: np.ndarray, y):
     Y = np.atleast_2d(y)
     edge = max(float(np.linalg.norm(v) + np.linalg.norm(p.coeff_d))
                for p in surface.patches for v in (p.coeff_b, p.coeff_c))
-    for pt in Y:
-        d = min(point_quad_distance(pt, p.corners) for p in surface.patches)
-        if d <= edge * 0.5 ** L:
-            raise ValueError(f"evaluation point {pt} within one cell size "
-                             "of the surface")
+    d = np.min([points_quad_distance(Y, p.corners) for p in surface.patches], axis=0)
+    refused = np.flatnonzero(d <= edge * 0.5 ** L)
+    if refused.size:
+        raise ValueError(f"evaluation point {Y[refused[0]]} within one cell size "
+                         "of the surface")
     out = np.zeros(len(Y))
     for p in surface.patches:
         om = solid_angles(_cell_quads(p, L), Y)

@@ -438,9 +438,11 @@ def config_from_dict(doc: dict, *, text: str | None = None,
             except (ValueError, OverflowError) as exc:
                 chk.fail(("params", "taus", i) if params.get("taus")
                          else ("params", "s"), str(exc))
-    if kind == "bem-solve" and J is not None \
-            and not 0 < _param(config, "rho") < _param(config, "k"):
-        chk.fail(("params", "rho"), "with J, rho must lie in (0, k)")
+    if kind == "bem-solve" and J is not None:
+        if not 0 < _param(config, "rho") < _param(config, "k"):
+            chk.fail(("params", "rho"), "with J, rho must lie in (0, k)")
+        if not 0 < _param(config, "s") < 1:
+            chk.fail(("params", "s"), "with J, s must lie in (0, 1)")
     if kind == "nterm" and _param(config, "n_lo") > _param(config, "n_hi"):
         chk.fail(("params", "n_lo" if "n_lo" in params else "n_hi"),
                  f"n_lo={_param(config, 'n_lo')} exceeds "

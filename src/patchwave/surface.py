@@ -74,6 +74,22 @@ def point_quad_distance(p, corners):
     return d
 
 
+def points_quad_distance(P, corners):
+    """`point_quad_distance` from each row of P (N, 3), in array form."""
+    c = np.asarray(corners, dtype=float)
+    n = _unit(np.cross(c[1] - c[0], c[3] - c[0]))
+    off = (P - c[0]) @ n
+    proj = P - off[:, None] * n
+    ab = np.roll(c, -1, axis=0) - c                       # the 4 edges, (4, 3)
+    inside = np.all(np.cross(ab[:, None], proj - c[:, None]) @ n >= -1e-14, axis=0)
+    ap = P - c[:, None]                                   # (4, N, 3)
+    denom = (ab * ab).sum(-1)[:, None, None]
+    t = np.divide(ap @ ab[..., None], denom, where=denom > 0,
+                  out=np.zeros(ap.shape[:2] + (1,)))
+    seg = np.linalg.norm(P - (c[:, None] + np.clip(t, 0.0, 1.0) * ab[:, None]), axis=-1)
+    return np.where(inside, np.abs(off), seg.min(axis=0))
+
+
 @dataclass(frozen=True)
 class Patch:
     """Planar convex quadrilateral with a bilinear chart kappa: [0,1]^2 -> R^3.

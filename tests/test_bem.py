@@ -24,7 +24,7 @@ from patchwave import (
     unit_cube,
 )
 from patchwave._gauss import unit_rule
-from patchwave.surface import Patch, point_quad_distance
+from patchwave.surface import Patch, point_quad_distance, points_quad_distance
 
 
 def test_kernel_hand_values():
@@ -479,6 +479,33 @@ def test_potential_of_unit_density(cube):
     assert outside == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
         potential_eval(cube, density, np.array([0.5, 0.5, 0.01]))
+
+
+def test_potential_clearance_refuses_what_the_scalar_distance_refuses(cube):
+    # seeded points near and far from the cube's faces, edges and corners
+    rng = np.random.default_rng(2734)
+    V = cube.vertices
+    mids = 0.5 * (V[:, None] + V[None]).reshape(-1, 3)
+    near = np.concatenate([mids, mids + rng.normal(scale=0.1, size=mids.shape)])
+    pts = np.concatenate([rng.uniform(-0.5, 1.5, (200, 3)),
+                          near + rng.normal(scale=1e-3, size=near.shape)])
+    for p in cube.patches:
+        got = points_quad_distance(pts, p.corners)
+        want = np.array([point_quad_distance(y, p.corners) for y in pts])
+        assert np.all(np.abs(got - want) <= 1e-15 * want)
+    density = np.ones((6, 4, 4))
+    clear = np.array([min(point_quad_distance(y, p.corners) for p in cube.patches)
+                      > 0.25 for y in pts])
+    assert 0 < clear.sum() < len(pts)
+    potential_eval(cube, density, pts[clear])
+    first = pts[np.flatnonzero(~clear)[0]]
+    with pytest.raises(ValueError) as err:
+        potential_eval(cube, density, pts)
+    assert str(err.value) == (f"evaluation point {first} within one cell size "
+                              "of the surface")
+    for y in pts[~clear][:20]:
+        with pytest.raises(ValueError, match="within one cell size"):
+            potential_eval(cube, density, y)
 
 
 def test_interior_dirichlet_reproduces_probes(cube, systems):

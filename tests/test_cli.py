@@ -458,15 +458,44 @@ def test_non_finite_norm_is_a_cli_error(tmp_path, capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
-def test_import_loads_no_scipy_stats():
-    # scipy.stats costs most of a process's import time and is not needed
-    code = ("import sys, patchwave.cli; "
-            "print([m for m in sys.modules if m.startswith('scipy.stats')])")
+def _fresh_python(*args, check=True):
+    """Run a fresh interpreter that imports patchwave from this source tree."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return subprocess.run([sys.executable, *args], env=env, check=check,
+                          capture_output=True, text=True)
+
+
+def test_import_loads_no_heavy_scipy():
+    # scipy.stats, scipy.special and scipy.linalg cost most of a process's
+    # import time; only an LU solve needs scipy.linalg, and loads it then
+    code = ("import sys, patchwave.cli; print([m for m in sys.modules "
+            "if m.startswith(('scipy.stats', 'scipy.special', 'scipy.linalg'))])")
+    assert _fresh_python("-c", code).stdout.strip() == "[]"
+
+
+def test_bem_solve_loads_scipy_linalg_when_it_factors(tmp_path):
+    out = tmp_path / "out"
+    run = _fresh_python("-m", "patchwave.cli", "bem-solve", "-L", "2",
+                        "--output-dir", str(out), check=False)
+    assert run.returncode == 0, run.stderr
+    report = (out / "report.csv").read_text().splitlines()
+    rep = dict(zip(report[4].split(","), report[5].split(",")))
+    assert float(rep["residual"]) < 1e-10
+
+
+@pytest.mark.parametrize("s", [0.0, 1.0, -0.5])
+def test_bem_solve_rejects_s_before_the_solve(tmp_path, capsys, s):
+    # analyze_solution rejected these only after the assembly and the solve
+    out = tmp_path / "out"
+    path = _write(tmp_path, "exp.json", {**BEM, "output_dir": str(out),
+                                         "params": {**BEM["params"], "s": s}})
+    with pytest.raises(ConfigError, match="params.s: with J, s must lie in "
+                                          "\\(0, 1\\)"):
+        config_from_file(path)
+    assert cli.main(["bem-solve", "--config", str(path)]) == 2
+    assert "params.s" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
 
 
 def test_nterm_needs_four_positive_errors(tmp_path):
