@@ -474,7 +474,7 @@ def test_import_loads_no_heavy_scipy():
     assert _fresh_python("-c", code).stdout.strip() == "[]"
 
 
-def test_bem_solve_loads_scipy_linalg_when_it_factors(tmp_path):
+def test_bem_solve_factors_through_the_lazy_import(tmp_path):
     out = tmp_path / "out"
     run = _fresh_python("-m", "patchwave.cli", "bem-solve", "-L", "2",
                         "--output-dir", str(out), check=False)
