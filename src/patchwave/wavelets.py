@@ -540,9 +540,10 @@ def iter_level_indices(basis: BasisSpec, n_patches: int, j: int):
 
 # -- inner products and moments -------------------------------------------------
 
-def _factor_values(basis: BasisSpec, j: int, k: int, m: int, wavelet: bool, x):
+def _factor_values(basis: BasisSpec, j: int, k, m: int, wavelet: bool, x):
     """1-D factor at parameter points x: component m of the wavelet (or
-    scaling function) on cell k of level j, zero off the cell."""
+    scaling function) on cell k of level j, zero off the cell; k may be an
+    array that broadcasts with x."""
     fam = family_for(basis)
     local = np.asarray(x) * (1 << j) - k
     inside = (local >= 0.0) & (local <= 1.0)
@@ -604,24 +605,46 @@ def _horner(c, x):
     return p
 
 
-@lru_cache(maxsize=4096)
-def _moment_factor(basis: BasisSpec, order: int, j: int, k: int,
-                   wavelet: bool, m: int):
-    """Read-only nodes and 1-D factor values for ``moment_check``: an
-    `order`-point Gauss rule on each half of cell k at level j."""
-    x, _ = unit_rule(order)
-    half = 0.5 ** (j + 1)
-    nodes = np.concatenate([k * 2 * half + x * half, k * 2 * half + half + x * half])
-    return _readonly(nodes), _readonly(_factor_values(basis, j, k, m, wavelet, nodes))
+@lru_cache(maxsize=16)
+def _moment_table(basis: BasisSpec, j: int, shape, data: bytes):
+    """Read-only |<P, psi>| for every level-j index, indexed (etype - 1, m1,
+    m2, k1, k2), for the finite P of degree < dt with these coefficients.
 
-
-@lru_cache(maxsize=256)
-def _moment_weights(order: int, j: int) -> np.ndarray:
-    """Read-only tensor weights matching the nodes of ``_moment_factor``."""
-    _, w = unit_rule(order)
+    The per-index formula broadcast over the cells with the same elementwise
+    operations, each sum over one cell's contiguous (2o, 2o) grid, so every
+    entry is bitwise the per-cell sum; built in blocks of k1 rows, each
+    temporary at most about 2^20 elements or one row, whichever is larger.
+    """
+    C = np.frombuffer(data).reshape(shape)
+    if not np.isfinite(C).all():
+        raise ValueError("poly_coeffs must be finite")
+    ps, pt = np.nonzero(C)
+    deg = int((ps + pt).max()) if ps.size else -1
+    if deg >= basis.dt:
+        raise ValueError(f"polynomial degree {deg} not below dt={basis.dt}")
+    x, w = unit_rule(max(basis.quad_order, basis.d + max(deg, 0) // 2 + 1))
     half = 0.5 ** (j + 1)
+    cells, r = 1 << j, basis.d
+    k = np.arange(cells)[:, None]
+    nodes = np.concatenate([k * 2 * half + x * half,
+                            k * 2 * half + half + x * half], axis=1)
     ws = np.concatenate([w * half, w * half])
-    return _readonly(np.outer(ws, ws))
+    W = np.outer(ws, ws)
+    # F[wavelet, m, k]: 1-D factor values on the nodes of cell k
+    F = np.array([[_factor_values(basis, j, k, m, wav, nodes) for m in range(r)]
+                  for wav in (False, True)])
+    fs, ft = F[[1, 0, 1]], F[[0, 1, 1]]   # etypes 1, 2, 3
+    table = np.empty((3, r, r, cells, cells))
+    rows = max(1, (1 << 20) // (3 * r * r * cells * W.size))
+    for a in range(0, cells, rows):
+        b = slice(a, a + rows)
+        # polyval2d(S, T, C) on each cell's tensor grid: Horner in s, then in t
+        P = _horner(_horner(C[:, :, None, None], nodes[b])[:, :, None, :, None],
+                    nodes[:, None, :])
+        vals = fs[:, :, None, b, None, :, None] * ft[:, None, :, None, :, None, :]
+        vals *= W * P
+        table[:, :, :, b] = np.abs(vals.sum(axis=(-2, -1)))
+    return _readonly(table)
 
 
 def moment_check(surface: PolyhedralSurface, basis: BasisSpec,
@@ -631,31 +654,33 @@ def moment_check(surface: PolyhedralSurface, basis: BasisSpec,
     ``poly_coeffs[a, b]`` multiplies s^a t^b; the total degree must be < dt.
     Refuses boundary and generator indices: the vanishing-moment property is
     only asserted for interior duals. The interior test reads the cached
-    ``classify_level`` mask, and the nodes, factor values and weights come
-    from bounded caches, so a call costs a few small array operations.
+    ``classify_level`` mask, and the value is one entry of a cached level
+    table keyed by basis, level and polynomial (which fix the quadrature
+    order); the polynomial's degree and finiteness are checked there.
     """
     C = np.atleast_2d(np.asarray(poly_coeffs, dtype=float))
-    a, b = np.nonzero(C)
-    deg = int((a + b).max()) if a.size else -1
-    if deg >= basis.dt:
-        raise ValueError(f"polynomial degree {deg} not below dt={basis.dt}")
+    if C.ndim != 2 or C.size == 0:
+        raise ValueError(f"poly_coeffs must be a non-empty 2-D array, got shape {C.shape}")
+    fields = (idx.level, idx.patch, idx.etype, idx.k1, idx.k2, idx.m1, idx.m2)
+    if not all(isinstance(v, (int, np.integer)) for v in fields):
+        raise ValueError(f"{idx} has a non-integer field")
     if idx.etype == 0:
         raise ValueError("generator-block indices are not classified")
+    if idx.etype not in (1, 2, 3):
+        raise ValueError(f"etype {idx.etype} is not a wavelet type (1, 2 or 3)")
     j = idx.level
+    if j < basis.j_star:
+        raise ValueError(f"level {j} is below the first wavelet level {basis.j_star}")
+    if not (0 <= idx.m1 < basis.d and 0 <= idx.m2 < basis.d):
+        raise ValueError(f"components ({idx.m1}, {idx.m2}) outside [0, {basis.d})")
     cells = 1 << j
     if not (0 <= idx.patch < surface.n_patches
             and 0 <= idx.k1 < cells and 0 <= idx.k2 < cells):
         raise ValueError(f"{idx} lies outside the surface's level-{j} cells")
     if not classify_level(surface, basis, j)[idx.patch, idx.k1, idx.k2]:
         raise ValueError("moment_check applies to interior indices only")
-    order = max(basis.quad_order, basis.d + max(deg, 0) // 2 + 1)
-    # integrate over the support cell, split at the midpoint in each direction
-    xs, fs = _moment_factor(basis, order, j, idx.k1, idx.etype in (1, 3), idx.m1)
-    xt, ft = _moment_factor(basis, order, j, idx.k2, idx.etype in (2, 3), idx.m2)
-    # polyval2d(S, T, C) on the tensor grid: Horner in s per node, then in t
-    P = _horner(_horner(C[:, :, None], xs)[:, :, None], xt)
-    vals = np.multiply.outer(fs, ft)
-    return float(abs((_moment_weights(order, j) * P * vals).sum()))
+    table = _moment_table(basis, j, C.shape, C.tobytes())
+    return float(table[idx.etype - 1, idx.m1, idx.m2, idx.k1, idx.k2])
 
 
 # -- serialization --------------------------------------------------------------

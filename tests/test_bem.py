@@ -223,6 +223,35 @@ def test_translation_dedup_matches_full_path_moved_cube(monkeypatch):
     _assert_dedup_matches_full_path(moved, assemble(moved, 2), monkeypatch)
 
 
+def _prism(a=1.3, b=0.3):
+    """A parallelogram prism; with a = 1.3 and b = 0.3 rounding leaves a
+    bilinear term of about 6e-17 on three of its sides."""
+    desc = unit_cube()
+    base = np.array([[0, 0, 0], [1, 0, 0], [a, a, 0], [b, a, 0]])
+    desc["vertices"] = np.vstack([base, base + [b, b, 1]]).tolist()
+    return load_surface(desc)
+
+
+def _n_classes(surface, L):
+    return sum(len(bem._pair_classes(pm, pn, L)[1][0])
+               for pm in surface.patches for pn in surface.patches
+               if pm.index != pn.index)
+
+
+@pytest.mark.parametrize("name, L", [("prism", 3), ("small_moved_cube", 2)])
+def test_rounding_noise_bilinear_terms_take_the_class_path(name, L, monkeypatch):
+    surface = _prism() if name == "prism" else _moved_cube(1e-6)
+    assert any(np.any(p.coeff_d != 0.0) for p in surface.patches)
+    assert all(bem._is_affine(p) for p in surface.patches)
+    if name == "prism":
+        assert _n_classes(surface, L) == _n_classes(_prism(1.25, 0.25), L)
+    fast = assemble(surface, L)
+    monkeypatch.setattr(bem, "_is_affine", lambda patch: False)
+    full = assemble(surface, L)
+    assert float(np.abs(full.A - fast.A).max()) <= 1e-13 * float(
+        np.abs(full.A).max())
+
+
 def test_touching_tolerances_scale_with_the_surface(systems):
     # with absolute touching tolerances, touching pairs fell to the near
     # path at this scale and A / s^2 moved by 2.6e-5 relative
@@ -262,8 +291,10 @@ def _pair_classes_oracle(patch_m, patch_n, L):
     """Translation classes from the full (4^L x 4^L, 3) offset array; one
     class per pair on a bilinear patch or when the offsets do not separate."""
     c = 1 << L
-    if np.any(patch_m.coeff_d != 0.0) or np.any(patch_n.coeff_d != 0.0):
-        return _every_pair_oracle(c)
+    for p in (patch_m, patch_n):
+        edge = max(np.linalg.norm(p.coeff_b), np.linalg.norm(p.coeff_c))
+        if np.linalg.norm(p.coeff_d) > 64 * np.finfo(float).eps * edge:
+            return _every_pair_oracle(c)
     k = np.arange(c, dtype=float)
     K1, K2 = np.meshgrid(k, k, indexing="ij")
     kk = np.stack([K1.ravel(), K2.ravel()], axis=1)
@@ -350,10 +381,10 @@ def _assert_same_touch_lists(quads_m, quads_n, features=True):
 
 @pytest.mark.parametrize("name, L", [("cube", 1), ("cube", 2), ("cube", 3),
                                      ("cube", 4), ("fichera", 2), ("moved", 3),
-                                     ("frustum", 2)])
+                                     ("frustum", 2), ("prism", 3)])
 def test_pair_classes_and_touch_lists_match_oracles(name, L, cube, fichera):
-    surface = {"cube": cube, "fichera": fichera, "frustum": _frustum()}.get(
-        name) or _moved_cube()
+    surface = {"cube": cube, "fichera": fichera, "frustum": _frustum(),
+               "prism": _prism()}.get(name) or _moved_cube()
     quads = {p.index: bem._cell_quads(p, L) for p in surface.patches}
     for pm in surface.patches:
         for pn in surface.patches:

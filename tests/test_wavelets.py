@@ -1,3 +1,4 @@
+import tracemalloc
 from math import sqrt
 
 import numpy as np
@@ -30,7 +31,7 @@ from patchwave import (
     synthesize_params,
     unit_cube,
 )
-from patchwave import bem
+from patchwave import bem, wavelets
 from patchwave._gauss import unit_rule
 from patchwave.wavelets import family_for
 from test_bem import _frustum, _moved_cube
@@ -337,6 +338,67 @@ def test_moment_check_is_bitwise_the_per_call_formula(order, name, j, data):
     got = np.float64(moment_check(surface, basis, idx, coeffs))
     want = np.float64(_moment_oracle(basis, idx, coeffs))
     assert got.view(np.int64) == want.view(np.int64)
+
+
+_SWEEP_POLYS = ([[1.0]], [[0.0], [1.0]], [[0.0, 1.0]], [[1.0, -3.0], [2.0, 0.0]])
+
+
+@pytest.mark.parametrize("name", ["cube", "fichera"])
+def test_moment_check_is_the_oracle_on_every_interior_index(name, haar, alpert2):
+    surface = _SURFACES[name]
+    for basis in (haar, alpert2):
+        polys = _SWEEP_POLYS if basis.dt == 2 else _SWEEP_POLYS[:1]
+        for i, k1, k2 in np.argwhere(classify_level(surface, basis, 3)).tolist():
+            for e in (1, 2, 3):
+                for m1 in range(basis.d):
+                    for m2 in range(basis.d):
+                        idx = WaveletIndex(3, i, e, k1, k2, m1, m2)
+                        for P in polys:
+                            got = np.float64(moment_check(surface, basis, idx, P))
+                            want = np.float64(_moment_oracle(basis, idx, P))
+                            assert got.view(np.int64) == want.view(np.int64)
+    key = (alpert2, 3, (1, 1), np.ones((1, 1)).tobytes())
+    table = wavelets._moment_table(*key)
+    assert wavelets._moment_table(*key) is table
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0, 0, 3, 4] = 1.0
+
+
+def test_moment_check_builds_a_level_in_bounded_memory(cube, haar):
+    classify_level(cube, haar, 9)
+    idx = WaveletIndex(9, 2, 3, 200, 301)
+    tracemalloc.start()
+    try:
+        got = np.float64(moment_check(cube, haar, idx, [[0.7]]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the level-9 Haar table itself is 3 * 512^2 doubles, 6.3 MB
+    assert peak < 32e6
+    want = np.float64(_moment_oracle(haar, idx, [[0.7]]))
+    assert got.view(np.int64) == want.view(np.int64)
+
+
+@pytest.mark.parametrize("basis_name, idx, coeffs, match", [
+    ("alpert2", WaveletIndex(3, 0, 1, 3, 4, 2, 0), [[1.0]], "components"),
+    ("haar", WaveletIndex(3, 0, 1, 3, 4, 1, 0), [[1.0]], "components"),
+    ("haar", WaveletIndex(3, 0, 1, 3, 4, 0, -1), [[1.0]], "components"),
+    ("haar", WaveletIndex(3, 0, 4, 3, 4), [[1.0]], "etype"),
+    ("haar", WaveletIndex(3, 0, -1, 3, 4), [[1.0]], "etype"),
+    ("haar", WaveletIndex(3, 0, 1, 3, 4), [[np.nan]], "finite"),
+    ("haar", WaveletIndex(3, 0, 1, 3, 4), [[np.inf]], "finite"),
+    ("haar", WaveletIndex(3, 0, 1, 3, 4), [[[1.0]]], "2-D"),
+    ("haar", WaveletIndex(3, 0, 1, 3, 4), [], "non-empty"),
+    ("haar", WaveletIndex(-2, 0, 1, 3, 4), [[1.0]], "level"),
+    ("alpert2", WaveletIndex(1, 0, 1, 1, 1), [[1.0]], "level"),
+    ("haar", WaveletIndex(3, 0, 1, 3.5, 4), [[1.0]], "non-integer"),
+])
+def test_moment_check_rejects_malformed_input(basis_name, idx, coeffs, match,
+                                              haar, alpert2, cube):
+    basis = haar if basis_name == "haar" else alpert2
+    with pytest.raises(ValueError, match=match):
+        moment_check(cube, basis, idx, coeffs)
 
 
 def test_support_of(cube, haar):
