@@ -1,4 +1,4 @@
-"""Dense Galerkin double layer solver on piecewise-flat closed surfaces.
+"""Galerkin double layer solver on piecewise-flat closed surfaces.
 
 The operator is (1/2)Id - K with the double layer kernel differentiated at
 the source point.  Piecewise constants on dyadic cell grids make every
@@ -21,7 +21,8 @@ import math
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -248,18 +249,33 @@ def _graded_cell_nodes(patch, L: int, k1: int, k2: int, feature: tuple,
 # -- the assembled system --------------------------------------------------------
 
 
+class _Block(NamedTuple):
+    """Patch-pair block (pm, pn) in _pair_classes' form: entries[cls][ia, ib],
+    with ia and ib broadcasting to (c, c, c, c) over (m1, m2, n1, n2)."""
+
+    pm: int
+    pn: int
+    entries: np.ndarray
+    cls: np.ndarray
+    ia: np.ndarray
+    ib: np.ndarray
+
+
 @dataclass
 class DoubleLayerSystem:
-    """Dense Galerkin matrix of (1/2)Id - K on piecewise constants.
+    """Galerkin matrix of (1/2)Id - K on piecewise constants.
 
     Cells are C-ordered (patch, k1, k2); row m tests against cell m, column
     n integrates the density of cell n.  Same-patch off-diagonal entries
-    are exactly zero.
+    are exactly zero, and the diagonal is (1/2)|cell|.  Each other patch-pair
+    block is kept as its class table (`blocks`, in (pm, pn) order): `matvec`
+    applies the matrix from those tables, and the dense `A` is built only on
+    its first access.
     """
 
     surface: PolyhedralSurface
     L: int
-    A: np.ndarray
+    blocks: list[_Block]
     areas: np.ndarray
     centers: np.ndarray
     quad_order: int
@@ -272,6 +288,71 @@ class DoubleLayerSystem:
     def flat_index(self, patch: int, k1: int, k2: int) -> int:
         c = 1 << self.L
         return (patch * c + k1) * c + k2
+
+    @cached_property
+    def A(self) -> np.ndarray:
+        """The dense (N, N) matrix, built once from the class tables."""
+        cells = 1 << (2 * self.L)
+        N = self.n_cells
+        A = np.zeros((N, N))
+        for b in self.blocks:
+            A[b.pm * cells:(b.pm + 1) * cells, b.pn * cells:(b.pn + 1) * cells] = \
+                b.entries[b.cls][b.ia, b.ib].reshape(cells, cells)
+        idx = np.arange(N)
+        A[idx, idx] += 0.5 * self.areas
+        return A
+
+    @cached_property
+    def _factors(self) -> list[tuple]:
+        """Per block (pm, pn, E, flat, transpose): the block times a source
+        density X (c, c) is Z.ravel()[flat].sum(-1) with Z = E @ X, or E @ X
+        transposed; flat is None when E is the whole block.
+
+        With T = entries[cls] and (na, nb) = (n1, n2), or (n2, n1) in the
+        swapped form, the block entry is T[ia(m1, na), ib(m2, nb)].  T is
+        expanded along the group with more classes, so E has rows (class,
+        m) and columns n of that group; the other group's classes are
+        gathered by flat, an (m1 m2, n) index into Z, and summed over n.
+        """
+        c = 1 << self.L
+        k = np.arange(c)
+        out = []
+        for b in self.blocks:
+            T = b.entries[b.cls]
+            if b.ia.shape == (c, c, 1, 1):          # one class per pair
+                out.append((b.pm, b.pn, T, None, False))
+                continue
+            swap = b.ia.shape == (c, 1, 1, c)
+            ia, ib = b.ia.reshape(c, c), b.ib.reshape(c, c)
+            if T.shape[0] <= T.shape[1]:
+                # E[(a, m2), nb] = T[a, ib(m2, nb)]; sum Z[ia(m1, na), m2, na]
+                E = T[:, ib].reshape(-1, c)
+                flat = (ia[:, None, :] * c + k[:, None]) * c + k
+                transpose = not swap
+            else:
+                # E[(m1, b), na] = T[ia(m1, na), b]; sum Z[m1, ib(m2, nb), nb]
+                E = np.ascontiguousarray(T[ia].transpose(0, 2, 1)).reshape(-1, c)
+                flat = (k[:, None, None] * T.shape[1] + ib) * c + k
+                transpose = swap
+            out.append((b.pm, b.pn, E, flat.reshape(c * c, c), transpose))
+        return out
+
+    def matvec(self, x) -> np.ndarray:
+        """A @ x from the class tables, without forming A."""
+        x = np.asarray(x, dtype=float)
+        if x.size != self.n_cells:
+            raise ValueError(f"matvec needs {self.n_cells} values, got {x.size}")
+        c = 1 << self.L
+        X = x.reshape(-1, c, c)
+        y = 0.5 * self.areas * x.ravel()
+        Y = y.reshape(-1, c * c)
+        for pm, pn, E, flat, transpose in self._factors:
+            if flat is None:
+                Y[pm] += E @ X[pn].ravel()
+            else:
+                Z = E @ (X[pn].T if transpose else X[pn])
+                Y[pm] += Z.ravel()[flat].sum(axis=1)
+        return y
 
 
 def _near_box(pts, others, reach: float) -> np.ndarray:
@@ -440,7 +521,8 @@ def assemble(surface: PolyhedralSurface, L: int, *, quad_order: int = 4,
     near pairs and to grade_depth-graded panels toward the shared feature
     on touching pairs.  Every touching entry is recomputed one grading level
     coarser, and a disagreement of more than 5% raises.  Each patch-pair
-    block is a table with one entry per class of _pair_classes.
+    block is kept as a table with one entry per class of _pair_classes; no
+    (N, N) array is allocated until the system's `A` is read.
     """
     if L < 1:
         raise ValueError("L must be >= 1")
@@ -457,8 +539,6 @@ def assemble(surface: PolyhedralSurface, L: int, *, quad_order: int = 4,
     gauss = [_cell_gauss(p, L, quad_order) for p in surface.patches]
     areas = np.concatenate([w.sum(axis=1) for _, w in gauss])
     centers = np.concatenate([q.mean(axis=1) for q in quads])
-
-    A = np.zeros((N, N))
 
     def graded_value(pm, pn, m, n, feature, depth):
         k1, k2 = divmod(m, c)
@@ -477,7 +557,7 @@ def assemble(surface: PolyhedralSurface, L: int, *, quad_order: int = 4,
                 f"({pm},{m})x({pn},{n}): {val} vs {val2}")
         return val
 
-    def do_pair(pm: int, pn: int) -> None:
+    def do_pair(pm: int, pn: int) -> _Block:
         qn = quads[pn]
         P, W = gauss[pm]                      # (cells, q2, 3), (cells, q2)
         touching, near = _touch_candidates(quads[pm], qn)
@@ -502,22 +582,17 @@ def assemble(surface: PolyhedralSurface, L: int, *, quad_order: int = 4,
             entries[cid] = (graded_value(pm, pn, m, n, (None, None), 1)
                             if feature is None
                             else touching_value(pm, pn, m, n, feature))
-        rows = slice(pm * cells, (pm + 1) * cells)
-        cols = slice(pn * cells, (pn + 1) * cells)
-        A[rows, cols] = entries[cls][ia, ib].reshape(cells, cells)
+        return _Block(pm, pn, entries, cls, ia, ib)
 
     pairs = [(pm, pn) for pm in range(surface.n_patches)
              for pn in range(surface.n_patches) if pm != pn]
+    # map returns the blocks in the order of pairs, whichever thread ends first
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda ab: do_pair(*ab), pairs))
+            blocks = list(pool.map(lambda ab: do_pair(*ab), pairs))
     else:
-        for pm, pn in pairs:
-            do_pair(pm, pn)
-
-    idx = np.arange(N)
-    A[idx, idx] += 0.5 * areas
-    return DoubleLayerSystem(surface=surface, L=L, A=A, areas=areas,
+        blocks = [do_pair(pm, pn) for pm, pn in pairs]
+    return DoubleLayerSystem(surface=surface, L=L, blocks=blocks, areas=areas,
                              centers=centers, quad_order=quad_order,
                              grade_depth=grade_depth)
 
@@ -600,27 +675,36 @@ def galerkin_rhs(system: DoubleLayerSystem, g, quad_order: int = 4) -> np.ndarra
             vals = np.asarray(g(P.reshape(-1, 3))).reshape(P.shape[:2])
             parts.append((W * vals).sum(axis=1))
         return np.concatenate(parts)
-    vals = np.asarray(g, dtype=float).reshape(surface.n_patches, c, c)
-    return vals.ravel() * system.areas
+    vals = np.asarray(g, dtype=float)
+    if vals.size != system.n_cells:
+        raise ValueError(f"per-cell values need {system.n_cells} entries, "
+                         f"got {vals.size}")
+    return vals.reshape(surface.n_patches, c, c).ravel() * system.areas
 
 
 def solve(system: DoubleLayerSystem, g, quad_order: int = 4,
           use_gmres: bool = False) -> SolveReport:
     """Solve A u = Galerkin rhs of g; dense LU by default.
 
-    The LU path reports a 1-norm condition estimate and raises on a
-    numerically singular matrix.  use_gmres switches to unpreconditioned
-    GMRES (intended for L >= 5 when factorization is too expensive); the
-    condition estimate is then not available.
+    The LU path factors the dense `system.A`, reports a 1-norm condition
+    estimate and raises on a numerically singular matrix.  use_gmres
+    switches to unpreconditioned GMRES on `system.matvec`, which never forms
+    A (intended for L >= 5 when factorization is too expensive); the
+    condition estimate is then not available.  A non-finite right-hand side
+    is a ValueError.
     """
     b = galerkin_rhs(system, g, quad_order)
+    if not np.isfinite(b).all():
+        raise ValueError("the Galerkin right-hand side has non-finite values")
     bnorm = float(np.linalg.norm(b))
     if use_gmres:
-        from scipy.sparse.linalg import gmres
-        u, info = gmres(system.A, b, rtol=1e-12, atol=0.0, maxiter=400)
+        from scipy.sparse.linalg import LinearOperator, gmres
+        op = LinearOperator((len(b), len(b)), matvec=system.matvec, dtype=float)
+        u, info = gmres(op, b, rtol=1e-12, atol=0.0, maxiter=400)
         if info != 0:
             raise RuntimeError(f"GMRES did not converge (info={info})")
         cond = math.nan
+        Au = system.matvec(u)
     else:
         from scipy.linalg import lu_factor, lu_solve
         from scipy.linalg.lapack import dgecon
@@ -635,7 +719,8 @@ def solve(system: DoubleLayerSystem, g, quad_order: int = 4,
         # with buffer alignment; clamp to 12 digits so reports are replayable
         if math.isfinite(cond):
             cond = float(f"{cond:.12g}")
-    residual = float(np.linalg.norm(system.A @ u - b)) / (bnorm if bnorm else 1.0)
+        Au = system.A @ u
+    residual = float(np.linalg.norm(Au - b)) / (bnorm if bnorm else 1.0)
     c = 1 << system.L
     density = u.reshape(system.surface.n_patches, c, c)
     return SolveReport(density=density, residual=residual, cond=cond, rhs=b)
@@ -648,6 +733,17 @@ def interior_dirichlet_density(system: DoubleLayerSystem,
     return solve(system, lambda pts: -np.asarray(h(pts)))
 
 
+def _density_level(surface: PolyhedralSurface, density: np.ndarray) -> int:
+    """The level L of a cellwise density of shape (n_patches, 2^L, 2^L)."""
+    shape = density.shape
+    cdim = shape[1] if len(shape) == 3 else 0
+    if (len(shape) != 3 or shape[0] != surface.n_patches or shape[2] != cdim
+            or cdim < 1 or cdim & (cdim - 1)):
+        raise ValueError(f"a cellwise density on {surface.n_patches} patches has "
+                         f"shape ({surface.n_patches}, 2^L, 2^L), got {shape}")
+    return cdim.bit_length() - 1
+
+
 def potential_eval(surface: PolyhedralSurface, density: np.ndarray, y):
     """Double layer potential of a cellwise density at interior points.
 
@@ -655,10 +751,7 @@ def potential_eval(surface: PolyhedralSurface, density: np.ndarray, y):
     points closer to the surface than one cell size.
     """
     density = np.asarray(density, dtype=float)
-    n_patches, cdim, _ = density.shape
-    L = int(round(math.log2(cdim)))
-    if (1 << L) != cdim:
-        raise ValueError("density grid is not dyadic")
+    L = _density_level(surface, density)
     y = np.asarray(y, dtype=float)
     single = y.ndim == 1
     Y = np.atleast_2d(y)
@@ -730,8 +823,7 @@ def analyze_solution(surface: PolyhedralSurface, density: np.ndarray,
     if isinstance(density, SolveReport):
         density = density.density
     density = np.asarray(density, dtype=float)
-    cdim = density.shape[1]
-    L = int(round(math.log2(cdim)))
+    L = _density_level(surface, density)
     if J > L:
         raise ValueError("analysis level J must not exceed the grid level L")
     if not (0.0 < s < 1.0):

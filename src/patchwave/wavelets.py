@@ -606,14 +606,16 @@ def _horner(c, x):
 
 
 @lru_cache(maxsize=16)
-def _moment_table(basis: BasisSpec, j: int, shape, data: bytes):
-    """Read-only |<P, psi>| for every level-j index, indexed (etype - 1, m1,
-    m2, k1, k2), for the finite P of degree < dt with these coefficients.
+def _moment_table(basis: BasisSpec, j: int, shape, data: bytes, block: int = 0):
+    """Read-only |<P, psi>| for the level-j indices in one block of k1 rows,
+    indexed (etype - 1, m1, m2, k1 - block * rows, k2), for the finite P of
+    degree < dt with these coefficients.  A block has as many rows as keep
+    its temporaries at about 2^20 elements, or one row, so up to level 4 one
+    block is the whole level.
 
     The per-index formula broadcast over the cells with the same elementwise
     operations, each sum over one cell's contiguous (2o, 2o) grid, so every
-    entry is bitwise the per-cell sum; built in blocks of k1 rows, each
-    temporary at most about 2^20 elements or one row, whichever is larger.
+    entry is bitwise the per-cell sum.
     """
     C = np.frombuffer(data).reshape(shape)
     if not np.isfinite(C).all():
@@ -634,17 +636,14 @@ def _moment_table(basis: BasisSpec, j: int, shape, data: bytes):
     F = np.array([[_factor_values(basis, j, k, m, wav, nodes) for m in range(r)]
                   for wav in (False, True)])
     fs, ft = F[[1, 0, 1]], F[[0, 1, 1]]   # etypes 1, 2, 3
-    table = np.empty((3, r, r, cells, cells))
     rows = max(1, (1 << 20) // (3 * r * r * cells * W.size))
-    for a in range(0, cells, rows):
-        b = slice(a, a + rows)
-        # polyval2d(S, T, C) on each cell's tensor grid: Horner in s, then in t
-        P = _horner(_horner(C[:, :, None, None], nodes[b])[:, :, None, :, None],
-                    nodes[:, None, :])
-        vals = fs[:, :, None, b, None, :, None] * ft[:, None, :, None, :, None, :]
-        vals *= W * P
-        table[:, :, :, b] = np.abs(vals.sum(axis=(-2, -1)))
-    return _readonly(table)
+    b = slice(block * rows, (block + 1) * rows)
+    # polyval2d(S, T, C) on each cell's tensor grid: Horner in s, then in t
+    P = _horner(_horner(C[:, :, None, None], nodes[b])[:, :, None, :, None],
+                nodes[:, None, :])
+    vals = fs[:, :, None, b, None, :, None] * ft[:, None, :, None, :, None, :]
+    vals *= W * P
+    return _readonly(np.abs(vals.sum(axis=(-2, -1))))
 
 
 def moment_check(surface: PolyhedralSurface, basis: BasisSpec,
@@ -654,9 +653,10 @@ def moment_check(surface: PolyhedralSurface, basis: BasisSpec,
     ``poly_coeffs[a, b]`` multiplies s^a t^b; the total degree must be < dt.
     Refuses boundary and generator indices: the vanishing-moment property is
     only asserted for interior duals. The interior test reads the cached
-    ``classify_level`` mask, and the value is one entry of a cached level
-    table keyed by basis, level and polynomial (which fix the quadrature
-    order); the polynomial's degree and finiteness are checked there.
+    ``classify_level`` mask, and the value is one entry of a cached table of
+    the index's block of k1 rows, keyed by basis, level, polynomial (which
+    fix the quadrature order) and block; the polynomial's degree and
+    finiteness are checked there.
     """
     C = np.atleast_2d(np.asarray(poly_coeffs, dtype=float))
     if C.ndim != 2 or C.size == 0:
@@ -679,8 +679,14 @@ def moment_check(surface: PolyhedralSurface, basis: BasisSpec,
         raise ValueError(f"{idx} lies outside the surface's level-{j} cells")
     if not classify_level(surface, basis, j)[idx.patch, idx.k1, idx.k2]:
         raise ValueError("moment_check applies to interior indices only")
-    table = _moment_table(basis, j, C.shape, C.tobytes())
-    return float(table[idx.etype - 1, idx.m1, idx.m2, idx.k1, idx.k2])
+    # the first block's row count gives the index's block; a level of one
+    # block, as every level up to 4 is, takes one cache lookup per call
+    key = (basis, j, C.shape, C.tobytes())
+    table = _moment_table(*key)
+    block, k1 = divmod(idx.k1, table.shape[3])
+    if block:
+        table = _moment_table(*key, block)
+    return float(table[idx.etype - 1, idx.m1, idx.m2, k1, idx.k2])
 
 
 # -- serialization --------------------------------------------------------------

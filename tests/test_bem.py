@@ -1,4 +1,6 @@
+import functools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,6 +16,7 @@ from patchwave import (
     analyze_solution,
     assemble,
     double_layer_kernel,
+    fichera_corner,
     galerkin_rhs,
     gauss_check,
     interior_dirichlet_density,
@@ -488,6 +491,96 @@ def test_gmres_matches_lu(systems):
     assert math.isnan(gm.cond)
 
 
+_OPERATOR_SURFACES = {"cube": lambda: load_surface(unit_cube()),
+                      "fichera": lambda: load_surface(fichera_corner()),
+                      "moved_cube": _moved_cube, "prism": _prism,
+                      "frustum": _frustum}
+
+
+@functools.lru_cache(maxsize=None)
+def _operator_system(name, L, workers):
+    return assemble(_OPERATOR_SURFACES[name](), L, workers=workers)
+
+
+# the prism takes the swapped group form, the frustum one class per pair
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name, L", [("cube", 1), ("cube", 2), ("cube", 3),
+                                     ("cube", 4), ("fichera", 2),
+                                     ("moved_cube", 2), ("prism", 3),
+                                     ("frustum", 2)])
+@settings(max_examples=12)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(["normal", "wide", "cell", "patch"]))
+def test_matvec_is_the_dense_product(name, L, workers, seed, kind):
+    system = _operator_system(name, L, workers)
+    n = system.n_cells
+    rng = np.random.default_rng(seed)
+    if kind == "cell":
+        x = np.zeros(n)
+        x[rng.integers(n)] = 1.0
+    elif kind == "patch":
+        x = np.repeat(rng.standard_normal(system.surface.n_patches),
+                      n // system.surface.n_patches)
+    else:
+        x = rng.standard_normal(n)
+        if kind == "wide":
+            x *= 10.0 ** rng.uniform(-6, 6, n)
+    got = system.matvec(x)
+    assert got.shape == (n,)
+    A = system.A
+    assert float(np.abs(got - A @ x).max()) <= 1e-13 * float(
+        (np.abs(A) @ np.abs(x)).max())
+
+
+def test_matvec_is_deterministic_across_threads(systems):
+    x = np.random.default_rng(2734).standard_normal(systems[3].n_cells)
+    first, second = (assemble(systems[3].surface, 3, workers=2).matvec(x)
+                     for _ in range(2))
+    assert _same_bits(first, second)
+    assert _same_bits(first, systems[3].matvec(x))
+
+
+def test_operator_gmres_matches_lu(systems):
+    def g(pts):
+        return np.cos(pts[:, 0]) + pts[:, 1] * pts[:, 2]
+
+    lu = solve(systems[3], g)
+    gm = solve(systems[3], g, use_gmres=True)
+    assert float(np.abs(gm.density - lu.density).max()) <= 1e-9 * float(
+        np.abs(lu.density).max())
+    assert gm.residual < 1e-11
+
+
+def test_gmres_solve_never_forms_the_dense_matrix(cube):
+    tracemalloc.start()
+    try:
+        system = assemble(cube, 4)
+        report = solve(system, lambda pts: np.ones(len(pts)), use_gmres=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the dense A alone is 1536^2 doubles, 18.9 MB
+    assert peak < 12e6
+    assert "A" not in vars(system)
+    assert report.residual < 1e-12
+
+
+@pytest.mark.parametrize("use_gmres", [False, True])
+@pytest.mark.parametrize("g, match", [
+    (lambda pts: np.full(len(pts), np.nan), "non-finite"),
+    (lambda pts: np.full(len(pts), np.inf), "non-finite"),
+    (np.r_[np.ones(95), -np.inf], "non-finite"),
+    (np.ones(10), "need 96 entries, got 10"),
+])
+def test_solve_rejects_a_bad_right_hand_side(systems, g, match, use_gmres):
+    # GMRES ran 400 iterations on a NaN rhs and reported non-convergence;
+    # LU failed inside scipy, and a short array in numpy's reshape
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            solve(systems[2], g, use_gmres=use_gmres)
+
+
 def test_conditioning_stays_bounded(systems):
     for L in (1, 2, 3, 4):
         rep = solve(systems[L], lambda pts: np.ones(len(pts)))
@@ -585,12 +678,23 @@ def test_analyze_solution_validation(cube, systems, haar):
             analyze_solution(cube, report, haar, 2, WeightedSpec(k, rho))
 
 
+@pytest.mark.parametrize("shape", [(5, 4, 4), (6, 4, 2), (6, 3, 3), (6, 0, 0),
+                                   (6, 16), (6, 4, 4, 1)])
+def test_density_shape_is_checked(cube, haar, shape):
+    density = np.ones(shape)
+    with pytest.raises(ValueError, match="shape \\(6, 2\\^L, 2\\^L\\)"):
+        potential_eval(cube, density, np.array([0.5, 0.5, 0.5]))
+    with pytest.raises(ValueError, match="shape \\(6, 2\\^L, 2\\^L\\)"):
+        analyze_solution(cube, density, haar, 1, WeightedSpec(1, 0.5))
+
+
 def test_solve_rejects_zero_diagonal(systems):
     import dataclasses
 
     broken_A = systems[2].A.copy()
     broken_A[5, :] = 0.0
-    broken = dataclasses.replace(systems[2], A=broken_A)
+    broken = dataclasses.replace(systems[2])
+    broken.A = broken_A
     with pytest.raises(RuntimeError), warnings.catch_warnings():
         warnings.simplefilter("ignore")  # scipy flags the zero pivot first
         solve(broken, lambda pts: np.ones(len(pts)))

@@ -380,6 +380,22 @@ def test_moment_check_builds_a_level_in_bounded_memory(cube, haar):
     assert got.view(np.int64) == want.view(np.int64)
 
 
+def test_one_fine_moment_check_builds_one_block_of_rows(cube, alpert2):
+    # the whole level-10 alpert2 table took 3.7 s and peaked at 115 MB
+    assert classify_level(cube, alpert2, 10)[2, 341, 513]
+    idx = WaveletIndex(10, 2, 3, 341, 513, 1, 0)
+    P = [[0.3, 1.0], [2.0, 0.0]]
+    tracemalloc.start()
+    try:
+        got = np.float64(moment_check(cube, alpert2, idx, P))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    want = np.float64(_moment_oracle(alpert2, idx, P))
+    assert got.view(np.int64) == want.view(np.int64)
+
+
 @pytest.mark.parametrize("basis_name, idx, coeffs, match", [
     ("alpert2", WaveletIndex(3, 0, 1, 3, 4, 2, 0), [[1.0]], "components"),
     ("haar", WaveletIndex(3, 0, 1, 3, 4, 1, 0), [[1.0]], "components"),
