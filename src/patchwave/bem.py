@@ -21,7 +21,7 @@ import math
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -149,34 +149,52 @@ def _cell_quads(patch, L: int) -> np.ndarray:
     """Corner coordinates (4^L, 4, 3) of the dyadic cells, C-ordered (k1, k2),
     corners wound (00, 10, 11, 01) to match the patch normal."""
     h = 0.5 ** L
-    c = 1 << L
-    k = np.arange(c)
-    K1, K2 = np.meshgrid(k, k, indexing="ij")
-    s0 = K1.ravel() * h
-    t0 = K2.ravel() * h
-    return np.stack([patch.chart(s0, t0), patch.chart(s0 + h, t0),
-                     patch.chart(s0 + h, t0 + h), patch.chart(s0, t0 + h)],
-                    axis=1)
+    k1, k2 = np.divmod(np.arange(1 << 2 * L), 1 << L)
+    return patch.chart((k1[:, None] + [0, 1, 1, 0]) * h,
+                       (k2[:, None] + [0, 0, 1, 1]) * h)
 
 
-def _cell_gauss(patch, L: int, order: int):
-    """Outer quadrature nodes/weights per cell: (4^L, order^2, 3) and
-    (4^L, order^2) including the surface jacobian."""
+@lru_cache(maxsize=None)
+def _unit_cell_rule(order: int, feature: tuple | None = None, depth: int = 0):
+    """Read-only outer rule (s, t, w) on the unit cell: `order`-point Gauss
+    on each pair of panels, nodes in (panel1, panel2, i, j) order.
+
+    Without a feature each axis is one panel.  Otherwise feature = (end1,
+    end2) names, per coordinate, the end in {0, 1} of the cell toward which
+    it is graded (dyadic panels down to 2^-depth), or None for a plain
+    2-panel split: a side grades one coordinate, a corner both.
+    """
     nodes, wts = unit_rule(order)
+    cuts = [0.0] + [2.0 ** (-depth + i) for i in range(depth + 1)]
+    segs = list(zip(cuts[:-1], cuts[1:]))
+
+    def axis(end):
+        """Nodes and weights (panels, order) along one coordinate."""
+        pans = ([(0.0, 1.0)] if feature is None else
+                [(0.0, 0.5), (0.5, 1.0)] if end is None else
+                segs if end == 0 else [(1.0 - b, 1.0 - a) for a, b in segs])
+        return (np.array([a + (b - a) * nodes for a, b in pans]),
+                np.array([(b - a) * wts for a, b in pans]))
+
+    (x1, w1), (x2, w2) = map(axis, feature or (None, None))
+    shape = (len(x1), len(x2), order, order)
+    rule = (np.broadcast_to(x1[:, None, :, None], shape).ravel(),
+            np.broadcast_to(x2[None, :, None, :], shape).ravel(),
+            (w1[:, None, :, None] * w2[None, :, None, :]).ravel())
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
+def _cell_nodes(patch, L: int, cells: np.ndarray, rule):
+    """`rule` on the level-L cells `cells` (flat (k1, k2) indices): nodes
+    (len(cells), q, 3) and weights (len(cells), q), jacobian included."""
+    s, t, w = rule
     h = 0.5 ** L
-    c = 1 << L
-    k = np.arange(c)
-    g = (k[:, None] + nodes[None, :]).ravel() * h     # c*order points per axis
-    S, T = np.meshgrid(g, g, indexing="ij")
-    pts = patch.chart(S.ravel(), T.ravel())
-    jac = patch.jacobian_det(S.ravel(), T.ravel())
-    W2 = np.outer(wts, wts)
-    n = order
-    # reshape (c, n, c, n) -> cells (c*c) x nodes (n*n)
-    P = pts.reshape(c, n, c, n, 3).transpose(0, 2, 1, 3, 4).reshape(c * c, n * n, 3)
-    Jc = jac.reshape(c, n, c, n).transpose(0, 2, 1, 3).reshape(c * c, n * n)
-    W = W2.ravel()[None, :] * Jc * h * h
-    return P, W
+    k1, k2 = np.divmod(cells, 1 << L)
+    S = (k1[:, None] + s) * h
+    T = (k2[:, None] + t) * h
+    return patch.chart(S, T), w * h * h * patch.jacobian_det(S, T)
 
 
 def _orientation_check(surface: PolyhedralSurface) -> None:
@@ -199,51 +217,6 @@ def _orientation_check(surface: PolyhedralSurface) -> None:
     if vol <= 0.0:
         raise SurfaceError("patch normals enclose nonpositive volume "
                            "(surface oriented inward)")
-
-
-# -- graded outer quadrature for touching cells ----------------------------------
-
-
-def _graded_segments(depth: int) -> list[tuple[float, float]]:
-    """Dyadic segments of [0, 1] refined toward 0: [0, 2^-depth], then
-    doubling up to [1/2, 1]."""
-    cuts = [0.0] + [2.0 ** (-depth + i) for i in range(depth + 1)]
-    return list(zip(cuts[:-1], cuts[1:]))
-
-
-def _graded_cell_nodes(patch, L: int, k1: int, k2: int, feature: tuple,
-                       depth: int, order: int):
-    """Gauss nodes on one cell, graded toward a side or corner.
-
-    feature = (end1, end2) names, per coordinate, the end in {0, 1} of the
-    cell toward which it is graded, or None for a plain 2-panel split: a
-    side grades one coordinate, a corner both.
-    """
-    nodes, wts = unit_rule(order)
-    segs = _graded_segments(depth)
-
-    def panels(end):
-        if end is None:
-            return [(0.0, 0.5), (0.5, 1.0)]
-        return segs if end == 0 else [(1.0 - b, 1.0 - a) for a, b in segs]
-
-    pans1, pans2 = map(panels, feature)
-    h = 0.5 ** L
-    S, T, W = [], [], []
-    for a1, b1 in pans1:
-        x1 = a1 + (b1 - a1) * nodes
-        w1 = (b1 - a1) * wts
-        for a2, b2 in pans2:
-            x2 = a2 + (b2 - a2) * nodes
-            w2 = (b2 - a2) * wts
-            XX, YY = np.meshgrid(x1, x2, indexing="ij")
-            S.append((k1 + XX.ravel()) * h)
-            T.append((k2 + YY.ravel()) * h)
-            W.append(np.outer(w1, w2).ravel())
-    S = np.concatenate(S)
-    T = np.concatenate(T)
-    W = np.concatenate(W) * h * h * patch.jacobian_det(S, T)
-    return patch.chart(S, T), W
 
 
 # -- the assembled system --------------------------------------------------------
@@ -366,7 +339,7 @@ def _near_box(pts, others, reach: float) -> np.ndarray:
 
 def _shared_feature(shared) -> tuple:
     """The feature of a cell that a touching cell shares, in
-    _graded_cell_nodes' form, from flags telling which of its corners
+    _unit_cell_rule's form, from flags telling which of its corners
     coincide with a corner of the other: the coordinates that all those
     corners share are graded toward their value."""
     # the corners in (s, t), in _cell_quads' winding
@@ -382,7 +355,7 @@ def _touch_candidates(quads_m, quads_n):
     corner, where the dyadic grids align node-to-node, so touching pairs are
     exactly the pairs sharing a corner coordinate (to 1e-9 cell diagonals).
     Each touching pair (m, n, feature) carries the side or corner of cell m
-    it touches along, in _graded_cell_nodes' form, read from which corners
+    it touches along, in _unit_cell_rule's form, read from which corners
     of m coincide with corners of n.  Near pairs (m, n) (gap below about one
     cell diameter) get an upgraded quadrature as a safety margin.  Centre
     distances are taken only between the cells near the other patch, O(4^L)
@@ -511,23 +484,29 @@ def _pair_classes(patch_m, patch_n, L: int):
              ib.reshape(shape_b)), (rep // cells, rep % cells))
 
 
+def _check_counts(**counts) -> None:
+    """Levels, orders and depths must be integers (not bools) >= 1."""
+    for name, value in counts.items():
+        if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                or value < 1):
+            raise ValueError(f"{name} must be >= 1 and an integer, got {value!r}")
+
+
 def assemble(surface: PolyhedralSurface, L: int, *, quad_order: int = 4,
              grade_depth: int = 4, workers: int = 1,
              max_cells: int = 8192) -> DoubleLayerSystem:
     """Galerkin matrix A[m, n] = (1/2) delta_mn |cell_m| - (K-part).
 
     The source-cell integral is the closed-form signed solid angle; the
-    test-cell integral uses 4x4 Gauss, upgraded to a 2x2 subdivision on
-    near pairs and to grade_depth-graded panels toward the shared feature
-    on touching pairs.  Every touching entry is recomputed one grading level
-    coarser, and a disagreement of more than 5% raises.  Each patch-pair
-    block is kept as a table with one entry per class of _pair_classes; no
-    (N, N) array is allocated until the system's `A` is read.
+    test-cell integral maps one cached _unit_cell_rule onto each batch of
+    cells: quad_order^2 Gauss, upgraded to a 2x2 subdivision on near pairs
+    and to grade_depth-graded panels toward the shared feature on touching
+    pairs.  Every touching entry is recomputed one grading level coarser,
+    and a disagreement of more than 5% raises.  Each patch-pair block is
+    kept as a table with one entry per class of _pair_classes; no (N, N)
+    array is allocated until the system's `A` is read.
     """
-    if L < 1:
-        raise ValueError("L must be >= 1")
-    if grade_depth < 1:
-        raise ValueError(f"grade_depth must be >= 1, got {grade_depth}")
+    _check_counts(L=L, quad_order=quad_order, grade_depth=grade_depth)
     _orientation_check(surface)
     c = 1 << L
     cells = c * c
@@ -536,26 +515,17 @@ def assemble(surface: PolyhedralSurface, L: int, *, quad_order: int = 4,
         raise MemoryError(f"{N} cells exceed the budget of {max_cells}")
 
     quads = [_cell_quads(p, L) for p in surface.patches]
-    gauss = [_cell_gauss(p, L, quad_order) for p in surface.patches]
+    gauss = [_cell_nodes(p, L, np.arange(cells), _unit_cell_rule(quad_order))
+             for p in surface.patches]
     areas = np.concatenate([w.sum(axis=1) for _, w in gauss])
     centers = np.concatenate([q.mean(axis=1) for q in quads])
 
-    def graded_value(pm, pn, m, n, feature, depth):
-        k1, k2 = divmod(m, c)
-        pts, wts = _graded_cell_nodes(surface.patches[pm], L, k1, k2,
-                                      feature, depth, quad_order)
-        return float(wts @ solid_angles(quads[pn][n:n + 1], pts)[:, 0]) / _FOUR_PI
-
-    def touching_value(pm, pn, m, n, feature):
-        val = graded_value(pm, pn, m, n, feature, grade_depth)
-        val2 = graded_value(pm, pn, m, n, feature, grade_depth - 1)
-        # entries scale with the cell area, and so must the floor
-        floor = 1e-12 * areas[pm * cells + m]
-        if abs(val - val2) > max(0.05 * abs(val), floor):
-            raise RuntimeError(
-                f"quadrature failure on touching cell pair "
-                f"({pm},{m})x({pn},{n}): {val} vs {val2}")
-        return val
+    def rule_values(pm, pn, m, n, feature, depth):
+        """Entries of cell pairs (m, n) of block (pm, pn), each its w @ o."""
+        P, W = _cell_nodes(surface.patches[pm], L, m,
+                           _unit_cell_rule(quad_order, feature, depth))
+        om = _solid_angles_paired(quads[pn][n], P)
+        return np.array([w @ o for w, o in zip(W, om)]) / _FOUR_PI
 
     def do_pair(pm: int, pn: int) -> _Block:
         qn = quads[pn]
@@ -570,18 +540,34 @@ def assemble(surface: PolyhedralSurface, L: int, *, quad_order: int = 4,
             om = _solid_angles_paired(qn[rn], P[rm])
             entries[lo:lo + step] = (W[rm] * om).sum(axis=1)
         entries /= _FOUR_PI
-        ia4 = np.broadcast_to(ia, (c, c, c, c))
-        ib4 = np.broadcast_to(ib, (c, c, c, c))
-        done: set[int] = set()
-        for m, n, feature in [(m, n, None) for m, n in near] + touching:
-            at = (m // c, m % c, n // c, n % c)
-            cid = int(cls[ia4[at], ib4[at]])
-            if cid in done:
-                continue
-            done.add(cid)
-            entries[cid] = (graded_value(pm, pn, m, n, (None, None), 1)
-                            if feature is None
-                            else touching_value(pm, pn, m, n, feature))
+        # near pairs, then touching ones, each class computed at its first
+        # pair; near pairs take the 2x2 split at depth 0, which marks them
+        # as exempt from the coarser-level check
+        m, n = np.array(near + [(m, n) for m, n, _ in touching],
+                        dtype=np.int64).reshape(-1, 2).T
+        rules = ([((None, None), 0)] * len(near)
+                 + [(feature, grade_depth) for _, _, feature in touching])
+        at = (m // c, m % c, n // c, n % c)
+        cid = cls[np.broadcast_to(ia, (c, c, c, c))[at],
+                  np.broadcast_to(ib, (c, c, c, c))[at]]
+        first = np.sort(np.unique(cid, return_index=True)[1])
+        val, val2 = np.empty(len(m)), np.empty(len(m))
+        for feature, depth in dict.fromkeys(rules[i] for i in first):
+            idx = np.array([i for i in first if rules[i] == (feature, depth)])
+            val[idx] = rule_values(pm, pn, m[idx], n[idx], feature, depth)
+            if depth:
+                val2[idx] = rule_values(pm, pn, m[idx], n[idx], feature, depth - 1)
+        entries[cid[first]] = val[first]
+        # every touching entry is checked one grading level coarser; entries
+        # scale with the cell area, and so must the floor
+        t = first[first >= len(near)]
+        floor = 1e-12 * areas[pm * cells + m[t]]
+        bad = t[np.abs(val[t] - val2[t]) > np.maximum(0.05 * np.abs(val[t]), floor)]
+        if bad.size:
+            i = bad[0]
+            raise RuntimeError(
+                f"quadrature failure on touching cell pair "
+                f"({pm},{m[i]})x({pn},{n[i]}): {val[i]} vs {val2[i]}")
         return _Block(pm, pn, entries, cls, ia, ib)
 
     pairs = [(pm, pn) for pm in range(surface.n_patches)
@@ -600,6 +586,17 @@ def assemble(surface: PolyhedralSurface, L: int, *, quad_order: int = 4,
 # -- identity checks -------------------------------------------------------------
 
 
+def _as_points(y, one: bool = False) -> np.ndarray:
+    """Finite points of shape (3,), or (N, 3) unless `one`, as (N, 3)."""
+    Y = np.asarray(y, dtype=float)
+    if Y.shape != (3,) and (one or Y.ndim != 2 or Y.shape[1] != 3):
+        want = "(3,)" if one else "(3,) or (N, 3)"
+        raise ValueError(f"points must have shape {want}, got {Y.shape}")
+    if not np.isfinite(Y).all():
+        raise ValueError("points must be finite")
+    return Y.reshape(-1, 3)
+
+
 def gauss_check(surface: PolyhedralSurface, x, patch: int | None = None,
                 L: int = 4) -> float:
     """Kernel integral over the surface (cellwise at level L) at point x.
@@ -608,13 +605,9 @@ def gauss_check(surface: PolyhedralSurface, x, patch: int | None = None,
     (pass the containing patch; its own coplanar contribution is exactly
     zero), 0 outside.
     """
-    x = np.asarray(x, dtype=float)
-    total = 0.0
-    for p in surface.patches:
-        if patch is not None and p.index == patch:
-            continue
-        om = solid_angles(_cell_quads(p, L), x[None, :])
-        total += float(om.sum())
+    x = _as_points(x, one=True)
+    total = sum(float(solid_angles(_cell_quads(p, L), x).sum())
+                for p in surface.patches if p.index != patch)
     return -total / _FOUR_PI
 
 
@@ -669,11 +662,16 @@ def galerkin_rhs(system: DoubleLayerSystem, g, quad_order: int = 4) -> np.ndarra
     surface = system.surface
     c = 1 << system.L
     if callable(g):
+        _check_counts(quad_order=quad_order)
         parts = []
         for p in surface.patches:
-            P, W = _cell_gauss(p, system.L, quad_order)
-            vals = np.asarray(g(P.reshape(-1, 3))).reshape(P.shape[:2])
-            parts.append((W * vals).sum(axis=1))
+            P, W = _cell_nodes(p, system.L, np.arange(c * c),
+                               _unit_cell_rule(quad_order))
+            vals = np.asarray(g(P.reshape(-1, 3)))
+            if vals.size != W.size:
+                raise ValueError(f"g returned {vals.size} values for "
+                                 f"{W.size} points")
+            parts.append((W * vals.reshape(W.shape)).sum(axis=1))
         return np.concatenate(parts)
     vals = np.asarray(g, dtype=float)
     if vals.size != system.n_cells:
@@ -752,9 +750,8 @@ def potential_eval(surface: PolyhedralSurface, density: np.ndarray, y):
     """
     density = np.asarray(density, dtype=float)
     L = _density_level(surface, density)
-    y = np.asarray(y, dtype=float)
-    single = y.ndim == 1
-    Y = np.atleast_2d(y)
+    single = np.ndim(y) == 1
+    Y = _as_points(y)
     edge = max(float(np.linalg.norm(v) + np.linalg.norm(p.coeff_d))
                for p in surface.patches for v in (p.coeff_b, p.coeff_c))
     d = np.min([points_quad_distance(Y, p.corners) for p in surface.patches], axis=0)

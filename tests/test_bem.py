@@ -97,7 +97,8 @@ def test_solid_angle_kernel_matches_oracle_on_cells(cube, rng):
     Y = rng.uniform(-0.5, 1.5, (300, 3))
     assert _same_bits(solid_angles(quads, Y),
                       _quad_oracle(quads[None] - Y[:, None, None, :]))
-    P, _ = bem._cell_gauss(cube.patches[2], 3, 4)
+    P, _ = bem._cell_nodes(cube.patches[2], 3, np.arange(64),
+                           bem._unit_cell_rule(4))
     qn = bem._cell_quads(cube.patches[0], 3)
     assert _same_bits(bem._solid_angles_paired(qn, P),
                       _quad_oracle(qn[:, None] - P[:, :, None]))
@@ -265,17 +266,19 @@ def test_touching_tolerances_scale_with_the_surface(systems):
         np.abs(unit).max())
 
 
+def _skewed(rule):
+    """The unit-cell `rule` with its depth-3 weights scaled by 1.1."""
+    def skewed(order, feature=None, depth=0):
+        s, t, w = rule(order, feature, depth)
+        return s, t, w * (1.1 if depth == 3 else 1.0)
+    return skewed
+
+
 @pytest.mark.parametrize("scale", [None, 1e-6])
 def test_verify_quadrature_fires_at_any_scale(scale, cube, monkeypatch):
     # with an absolute 1e-12 floor the check missed a 10% disagreement on the
     # small cube, whose largest touching entry is 4.3e-12
-    graded = bem._graded_cell_nodes
-
-    def skewed(patch, L, k1, k2, feature, depth, order):
-        pts, wts = graded(patch, L, k1, k2, feature, depth, order)
-        return pts, wts * (1.1 if depth == 3 else 1.0)
-
-    monkeypatch.setattr(bem, "_graded_cell_nodes", skewed)
+    monkeypatch.setattr(bem, "_unit_cell_rule", _skewed(bem._unit_cell_rule))
     surface = cube if scale is None else _moved_cube(scale)
     with pytest.raises(RuntimeError, match="quadrature failure"):
         assemble(surface, 2, grade_depth=4)
@@ -458,6 +461,90 @@ def test_assemble_is_bitwise_the_oracle_assembly(name, L, systems, fichera,
     assert _same_bits(new, assemble(surface, L).A)
 
 
+def _graded_cell_nodes_oracle(patch, L, k1, k2, feature, depth, order, skew):
+    """Outer nodes and weights of one cell, graded toward a side or corner,
+    built panel pair by panel pair with one meshgrid each; the unit-cell
+    weights are scaled by `skew`, where _skewed scales them."""
+    nodes, wts = unit_rule(order)
+    cuts = [0.0] + [2.0 ** (-depth + i) for i in range(depth + 1)]
+    segs = list(zip(cuts[:-1], cuts[1:]))
+
+    def panels(end):
+        if end is None:
+            return [(0.0, 0.5), (0.5, 1.0)]
+        return segs if end == 0 else [(1.0 - b, 1.0 - a) for a, b in segs]
+
+    h = 0.5 ** L
+    S, T, W = [], [], []
+    for a1, b1 in panels(feature[0]):
+        for a2, b2 in panels(feature[1]):
+            XX, YY = np.meshgrid(a1 + (b1 - a1) * nodes, a2 + (b2 - a2) * nodes,
+                                 indexing="ij")
+            S.append((k1 + XX.ravel()) * h)
+            T.append((k2 + YY.ravel()) * h)
+            W.append(np.outer((b1 - a1) * wts, (b2 - a2) * wts).ravel())
+    S, T = np.concatenate(S), np.concatenate(T)
+    W = np.concatenate(W) * skew * h * h * patch.jacobian_det(S, T)
+    return patch.chart(S, T), W
+
+
+def _near_and_touching_oracle(system, skew=1.0):
+    """Every near and touching class entry of `system`, computed pair by pair
+    in list order (near, then touching) at the first pair of its class: graded
+    nodes, one one-quad solid_angles call, wts @ om.  Depth-3 weights are
+    scaled by `skew`.  Returns ({(block, class): entry}, the message of the
+    first failing 5% check or None)."""
+    surface, L, c = system.surface, system.L, 1 << system.L
+    quads = [bem._cell_quads(p, L) for p in surface.patches]
+
+    def value(pm, pn, m, n, feature, depth):
+        pts, wts = _graded_cell_nodes_oracle(
+            surface.patches[pm], L, m // c, m % c, feature, depth,
+            system.quad_order, skew if depth == 3 else 1.0)
+        return float(wts @ solid_angles(quads[pn][n:n + 1], pts)[:, 0]) / (4 * math.pi)
+
+    want, failure = {}, None
+    for k, b in enumerate(system.blocks):
+        cls = b.cls[np.broadcast_to(b.ia, (c,) * 4), np.broadcast_to(b.ib, (c,) * 4)]
+        touching, near = bem._touch_candidates(quads[b.pm], quads[b.pn])
+        for m, n, feature in [(m, n, None) for m, n in near] + touching:
+            key = (k, int(cls[m // c, m % c, n // c, n % c]))
+            if key in want:
+                continue
+            if feature is None:
+                want[key] = value(b.pm, b.pn, m, n, (None, None), 1)
+                continue
+            val = value(b.pm, b.pn, m, n, feature, system.grade_depth)
+            val2 = value(b.pm, b.pn, m, n, feature, system.grade_depth - 1)
+            floor = 1e-12 * system.areas[b.pm * c * c + m]
+            if failure is None and abs(val - val2) > max(0.05 * abs(val), floor):
+                failure = (f"quadrature failure on touching cell pair "
+                           f"({b.pm},{m})x({b.pn},{n}): {val} vs {val2}")
+            want[key] = val
+    return want, failure
+
+
+@pytest.mark.parametrize("name, L", [("cube", 3), ("fichera", 2), ("frustum", 2),
+                                     ("prism", 3)])
+def test_near_and_touching_classes_are_bitwise_the_per_pair_path(
+        name, L, systems, fichera, monkeypatch):
+    surface = {"cube": systems[3].surface, "fichera": fichera,
+               "frustum": _frustum(), "prism": _prism()}[name]
+    by_workers = [assemble(surface, L, workers=workers) for workers in (1, 2)]
+    want, _ = _near_and_touching_oracle(by_workers[0])
+    assert len(want) > 0
+    for system in by_workers:
+        got = np.array([system.blocks[k].entries[cid] for k, cid in want])
+        assert _same_bits(got, np.array(list(want.values())))
+    # a skewed depth-3 rule fails at the same first pair with the same values
+    _, failure = _near_and_touching_oracle(by_workers[0], skew=1.1)
+    assert failure is not None
+    monkeypatch.setattr(bem, "_unit_cell_rule", _skewed(bem._unit_cell_rule))
+    with pytest.raises(RuntimeError) as err:
+        assemble(surface, L)
+    assert str(err.value) == failure
+
+
 def test_assemble_guards(cube):
     with pytest.raises(ValueError):
         assemble(cube, 0)
@@ -472,6 +559,22 @@ def test_assemble_guards(cube):
     inward = load_surface(flipped)
     with pytest.raises(SurfaceError):
         assemble(inward, 1)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda s: assemble(s.surface, 2.0), r"L must be >= 1 and an integer, got 2\.0"),
+    (lambda s: assemble(s.surface, True), "L must be >= 1 and an integer, got True"),
+    (lambda s: assemble(s.surface, 1, grade_depth=2.5), "grade_depth must be"),
+    (lambda s: assemble(s.surface, 1, quad_order=2.5), "quad_order must be"),
+    (lambda s: assemble(s.surface, 1, quad_order=0), "quad_order must be"),
+    (lambda s: galerkin_rhs(s, lambda pts: np.ones(len(pts)), quad_order=2.5),
+     "quad_order must be"),
+    (lambda s: galerkin_rhs(s, lambda pts: np.ones(3)),
+     "g returned 3 values for 64 points"),
+])
+def test_counts_and_rhs_values_are_checked(systems, call, match):
+    with pytest.raises(ValueError, match=match):
+        call(systems[1])
 
 
 def test_solve_constant_density(systems):
@@ -630,6 +733,21 @@ def test_potential_clearance_refuses_what_the_scalar_distance_refuses(cube):
     for y in pts[~clear][:20]:
         with pytest.raises(ValueError, match="within one cell size"):
             potential_eval(cube, density, y)
+
+
+@pytest.mark.parametrize("call, y, match", [
+    ("potential", [[np.nan, 0.5, 0.5]], "points must be finite"),
+    ("potential", [0.5, 0.5, np.inf], "points must be finite"),
+    ("potential", np.ones((1, 2)), r"shape \(3,\) or \(N, 3\), got \(1, 2\)"),
+    ("gauss", [np.nan, 0.5, 0.5], "points must be finite"),
+    ("gauss", np.full((2, 3), 0.5), r"shape \(3,\), got \(2, 3\)"),
+])
+def test_bad_points_are_value_errors(cube, call, y, match):
+    with pytest.raises(ValueError, match=match):
+        if call == "potential":
+            potential_eval(cube, np.ones((6, 2, 2)), y)
+        else:
+            gauss_check(cube, y, L=1)
 
 
 def test_interior_dirichlet_reproduces_probes(cube, systems):
