@@ -5,14 +5,12 @@ __version__ = "0.1.0"
 
 from .surface import (ConeFace, Patch, PolyhedralSurface, ResolutionOfUnity,
                       SurfaceError, fichera_corner, load_surface,
-                      partition_eval, quasi_random_points, surface_text,
-                      unit_cube)
+                      quasi_random_points, surface_text, unit_cube)
 from .wavelets import (BasisSpec, CoefficientField, WaveletIndex, analyze,
                        basis_inner_product, classify_index, classify_level,
-                       dual_l2_norm, empty_field, haar_basis,
-                       iter_level_indices, level_size, load_field,
-                       moment_check, multiwavelet_basis, save_field,
-                       support_of, synthesize, synthesize_params)
+                       dual_l2_norm, empty_field, haar_basis, level_size,
+                       load_field, moment_check, multiwavelet_basis,
+                       save_field, support_of, synthesize, synthesize_params)
 from .spaces import (BesovSpec, adaptivity_tau, admissible, besov_level_terms,
                      besov_norm, coarse_lp_norm, critical_line_spec,
                      embedding_predicate, interpolation_params,
@@ -28,8 +26,8 @@ from .approx import (GrowthReport, NTermPlan, RateReport, UniformApprox,
                      n_term_plan, predicted_rate, synth_field, uniform_approx,
                      whitney_check)
 from .bem import (DoubleLayerSystem, HarmonicProbe, SolutionReport,
-                  SolveReport, analyze_solution, assemble, double_layer_kernel,
-                  galerkin_rhs, gauss_check, interior_dirichlet_density,
-                  potential_eval, solid_angles, solve)
+                  SolveReport, analyze_solution, assemble, galerkin_rhs,
+                  gauss_check, interior_dirichlet_density, potential_eval,
+                  solid_angles, solve)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -87,26 +87,6 @@ class NTermPlan:
                                     int(k1), int(k2), int(m1), int(m2)))
         return tuple(out)
 
-    def apply(self, field: CoefficientField, n: int) -> CoefficientField:
-        """Field with all but the n heaviest wavelet coefficients zeroed."""
-        _check_same_shape(self, field)
-        n = min(max(n, 0), self.n_indices)
-        levels = {j: np.zeros_like(field.level(j)) for j in field.level_range()}
-        lev_sel = self.order_level[:n]
-        flat_sel = self.order_flat[:n]
-        for j in field.level_range():
-            pos = flat_sel[lev_sel == j]
-            if pos.size:
-                levels[j].ravel()[pos] = field.level(j).ravel()[pos]
-        return CoefficientField(field.basis, field.J, field.n_patches,
-                                field.coarse.copy(), levels, field.surface)
-
-
-def _check_same_shape(plan: NTermPlan, field: CoefficientField) -> None:
-    if (field.basis != plan.basis or field.J != plan.field_J
-            or field.n_patches != plan.n_patches):
-        raise ValueError("field layout does not match the plan")
-
 
 def n_term_plan(field: CoefficientField, target: BesovSpec) -> NTermPlan:
     """Sort all wavelet coefficients of ``field`` by target-weighted modulus."""
@@ -246,6 +226,7 @@ def level_tail_sums(field: CoefficientField, tau: float,
         raise ValueError(f"unknown index class {kinds!r}")
     if kinds != "all" and field.surface is None:
         raise ValueError("classified tail sums need the field's surface")
+    _inverse_tau(tau)
     return {j: _level_class_sum(field, j, tau, kinds)
             for j in field.level_range()}
 
@@ -388,6 +369,8 @@ def whitney_check(f: Callable, Q: tuple[float, float, float], k: int,
     if k < 1:
         raise ValueError("k must be >= 1")
     x0, y0, edge = Q
+    if not all(map(math.isfinite, Q)):
+        raise ValueError(f"square (x0, y0, edge) must be finite, got {Q!r}")
     if edge <= 0:
         raise ValueError("square edge must be positive")
     nodes, wts = unit_rule(quad_order)
@@ -468,6 +451,8 @@ def fit_rate(samples, predicted: float | None = None, *,
     if len(pairs) < 4:
         raise ValueError("need at least 4 samples")
     n, err = pairs[:, 0], pairs[:, 1]
+    if not np.all(np.isfinite(pairs)):
+        raise ValueError("samples must be finite")
     if np.any(np.diff(n) <= 0):
         raise ValueError("sample sizes must be strictly increasing")
     if np.any(err <= 0):

@@ -31,29 +31,13 @@ from .surface import PolyhedralSurface, SurfaceError, points_quad_distance
 from .spaces import BesovSpec
 from .wavelets import BasisSpec, CoefficientField, analyze
 from .weighted import WeightedSpec
-from .approx import (RateReport, fit_rate, gamma_star, level_tail_sums,
-                     n_term_plan, uniform_approx)
+from .approx import (RateReport, alpha_star, fit_rate, gamma_star,
+                     level_tail_sums, n_term_plan, uniform_approx)
 
 _FOUR_PI = 4.0 * math.pi
 
 
 # -- kernel and solid angles -----------------------------------------------------
-
-
-def double_layer_kernel(x, eta, y):
-    """-(1/(4 pi)) <eta, x - y> / |x - y|^3 for source x with normal eta.
-
-    Broadcasts over leading axes; raises on coincident points.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    d = x - y
-    r2 = (d * d).sum(axis=-1)
-    if np.any(r2 == 0.0):
-        raise ValueError("kernel evaluated at coincident points")
-    num = (eta * d).sum(axis=-1)
-    return -num / (_FOUR_PI * r2 * np.sqrt(r2))
 
 
 def _quad_kernel(Q, Y):
@@ -257,10 +241,6 @@ class DoubleLayerSystem:
     @property
     def n_cells(self) -> int:
         return len(self.areas)
-
-    def flat_index(self, patch: int, k1: int, k2: int) -> int:
-        c = 1 << self.L
-        return (patch * c + k1) * c + k2
 
     @cached_property
     def A(self) -> np.ndarray:
@@ -613,7 +593,7 @@ def gauss_check(surface: PolyhedralSurface, x, patch: int | None = None,
 
 @dataclass(frozen=True)
 class HarmonicProbe:
-    """A harmonic function plus helpers for traces and Laplacian residuals."""
+    """A named harmonic function, evaluated at an (N, 3) array of points."""
 
     name: str
     func: Callable
@@ -632,16 +612,6 @@ class HarmonicProbe:
         return HarmonicProbe(
             name="pole",
             func=lambda p: 1.0 / np.linalg.norm(p - pole, axis=1))
-
-    def laplacian_residual(self, points, h: float = 5e-4) -> float:
-        """max |Laplacian| over the points, by second central differences."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        lap = -6.0 * self(pts)
-        for ax in range(3):
-            e = np.zeros(3)
-            e[ax] = h
-            lap = lap + self(pts + e) + self(pts - e)
-        return float(np.abs(lap).max() / (h * h))
 
 
 # -- solving and evaluating ------------------------------------------------------
@@ -831,7 +801,7 @@ def analyze_solution(surface: PolyhedralSurface, density: np.ndarray,
     field = analyze(surface, _CellDensitySampler(density), basis, J,
                     min_cell_level=L, workers=workers)
     target = BesovSpec(s_prime, 2.0, 2.0)
-    a_star = min(weighted.rho, weighted.k - weighted.rho, s)
+    a_star = alpha_star(weighted.rho, weighted.k, s, 2.0)
     gam = gamma_star(s, s_prime, 2.0, a_star)
 
     plan = n_term_plan(field, target)

@@ -62,11 +62,6 @@ _WHITNEY_FUNCS = {
 }
 
 
-def report_schema_version() -> str:
-    """Schema version stamped into every CSV header and manifest."""
-    return SCHEMA_VERSION
-
-
 class ConfigError(ValueError):
     """Invalid experiment configuration; message carries source:line: path."""
 

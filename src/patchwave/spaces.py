@@ -46,6 +46,8 @@ class BesovSpec:
     q: float
 
     def __post_init__(self):
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha!r}")
         if not (self.p > 0):
             raise ValueError("p must be positive (math.inf allowed)")
         if not (self.q > 0):

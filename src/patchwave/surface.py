@@ -24,7 +24,6 @@ __all__ = [
     "ResolutionOfUnity",
     "load_surface",
     "surface_text",
-    "partition_eval",
     "unit_cube",
     "fichera_corner",
     "quasi_random_points",
@@ -182,15 +181,6 @@ class ConeFace:
     e1: np.ndarray               # (3,)
     e2: np.ndarray               # (3,)
     normal: np.ndarray           # (3,)
-
-    def to_3d(self, y1, y2):
-        y1 = np.asarray(y1, dtype=float)[..., None]
-        y2 = np.asarray(y2, dtype=float)[..., None]
-        return self.apex + y1 * self.e1 + y2 * self.e2
-
-    def to_plane(self, x):
-        d = np.asarray(x, dtype=float) - self.apex
-        return d @ self.e1, d @ self.e2
 
     def _ball_radii(self, center, r):
         """Interval (R0, R1) of sector radii |y| holding every face point
@@ -364,11 +354,17 @@ class PolyhedralSurface:
     def n_patches(self):
         return len(self.patches)
 
-    def cone_faces(self, n) -> list[ConeFace]:
-        return self.cones[int(n)]
+    def _vertex_id(self, name: str, v):
+        """v if it is a vertex id of the surface, else ValueError."""
+        n = self.n_vertices
+        if not (isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                and 0 <= v < n):
+            raise ValueError(f"{name} must be a vertex id in [0, {n}), "
+                             f"got {v!r}")
+        return v
 
-    def cone_angles(self, n):
-        return [f.gamma for f in self.cone_faces(n)]
+    def cone_faces(self, n) -> list[ConeFace]:
+        return self.cones[self._vertex_id("vertex", n)]
 
     def incident_patches(self, n):
         return [f.patch for f in self.cone_faces(n)]
@@ -557,6 +553,7 @@ class ResolutionOfUnity:
 
     def eval(self, n, pts):
         """phi_n at surface points `pts` ((3,) or (N,3))."""
+        n = self.surface._vertex_id("vertex", n)
         val = self.eval_all(pts)[n]
         return float(val[0]) if np.asarray(pts).ndim == 1 else val
 
@@ -564,11 +561,6 @@ class ResolutionOfUnity:
         """All phi_n at the given points: array of shape (n_vertices, N)."""
         bumps = self._bumps(pts)
         return bumps / np.sum(bumps, axis=0, keepdims=True)
-
-
-def partition_eval(resolution: ResolutionOfUnity, n: int, x):
-    """Value of the n-th partition function at surface point(s) x."""
-    return resolution.eval(n, x)
 
 
 # -- reference surfaces -----------------------------------------------------

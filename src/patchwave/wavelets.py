@@ -15,7 +15,7 @@ from __future__ import annotations
 import io
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import sqrt
 
@@ -216,26 +216,11 @@ class CoefficientField:
     def level_range(self):
         return range(self.basis.j_star, self.J + 1)
 
-    def n_wavelet_indices(self, J_max: int | None = None) -> int:
-        J_max = self.J if J_max is None else J_max
-        return sum(level_size(self.basis, j, self.n_patches)
-                   for j in self.level_range() if j <= J_max)
-
     def entry(self, idx: WaveletIndex):
         if idx.etype == 0:
             return self.coarse[idx.patch, idx.k1, idx.k2, idx.m1, idx.m2]
         return self.levels[idx.level][idx.patch, idx.etype - 1,
                                       idx.k1, idx.k2, idx.m1, idx.m2]
-
-    def replace_level(self, j: int, arr: np.ndarray) -> "CoefficientField":
-        levels = dict(self.levels)
-        levels[j] = np.array(arr)
-        return replace(self, levels=levels)
-
-    def truncated(self, J_keep: int) -> "CoefficientField":
-        levels = {j: a for j, a in self.levels.items() if j <= J_keep}
-        return replace(self, J=min(self.J, max([self.basis.j_star - 1, J_keep])),
-                       levels=levels)
 
 
 def _zero_arrays(basis: BasisSpec, n_patches: int, J: int, dtype=np.float64):
@@ -523,19 +508,6 @@ def classify_level(surface: PolyhedralSurface, basis: BasisSpec, j: int):
             for patch in surface.patches]))
         surface._interior_masks[j] = masks
     return masks
-
-
-def iter_level_indices(basis: BasisSpec, n_patches: int, j: int):
-    """All wavelet indices at level j in lexicographic order."""
-    cells = 1 << j
-    r = basis.d
-    for i in range(n_patches):
-        for e in (1, 2, 3):
-            for k1 in range(cells):
-                for k2 in range(cells):
-                    for m1 in range(r):
-                        for m2 in range(r):
-                            yield WaveletIndex(j, i, e, k1, k2, m1, m2)
 
 
 # -- inner products and moments -------------------------------------------------

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import groupby
 from math import comb, pi
 
 import numpy as np
@@ -66,10 +67,6 @@ class WeightedSpec:
             raise ValueError("derivative order k must be 1 or 2")
         if self.rho < 0:
             raise ValueError("rho must be nonnegative")
-
-    @property
-    def mu(self) -> float:
-        return self.rho
 
     def derivative_terms(self):
         return [(br, bp) for br in range(self.k + 1) for bp in range(self.k + 1)
@@ -180,14 +177,6 @@ class _FaceHandleBase:
     def __init__(self, surface: PolyhedralSurface):
         self.surface = surface
 
-    def _vertex_id(self, name: str, v):
-        """v if it is a vertex id of the surface, else ValueError."""
-        n = self.surface.n_vertices
-        if not (isinstance(v, (int, np.integer)) and 0 <= v < n):
-            raise ValueError(f"{name} must be a vertex id in [0, {n}), "
-                             f"got {v!r}")
-        return v
-
     def _face(self, n, t):
         return self.surface.cone_faces(n)[t]
 
@@ -217,7 +206,7 @@ class VertexPowerModel(_FaceHandleBase):
 
     def __init__(self, surface, vertex: int, beta: float, cut=(0.25, 0.5)):
         super().__init__(surface)
-        self.vertex = self._vertex_id("vertex", vertex)
+        self.vertex = self.surface._vertex_id("vertex", vertex)
         self.beta = float(beta)
         self.cut0, self.cut1 = float(cut[0]), float(cut[1])
         if not self.cut0 < self.cut1:
@@ -254,8 +243,8 @@ class EdgePowerModel(_FaceHandleBase):
     def __init__(self, surface, v0: int, v1: int, beta: float,
                  band=(0.2, 0.6), width=0.08):
         super().__init__(surface)
-        self._vertex_id("v0", v0)
-        if self._vertex_id("v1", v1) == v0:
+        self.surface._vertex_id("v0", v0)
+        if self.surface._vertex_id("v1", v1) == v0:
             raise ValueError(f"v0 and v1 must differ, got {v0} twice")
         self.beta = float(beta)
         self.a = surface.vertices[v0]
@@ -568,7 +557,7 @@ def _converged(shell_sums, vertex, patch, term) -> float:
 def weighted_sobolev_norm(handle, surface: PolyhedralSurface,
                           resolution: ResolutionOfUnity, spec: WeightedSpec,
                           *, depth: int = 32, quad_order: int = 8,
-                          workers: int = 1, return_report: bool = False):
+                          workers: int = 1):
     """Graded-quadrature evaluation of the order-k weighted norm.
 
     Sums over vertices: the cone L2 norm of phi_n u plus one weighted L2 norm
@@ -577,6 +566,24 @@ def weighted_sobolev_norm(handle, surface: PolyhedralSurface,
     convergent power-type tails fall under that rate well before `depth`
     layers, divergent ones never do.
     """
+    terms = _norm_terms(handle, surface, resolution, spec, depth=depth,
+                        quad_order=quad_order, workers=workers)
+    total = 0.0
+    for _, group in groupby(terms.items(), key=lambda item: item[0][0]):
+        l2_sq = 0.0
+        for (_, _, term), value in group:
+            if term == (0, 0):
+                l2_sq += value
+            else:
+                total += np.sqrt(value)
+        total += np.sqrt(l2_sq)
+    return total
+
+
+def _norm_terms(handle, surface, resolution, spec, *, depth, quad_order,
+                workers):
+    """{(vertex, face, term): squared weighted L2 norm} in vertex, face and
+    term order; term (0, 0) is the face's share of the cone L2 norm."""
     def run(job):
         n, t = job
         patch = surface.cone_faces(n)[t].patch
@@ -600,22 +607,8 @@ def weighted_sobolev_norm(handle, surface: PolyhedralSurface,
             results = dict(ex.map(run, jobs))
     else:
         results = dict(map(run, jobs))
-
-    report = {}
-    total = 0.0
-    for n in range(surface.n_vertices):
-        l2_sq = 0.0
-        for t in range(len(surface.cone_faces(n))):
-            for term, value in results[(n, t)].items():
-                report[(n, t, term)] = value
-                if term == (0, 0):
-                    l2_sq += value
-                else:
-                    total += np.sqrt(value)
-        total += np.sqrt(l2_sq)
-    if return_report:
-        return total, report
-    return total
+    return {(n, t, term): value for (n, t) in jobs
+            for term, value in results[(n, t)].items()}
 
 
 def delta_weighted_norm(handle, surface: PolyhedralSurface,

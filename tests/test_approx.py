@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from patchwave import (
     BesovSpec,
@@ -36,26 +37,36 @@ def test_plan_orders_by_weight(cube, haar):
     field = _random_field(cube, haar, seed=31)
     plan = n_term_plan(field, L2)
     assert np.all(np.diff(plan.weights) <= 0.0)
-    assert plan.n_indices == field.n_wavelet_indices()
+    assert plan.n_indices == sum(level_size(haar, j, field.n_patches)
+                                 for j in field.level_range())
     # plan errors are nonincreasing and hit zero once everything is kept
     errs = [plan.error_at(n) for n in (0, 1, 10, 100, plan.n_indices)]
     assert all(a >= b for a, b in zip(errs, errs[1:]))
     assert errs[-1] == 0.0
 
 
-def test_error_matches_applied_field(cube, haar):
-    field = _random_field(cube, haar, seed=5)
-    target = BesovSpec(0.8, 2.0, 2.0)
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2 ** 16), alpha=st.floats(0.0, 3.0),
+       n=st.integers(0, 1600))
+def test_error_is_the_norm_of_the_dropped_terms(cube, haar, seed, alpha, n):
+    # the retained indices outweigh every dropped one, and error_at(n) is the
+    # weighted l2 norm of exactly the dropped coefficients
+    field = _random_field(cube, haar, seed=seed)
+    target = BesovSpec(alpha, 2.0, 2.0)
     plan = n_term_plan(field, target)
     e = target.weight_exponent()
-    for n in (0, 7, 64):
-        kept = plan.apply(field, n)
-        total = 0.0
-        for j in field.level_range():
-            diff = np.abs(field.level(j) - kept.level(j))
-            total += float((((2.0 ** (j * e)) * diff) ** 2).sum())
-        assert plan.error_at(n) == pytest.approx(math.sqrt(total), rel=1e-12)
-        assert np.array_equal(kept.coarse, field.coarse)
+    weight = {j: (2.0 ** (j * e)) * np.abs(field.level(j))
+              for j in field.level_range()}
+    dropped = {j: np.ones(w.shape, dtype=bool) for j, w in weight.items()}
+    for idx in plan.retained(n):
+        dropped[idx.level][idx.patch, idx.etype - 1,
+                           idx.k1, idx.k2, idx.m1, idx.m2] = False
+    kept_w = [w[~dropped[j]] for j, w in weight.items()]
+    dropped_w = [w[dropped[j]] for j, w in weight.items()]
+    assert (min(w.min(initial=np.inf) for w in kept_w)
+            >= max(w.max(initial=0.0) for w in dropped_w))
+    total = sum(float((w ** 2).sum()) for w in dropped_w)
+    assert plan.error_at(n) == pytest.approx(math.sqrt(total), rel=1e-12)
 
 
 def test_best_n_term_returns_heaviest(cube, haar):
@@ -79,12 +90,33 @@ def test_uniform_approx_census(cube, haar):
     field = _random_field(cube, haar, seed=2)
     full = uniform_approx(field, L2, field.J)
     assert full.error == 0.0
-    assert full.n_effective == field.n_wavelet_indices()
+    assert full.n_effective == sum(level_size(haar, j, 6)
+                                   for j in field.level_range())
     nothing = uniform_approx(field, L2, -1)
     assert nothing.n_effective == 0
     assert nothing.error == pytest.approx(n_term_plan(field, L2).error_at(0))
     partial = uniform_approx(field, L2, 1)
     assert partial.n_effective == sum(level_size(haar, j, 6) for j in (0, 1))
+
+
+_POWER_LAW = [(16, 1.0), (32, 0.5), (64, 0.25), (128, 0.125)]
+
+
+@pytest.mark.parametrize("call", [
+    lambda field: BesovSpec(math.nan, 2.0, 2.0),
+    lambda field: fit_rate([(16, math.nan)] + _POWER_LAW[1:]),
+    lambda field: fit_rate([(16, math.inf)] + _POWER_LAW[1:]),
+    lambda field: fit_rate(_POWER_LAW[:3] + [(math.inf, 0.1)]),
+    lambda field: level_tail_sums(field, math.nan),
+    lambda field: level_tail_sums(field, -1.0),
+    lambda field: whitney_check(lambda x, y: np.exp(x + y), (0, 0, math.nan), 2),
+    lambda field: whitney_check(lambda x, y: np.exp(x + y), (math.inf, 0, 0.5), 2),
+], ids=["alpha-nan", "fit-error-nan", "fit-error-inf", "fit-n-inf",
+        "tau-nan", "tau-negative", "edge-nan", "corner-inf"])
+def test_nonfinite_input_is_a_value_error(cube, haar, call):
+    # these used to return nan or inf, or to fail inside numpy's SVD
+    with pytest.raises(ValueError, match="finite"):
+        call(_random_field(cube, haar, seed=3, J=1))
 
 
 def test_fit_rate_recovers_exact_power_law():

@@ -18,7 +18,6 @@ from patchwave.cli import (
     config_from_dict,
     config_from_file,
     config_hash,
-    report_schema_version,
 )
 from test_weighted import _nan_near_vertex_0
 
@@ -37,10 +36,6 @@ BASE = {
     "spaces": [[1.0, 2.0, 2.0], [0.75, 2.0, 2.0]],
     "params": {"synth": {"kind": "random_besov", "spec": [1.0, 2.0, 2.0]}},
 }
-
-
-def test_schema_version():
-    assert report_schema_version() == "1.0.0"
 
 
 def test_config_roundtrip(tmp_path):
@@ -189,6 +184,8 @@ SYNTH = {"kind": "synth", "J": 3,
     (BEM, "rho", 2.0, "rho: with J, rho must lie in \\(0, k\\)"),
     (BEM, "rho", 1.5, "rho: with J, rho must lie in \\(0, k\\)"),
     (BEM, "rho", 0, "rho: with J, rho must lie in \\(0, k\\)"),
+    (NTERM, "source_space", [float("nan"), 2.0, 2.0],
+     "source_space: alpha must be finite, got nan"),
 ])
 def test_validation_types_numeric_params(tmp_path, base, key, value, message):
     doc = {**base, "params": {**base["params"], key: value}}

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from patchwave import (
+    ConstantModel,
     SurfaceError,
+    WeightedSpec,
+    delta_weighted_norm,
     fichera_corner,
     load_surface,
-    partition_eval,
     quasi_random_points,
     surface_text,
     unit_cube,
@@ -93,11 +95,12 @@ def test_cone_structure(cube):
         faces = cube.cone_faces(n)
         assert len(faces) == 3
         # every cube corner opens three right-angle sectors
-        assert np.allclose(cube.cone_angles(n), np.pi / 2)
+        assert np.allclose([f.gamma for f in faces], np.pi / 2)
         for f in faces:
+            # (e1, e2) is an orthonormal frame of the face plane
             assert np.dot(f.e1, f.e2) == pytest.approx(0.0, abs=1e-12)
-            y1, y2 = f.to_plane(f.to_3d(0.3, 0.2))
-            assert (y1, y2) == pytest.approx((0.3, 0.2), abs=1e-12)
+            assert np.linalg.norm(f.e1) == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(f.e2) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_partition_examples(cube, rou):
@@ -105,11 +108,11 @@ def test_partition_examples(cube, rou):
     v = cube.vertices[0]
     for n in range(cube.n_vertices):
         expect = 1.0 if n == 0 else 0.0
-        assert partition_eval(rou, n, v) == pytest.approx(expect, abs=1e-12)
+        assert rou.eval(n, v) == pytest.approx(expect, abs=1e-12)
     # midpoint of an edge splits evenly between the endpoints
     mid = 0.5 * (cube.vertices[0] + cube.vertices[1])
-    w0 = partition_eval(rou, 0, mid)
-    w1 = partition_eval(rou, 1, mid)
+    w0 = rou.eval(0, mid)
+    w1 = rou.eval(1, mid)
     assert w0 == pytest.approx(0.5, abs=1e-12)
     assert w1 == pytest.approx(0.5, abs=1e-12)
     # at a face barycenter the four face corners contribute equally and the
@@ -118,9 +121,26 @@ def test_partition_examples(cube, rou):
     face = set(cube.patches[0].corner_ids)
     for n in range(cube.n_vertices):
         if n in face:
-            assert partition_eval(rou, n, bary) == pytest.approx(0.25, abs=1e-12)
+            assert rou.eval(n, bary) == pytest.approx(0.25, abs=1e-12)
         else:
-            assert partition_eval(rou, n, bary) == 0.0
+            assert rou.eval(n, bary) == 0.0
+
+
+@pytest.mark.parametrize("query", [
+    lambda cube, rou: cube.cone_faces(99),
+    lambda cube, rou: cube.cone_faces(1.5),
+    lambda cube, rou: cube.cone_faces(True),
+    lambda cube, rou: rou.eval(-1, cube.vertices[7]),
+    lambda cube, rou: delta_weighted_norm(ConstantModel(cube, 1.0), cube, rou,
+                                          WeightedSpec(1, 0.5), vertex=99),
+], ids=["cone-faces-99", "cone-faces-1.5", "cone-faces-true", "eval-minus-1",
+        "delta-norm-99"])
+def test_vertex_queries_reject_bad_ids(cube, rou, query):
+    # these used to raise a raw KeyError, or to read 1.5 and True as vertex 1
+    # and -1 as vertex 7
+    with pytest.raises(ValueError, match="vertex must be a vertex id in"):
+        query(cube, rou)
+    assert cube.cone_faces(np.int64(3)) == cube.cone_faces(3)
 
 
 def test_partition_sums_to_one(cube, rou):

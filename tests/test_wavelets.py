@@ -18,7 +18,6 @@ from patchwave import (
     empty_field,
     fichera_corner,
     haar_basis,
-    iter_level_indices,
     level_size,
     load_field,
     load_surface,
@@ -441,24 +440,9 @@ def test_field_structure(cube, haar):
     field = empty_field(haar, cube.n_patches, 4)
     assert list(field.level_range()) == [0, 1, 2, 3, 4]
     assert field.level(2).shape == (6, 3, 4, 4, 1, 1)
-    assert field.n_wavelet_indices() == sum(
-        level_size(haar, j, 6) for j in range(5))
-    truncated = field.truncated(2)
-    assert list(truncated.level_range()) == [0, 1, 2]
 
 
-def test_entry_and_replace_level(cube, haar):
+def test_entry(cube, haar):
     field = synth_field(cube, haar, "random_besov", 2, spec=_any_spec(), seed=2)
     idx = WaveletIndex(1, 3, 2, 0, 1, 0, 0)
     assert field.entry(idx) == field.level(1)[3, 1, 0, 1, 0, 0]
-    swapped = field.replace_level(1, np.zeros_like(field.level(1)))
-    assert not np.array_equal(field.level(1), swapped.level(1))
-    assert swapped.entry(idx) == 0.0
-
-
-def test_iter_level_indices_lexicographic(haar):
-    seq = list(iter_level_indices(haar, 2, 1))
-    assert len(seq) == level_size(haar, 1, 2)
-    keys = [(w.patch, w.etype, w.k1, w.k2, w.m1, w.m2) for w in seq]
-    assert keys == sorted(keys)
-    assert all(w.level == 1 for w in seq)

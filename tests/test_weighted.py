@@ -32,7 +32,6 @@ FAST = dict(depth=16, quad_order=4)
 
 def test_weighted_spec():
     spec = WeightedSpec(k=2, rho=0.7)
-    assert spec.mu == spec.rho
     terms = set(spec.derivative_terms())
     assert (1, 0) in terms and (0, 1) in terms
     assert (2, 0) in terms and (1, 1) in terms and (0, 2) in terms
@@ -179,10 +178,8 @@ def test_constant_model_norm_finite(cube, rou):
 
 def test_norm_reports_per_term(cube, rou):
     handle = ConstantModel(cube, 1.0)
-    value, report = weighted_sobolev_norm(handle, cube, rou,
-                                          WeightedSpec(1, 0.5),
-                                          return_report=True, **FAST)
-    assert value > 0.0
+    report = weighted._norm_terms(handle, cube, rou, WeightedSpec(1, 0.5),
+                                  workers=1, **FAST)
     # one L2 entry per cone face plus one entry per derivative term
     faces = sum(len(cube.cone_faces(n)) for n in range(cube.n_vertices))
     assert sum(1 for key in report if key[2] == (0, 0)) == faces
@@ -260,15 +257,15 @@ class _NoSupport:
 
 
 def _outcome(fn, *args, **kwargs):
-    """fn's value (and report) as int64 bits, or the divergence it raises."""
+    """fn's value (or per-term dict) as int64 bits, or the divergence it
+    raises."""
     bits = lambda x: np.float64(x).view(np.int64)
     try:
         result = fn(*args, **kwargs)
     except WeightedNormDivergence as exc:
         return exc.vertex, exc.patch, exc.term, exc.growths
-    if isinstance(result, tuple):
-        value, report = result
-        return bits(value), {key: bits(v) for key, v in report.items()}
+    if isinstance(result, dict):
+        return {key: bits(v) for key, v in result.items()}
     return bits(result)
 
 
@@ -305,10 +302,10 @@ def test_the_norm_on_the_support_is_bitwise_the_full_mesh(name, edge, k,
                                  cut=(cut0, cut0 + data.draw(frac) * h / 2))
     spec = WeightedSpec(k, 0.5)
     with np.errstate(divide="ignore", invalid="ignore"):
-        assert (_outcome(weighted_sobolev_norm, model, surface, rou, spec,
-                         workers=workers, return_report=True, **FAST)
-                == _outcome(weighted_sobolev_norm, _NoSupport(model), surface,
-                            rou, spec, return_report=True, **FAST))
+        assert (_outcome(weighted._norm_terms, model, surface, rou, spec,
+                         workers=workers, **FAST)
+                == _outcome(weighted._norm_terms, _NoSupport(model), surface,
+                            rou, spec, workers=1, **FAST))
         assert (_outcome(delta_weighted_norm, model, surface, rou, spec,
                          vertex, **FAST)
                 == _outcome(delta_weighted_norm, _NoSupport(model), surface,
