@@ -93,24 +93,24 @@ def n_term_plan(field: CoefficientField, target: BesovSpec) -> NTermPlan:
     _require_sequence_target(target)
     e = target.weight_exponent()
     p = target.p
-    lev_ids, flats, weights = [], [], []
-    for j in field.level_range():
-        w = (2.0 ** (j * e)) * np.abs(field.level(j)).ravel()
-        weights.append(w)
-        lev_ids.append(np.full(w.size, j, dtype=np.int16))
-        flats.append(np.arange(w.size, dtype=np.int64))
-    w = np.concatenate(weights) if weights else np.zeros(0)
-    lev = np.concatenate(lev_ids) if lev_ids else np.zeros(0, dtype=np.int16)
-    flat = np.concatenate(flats) if flats else np.zeros(0, dtype=np.int64)
-    # primary: weight descending; ties: level, then flat position ascending
-    order = np.lexsort((flat, lev, -w))
+    js = field.level_range()
+    offsets = np.cumsum([0] + [field.level(j).size for j in js], dtype=np.int64)
+    w = np.empty(offsets[-1])
+    for j, lo, hi in zip(js, offsets, offsets[1:]):
+        np.multiply(2.0 ** (j * e), np.abs(field.level(j)).ravel(), out=w[lo:hi])
+    # primary: weight descending; ties: level, then flat position ascending,
+    # which is the order of w, so a stable sort keeps it
+    order = np.argsort(-w, kind="stable")
+    which = np.searchsorted(offsets, order, side="right") - 1
     w = w[order]
     wp = w ** p
     tail = np.zeros(len(w) + 1)
     tail[:-1] = np.cumsum(wp[::-1])[::-1]
     return NTermPlan(target=target, basis=field.basis, n_patches=field.n_patches,
-                     field_J=field.J, order_level=lev[order],
-                     order_flat=flat[order], weights=w, weight_p=wp, tail_p=tail)
+                     field_J=field.J,
+                     order_level=np.asarray(js, dtype=np.int16)[which],
+                     order_flat=order - offsets[which], weights=w, weight_p=wp,
+                     tail_p=tail)
 
 
 def best_n_term(field: CoefficientField, target: BesovSpec,

@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass, field as dataclass_field
@@ -32,9 +33,9 @@ from .spaces import BesovSpec, admissible, besov_norm, embedding_predicate, seq_
 from .weighted import (ConstantModel, EdgePowerModel, VertexPowerModel,
                        WeightedNormDivergence, WeightedSpec,
                        weighted_sobolev_norm)
-from .approx import (_boundary_window, _interior_window, boundary_tail_check,
-                     fit_rate, interior_tail_check, n_term_plan,
-                     predicted_rate, synth_field, whitney_check)
+from .approx import (_boundary_window, _interior_window, _inverse_tau,
+                     boundary_tail_check, fit_rate, interior_tail_check,
+                     n_term_plan, predicted_rate, synth_field, whitney_check)
 from .bem import analyze_solution, assemble, solve
 
 SCHEMA_VERSION = "1.0.0"
@@ -284,16 +285,38 @@ def _as_weighted_order(value, chk: _Check, path: tuple) -> None:
         chk.fail(path, f"weighted norm order must be 1 or 2, got {value}")
 
 
+def _finite(value) -> None:
+    """ValueError unless the number `value` is finite as a float."""
+    try:
+        ok = math.isfinite(value)
+    except OverflowError:       # an integer beyond the float range
+        ok = False
+    if not ok:
+        raise ValueError(f"expected a finite number, got {value!r}")
+
+
 def _as_number(value, chk: _Check, path: tuple) -> None:
     if not _is_number(value):
         chk.fail(path, f"expected a number, got {value!r}")
+    try:
+        _finite(value)
+    except ValueError as exc:
+        chk.fail(path, str(exc))
 
 
-def _as_numbers(value, chk: _Check, path: tuple, size: int | None = None):
+def _as_numbers(value, chk: _Check, path: tuple, size: int | None = None,
+                each: Callable = _finite):
+    """A list of numbers, each of which `each` accepts (raises ValueError
+    otherwise; by default it requires a finite number)."""
     if (not isinstance(value, list) or not all(_is_number(v) for v in value)
             or size is not None and len(value) != size):
         count = "" if size is None else f"{size} "
         chk.fail(path, f"expected a list of {count}numbers, got {value!r}")
+    for i, v in enumerate(value):
+        try:
+            each(v)
+        except ValueError as exc:
+            chk.fail(path + (i,), str(exc))
 
 
 def _as_file(value, chk: _Check, path: tuple) -> None:
@@ -794,8 +817,9 @@ _KINDS = {
                                  "help": "default %(default)s"}),
              "vertex": ("--vertex", _INT), "v0": ("--v0", _INT),
              "v1": ("--v1", _INT)}),
-        "taus": _Param(_as_numbers, None, "--tau", {**_FLOAT, "action":
-                       "append"}, "default: three from min(rho, k - rho)"),
+        "taus": _Param(partial(_as_numbers, each=_inverse_tau), None, "--tau",
+                       {**_FLOAT, "action": "append"},
+                       "default: three from min(rho, k - rho)"),
         "k": _K, "rho": _RHO, "s": _S,
         "p": _Param(_as_number, 2.0, "--p", _FLOAT, "base space (s, p, p)"),
     }, {"critical_line_tol": 1e-12}),

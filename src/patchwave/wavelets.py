@@ -286,6 +286,10 @@ def _sample(sampler, patch, xs, ys):
     return out
 
 
+# grid points sampled at once by one `analyze` job (at least one row of cells)
+_ANALYZE_BLOCK = 1 << 16
+
+
 def analyze(surface: PolyhedralSurface, sampler, basis: BasisSpec, J: int,
             min_cell_level: int = 0, workers: int = 1) -> CoefficientField:
     """Patchwise wavelet analysis of a function up to level J.
@@ -294,6 +298,13 @@ def analyze(surface: PolyhedralSurface, sampler, basis: BasisSpec, J: int,
     with ``eval_params(patch_index, S, T)``. ``min_cell_level`` forces the
     per-cell quadrature grid at least that fine (exactness for data that is
     piecewise polynomial on a known dyadic grid).
+
+    Each job samples its level in blocks of whole rows of cells, at most
+    `_ANALYZE_BLOCK` grid points a block unless one row holds more, so the
+    working memory stays bounded at any J. A block always spans the full
+    width of the level: the contraction over a block of rows gives each row
+    the bits it gets from the whole grid, but a narrower column range could
+    round differently. The coefficients do not depend on the block size.
     """
     if J < basis.j_star:
         raise ValueError("J must be >= j_star")
@@ -322,8 +333,7 @@ def analyze(surface: PolyhedralSurface, sampler, basis: BasisSpec, J: int,
         x1d = ((np.arange(cells)[:, None] + nodes[None, :]) / cells).ravel()
         npc = len(nodes)
         scale = 0.5 ** lev  # 2^{-lev/2} per direction: cell width times L2 normalization
-        # chunk rows of parent cells to bound the sampled grid size
-        chunk = max(1, min(cells, 4_000_000 // (npc * cells * npc)))
+        chunk = max(1, min(cells, _ANALYZE_BLOCK // (npc * cells * npc)))
         for c0 in range(0, cells, chunk):
             c1 = min(cells, c0 + chunk)
             U = _sample(sampler, patch, x1d[c0 * npc:c1 * npc], x1d)

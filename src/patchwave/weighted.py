@@ -481,6 +481,10 @@ def _sector_mesh(r_max: float, gamma: float, depth: int, order: int):
     return (rn, rw, rl), (pn, pw, pl)
 
 
+# mesh points per block of `_face_table` (at least one row of the mesh)
+_FACE_BLOCK = 1 << 14
+
+
 def _face_table(handle, surface, resolution, k, n, t, depth, order):
     """phi_n u on the graded sector mesh of cone face (n, t).
 
@@ -494,6 +498,13 @@ def _face_table(handle, surface, resolution, k, n, t, depth, order):
     row calls neither the handle nor the partition. Every point left out
     would add +0.0 to its shell, so the shell sums are bit for bit those of
     the full mesh.
+
+    The handle, the partition and the product rule run on blocks of whole
+    mesh rows, at most `_FACE_BLOCK` points a block unless one row holds
+    more, and each block is written into the full-face table. Every value
+    is computed point by point, so the table does not depend on the block
+    size; `shells` sums the full-face arrays in one `bincount`, because
+    summing per-block shell sums would round differently.
     """
     if depth <= _WINDOW:
         raise ValueError(f"depth must exceed the {_WINDOW}-shell divergence "
@@ -507,16 +518,19 @@ def _face_table(handle, surface, resolution, k, n, t, depth, order):
         rows = (rn >= lo) & (rn <= hi)
         rn, rw, rl = rn[rows], rw[rows], rl[rows]
     R, PHI = np.meshgrid(rn, pn, indexing="ij")
-    if len(rn):
-        Y = np.stack([(R * np.cos(PHI)).ravel(), (R * np.sin(PHI)).ravel()],
+    cart = {ab: np.zeros(R.shape) for ab in _TERMS if sum(ab) <= k}
+    step = max(1, _FACE_BLOCK // len(pn))
+    for r0 in range(0, len(rn), step):
+        Rb, Pb = R[r0:r0 + step], PHI[r0:r0 + step]
+        Y = np.stack([(Rb * np.cos(Pb)).ravel(), (Rb * np.sin(Pb)).ravel()],
                      axis=1)
         pts = face.apex + Y[:, :1] * face.e1 + Y[:, 1:2] * face.e2
         ud = handle.face_derivs(n, t, Y, upto=k)
         pd = partition_face_derivs(resolution, n, t, pts, face.e1, face.e2)
-        cart = {ab: np.asarray(v).reshape(R.shape)
-                for ab, v in _leibniz(pd, ud, upto=k).items()}
-    else:
-        cart = {ab: np.zeros(R.shape) for ab in _TERMS if sum(ab) <= k}
+        for ab, v in _leibniz(pd, ud, upto=k).items():
+            # a complex handle makes the table complex
+            cart[ab] = cart[ab].astype(np.result_type(cart[ab], v), copy=False)
+            cart[ab][r0:r0 + step] = np.reshape(v, Rb.shape)
     weights = np.outer(rw, pw)
     shell = np.maximum(rl[:, None], pl[None, :]).ravel()
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from patchwave import (
     BesovSpec,
+    CoefficientField,
     WeightedSpec,
     alpha_star,
     analyze,
@@ -14,11 +15,14 @@ from patchwave import (
     boundary_tail_check,
     classify_level,
     cumulative_tail,
+    empty_field,
     fit_rate,
     gamma_star,
+    haar_basis,
     interior_tail_check,
     level_size,
     level_tail_sums,
+    multiwavelet_basis,
     n_term_plan,
     predicted_rate,
     synth_field,
@@ -43,6 +47,53 @@ def test_plan_orders_by_weight(cube, haar):
     errs = [plan.error_at(n) for n in (0, 1, 10, 100, plan.n_indices)]
     assert all(a >= b for a, b in zip(errs, errs[1:]))
     assert errs[-1] == 0.0
+
+
+def _lexsort_plan(field, target):
+    """The plan arrays as a three-key lexsort orders them: weight descending,
+    then level, then flat position."""
+    e, p = target.weight_exponent(), target.p
+    lev_ids, flats, weights = [], [], []
+    for j in field.level_range():
+        w = (2.0 ** (j * e)) * np.abs(field.level(j)).ravel()
+        weights.append(w)
+        lev_ids.append(np.full(w.size, j, dtype=np.int16))
+        flats.append(np.arange(w.size, dtype=np.int64))
+    w, lev, flat = (np.concatenate(a) for a in (weights, lev_ids, flats))
+    order = np.lexsort((flat, lev, -w))
+    w = w[order]
+    wp = w ** p
+    tail = np.zeros(len(w) + 1)
+    tail[:-1] = np.cumsum(wp[::-1])[::-1]
+    return lev[order], flat[order], w, wp, tail
+
+
+@settings(max_examples=60)
+@given(order=st.sampled_from([1, 2]), n_patches=st.integers(1, 3),
+       extra=st.integers(0, 2),
+       target=st.sampled_from([BesovSpec(0.0, 2.0, 2.0), L2,
+                               BesovSpec(1.0, 1.0, 1.0)]),
+       moduli=st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 0.25]),
+                       min_size=1, max_size=4),
+       seed=st.integers(0, 2 ** 16))
+def test_plan_order_is_the_three_key_lexsort(order, n_patches, extra, target,
+                                             moduli, seed):
+    # a few moduli, zeros of both signs: most weights tie, within a level
+    # and, at weight exponent 0, across levels
+    basis = haar_basis() if order == 1 else multiwavelet_basis()
+    shape = empty_field(basis, n_patches, basis.j_star + extra)
+    rng = np.random.default_rng(seed)
+    field = CoefficientField(
+        basis=basis, J=shape.J, n_patches=n_patches, coarse=shape.coarse,
+        levels={j: rng.choice(moduli, size=a.shape)
+                for j, a in shape.levels.items()})
+    plan = n_term_plan(field, target)
+    level, flat, *floats = _lexsort_plan(field, target)
+    assert plan.order_level.dtype == np.int16 and plan.order_flat.dtype == np.int64
+    assert np.array_equal(plan.order_level, level)
+    assert np.array_equal(plan.order_flat, flat)
+    for got, want in zip((plan.weights, plan.weight_p, plan.tail_p), floats):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @settings(max_examples=40)

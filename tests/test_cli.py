@@ -186,6 +186,22 @@ SYNTH = {"kind": "synth", "J": 3,
     (BEM, "rho", 0, "rho: with J, rho must lie in \\(0, k\\)"),
     (NTERM, "source_space", [float("nan"), 2.0, 2.0],
      "source_space: alpha must be finite, got nan"),
+    # every number a run needs finite is rejected here, not at run time
+    (WHITNEY, "edge", float("nan"), "edge: expected a finite number, got nan"),
+    (WHITNEY, "edge", float("inf"), "edge: expected a finite number, got inf"),
+    (WHITNEY, "corner", [float("nan"), 0.4],
+     "corner\\[0\\]: expected a finite number, got nan"),
+    (WHITNEY, "corner", [0.3, -float("inf")],
+     "corner\\[1\\]: expected a finite number, got -inf"),
+    (EMBED, "model", {"kind": "vertex", "beta": float("nan")},
+     "model.beta: expected a finite number, got nan"),
+    (EMBED, "rho", float("inf"), "rho: expected a finite number, got inf"),
+    (SYNTH, "synth", {"kind": "lacunary", "alpha": float("-inf")},
+     "synth.alpha: expected a finite number, got -inf"),
+    (NTERM, "source_space", [1.0, float("nan"), 2.0],
+     "source_space: p must be positive"),
+    (NTERM, "source_space", [1.0, 2.0, float("nan")],
+     "source_space: q must be positive"),
 ])
 def test_validation_types_numeric_params(tmp_path, base, key, value, message):
     doc = {**base, "params": {**base["params"], key: value}}
@@ -430,6 +446,20 @@ def test_weighted_order_flag_fails_before_the_solve(capsys):
 def test_embed_check_flags_fail_before_the_analysis(capsys, flags, message):
     # these ended in a raw ZeroDivisionError or ValueError after analyze
     argv = ["embed-check", "--model", "vertex", "-J", "2", *flags]
+    assert cli.main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["whitney", "--edge", "nan"], "params.edge: expected a finite number, "
+                                   "got nan"),
+    (["whitney", "--corner", "0.3", "inf"], "params.corner[1]: expected a "
+                                            "finite number, got inf"),
+    (["embed-check", "--model", "vertex", "--beta", "nan", "-J", "2"],
+     "params.model.beta: expected a finite number, got nan"),
+])
+def test_non_finite_flags_fail_validation(capsys, argv, message):
+    # a NaN edge used to pass validation and fail in whitney_check, exit 1
     assert cli.main(argv) == 2
     assert message in capsys.readouterr().err
 

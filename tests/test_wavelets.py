@@ -151,6 +151,40 @@ def test_analyze_on_the_support_is_bitwise_the_full_grid(name, order, edge,
     assert _bitwise_equal(got, want)
 
 
+@pytest.mark.parametrize("name", ["cube", "fichera", "frustum"])
+def test_analyze_block_size_changes_no_bit(name, haar, alpert2, monkeypatch):
+    surface = _frustum() if name == "frustum" else _SURFACES[name]
+    h = surface.min_edge
+    model = VertexPowerModel(surface, 0, 0.6, cut=(0.3 * h, 0.7 * h))
+    plain = lambda pts: np.exp(pts @ np.array([0.3, -0.2, 0.5]))
+    # at J=6 a default block holds 16 of a level's 64 rows of cells
+    J = 5 if name == "fichera" else 6
+    runs = [(sampler, basis, workers) for basis in (haar, alpert2)
+            for sampler, workers in ((model, 2), (plain, 1))]
+
+    def fields():
+        return [analyze(surface, sampler, basis, J, workers=workers)
+                for sampler, basis, workers in runs]
+
+    want = fields()
+    for block in (1, 1 << 30):
+        monkeypatch.setattr(wavelets, "_ANALYZE_BLOCK", block)
+        assert all(map(_bitwise_equal, fields(), want))
+
+
+def test_analyze_runs_in_bounded_memory(cube, haar):
+    # the level-8 grid of a patch has 4096^2 points; sampled in one block
+    # per job, analyze peaked at about 228 MB, in blocks at about 21 MB
+    model = VertexPowerModel(cube, 0, 0.6)
+    tracemalloc.start()
+    try:
+        analyze(cube, model, haar, 8, workers=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
+
+
 @pytest.mark.parametrize("name", ["cube", "fichera", "moved_cube", "frustum"])
 def test_ball_box_never_cuts_into_the_ball(name, rng):
     surface = _frustum() if name == "frustum" else _SURFACES[name]
