@@ -55,12 +55,16 @@ class NTermPlan:
     order_level: np.ndarray
     order_flat: np.ndarray
     weights: np.ndarray
-    weight_p: np.ndarray
     tail_p: np.ndarray
 
     @property
     def n_indices(self) -> int:
         return len(self.weights)
+
+    @property
+    def weight_p(self) -> np.ndarray:
+        """weight_m ** p for every index, computed on each access."""
+        return self.weights ** self.target.p
 
     def error_at(self, n: int) -> float:
         """Sequence-norm error after keeping the n heaviest wavelet terms."""
@@ -103,14 +107,12 @@ def n_term_plan(field: CoefficientField, target: BesovSpec) -> NTermPlan:
     order = np.argsort(-w, kind="stable")
     which = np.searchsorted(offsets, order, side="right") - 1
     w = w[order]
-    wp = w ** p
     tail = np.zeros(len(w) + 1)
-    tail[:-1] = np.cumsum(wp[::-1])[::-1]
+    tail[:-1] = np.cumsum((w ** p)[::-1])[::-1]
     return NTermPlan(target=target, basis=field.basis, n_patches=field.n_patches,
                      field_J=field.J,
                      order_level=np.asarray(js, dtype=np.int16)[which],
-                     order_flat=order - offsets[which], weights=w, weight_p=wp,
-                     tail_p=tail)
+                     order_flat=order - offsets[which], weights=w, tail_p=tail)
 
 
 def best_n_term(field: CoefficientField, target: BesovSpec,

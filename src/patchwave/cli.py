@@ -55,6 +55,7 @@ _RHS_FORMS = ("constant | harmonic:linear [axis 0-2] | harmonic:pole px py pz"
 
 # singularity models and the fields each one needs
 _MODEL_REQUIRED = {"vertex": ("beta",), "edge": ("beta",), "constant": ()}
+_MODEL_KIND = "vertex"          # the kind of a model that names none
 
 _WHITNEY_FUNCS = {
     "exp": lambda x, y: np.exp(x + y),
@@ -73,24 +74,23 @@ class ExperimentConfig:
 
     `workers` and `output_dir` steer execution only; they are excluded from
     the canonical form so reruns at different worker counts or target
-    directories hash (and therefore serialize) identically.
+    directories hash (and therefore serialize) identically.  `_COMMON`
+    holds the defaults.
     """
 
     kind: str
-    surface: str = "cube"
-    basis: tuple = (1, 0)                 # (order d, coarsest level j*)
-    J: int | None = None
-    L: int | None = None
-    spaces: tuple = ()                    # (alpha, p, q) triples
-    seed: int = 0
-    output_dir: str = "reports"
-    workers: int = 1
-    params: dict = dataclass_field(default_factory=dict)
+    surface: str
+    basis: tuple                          # (order d, coarsest level j*)
+    J: int | None
+    L: int | None
+    spaces: tuple                         # (alpha, p, q) triples
+    seed: int
+    output_dir: str
+    workers: int
+    params: dict
     # source and text for errors that only the run can see, such as a model
     # vertex the surface does not have; not part of the config's identity
-    check: _Check = dataclass_field(
-        default_factory=lambda: _Check(None, None, "config"), compare=False,
-        repr=False)
+    check: _Check = dataclass_field(compare=False, repr=False)
 
 
 def canonical_config(config: ExperimentConfig) -> dict:
@@ -242,7 +242,7 @@ def _as_basis(value, chk: _Check, path: tuple) -> tuple:
             chk.fail(path, f"unknown basis {value!r}; use "
                            f"{sorted(_NAMED_BASES)} or 'd:j_star'")
     if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(isinstance(v, int) for v in value)):
+            or not all(type(v) is int for v in value)):   # no booleans
         chk.fail(path, "basis must be a name or a [d, j_star] integer pair")
     d, j_star = value
     if d not in (1, 2):
@@ -270,6 +270,12 @@ def _as_space(value, chk: _Check, path: tuple) -> tuple:
                        "window 1/2 <= 1/p <= alpha/2 + 1/2 (q <= 2 on the "
                        "critical line)")
     return (alpha, p, q)
+
+
+def _as_spaces(value, chk: _Check, path: tuple) -> tuple:
+    if not isinstance(value, list):
+        chk.fail(path, "spaces must be a list of [alpha, p, q] triples")
+    return tuple(_as_space(s, chk, path + (i,)) for i, s in enumerate(value))
 
 
 def _as_int(value, chk: _Check, path: tuple, minimum: int | None = None) -> int:
@@ -319,9 +325,10 @@ def _as_numbers(value, chk: _Check, path: tuple, size: int | None = None,
             chk.fail(path + (i,), str(exc))
 
 
-def _as_file(value, chk: _Check, path: tuple) -> None:
+def _as_path(value, chk: _Check, path: tuple) -> str:
     if not isinstance(value, str) or not value:
-        chk.fail(path, f"expected a file path, got {value!r}")
+        chk.fail(path, f"expected a non-empty path, got {value!r}")
+    return value
 
 
 def _as_names(value, chk: _Check, path: tuple, choices: tuple) -> None:
@@ -378,33 +385,21 @@ def config_from_dict(doc: dict, *, text: str | None = None,
     chk = _Check(doc, text, source)
     if not isinstance(doc, dict):
         raise ConfigError(f"{source}: top level must be an object")
-    known = {"kind", "surface", "basis", "J", "L", "spaces", "seed",
-             "output_dir", "workers", "params"}
     for key in doc:
-        if key not in known:
-            chk.fail((key,), f"unknown key (allowed: {sorted(known)})")
+        if key not in _COMMON and key not in ("kind", "params"):
+            chk.fail((key,), "unknown key (allowed: "
+                             f"{sorted(['kind', 'params', *_COMMON])})")
     kind = doc.get("kind")
     if not isinstance(kind, str) or kind not in _KINDS:
         chk.fail(("kind",), f"experiment kind must be one of "
                             f"{tuple(_KINDS)}, got {kind!r}")
-    surface = doc.get("surface", "cube")
-    if not isinstance(surface, str) or not surface:
-        chk.fail(("surface",), "surface must be a builtin name or a file path")
-    basis = _as_basis(doc.get("basis", "haar"), chk, ("basis",))
-    J = doc.get("J")
-    if J is not None:
-        J = _as_int(J, chk, ("J",), minimum=0)
-    L = doc.get("L")
-    if L is not None:
-        L = _as_int(L, chk, ("L",), minimum=1)
-    raw_spaces = doc.get("spaces", [])
-    if not isinstance(raw_spaces, list):
-        chk.fail(("spaces",), "spaces must be a list of [alpha, p, q] triples")
-    spaces = tuple(_as_space(s, chk, ("spaces", i))
-                   for i, s in enumerate(raw_spaces))
-    seed = _as_int(doc.get("seed", 0), chk, ("seed",), minimum=0)
-    workers = _as_int(doc.get("workers", 1), chk, ("workers",), minimum=1)
-    output_dir = doc.get("output_dir", "reports")
+    common = {}
+    for key, prm in _COMMON.items():
+        value = doc.get(key, prm.default)
+        # null stands for "absent" only where absent means None (J, L)
+        common[key] = None if value is None and prm.default is None \
+            else prm.check(value, chk, (key,))
+    spaces, J, L, basis = map(common.get, ("spaces", "J", "L", "basis"))
     params = doc.get("params", {})
     if not isinstance(params, dict):
         chk.fail(("params",), "params must be an object")
@@ -435,10 +430,7 @@ def config_from_dict(doc: dict, *, text: str | None = None,
             chk.fail(("L",), "'bem-solve' needs a grid level L")
         if J is not None and J > L:
             chk.fail(("J",), f"analysis level J={J} must not exceed L={L}")
-    config = ExperimentConfig(kind=kind, surface=surface, basis=basis, J=J,
-                              L=L, spaces=spaces, seed=seed,
-                              output_dir=str(output_dir), workers=workers,
-                              params=params, check=chk)
+    config = ExperimentConfig(kind=kind, params=params, check=chk, **common)
     if kind == "embed-check" and "model" in params:
         # what the tail checks would reject after the analysis, rejected now
         k, rho, s, p = (_param(config, key) for key in ("k", "rho", "s", "p"))
@@ -635,8 +627,7 @@ def _run_embed_check(config, out, chash):
 
 
 def _model_from(model: dict, surface, chk: _Check):
-    model = dict(model)
-    kind = model.pop("kind", "vertex")
+    kind = model.get("kind", _MODEL_KIND)
     defaults = {"vertex": {"vertex": 0}, "edge": {"v0": 0, "v1": 1}}
     ids = {key: model.get(key, d) for key, d in defaults.get(kind, {}).items()}
     for key, v in ids.items():
@@ -756,8 +747,8 @@ def _space_flag(text: str) -> list:
 
 
 class _Param(NamedTuple):
-    """One key of `params`.  An object parameter's flag sets its 'kind';
-    `members` maps its other fields to their flags and argparse keywords."""
+    """One key of `_COMMON` or of `params`.  An object parameter's flag sets
+    its 'kind'; `members` maps its other fields to their flags and keywords."""
 
     check: Callable             # check(value, chk, path) fails through chk
     default: object             # what a run uses when the key is absent
@@ -788,10 +779,26 @@ _SYNTH = _Param(
     None, "--synth", {"choices": tuple(_SYNTH_REQUIRED)}, "field generator",
     {"alpha": ("--alpha", _FLOAT), "gamma": ("--gamma", _FLOAT),
      "level": ("--level", _INT), "spec": ("--synth-spec", _SPACE)})
-_FIELD = _Param(_as_file, None, "--field", {}, "saved field (.npz)")
+_FIELD = _Param(_as_path, None, "--field", {}, "saved field (.npz)")
 _K = _Param(_as_weighted_order, 1, "--k", _INT, "weighted norm order")
 _RHO = _Param(_as_number, 0.5, "--rho", _FLOAT, "weight exponent")
 _S = _Param(_as_number, 0.75, "--s", _FLOAT, "base space (s, p, p)")
+
+# the top-level keys every kind shares; a config keeps what their checks return
+_COMMON = {
+    "surface": _Param(_as_path, "cube", "--surface", {},
+                      "builtin name (cube, fichera) or JSON path"),
+    "basis": _Param(_as_basis, "haar", "--basis", {},
+                    "haar, alpert2, or d:j_star"),
+    "J": _Param(_AT_LEAST_0, None, "-J", _INT, "finest analysis level"),
+    "L": _Param(_AT_LEAST_1, None, "-L", _INT, "grid level"),
+    "spaces": _Param(_as_spaces, [], "--space",
+                     {**_SPACE, "action": "append"}, "space triple; repeatable"),
+    "seed": _Param(_AT_LEAST_0, 0, "--seed", _INT, "random field seed"),
+    "workers": _Param(_AT_LEAST_1, 1, "--workers", _INT, "worker threads"),
+    "output_dir": _Param(_as_path, "reports", "--output-dir", {},
+                         "report directory; overrides --config's"),
+}
 
 _KINDS = {
     "norms": _Kind("evaluate space norms of a field", _run_norms,
@@ -810,7 +817,7 @@ _KINDS = {
             partial(_as_object, name="model", required=_MODEL_REQUIRED,
                     fields={"beta": _as_number, "value": _as_number,
                             "vertex": _AT_LEAST_0, "v0": _AT_LEAST_0,
-                            "v1": _AT_LEAST_0}, default_kind="vertex"),
+                            "v1": _AT_LEAST_0}, default_kind=_MODEL_KIND),
             None, "--model", {"choices": tuple(_MODEL_REQUIRED)},
             "singularity model of the tail study",
             {"beta": ("--beta", {"type": float, "default": 0.6,
@@ -868,30 +875,14 @@ def run(config: ExperimentConfig) -> int:
 # -- argument parsing --------------------------------------------------------------
 
 
-def _add_common(parser):
-    parser.add_argument("--config", help="JSON config file (overrides flags)")
-    parser.add_argument("--surface", default="cube",
-                        help="builtin name (cube, fichera) or JSON path")
-    parser.add_argument("--basis", default="haar",
-                        help="haar, alpert2, or d:j_star")
-    parser.add_argument("-J", type=int, default=None,
-                        help="finest analysis level")
-    parser.add_argument("-L", type=int, default=None, help="grid level")
-    parser.add_argument("--space", action="append", default=[], **_SPACE,
-                        help="space triple; repeatable")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--output-dir", default="reports")
-    parser.add_argument("--workers", type=int, default=1)
-
-
-def _add_params(parser, params: dict) -> None:
-    """The flags of `params`; one not given sets nothing, unless its
+def _add_params(parser, table: dict, prefix: str) -> None:
+    """The flags of `table`; one not given sets nothing, unless its
     keywords carry a default (--beta)."""
-    for key, prm in params.items():
+    for key, prm in table.items():
         default = "" if prm.default is None else \
             f"; default {json.dumps(prm.default)}"
         parser.add_argument(prm.flag, dest=key, default=argparse.SUPPRESS,
-                            help=f"params.{key}: {prm.help}{default}",
+                            help=f"{prefix}{key}: {prm.help}{default}",
                             **prm.spec)
         for member, (name, spec) in prm.members.items():
             parser.add_argument(name, dest=f"{key}.{member}",
@@ -912,10 +903,8 @@ def _flag_doc(args) -> dict:
                     if f"{key}.{member}" in given}}
     if "field" in params:           # a saved field replaces the generator
         params.pop("synth", None)
-    doc = {key: given[key] for key in ("surface", "basis", "J", "L", "seed",
-                                       "output_dir", "workers")
-           if given[key] is not None}
-    return {**doc, "kind": args.command, "spaces": args.space, "params": params}
+    doc = {key: given[key] for key in _COMMON if key in given}
+    return {**doc, "kind": args.command, "params": params}
 
 
 def main(argv=None) -> int:
@@ -926,18 +915,21 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, kind in _KINDS.items():
         p = sub.add_parser(name, help=kind.help)
-        _add_common(p)
-        _add_params(p, kind.params)
+        p.add_argument("--config", help="JSON config file; of the other "
+                                        "flags only --output-dir applies")
+        _add_params(p, _COMMON, "")
+        _add_params(p, kind.params, "params.")
 
     args = parser.parse_args(argv)
+    flags = _Check(None, None, "command line")
     try:
-        if args.config:
-            config = config_from_file(args.config, kind=args.command)
-            if args.output_dir != "reports":
-                config = dataclasses.replace(config,
-                                             output_dir=args.output_dir)
+        if not args.config:
+            config = config_from_dict(_flag_doc(args), source=flags.source)
         else:
-            config = config_from_dict(_flag_doc(args))
+            config = config_from_file(args.config, kind=args.command)
+            if "output_dir" in vars(args):      # the flag beats the file
+                config = dataclasses.replace(config, output_dir=_as_path(
+                    args.output_dir, flags, ("--output-dir",)))
         return run(config)
     except (ValueError, WeightedNormDivergence) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -49,9 +49,11 @@ class BesovSpec:
         if not math.isfinite(self.alpha):
             raise ValueError(f"alpha must be finite, got {self.alpha!r}")
         if not (self.p > 0):
-            raise ValueError("p must be positive (math.inf allowed)")
+            raise ValueError(f"p must be positive (math.inf allowed), "
+                             f"got {self.p!r}")
         if not (self.q > 0):
-            raise ValueError("q must be positive (math.inf allowed)")
+            raise ValueError(f"q must be positive (math.inf allowed), "
+                             f"got {self.q!r}")
 
     @property
     def inv_p(self) -> float:

@@ -202,6 +202,13 @@ SYNTH = {"kind": "synth", "J": 3,
      "source_space: p must be positive"),
     (NTERM, "source_space", [1.0, 2.0, float("nan")],
      "source_space: q must be positive"),
+    # a NaN p or q is named as such
+    (NTERM, "source_space", [1.0, float("nan"), 2.0],
+     "source_space: p must be positive \\(math.inf allowed\\), got nan"),
+    (NTERM, "source_space", [1.0, 2.0, float("nan")],
+     "source_space: q must be positive \\(math.inf allowed\\), got nan"),
+    (SYNTH, "synth", {"kind": "random_besov", "spec": [1.0, 2.0, float("nan")]},
+     "synth.spec: q must be positive .*, got nan"),
 ])
 def test_validation_types_numeric_params(tmp_path, base, key, value, message):
     doc = {**base, "params": {**base["params"], key: value}}
@@ -237,6 +244,38 @@ def test_config_fuzz_raises_only_config_errors(kind, data, value):
         config_from_dict({**doc, "params": {**doc["params"], key: value}})
     except ConfigError:
         pass
+
+
+def _is_int(value, minimum) -> bool:
+    return type(value) is int and value >= minimum
+
+
+# what a config keeps of each top-level key that validation accepts
+_KEPT = {
+    "surface": lambda v: isinstance(v, str) and v != "",
+    "basis": lambda v: isinstance(v, tuple) and len(v) == 2
+    and all(_is_int(x, 0) for x in v),
+    "J": lambda v: v is None or _is_int(v, 0),
+    "L": lambda v: v is None or _is_int(v, 1),
+    "spaces": lambda v: isinstance(v, tuple) and all(
+        isinstance(s, tuple) and len(s) == 3
+        and all(type(x) is float for x in s) for s in v),
+    "seed": lambda v: _is_int(v, 0),
+    "workers": lambda v: _is_int(v, 1),
+    "output_dir": lambda v: isinstance(v, str) and v != "",
+}
+
+
+@settings(max_examples=400)
+@given(key=st.sampled_from(sorted(_KEPT)), value=_JSON)
+def test_top_level_keys_keep_a_value_of_their_type(key, value):
+    # output_dir was str()-ed, so null, 5 and "" all passed
+    assert set(_KEPT) == set(cli._COMMON)
+    try:
+        config = config_from_dict({**WHITNEY, key: value})
+    except ConfigError:
+        return
+    assert _KEPT[key](getattr(config, key)), getattr(config, key)
 
 
 # well-typed values of every param: valid ones, and ones that only a
@@ -338,6 +377,13 @@ def test_model_vertex_outside_the_surface(tmp_path):
      "cannot read"),
     ({**BEM, "params": {"rhs": ["file", "rhs95.txt"]}}, "params.rhs",
      "'rhs95.txt' holds 95 values for 96 cells"),
+    # these wrote the reports to ./None, ./5 and the working directory
+    ({**WHITNEY, "output_dir": None}, "output_dir",
+     "expected a non-empty path, got None"),
+    ({**WHITNEY, "output_dir": 5}, "output_dir",
+     "expected a non-empty path, got 5"),
+    ({**WHITNEY, "output_dir": ""}, "output_dir",
+     "expected a non-empty path, got ''"),
 ])
 def test_missing_inputs_fail_cleanly(tmp_path, monkeypatch, capsys, doc,
                                      where, message):
@@ -679,3 +725,43 @@ def test_flags_and_config_write_the_same_bytes(tmp_path, capsys, kind):
     for key, default in _HELP_DEFAULTS[kind].items():
         if default is not None:
             assert f"default {default}" in entries[key], key
+
+
+def test_output_dir_flag_overrides_the_config(tmp_path, monkeypatch, capsys):
+    # the flag used to count only when it differed from "reports", and an
+    # empty one wrote the reports into the working directory
+    monkeypatch.chdir(tmp_path)
+    path = _write(tmp_path, "exp.json", {"kind": "whitney", "output_dir": "cfg",
+                                         "params": {"count": 1}})
+    argv = ["whitney", "--config", str(path), "--output-dir"]
+    assert cli.main([*argv, "reports"]) == 0
+    assert (tmp_path / "reports" / "manifest.json").exists()
+    assert not (tmp_path / "cfg").exists()
+    assert cli.main([*argv, ""]) == 2
+    assert capsys.readouterr().err == ("error: command line: --output-dir: "
+                                       "expected a non-empty path, got ''\n")
+    assert cli.main(["whitney", "--count", "1", "--output-dir", ""]) == 2
+    assert "output_dir: expected a non-empty path" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+    assert not (tmp_path / "cfg").exists()
+
+
+def test_defaults_given_or_not_write_the_same_bytes(tmp_path, monkeypatch):
+    # a flag run with no top-level flag, a config file with no top-level
+    # key, and one that spells out every default, each in its own directory
+    spelled = {"surface": "cube", "basis": "haar", "J": None, "L": None,
+               "spaces": [], "seed": 0, "workers": 1, "output_dir": "reports"}
+    doc = {"kind": "whitney", "params": {"count": 2}}
+    runs = {"flags": None, "bare": doc, "spelled": {**doc, **spelled}}
+    for name, run_doc in runs.items():
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        argv = ["--count", "2"] if run_doc is None else \
+            ["--config", str(_write(tmp_path / name, "exp.json", run_doc))]
+        assert cli.main(["whitney", *argv]) == 0
+    a, b, c = (tmp_path / name / "reports" for name in runs)
+    assert json.loads((a / "manifest.json").read_text())["config_hash"] == \
+        config_hash(config_from_dict(doc))
+    for name in ("whitney.csv", "manifest.json"):
+        assert filecmp.cmp(a / name, b / name, shallow=False), name
+        assert filecmp.cmp(a / name, c / name, shallow=False), name
