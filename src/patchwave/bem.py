@@ -8,6 +8,14 @@ over a flat source cell is the signed solid angle the cell subtends.  Only
 the outer (test-cell) integral is done by quadrature, graded toward shared
 edges and corners.
 
+Every solid angle comes from one van Oosterom-Strackee core, _quad_kernel,
+fed by one of two front ends that give the same bits: per corner for
+arbitrary quads (near and touching pairs, scattered far classes), or from a
+vertex grid that forms each vertex's distance and each edge's dot product
+once for all the cells sharing them (far classes whose source cells fill a
+rectangle, and solid_angles on a patch's cells, as potential_eval and
+gauss_check pass them).
+
 Sign conventions: kernel(x, eta, y) = -(1/(4 pi)) <eta, x - y> / |x - y|^3,
 so the kernel integral over the whole surface is -1 at interior points,
 -1/2 at smooth surface points, 0 outside.  The interior trace of the
@@ -40,35 +48,46 @@ _FOUR_PI = 4.0 * math.pi
 # -- kernel and solid angles -----------------------------------------------------
 
 
-def _quad_kernel(Q, Y):
-    """Signed solid angles of planar quads seen from points Y.
+def _dot(a, b):
+    """a . b of two (x, y, z) component triples, summed (x + y) + z."""
+    d = a[0] * b[0]
+    d += a[1] * b[1]
+    d += a[2] * b[2]
+    return d
 
-    Q holds four (x, y, z) component triples, one per quad corner, and Y one
-    (x, y, z) triple; all twelve plus three arrays broadcast to the output
-    shape.  Each quad is split into the triangles (0, 1, 2) and (0, 2, 3),
-    whose solid angles follow van Oosterom-Strackee with the four corner
-    norms and R0.R2 shared.  Every dot is summed (x + y) + z and every cross
-    component is a1*b2 - a2*b1, the order of numpy's .sum(-1) and np.cross,
-    so the values equal bit for bit, signed zeros included, those of the
-    formula written with (..., 3) vectors, .sum(-1) and np.cross.  (A dot
-    here may differ from .sum(-1) in the sign of a zero only; that reaches
-    arctan2 through the numerator alone, since the denominator, led by a
-    product of norms, is never -0.0.)
+
+def _quad_kernel(R, r, d01, d12, d23, d03):
+    """Signed solid angles of planar quads from their corner vectors.
+
+    R holds four (x, y, z) component triples, corner minus viewpoint, r
+    their norms and dij = R[i] . R[j] the dots of the four edges; all
+    arrays broadcast to the output shape.  Each quad is split into the
+    triangles (0, 1, 2) and (0, 2, 3), whose solid angles follow van
+    Oosterom-Strackee with the four corner norms and R0.R2 shared.  Every
+    dot is summed (x + y) + z and every cross component is a1*b2 - a2*b1,
+    the order of numpy's .sum(-1) and np.cross, so the values equal bit for
+    bit, signed zeros included, those of the formula written with (..., 3)
+    vectors, .sum(-1) and np.cross.  (A dot here may differ from .sum(-1)
+    in the sign of a zero only; that reaches arctan2 through the numerator
+    alone, since the denominator, led by a product of norms, is never
+    -0.0.)  Products commute, so a front end may take an edge's dot in
+    either direction: the per-corner front end (_corner_solid_angles) forms
+    every corner of every quad, the vertex-grid one (_grid_solid_angles)
+    each grid vertex and edge once.
     """
-    def dot(a, b):
-        d = a[0] * b[0]
-        d += a[1] * b[1]
-        d += a[2] * b[2]
-        return d
-
-    R = [[q - y for q, y in zip(corner, Y)] for corner in Q]
-    r = [np.sqrt(dot(a, a)) for a in R]
-
     def triple(a, b, c):
-        """a . (b x c)"""
-        t = a[0] * (b[1] * c[2] - b[2] * c[1])
-        t += a[1] * (b[2] * c[0] - b[0] * c[2])
-        t += a[2] * (b[0] * c[1] - b[1] * c[0])
+        """a . (b x c), each product formed in place"""
+        t = b[1] * c[2]
+        t -= b[2] * c[1]
+        t *= a[0]
+        u = b[2] * c[0]
+        u -= b[0] * c[2]
+        u *= a[1]
+        t += u
+        u = b[0] * c[1]
+        u -= b[1] * c[0]
+        u *= a[2]
+        t += u
         t += 0.0        # .sum(-1) of three -0.0 is +0.0, and arctan2 sees it
         return t
 
@@ -81,14 +100,82 @@ def _quad_kernel(Q, Y):
         den += djk * ri
         return np.arctan2(triple(R[i], R[j], R[k]), den)
 
-    d02 = dot(R[0], R[2])
-    out = angle(0, 1, 2, dot(R[0], R[1]), d02, dot(R[1], R[2]))
-    out += angle(0, 2, 3, d02, dot(R[0], R[3]), dot(R[2], R[3]))
+    d02 = _dot(R[0], R[2])
+    out = angle(0, 1, 2, d01, d02, d12)
+    out += angle(0, 2, 3, d02, d03, d23)
     out *= 2.0
     return out
 
 
+def _corner_solid_angles(Q, Y):
+    """_quad_kernel of quads Q, four (x, y, z) corner triples, seen from
+    points Y, one triple; all fifteen arrays broadcast to the output shape."""
+    R = [[q - y for q, y in zip(corner, Y)] for corner in Q]
+    r = [np.sqrt(_dot(a, a)) for a in R]
+    return _quad_kernel(R, r, _dot(R[0], R[1]), _dot(R[1], R[2]),
+                        _dot(R[2], R[3]), _dot(R[0], R[3]))
+
+
+def _grid_solid_angles(V, Y):
+    """_quad_kernel of the h x w cells of G vertex grids seen from nodes.
+
+    V holds the (x, y, z) components (h + 1, w + 1, G) of the grids, Y the
+    components (G, q) of the nodes each grid is seen from.  Cell (i, j) is
+    the quad of vertices (i, j), (i+1, j), (i+1, j+1), (i, j+1), wound as in
+    _cell_quads.  Returns the solid angles (h, w, G, q), a view.
+
+    R and |R| are formed once per vertex and the dots once per edge.  The
+    vertices are flattened row-major, or column-major when h > w, with one
+    padding column (a padding cell ends each row) and the node axis (G, q)
+    last, so the four corners of every cell are the contiguous slices at
+    offsets 0, s1, s1 + s2 and s2 along the vertex axis, with s1 and s2 the
+    flat steps of i and j; one padding vertex closes the last padding cell.
+    """
+    h, w, G = V[0].shape[0] - 1, V[0].shape[1] - 1, V[0].shape[2]
+    tall = h > w
+    rows, cols = (w + 1, h + 1) if tall else (h + 1, w + 1)
+    s1, s2 = (1, cols) if tall else (cols, 1)
+    n = (rows - 1) * cols                       # cells, padding included
+    R = []
+    for v, y in zip(V, Y):
+        flat = np.empty((rows * cols + 1, G))
+        flat[:-1] = (v.transpose(1, 0, 2) if tall else v).reshape(-1, G)
+        flat[-1] = flat[-2]
+        R.append(flat[:, :, None] - y)
+    r = np.sqrt(_dot(R, R))
+    e1 = _dot([a[:-s1] for a in R], [a[s1:] for a in R])
+    e2 = _dot([a[:-s2] for a in R], [a[s2:] for a in R])
+    corners = (0, s1, s1 + s2, s2)
+    om = _quad_kernel([[a[o:o + n] for a in R] for o in corners],
+                      [r[o:o + n] for o in corners],
+                      e1[:n], e2[s1:s1 + n], e1[s2:s2 + n], e2[:n])
+    om = om.reshape(rows - 1, cols, G, -1)[:, :-1]
+    return om.transpose(1, 0, 2, 3) if tall else om
+
+
+def _vertex_grid(quads: np.ndarray) -> list | None:
+    """The (x, y, z) components (c + 1, c + 1) of the vertex grid whose
+    cells are `quads`, c^2 of them C-ordered (k1, k2) and wound as in
+    _cell_quads, or None when the quads do not share their corners bit for
+    bit that way."""
+    c = math.isqrt(len(quads))
+    if c == 0 or c * c != len(quads) or quads.shape[1:] != (4, 3):
+        return None
+    Q = quads.reshape(c, c, 4, 3)
+    V = np.empty((c + 1, c + 1, 3))
+    V[:-1, :-1] = Q[:, :, 0]
+    V[-1, :-1] = Q[-1, :, 1]
+    V[:-1, -1] = Q[:, -1, 3]
+    V[-1, -1] = Q[-1, -1, 2]
+    for k, (i, j) in enumerate(((0, 0), (1, 0), (1, 1), (0, 1))):
+        if not np.array_equal(Q[:, :, k].view(np.int64),
+                              V[i:i + c, j:j + c].view(np.int64)):
+            return None
+    return [np.ascontiguousarray(V[..., a]) for a in range(3)]
+
+
 _TILE = 1 << 14      # kernel elements per tile: its temporaries stay in cache
+_GRID_MIN = _TILE // 4   # kernel elements that repay a vertex-grid call
 
 
 def solid_angles(quads: np.ndarray, Y: np.ndarray,
@@ -99,17 +186,31 @@ def solid_angles(quads: np.ndarray, Y: np.ndarray,
     is then the exact integral of <x - y, eta> / |x - y|^3 over each quad.
     Points go in chunks of `chunk`, quads in tiles of about 16k kernel
     elements per chunk; the kernel is elementwise, so tiling changes no bit.
+    Quads that are the c x c cells of one vertex grid, C-ordered (k1, k2),
+    wound (00, 10, 11, 01) and sharing their corners bit for bit, as a
+    patch's cells are, go through the vertex-grid front end in tiles of
+    points instead, with the same values.
     """
+    quads = np.asarray(quads, dtype=float)
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    out = np.empty((len(Y), len(quads)))
+    V = _vertex_grid(quads)
+    if V is not None:
+        c = V[0].shape[0] - 1
+        V = [v[:, :, None] for v in V]
+        step = max(1, min(chunk, _TILE // (c + 1) ** 2))
+        for lo in range(0, len(Y), step):
+            om = _grid_solid_angles(V, [Y[None, lo:lo + step, a] for a in range(3)])
+            out[lo:lo + step].reshape(-1, c, c)[...] = om[:, :, 0].transpose(2, 0, 1)
+        return out
     Q = [[np.ascontiguousarray(quads[None, :, k, c]) for c in range(3)]
          for k in range(4)]
-    out = np.empty((len(Y), len(quads)))
     step = max(1, _TILE // max(1, min(chunk, len(Y))))
     for lo in range(0, len(Y), chunk):
         Yc = [Y[lo:lo + chunk, c, None] for c in range(3)]
         for qlo in range(0, len(quads), step):
             Qt = [[a[:, qlo:qlo + step] for a in corner] for corner in Q]
-            out[lo:lo + chunk, qlo:qlo + step] = _quad_kernel(Qt, Yc)
+            out[lo:lo + chunk, qlo:qlo + step] = _corner_solid_angles(Qt, Yc)
     return out
 
 
@@ -122,7 +223,7 @@ def _solid_angles_paired(quads: np.ndarray, Y: np.ndarray,
         q = quads[lo:lo + chunk]
         Q = [[q[:, k, c, None] for c in range(3)] for k in range(4)]
         Yc = [Y[lo:lo + chunk, :, c] for c in range(3)]
-        out[lo:lo + chunk] = _quad_kernel(Q, Yc)
+        out[lo:lo + chunk] = _corner_solid_angles(Q, Yc)
     return out
 
 
@@ -464,6 +565,57 @@ def _pair_classes(patch_m, patch_n, L: int):
              ib.reshape(shape_b)), (rep // cells, rep % cells))
 
 
+def _far_entries(P, W, verts, quads_n, rep_m, rep_n, L: int) -> np.ndarray:
+    """(W[m] * solid angles of source cell n from the nodes P[m]).sum(-1)
+    for each class representative (m, n) = (rep_m, rep_n).
+
+    The classes of one test cell m form a group.  Groups whose source cells
+    fill an h x w rectangle of more than one cell are batched by shape, and
+    a batch of at least _GRID_MIN kernel elements goes through
+    _grid_solid_angles on those rectangles of `verts`; every other class
+    goes through _solid_angles_paired.  Both sum the same contiguous row of
+    q products per class, so the path changes no bit.
+    """
+    q = W.shape[1]
+    out = np.empty(len(rep_m))
+    rest = np.arange(len(rep_m))
+    if len(rep_m) * q >= _GRID_MIN:
+        c = 1 << L
+        order = np.lexsort((rep_n, rep_m))
+        rm, rn = rep_m[order], rep_n[order]
+        start = np.flatnonzero(np.r_[True, rm[1:] != rm[:-1]])
+        count = np.diff(np.r_[start, len(rm)])
+        n1, n2 = np.divmod(rn, c)
+        i0, j0 = np.minimum.reduceat(n1, start), np.minimum.reduceat(n2, start)
+        h = np.maximum.reduceat(n1, start) - i0 + 1
+        w = np.maximum.reduceat(n2, start) - j0 + 1
+        rect = (h * w == count) & (count > 1)
+        grid = np.zeros_like(rect)
+        for hg, wg in set(zip(h[rect].tolist(), w[rect].tolist())):
+            g = np.flatnonzero(rect & (h == hg) & (w == wg))
+            if len(g) * hg * wg * q < _GRID_MIN:
+                continue
+            grid[g] = True
+            step = max(1, _TILE // (hg * wg * q))
+            for lo in range(0, len(g), step):
+                gs = g[lo:lo + step]
+                ii = np.arange(hg + 1)[:, None, None] + i0[gs]
+                jj = np.arange(wg + 1)[:, None] + j0[gs]
+                m = rm[start[gs]]
+                om = _grid_solid_angles([v[ii, jj] for v in verts],
+                                        [P[m, :, a] for a in range(3)])
+                vals = (W[m] * om).sum(axis=-1)
+                out[order[np.arange(hg * wg)[:, None] + start[gs]]] = \
+                    vals.reshape(hg * wg, -1)
+        rest = order[np.repeat(~grid, count)]
+    step = 1024             # classes per gather of their nodes and quads
+    for lo in range(0, len(rest), step):
+        k = rest[lo:lo + step]
+        om = _solid_angles_paired(quads_n[rep_n[k]], P[rep_m[k]])
+        out[k] = (W[rep_m[k]] * om).sum(axis=1)
+    return out
+
+
 def _check_counts(**counts) -> None:
     """Levels, orders and depths must be integers (not bools) >= 1."""
     for name, value in counts.items():
@@ -495,6 +647,7 @@ def assemble(surface: PolyhedralSurface, L: int, *, quad_order: int = 4,
         raise MemoryError(f"{N} cells exceed the budget of {max_cells}")
 
     quads = [_cell_quads(p, L) for p in surface.patches]
+    verts = [_vertex_grid(q) for q in quads]
     gauss = [_cell_nodes(p, L, np.arange(cells), _unit_cell_rule(quad_order))
              for p in surface.patches]
     areas = np.concatenate([w.sum(axis=1) for _, w in gauss])
@@ -513,12 +666,7 @@ def assemble(surface: PolyhedralSurface, L: int, *, quad_order: int = 4,
         touching, near = _touch_candidates(quads[pm], qn)
         (cls, ia, ib), (rep_m, rep_n) = _pair_classes(
             surface.patches[pm], surface.patches[pn], L)
-        entries = np.empty(len(rep_m))
-        step = 1024             # classes per gather of their nodes and quads
-        for lo in range(0, len(entries), step):
-            rm, rn = rep_m[lo:lo + step], rep_n[lo:lo + step]
-            om = _solid_angles_paired(qn[rn], P[rm])
-            entries[lo:lo + step] = (W[rm] * om).sum(axis=1)
+        entries = _far_entries(P, W, verts[pn], qn, rep_m, rep_n, L)
         entries /= _FOUR_PI
         # near pairs, then touching ones, each class computed at its first
         # pair; near pairs take the 2x2 split at depth 0, which marks them

@@ -923,10 +923,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     flags = _Check(None, None, "command line")
     try:
-        if not args.config:
+        if args.config is None:
             config = config_from_dict(_flag_doc(args), source=flags.source)
         else:
-            config = config_from_file(args.config, kind=args.command)
+            config = config_from_file(
+                _as_path(args.config, flags, ("--config",)), kind=args.command)
             if "output_dir" in vars(args):      # the flag beats the file
                 config = dataclasses.replace(config, output_dir=_as_path(
                     args.output_dir, flags, ("--output-dir",)))

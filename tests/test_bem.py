@@ -89,6 +89,84 @@ def test_solid_angle_kernel_matches_oracle_on_cells(cube, rng):
                       _quad_oracle(qn[:, None] - P[:, :, None]))
 
 
+@settings(max_examples=80)
+@example(shape=(1, 1, 1, 1), flat=True, on_vertex=True, seed=0)
+@example(shape=(1, 4, 2, 3), flat=True, on_vertex=False, seed=1)
+@example(shape=(4, 1, 2, 3), flat=False, on_vertex=True, seed=2)
+@given(shape=st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 3),
+                       st.integers(1, 4)),
+       flat=st.booleans(), on_vertex=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_grid_front_end_is_bitwise_oracle(shape, flat, on_vertex, seed):
+    h, w, G, q = shape
+    rng = np.random.default_rng(seed)
+    # G charts a + b s + c t + d s t on integer (s, t), from values that
+    # include signed zeros; d = 0 makes a grid affine
+    pool = np.array([0.0, -0.0, 1.0, -1.0, 2.0, 0.5])
+    coef = np.where(rng.random((4, G, 3)) < 0.5, rng.choice(pool, (4, G, 3)),
+                    rng.uniform(-4.0, 4.0, (4, G, 3)))
+    coef[3] *= rng.random(G)[:, None] < 0.5
+    if flat:                    # the grid lies in the plane z = a_z
+        coef[1:, :, 2] = 0.0
+    s = np.arange(h + 1.0)[:, None, None, None]
+    t = np.arange(w + 1.0)[None, :, None, None]
+    V = coef[0] + coef[1] * s + coef[2] * t + coef[3] * (s * t)   # (h+1, w+1, G, 3)
+    Y = np.where(rng.random((G, q, 3)) < 0.3, rng.choice(pool, (G, q, 3)),
+                 rng.uniform(-4.0, 4.0, (G, q, 3)))
+    if flat:                    # viewpoints in the grid's plane
+        Y[:, -1, 2] = coef[0, :, 2]
+    if on_vertex:               # the 0/0 branch of arctan2
+        Y[0, 0] = V[rng.integers(h + 1), rng.integers(w + 1), 0]
+    got = bem._grid_solid_angles([V[..., a] for a in range(3)],
+                                 [Y[..., a] for a in range(3)])
+    quads = np.stack([V[:-1, :-1], V[1:, :-1], V[1:, 1:], V[:-1, 1:]], axis=-2)
+    want = _quad_oracle(quads[:, :, :, None] - Y[None, None, :, :, None, :])
+    assert _same_bits(np.ascontiguousarray(got), want)
+
+
+@pytest.fixture()
+def grid_calls(monkeypatch):
+    """The grid shapes _grid_solid_angles is called on, for the test."""
+    calls, grid = [], bem._grid_solid_angles
+
+    def counted(V, Y):
+        calls.append(V[0].shape)
+        return grid(V, Y)
+
+    monkeypatch.setattr(bem, "_grid_solid_angles", counted)
+    return calls
+
+
+def test_cell_grids_take_the_vertex_grid_path(cube, rng, grid_calls):
+    frustum = _frustum()
+    for patch, L in [(cube.patches[1], 3), (frustum.patches[2], 2),
+                     (frustum.patches[4], 4)]:
+        quads = bem._cell_quads(patch, L)
+        # free points, points on cell corners and points in the patch plane
+        Y = np.vstack([rng.uniform(-0.5, 2.5, (40, 3)), quads[::7, 2],
+                       patch.chart(rng.uniform(-1, 2, 5), rng.uniform(-1, 2, 5))])
+        want = _quad_oracle(quads[None] - Y[:, None, None, :])
+        assert _same_bits(solid_angles(quads, Y, chunk=16), want)
+        assert grid_calls and bem._vertex_grid(quads) is not None
+    # cells out of order, or one shared corner off by one ulp or by the sign
+    # of a zero, take the per-corner path, with the oracle's values too
+    quads = bem._cell_quads(cube.patches[0], 2)
+    axis = int(np.flatnonzero((quads == 0.0).all(axis=(0, 1)))[0])
+    nudged1, nudged3, signed = quads.copy(), quads.copy(), quads.copy()
+    nudged1[5, 1, 0] = np.nextafter(nudged1[5, 1, 0], np.inf)
+    nudged3[0, 3, 1] = np.nextafter(nudged3[0, 3, 1], -np.inf)
+    signed[0, 2, axis] = -0.0           # vertex (1, 1), shared by four cells
+    Y = rng.uniform(-0.5, 1.5, (20, 3))
+    for other in (quads[::-1], nudged1, nudged3, signed):
+        grid_calls.clear()
+        assert bem._vertex_grid(other) is None
+        assert _same_bits(solid_angles(other, Y),
+                          _quad_oracle(other[None] - Y[:, None, None, :]))
+        assert not grid_calls
+    grid_calls.clear()
+    potential_eval(cube, np.ones((6, 4, 4)), np.array([0.45, 0.55, 0.48]))
+    assert len(grid_calls) == 6
+
+
 def test_solid_angle_matches_quadrature(cube):
     patch = cube.patches[0]
     quad = patch.corners[None, :, :]
@@ -532,6 +610,44 @@ def test_near_and_touching_classes_are_bitwise_the_per_pair_path(
     with pytest.raises(RuntimeError) as err:
         assemble(surface, L)
     assert str(err.value) == failure
+
+
+def _far_per_pair(system):
+    """Per block, every far class entry computed at its first pair by one
+    _solid_angles_paired call: {block: (far class ids, entries)}."""
+    surface, L, c = system.surface, system.L, 1 << system.L
+    quads = [bem._cell_quads(p, L) for p in surface.patches]
+    want = {}
+    for k, b in enumerate(system.blocks):
+        P, W = bem._cell_nodes(surface.patches[b.pm], L, np.arange(c * c),
+                               bem._unit_cell_rule(system.quad_order))
+        _, (rm, rn) = bem._pair_classes(surface.patches[b.pm],
+                                        surface.patches[b.pn], L)
+        entries = (W[rm] * bem._solid_angles_paired(quads[b.pn][rn], P[rm])
+                   ).sum(axis=1) / (4 * math.pi)
+        touching, near = bem._touch_candidates(quads[b.pm], quads[b.pn])
+        cls = b.cls[np.broadcast_to(b.ia, (c,) * 4), np.broadcast_to(b.ib, (c,) * 4)]
+        taken = {int(cls[m // c, m % c, n // c, n % c])
+                 for m, n in near + [(m, n) for m, n, _ in touching]}
+        far = np.setdiff1d(np.arange(len(entries)), list(taken))
+        want[k] = far, entries[far]
+    return want
+
+
+@pytest.mark.parametrize("name, L", [("cube", 3), ("fichera", 2), ("frustum", 2),
+                                     ("prism", 3), ("moved_cube", 3)])
+def test_far_entries_are_bitwise_the_per_pair_path(name, L, grid_calls,
+                                                  monkeypatch):
+    surface = _OPERATOR_SURFACES[name]()
+    systems = [assemble(surface, L, workers=workers) for workers in (1, 2)]
+    # with no size floor every rectangle group takes the vertex-grid path
+    monkeypatch.setattr(bem, "_GRID_MIN", 0)
+    systems.append(assemble(surface, L))
+    assert grid_calls
+    want = _far_per_pair(systems[0])
+    for system in systems:
+        for k, (far, entries) in want.items():
+            assert _same_bits(system.blocks[k].entries[far], entries), k
 
 
 def test_assemble_guards(cube):

@@ -765,3 +765,12 @@ def test_defaults_given_or_not_write_the_same_bytes(tmp_path, monkeypatch):
     for name in ("whitney.csv", "manifest.json"):
         assert filecmp.cmp(a / name, b / name, shallow=False), name
         assert filecmp.cmp(a / name, c / name, shallow=False), name
+
+
+def test_an_empty_config_path_fails_validation(tmp_path, monkeypatch, capsys):
+    # `if not args.config` took "" for "no config" and ran the flags instead
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["whitney", "--config", "", "--count", "1"]) == 2
+    assert capsys.readouterr().err == ("error: command line: --config: "
+                                       "expected a non-empty path, got ''\n")
+    assert not (tmp_path / "reports").exists()
