@@ -35,7 +35,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._gauss import unit_rule
-from .surface import PolyhedralSurface, SurfaceError, points_quad_distance
+from .surface import (PolyhedralSurface, SurfaceError, _check_counts,
+                      points_quad_distance)
 from .spaces import BesovSpec
 from .wavelets import BasisSpec, CoefficientField, analyze
 from .weighted import WeightedSpec
@@ -176,15 +177,15 @@ def _vertex_grid(quads: np.ndarray) -> list | None:
 
 _TILE = 1 << 14      # kernel elements per tile: its temporaries stay in cache
 _GRID_MIN = _TILE // 4   # kernel elements that repay a vertex-grid call
+_CHUNK = 1024        # points per solid_angles chunk, quads per paired chunk
 
 
-def solid_angles(quads: np.ndarray, Y: np.ndarray,
-                 chunk: int = 1024) -> np.ndarray:
+def solid_angles(quads: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Signed solid angles of planar quads (Nq, 4, 3) from points Y (Ny, 3).
 
     Quad corners must wind right-handed about the surface normal; the result
     is then the exact integral of <x - y, eta> / |x - y|^3 over each quad.
-    Points go in chunks of `chunk`, quads in tiles of about 16k kernel
+    Points go in chunks of _CHUNK, quads in tiles of about _TILE kernel
     elements per chunk; the kernel is elementwise, so tiling changes no bit.
     Quads that are the c x c cells of one vertex grid, C-ordered (k1, k2),
     wound (00, 10, 11, 01) and sharing their corners bit for bit, as a
@@ -192,38 +193,41 @@ def solid_angles(quads: np.ndarray, Y: np.ndarray,
     points instead, with the same values.
     """
     quads = np.asarray(quads, dtype=float)
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    if quads.ndim != 3 or quads.shape[1:] != (4, 3):
+        raise ValueError(f"quads must have shape (N, 4, 3), got {quads.shape}")
+    if not np.isfinite(quads).all():
+        raise ValueError("quad corners must be finite")
+    Y = _as_points(Y)
     out = np.empty((len(Y), len(quads)))
     V = _vertex_grid(quads)
     if V is not None:
         c = V[0].shape[0] - 1
         V = [v[:, :, None] for v in V]
-        step = max(1, min(chunk, _TILE // (c + 1) ** 2))
+        step = max(1, min(_CHUNK, _TILE // (c + 1) ** 2))
         for lo in range(0, len(Y), step):
             om = _grid_solid_angles(V, [Y[None, lo:lo + step, a] for a in range(3)])
             out[lo:lo + step].reshape(-1, c, c)[...] = om[:, :, 0].transpose(2, 0, 1)
         return out
     Q = [[np.ascontiguousarray(quads[None, :, k, c]) for c in range(3)]
          for k in range(4)]
-    step = max(1, _TILE // max(1, min(chunk, len(Y))))
-    for lo in range(0, len(Y), chunk):
-        Yc = [Y[lo:lo + chunk, c, None] for c in range(3)]
+    step = max(1, _TILE // max(1, min(_CHUNK, len(Y))))
+    for lo in range(0, len(Y), _CHUNK):
+        Yc = [Y[lo:lo + _CHUNK, c, None] for c in range(3)]
         for qlo in range(0, len(quads), step):
             Qt = [[a[:, qlo:qlo + step] for a in corner] for corner in Q]
-            out[lo:lo + chunk, qlo:qlo + step] = _corner_solid_angles(Qt, Yc)
+            out[lo:lo + _CHUNK, qlo:qlo + step] = _corner_solid_angles(Qt, Yc)
     return out
 
 
-def _solid_angles_paired(quads: np.ndarray, Y: np.ndarray,
-                         chunk: int = 1024) -> np.ndarray:
+def _solid_angles_paired(quads: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Solid angle of quads[i] from each point of Y[i]: (N, 4, 3) with
-    (N, q, 3) -> (N, q)."""
+    (N, q, 3) -> (N, q), in chunks of _CHUNK quads."""
     out = np.empty(Y.shape[:2])
-    for lo in range(0, len(quads), chunk):
-        q = quads[lo:lo + chunk]
+    for lo in range(0, len(quads), _CHUNK):
+        q = quads[lo:lo + _CHUNK]
         Q = [[q[:, k, c, None] for c in range(3)] for k in range(4)]
-        Yc = [Y[lo:lo + chunk, :, c] for c in range(3)]
-        out[lo:lo + chunk] = _corner_solid_angles(Q, Yc)
+        Yc = [Y[lo:lo + _CHUNK, :, c] for c in range(3)]
+        out[lo:lo + _CHUNK] = _corner_solid_angles(Q, Yc)
     return out
 
 
@@ -309,7 +313,9 @@ def _orientation_check(surface: PolyhedralSurface) -> None:
 
 class _Block(NamedTuple):
     """Patch-pair block (pm, pn) in _pair_classes' form: entries[cls][ia, ib],
-    with ia and ib broadcasting to (c, c, c, c) over (m1, m2, n1, n2)."""
+    with ia and ib broadcasting to (c, c, c, c) over (m1, m2, n1, n2).  Each
+    class's entry is computed at its representative, with the far, near or
+    touching rule that _close_classes gives the class there."""
 
     pm: int
     pn: int
@@ -409,15 +415,6 @@ class DoubleLayerSystem:
         return y
 
 
-def _near_box(pts, others, reach: float) -> np.ndarray:
-    """Sorted indices of the points within `reach` of the bounding box of
-    `others`.  Per coordinate the box gap never exceeds the gap to any of
-    `others`, in floating point too, so no point within reach is dropped."""
-    gap = np.maximum(np.maximum(others.min(axis=0) - pts,
-                                pts - others.max(axis=0)), 0.0)
-    return np.nonzero((gap ** 2).sum(-1) <= reach ** 2)[0]
-
-
 def _shared_feature(shared) -> tuple:
     """The feature of a cell that a touching cell shares, in
     _unit_cell_rule's form, from flags telling which of its corners
@@ -427,42 +424,6 @@ def _shared_feature(shared) -> tuple:
     corners = ((0, 0), (1, 0), (1, 1), (0, 1))
     s, t = zip(*(loc for loc, on in zip(corners, shared) if on))
     return tuple(v[0] if len(set(v)) == 1 else None for v in (s, t))
-
-
-def _touch_candidates(quads_m, quads_n):
-    """Cell-pair lists (touching, near) between two distinct patches.
-
-    Cells of distinct patches can only meet along the shared patch edge or
-    corner, where the dyadic grids align node-to-node, so touching pairs are
-    exactly the pairs sharing a corner coordinate (to 1e-9 cell diagonals).
-    Each touching pair (m, n, feature) carries the side or corner of cell m
-    it touches along, in _unit_cell_rule's form, read from which corners
-    of m coincide with corners of n.  Near pairs (m, n) (gap below about one
-    cell diameter) get an upgraded quadrature as a safety margin.  Centre
-    distances are taken only between the cells near the other patch, O(4^L)
-    work; both lists are row-major.
-    """
-    diag = max(np.linalg.norm(quads_m[:, 2] - quads_m[:, 0], axis=1).max(),
-               np.linalg.norm(quads_n[:, 2] - quads_n[:, 0], axis=1).max())
-    cm = quads_m.mean(axis=1)
-    cn = quads_n.mean(axis=1)
-    rows = _near_box(cm, cn, 2.5 * diag)
-    cols = _near_box(cn, cm, 2.5 * diag)
-    d2 = ((cm[rows, None, :] - cn[None, cols, :]) ** 2).sum(-1)
-    i, j = np.nonzero(d2 <= (2.5 * diag) ** 2)
-    if len(i) == 0:
-        return [], []
-    mi, ni = rows[i], cols[j]
-    qm = quads_m[mi]
-    qn = quads_n[ni]
-    # (pair, corner of m, corner of n): which corners coincide
-    shared = ((qm[:, :, None, :] - qn[:, None, :, :]) ** 2).sum(-1) \
-        < (1e-9 * diag) ** 2
-    touch = shared.any(axis=(1, 2))
-    near = ~touch & (d2[i, j] <= (1.8 * diag) ** 2)
-    features = map(_shared_feature, shared[touch].any(axis=2).tolist())
-    return (list(zip(mi[touch].tolist(), ni[touch].tolist(), features)),
-            list(zip(mi[near].tolist(), ni[near].tolist())))
 
 
 def _is_affine(patch) -> bool:
@@ -608,20 +569,38 @@ def _far_entries(P, W, verts, quads_n, rep_m, rep_n, L: int) -> np.ndarray:
                 out[order[np.arange(hg * wg)[:, None] + start[gs]]] = \
                     vals.reshape(hg * wg, -1)
         rest = order[np.repeat(~grid, count)]
-    step = 1024             # classes per gather of their nodes and quads
-    for lo in range(0, len(rest), step):
-        k = rest[lo:lo + step]
+    for lo in range(0, len(rest), _CHUNK):    # one gather of nodes and quads
+        k = rest[lo:lo + _CHUNK]
         om = _solid_angles_paired(quads_n[rep_n[k]], P[rep_m[k]])
         out[k] = (W[rep_m[k]] * om).sum(axis=1)
     return out
 
 
-def _check_counts(**counts) -> None:
-    """Levels, orders and depths must be integers (not bools) >= 1."""
-    for name, value in counts.items():
-        if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-                or value < 1):
-            raise ValueError(f"{name} must be >= 1 and an integer, got {value!r}")
+def _close_classes(quads_m, quads_n, centers_m, centers_n, diag,
+                   rep_m, rep_n):
+    """Near and touching classes of a block between distinct patches, each
+    judged once, at its representative (m, n) = (rep_m[k], rep_n[k]).
+
+    Cells of distinct patches meet only where their dyadic grids align node
+    to node, so a pair is touching when a corner of m coincides with one of
+    n, to 1e-9 `diag` (the larger cell diagonal); its feature grades toward
+    the coinciding corners of m.  Otherwise it is near when the centres lie
+    within 1.8 diagonals; only centres within 2.5 are compared by corners.
+    A class's pairs share one offset, hence the rule; were a centre distance
+    within rounding of 1.8 diagonals, the representative would decide, as it
+    does the entry.  Returns (near ids, touching ids in the C order of their
+    representatives, touching features in _unit_cell_rule's form).
+    """
+    d2 = ((centers_m[rep_m] - centers_n[rep_n]) ** 2).sum(-1)
+    k = np.flatnonzero(d2 <= (2.5 * diag) ** 2)
+    k = k[np.lexsort((rep_n[k], rep_m[k]))]
+    # (class, corner of m, corner of n): which corners coincide
+    shared = ((quads_m[rep_m[k], :, None, :] - quads_n[rep_n[k], None, :, :])
+              ** 2).sum(-1) < (1e-9 * diag) ** 2
+    touch = shared.any(axis=(1, 2))
+    near = k[~touch & (d2[k] <= (1.8 * diag) ** 2)]
+    features = map(_shared_feature, shared[touch].any(axis=2).tolist())
+    return near, k[touch], list(features)
 
 
 def assemble(surface: PolyhedralSurface, L: int, *, quad_order: int = 4,
@@ -631,14 +610,17 @@ def assemble(surface: PolyhedralSurface, L: int, *, quad_order: int = 4,
 
     The source-cell integral is the closed-form signed solid angle; the
     test-cell integral maps one cached _unit_cell_rule onto each batch of
-    cells: quad_order^2 Gauss, upgraded to a 2x2 subdivision on near pairs
+    cells: quad_order^2 Gauss, upgraded to a 2x2 subdivision on near classes
     and to grade_depth-graded panels toward the shared feature on touching
-    pairs.  Every touching entry is recomputed one grading level coarser,
-    and a disagreement of more than 5% raises.  Each patch-pair block is
-    kept as a table with one entry per class of _pair_classes; no (N, N)
-    array is allocated until the system's `A` is read.
+    classes.  Each patch-pair block is kept as a table with one entry per
+    class of _pair_classes, and every class is computed, and judged far,
+    near or touching (_close_classes), once, at its first pair.  Every
+    touching entry is recomputed one grading level coarser, and a
+    disagreement of more than 5% raises, at the first such pair in C order.
+    No (N, N) array is allocated until the system's `A` is read.
     """
-    _check_counts(L=L, quad_order=quad_order, grade_depth=grade_depth)
+    _check_counts(L=L, quad_order=quad_order, grade_depth=grade_depth,
+                  workers=workers)
     _orientation_check(surface)
     c = 1 << L
     cells = c * c
@@ -652,6 +634,8 @@ def assemble(surface: PolyhedralSurface, L: int, *, quad_order: int = 4,
              for p in surface.patches]
     areas = np.concatenate([w.sum(axis=1) for _, w in gauss])
     centers = np.concatenate([q.mean(axis=1) for q in quads])
+    cell_centers = centers.reshape(-1, cells, 3)
+    diags = [np.linalg.norm(q[:, 2] - q[:, 0], axis=1).max() for q in quads]
 
     def rule_values(pm, pn, m, n, feature, depth):
         """Entries of cell pairs (m, n) of block (pm, pn), each its w @ o."""
@@ -663,32 +647,31 @@ def assemble(surface: PolyhedralSurface, L: int, *, quad_order: int = 4,
     def do_pair(pm: int, pn: int) -> _Block:
         qn = quads[pn]
         P, W = gauss[pm]                      # (cells, q2, 3), (cells, q2)
-        touching, near = _touch_candidates(quads[pm], qn)
         (cls, ia, ib), (rep_m, rep_n) = _pair_classes(
             surface.patches[pm], surface.patches[pn], L)
+        # keep close classes here: dropping them splits the far grid rectangles
         entries = _far_entries(P, W, verts[pn], qn, rep_m, rep_n, L)
         entries /= _FOUR_PI
-        # near pairs, then touching ones, each class computed at its first
-        # pair; near pairs take the 2x2 split at depth 0, which marks them
-        # as exempt from the coarser-level check
-        m, n = np.array(near + [(m, n) for m, n, _ in touching],
-                        dtype=np.int64).reshape(-1, 2).T
+        near, touching, features = _close_classes(
+            quads[pm], qn, cell_centers[pm], cell_centers[pn],
+            max(diags[pm], diags[pn]), rep_m, rep_n)
+        # each close class is computed at its representative; near classes
+        # take the 2x2 split at depth 0, which exempts them from the
+        # coarser-level check
+        k = np.concatenate([near, touching])
+        m, n = rep_m[k], rep_n[k]
         rules = ([((None, None), 0)] * len(near)
-                 + [(feature, grade_depth) for _, _, feature in touching])
-        at = (m // c, m % c, n // c, n % c)
-        cid = cls[np.broadcast_to(ia, (c, c, c, c))[at],
-                  np.broadcast_to(ib, (c, c, c, c))[at]]
-        first = np.sort(np.unique(cid, return_index=True)[1])
-        val, val2 = np.empty(len(m)), np.empty(len(m))
-        for feature, depth in dict.fromkeys(rules[i] for i in first):
-            idx = np.array([i for i in first if rules[i] == (feature, depth)])
+                 + [(feature, grade_depth) for feature in features])
+        val, val2 = np.empty(len(k)), np.empty(len(k))
+        for feature, depth in dict.fromkeys(rules):
+            idx = np.array([i for i, r in enumerate(rules) if r == (feature, depth)])
             val[idx] = rule_values(pm, pn, m[idx], n[idx], feature, depth)
             if depth:
                 val2[idx] = rule_values(pm, pn, m[idx], n[idx], feature, depth - 1)
-        entries[cid[first]] = val[first]
+        entries[k] = val
         # every touching entry is checked one grading level coarser; entries
         # scale with the cell area, and so must the floor
-        t = first[first >= len(near)]
+        t = np.arange(len(near), len(k))
         floor = 1e-12 * areas[pm * cells + m[t]]
         bad = t[np.abs(val[t] - val2[t]) > np.maximum(0.05 * np.abs(val[t]), floor)]
         if bad.size:
@@ -733,6 +716,11 @@ def gauss_check(surface: PolyhedralSurface, x, patch: int | None = None,
     (pass the containing patch; its own coplanar contribution is exactly
     zero), 0 outside.
     """
+    _check_counts(L=L)
+    if patch is not None and (isinstance(patch, bool) or not isinstance(
+            patch, (int, np.integer)) or not 0 <= patch < surface.n_patches):
+        raise ValueError(f"patch must be None or a patch index in "
+                         f"[0, {surface.n_patches}), got {patch!r}")
     x = _as_points(x, one=True)
     total = sum(float(solid_angles(_cell_quads(p, L), x).sum())
                 for p in surface.patches if p.index != patch)

@@ -36,6 +36,15 @@ class SurfaceError(ValueError):
     """Raised for invalid surface descriptions or incompatible configuration."""
 
 
+def _check_counts(**counts) -> None:
+    """Levels, orders, depths and worker counts must be integers (not bools)
+    >= 1."""
+    for name, value in counts.items():
+        if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                or value < 1):
+            raise ValueError(f"{name} must be >= 1 and an integer, got {value!r}")
+
+
 def _unit(v):
     n = np.linalg.norm(v)
     if n == 0.0:

@@ -22,7 +22,7 @@ from math import sqrt
 import numpy as np
 
 from ._gauss import unit_rule
-from .surface import PolyhedralSurface
+from .surface import PolyhedralSurface, _check_counts
 
 __all__ = [
     "BasisSpec",
@@ -306,6 +306,7 @@ def analyze(surface: PolyhedralSurface, sampler, basis: BasisSpec, J: int,
     the bits it gets from the whole grid, but a narrower column range could
     round differently. The coefficients do not depend on the block size.
     """
+    _check_counts(workers=workers)
     if J < basis.j_star:
         raise ValueError("J must be >= j_star")
     jobs = []

@@ -33,8 +33,8 @@ from math import comb, pi
 import numpy as np
 
 from ._gauss import unit_rule
-from .surface import (PolyhedralSurface, ResolutionOfUnity, _smooth_step,
-                      _smooth_step_derivs, _step_down_derivs)
+from .surface import (PolyhedralSurface, ResolutionOfUnity, _check_counts,
+                      _smooth_step, _smooth_step_derivs, _step_down_derivs)
 
 __all__ = [
     "WeightedSpec",
@@ -580,6 +580,7 @@ def weighted_sobolev_norm(handle, surface: PolyhedralSurface,
     convergent power-type tails fall under that rate well before `depth`
     layers, divergent ones never do.
     """
+    _check_counts(workers=workers)
     terms = _norm_terms(handle, surface, resolution, spec, depth=depth,
                         quad_order=quad_order, workers=workers)
     total = 0.0

@@ -18,6 +18,7 @@ from patchwave import (
     fichera_corner,
     galerkin_rhs,
     gauss_check,
+    haar_basis,
     interior_dirichlet_density,
     load_surface,
     potential_eval,
@@ -67,10 +68,14 @@ def test_solid_angle_kernel_is_bitwise_oracle(quads, data):
     Y = data.draw(arrays(float, (n, q, 3), elements=_coords))
     # viewpoints on corners hit the 0/0 branch of arctan2
     Y[0, 0] = quads[0, 2]
-    full = solid_angles(quads, Y.reshape(-1, 3), chunk=3)
+    # small chunks, so the examples cross chunk boundaries
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bem, "_CHUNK", 3)
+        full = solid_angles(quads, Y.reshape(-1, 3))
+        mp.setattr(bem, "_CHUNK", 2)
+        paired = bem._solid_angles_paired(quads, Y)
     assert _same_bits(
         full, _quad_oracle(quads[None, :, :, :] - Y.reshape(-1, 1, 1, 3)))
-    paired = bem._solid_angles_paired(quads, Y, chunk=2)
     assert _same_bits(
         paired, _quad_oracle(quads[:, None, :, :] - Y[:, :, None, :]))
     diag = full.reshape(n, q, n)[np.arange(n), :, np.arange(n)]
@@ -145,7 +150,9 @@ def test_cell_grids_take_the_vertex_grid_path(cube, rng, grid_calls):
         Y = np.vstack([rng.uniform(-0.5, 2.5, (40, 3)), quads[::7, 2],
                        patch.chart(rng.uniform(-1, 2, 5), rng.uniform(-1, 2, 5))])
         want = _quad_oracle(quads[None] - Y[:, None, None, :])
-        assert _same_bits(solid_angles(quads, Y, chunk=16), want)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bem, "_CHUNK", 16)
+            assert _same_bits(solid_angles(quads, Y), want)
         assert grid_calls and bem._vertex_grid(quads) is not None
     # cells out of order, or one shared corner off by one ulp or by the sign
     # of a zero, take the per-corner path, with the oracle's values too
@@ -441,15 +448,44 @@ def _assert_same_classes(patch_m, patch_n, L):
     assert np.array_equal(new_n[new_inv], rep_n[inv])
 
 
-def _assert_same_touch_lists(quads_m, quads_n, features=True):
-    (touching, near), (want_touching, want_near) = (
-        bem._touch_candidates(quads_m, quads_n),
-        _touch_candidates_oracle(quads_m, quads_n))
-    assert near == want_near
-    if not features:
-        touching = [(m, n) for m, n, _ in touching]
-        want_touching = [(m, n) for m, n, _ in want_touching]
-    assert touching == want_touching
+def _close(quads_m, quads_n, rep_m, rep_n):
+    """bem._close_classes with the cell centres and diagonal assemble passes."""
+    diag = max(np.linalg.norm(q[:, 2] - q[:, 0], axis=1).max()
+               for q in (quads_m, quads_n))
+    return bem._close_classes(quads_m, quads_n, quads_m.mean(axis=1),
+                              quads_n.mean(axis=1), diag, rep_m, rep_n)
+
+
+def _assert_every_pair_has_its_class_rule(patch_m, patch_n, L, features=True):
+    """The rule of each class, judged at its representative, is the
+    oracle's rule of every pair in the class: far, near, or touching along
+    the same feature (touching only, without `features`)."""
+    c = 1 << L
+    quads_m, quads_n = bem._cell_quads(patch_m, L), bem._cell_quads(patch_n, L)
+    (cls, ia, ib), (rep_m, rep_n) = bem._pair_classes(patch_m, patch_n, L)
+    near, touching, feats = _close(quads_m, quads_n, rep_m, rep_n)
+    codes = {"far": 0}
+
+    def code(rule):
+        """One code per rule; without `features` every touching rule is one."""
+        if not features and rule != "near":
+            rule = "touching"
+        return codes.setdefault(rule, len(codes))
+
+    by_class = np.zeros(len(rep_m), dtype=int)
+    by_class[near] = code("near")
+    for k, feature in zip(touching, feats):
+        by_class[k] = code(feature)
+    want = np.zeros((c * c, c * c), dtype=int)
+    oracle_touching, oracle_near = _touch_candidates_oracle(quads_m, quads_n)
+    for m, n in oracle_near:
+        want[m, n] = code("near")
+    for m, n, feature in oracle_touching:
+        want[m, n] = code(feature)
+    assert np.array_equal(by_class[cls[ia, ib]].reshape(c * c, c * c), want)
+    # touching classes come in the C order of their representatives
+    flat = rep_m[touching] * c * c + rep_n[touching]
+    assert np.all(np.diff(flat) > 0)
 
 
 @pytest.mark.parametrize("name, L", [("cube", 1), ("cube", 2), ("cube", 3),
@@ -458,12 +494,11 @@ def _assert_same_touch_lists(quads_m, quads_n, features=True):
 def test_pair_classes_and_touch_lists_match_oracles(name, L, cube, fichera):
     surface = {"cube": cube, "fichera": fichera, "frustum": _frustum(),
                "prism": _prism()}.get(name) or _moved_cube()
-    quads = {p.index: bem._cell_quads(p, L) for p in surface.patches}
     for pm in surface.patches:
         for pn in surface.patches:
             if pm.index != pn.index:
                 _assert_same_classes(pm, pn, L)
-                _assert_same_touch_lists(quads[pm.index], quads[pn.index])
+                _assert_every_pair_has_its_class_rule(pm, pn, L)
 
 
 class _Parallelogram:
@@ -504,9 +539,8 @@ def test_pair_classes_and_touch_lists_match_oracles_on_parallelograms(
     patch_n = _Parallelogram(an, bn, cn)
     _assert_same_classes(patch_m, patch_n, L)
     # overlapping parallelograms are no surface: corners of one cell may lie
-    # on the other cell off its corners, so only the pairs are compared
-    _assert_same_touch_lists(bem._cell_quads(patch_m, L),
-                             bem._cell_quads(patch_n, L), features=False)
+    # on the other cell off its corners, so only near or touching is compared
+    _assert_every_pair_has_its_class_rule(patch_m, patch_n, L, features=False)
 
 
 def _oracle_classes(patch_m, patch_n, L):
@@ -518,14 +552,41 @@ def _oracle_classes(patch_m, patch_n, L):
             cell[None, None, :, :]), reps
 
 
+def _close_classes_oracle(quads_m, quads_n, pair_cls):
+    """_close_classes' result from _touch_candidates_oracle's pair lists, as
+    the per-pair path mapped them: each class takes the rule of its first
+    pair in list order (near, then touching).  pair_cls[m, n] is the class
+    of the pair (m, n)."""
+    touching, near = _touch_candidates_oracle(quads_m, quads_n)
+    first = {}
+    for m, n, feature in [(m, n, None) for m, n in near] + touching:
+        first.setdefault(int(pair_cls[m, n]), feature)
+    touch = [(k, f) for k, f in first.items() if f is not None]
+    return (np.array([k for k, f in first.items() if f is None], dtype=np.int64),
+            np.array([k for k, _ in touch], dtype=np.int64),
+            [f for _, f in touch])
+
+
 @pytest.mark.parametrize("name, L", [("cube", 3), ("fichera", 2)])
 def test_assemble_is_bitwise_the_oracle_assembly(name, L, systems, fichera,
                                                  monkeypatch):
     surface = fichera if name == "fichera" else systems[L].surface
     new = systems[L].A if name == "cube" else assemble(surface, L).A
-    monkeypatch.setattr(bem, "_pair_classes", _oracle_classes)
-    monkeypatch.setattr(bem, "_touch_candidates", _touch_candidates_oracle)
-    assert _same_bits(new, assemble(surface, L).A)
+    # one worker: each block's classes are read right after they are made
+    block = {}
+
+    def classes(patch_m, patch_n, L):
+        block["classes"] = _oracle_classes(patch_m, patch_n, L)
+        return block["classes"]
+
+    def close(quads_m, quads_n, *_):
+        (cls, ia, ib), _ = block["classes"]
+        pair_cls = cls[ia, ib].reshape(len(quads_m), len(quads_n))
+        return _close_classes_oracle(quads_m, quads_n, pair_cls)
+
+    monkeypatch.setattr(bem, "_pair_classes", classes)
+    monkeypatch.setattr(bem, "_close_classes", close)
+    assert _same_bits(new, assemble(surface, L, workers=1).A)
 
 
 def _graded_cell_nodes_oracle(patch, L, k1, k2, feature, depth, order, skew):
@@ -573,7 +634,7 @@ def _near_and_touching_oracle(system, skew=1.0):
     want, failure = {}, None
     for k, b in enumerate(system.blocks):
         cls = b.cls[np.broadcast_to(b.ia, (c,) * 4), np.broadcast_to(b.ib, (c,) * 4)]
-        touching, near = bem._touch_candidates(quads[b.pm], quads[b.pn])
+        touching, near = _touch_candidates_oracle(quads[b.pm], quads[b.pn])
         for m, n, feature in [(m, n, None) for m, n in near] + touching:
             key = (k, int(cls[m // c, m % c, n // c, n % c]))
             if key in want:
@@ -625,7 +686,7 @@ def _far_per_pair(system):
                                         surface.patches[b.pn], L)
         entries = (W[rm] * bem._solid_angles_paired(quads[b.pn][rn], P[rm])
                    ).sum(axis=1) / (4 * math.pi)
-        touching, near = bem._touch_candidates(quads[b.pm], quads[b.pn])
+        touching, near = _touch_candidates_oracle(quads[b.pm], quads[b.pn])
         cls = b.cls[np.broadcast_to(b.ia, (c,) * 4), np.broadcast_to(b.ib, (c,) * 4)]
         taken = {int(cls[m // c, m % c, n // c, n % c])
                  for m, n in near + [(m, n) for m, n, _ in touching]}
@@ -666,12 +727,38 @@ def test_assemble_guards(cube):
         assemble(inward, 1)
 
 
+_INSIDE = np.array([0.4, 0.5, 0.6])
+
+
 @pytest.mark.parametrize("call, match", [
     (lambda s: assemble(s.surface, 2.0), r"L must be >= 1 and an integer, got 2\.0"),
     (lambda s: assemble(s.surface, True), "L must be >= 1 and an integer, got True"),
     (lambda s: assemble(s.surface, 1, grade_depth=2.5), "grade_depth must be"),
     (lambda s: assemble(s.surface, 1, quad_order=2.5), "quad_order must be"),
     (lambda s: assemble(s.surface, 1, quad_order=0), "quad_order must be"),
+    # these worker counts returned a system
+    (lambda s: assemble(s.surface, 1, workers=2.5),
+     r"workers must be >= 1 and an integer, got 2\.5"),
+    (lambda s: assemble(s.surface, 1, workers=0), "workers must be"),
+    (lambda s: assemble(s.surface, 1, workers=-3), "workers must be"),
+    (lambda s: assemble(s.surface, 1, workers=True), "workers must be"),
+    (lambda s: analyze_solution(s.surface, np.ones((6, 2, 2)), haar_basis(), 1,
+                                WeightedSpec(1, 0.5), workers=0),
+     "workers must be"),
+    # an IndexError for quads of 3 corners
+    (lambda s: solid_angles(np.zeros((2, 3, 3)), _INSIDE),
+     r"quads must have shape \(N, 4, 3\), got \(2, 3, 3\)"),
+    (lambda s: solid_angles(np.zeros((4, 3)), _INSIDE), "quads must have shape"),
+    (lambda s: solid_angles(np.full((1, 4, 3), np.inf), _INSIDE),
+     "quad corners must be finite"),
+    # patch 99 was ignored (the interior value -1), L = 1.5 a TypeError
+    (lambda s: gauss_check(s.surface, _INSIDE, patch=99, L=1),
+     r"patch must be None or a patch index in \[0, 6\), got 99"),
+    (lambda s: gauss_check(s.surface, _INSIDE, patch=-1, L=1), "patch must be None"),
+    (lambda s: gauss_check(s.surface, _INSIDE, patch=1.0, L=1), "patch must be None"),
+    (lambda s: gauss_check(s.surface, _INSIDE, L=1.5),
+     r"L must be >= 1 and an integer, got 1\.5"),
+    (lambda s: gauss_check(s.surface, _INSIDE, L=0), "L must be >= 1"),
     (lambda s: galerkin_rhs(s, lambda pts: np.ones(len(pts)), quad_order=2.5),
      "quad_order must be"),
     (lambda s: galerkin_rhs(s, lambda pts: np.ones(3)),
@@ -846,11 +933,16 @@ def test_potential_clearance_refuses_what_the_scalar_distance_refuses(cube):
     ("potential", np.ones((1, 2)), r"shape \(3,\) or \(N, 3\), got \(1, 2\)"),
     ("gauss", [np.nan, 0.5, 0.5], "points must be finite"),
     ("gauss", np.full((2, 3), 0.5), r"shape \(3,\), got \(2, 3\)"),
+    # solid_angles gave NaN for a NaN point and an IndexError for (3, 2)
+    ("solid", [[0.5, np.nan, 0.5]], "points must be finite"),
+    ("solid", np.ones((3, 2)), r"shape \(3,\) or \(N, 3\), got \(3, 2\)"),
 ])
 def test_bad_points_are_value_errors(cube, call, y, match):
     with pytest.raises(ValueError, match=match):
         if call == "potential":
             potential_eval(cube, np.ones((6, 2, 2)), y)
+        elif call == "solid":
+            solid_angles(bem._cell_quads(cube.patches[0], 1), y)
         else:
             gauss_check(cube, y, L=1)
 

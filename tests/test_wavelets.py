@@ -113,6 +113,10 @@ def test_analyze_workers_match(cube, haar):
     assert np.array_equal(a1.coarse, a4.coarse)
     for j in a1.level_range():
         assert np.array_equal(a1.level(j), a4.level(j))
+    # a fraction or zero ran the analysis serially and returned a field
+    for workers in (2.5, 0, True):
+        with pytest.raises(ValueError, match="workers must be >= 1 and an integer"):
+            analyze(cube, sampler, haar, 3, workers=workers)
 
 
 def _bitwise_equal(a, b):

@@ -245,6 +245,10 @@ def test_workers_do_not_change_the_norm(cube, rou):
     v1 = weighted_sobolev_norm(handle, cube, rou, spec, workers=1, **FAST)
     v4 = weighted_sobolev_norm(handle, cube, rou, spec, workers=4, **FAST)
     assert v1 == v4
+    # a fraction went on to ThreadPoolExecutor unchecked
+    for workers in (2.5, 0, -3, True):
+        with pytest.raises(ValueError, match="workers must be >= 1 and an integer"):
+            weighted_sobolev_norm(handle, cube, rou, spec, workers=workers, **FAST)
 
 
 # -- the norm evaluates a model only where its support ball reaches -----------
