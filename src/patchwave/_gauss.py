@@ -6,10 +6,14 @@ from functools import lru_cache
 import numpy as np
 
 # Non-negative halves of scipy.special.roots_legendre(n) on [-1, 1], nodes then
-# weights, for the orders the package's defaults use.  Those rules are exactly
-# symmetric, so mirroring a half reproduces them bit for bit without importing
-# scipy.special (most of the package's import time otherwise).
+# weights, for the orders the package's defaults use and order 3, which
+# assembly takes on distant far classes at the default order 4.  Those rules
+# are exactly symmetric, so mirroring a half reproduces them bit for bit
+# without importing scipy.special (most of the package's import time
+# otherwise).
 _HALF_RULES = {
+    3: ("0x0.0p+0 0x1.8c97ef43f7248p-1",
+        "0x1.c71c71c71c717p-1 0x1.1c71c71c71c74p-1"),
     4: ("0x1.5c23fd9dd3dfdp-2 0x1.b8e6dbcf63985p-1",
         "0x1.4de5f840c24cbp-1 0x1.64340f7e7b66ap-2"),
     8: ("0x1.77ac94f3c7346p-3 0x1.0d129583284b4p-1 0x1.97e4ab249f41ep-1 "

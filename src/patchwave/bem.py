@@ -6,7 +6,12 @@ same-patch block exact (the kernel vanishes between coplanar points), and
 the remaining inner integrals have a closed form: the kernel integrated
 over a flat source cell is the signed solid angle the cell subtends.  Only
 the outer (test-cell) integral is done by quadrature, graded toward shared
-edges and corners.
+edges and corners.  Far cells take a plain Gauss rule of quad_order points a
+side or, mostly where the cell centres lie at least _FAR_DIAGS = 10 cell
+diagonals apart (see assemble), one point fewer: there the outer integrand
+is smooth enough that order 3 differs from order 8 by at most 6.0e-13 of
+max|A|, and order 2 by 2.9e-9 (Sauter and Schwab, Boundary Element
+Methods, 2011, ch. 5).
 
 Every solid angle comes from one van Oosterom-Strackee core, _quad_kernel,
 fed by one of two front ends that give the same bits: per corner for
@@ -178,6 +183,9 @@ def _vertex_grid(quads: np.ndarray) -> list | None:
 _TILE = 1 << 14      # kernel elements per tile: its temporaries stay in cache
 _GRID_MIN = _TILE // 4   # kernel elements that repay a vertex-grid call
 _CHUNK = 1024        # points per solid_angles chunk, quads per paired chunk
+_BATCH = 1 << 15     # classes per far-field batch of consecutive blocks
+_FAR_DIAGS = 10.0    # centre distance, in larger-cell diagonals, from which a
+                     # far class takes one Gauss order less (see assemble)
 
 
 def solid_angles(quads: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -433,22 +441,34 @@ def _is_affine(patch) -> bool:
     return bool(np.linalg.norm(patch.coeff_d) <= 64 * np.finfo(float).eps * edge)
 
 
-def _offset_classes(V: np.ndarray, scale: float):
+def _offset_classes(V: np.ndarray, scale: float, rank: np.ndarray):
     """Classes of equal offsets among the rows of V (N, 3).
 
     Offsets are quantised to scale/8192 and packed into one int64 key.
-    Returns (first, inv) as np.unique(return_index, return_inverse) gives
-    them, or None when the quantisation overflows or merges offsets more
-    than 1e-9 * scale apart.
+    Returns (first, inv): the row of least `rank` (N distinct integers) in
+    each class and each row's class, classes numbered in the order of their
+    keys, as np.unique(return_index, return_inverse) gives them for rows
+    ranked in array order; or None when the quantisation overflows or
+    merges offsets more than 1e-9 * scale apart.
     """
     q = np.round(V * (8192.0 / scale)).astype(np.int64)
     if np.any(np.abs(q) >= (1 << 20)):
         return None
     base = 1 << 20
     key = ((q[:, 0] + base) << 42) | ((q[:, 1] + base) << 21) | (q[:, 2] + base)
-    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
-    # a merge of genuinely distinct offsets would corrupt entries: verify
-    if float(np.abs(V - V[first][inv]).max()) > 1e-9 * scale:
+    perm = np.argsort(key)
+    key = key[perm]
+    new = np.r_[True, key[1:] != key[:-1]]
+    sorted_inv = np.cumsum(new) - 1
+    inv = np.empty_like(sorted_inv)
+    inv[perm] = sorted_inv
+    rank = rank[perm]
+    least = np.minimum.reduceat(rank, np.flatnonzero(new))    # per class
+    first = perm[rank == least[sorted_inv]]
+    # a merge of genuinely distinct offsets would corrupt entries: verify,
+    # one coordinate at a time (a row gather of V costs six times as much)
+    at = first[inv]
+    if float(np.max([np.abs(v - v[at]).max() for v in V.T])) > 1e-9 * scale:
         return None
     return first, inv
 
@@ -490,7 +510,7 @@ def _pair_classes(patch_m, patch_n, L: int):
     def group(vm, vn):
         """Offsets k_n vn - k_m vm, C-ordered (k_m, k_n), and their classes."""
         U = (k[None, :, None] * vn - k[:, None, None] * vm).reshape(-1, 3)
-        return U, _offset_classes(U, scale)
+        return U, _offset_classes(U, scale, np.arange(len(U)))
 
     best = None
     for swap, (ga, gb) in enumerate((((bm, bn), (cm, cn)),
@@ -509,77 +529,143 @@ def _pair_classes(patch_m, patch_n, L: int):
     mb, nb = np.divmod(fb, c)
     n1, n2 = (nb[None, :], na[:, None]) if swap else (na[:, None], nb[None, :])
     flat = (((ma[:, None] * c + mb[None, :]) * c + n1) * c + n2).ravel()
-    # unique's first occurrences in flat order are the classes' first pairs
-    order = np.argsort(flat)
-    S = (RA[:, None, :] + RB[None, :, :]).reshape(-1, 3)[order]
-    classes = _offset_classes(S, scale)
+    # a class's first pair in C order is its member of least flat index
+    classes = _offset_classes((RA[:, None, :] + RB[None, :, :]).reshape(-1, 3),
+                              scale, flat)
     if classes is None:
         return _every_pair(c)
     first, inv = classes
-    cls = np.empty_like(inv)
-    cls[order] = inv
-    rep = flat[order[first]]
+    rep = flat[first]
     shape_a, shape_b = ((c, 1, 1, c), (1, c, c, 1)) if swap else \
         ((c, 1, c, 1), (1, c, 1, c))
     cells = c * c
-    return ((cls.reshape(len(fa), len(fb)), ia.reshape(shape_a),
+    return ((inv.reshape(len(fa), len(fb)), ia.reshape(shape_a),
              ib.reshape(shape_b)), (rep // cells, rep % cells))
 
 
-def _far_entries(P, W, verts, quads_n, rep_m, rep_n, L: int) -> np.ndarray:
-    """(W[m] * solid angles of source cell n from the nodes P[m]).sum(-1)
-    for each class representative (m, n) = (rep_m, rep_n).
+def _far_pieces(block, rep_m, rep_n, beyond, c: int):
+    """Which far classes take the lower order, and the rectangles their
+    groups cut into, for _far_entries (whose arguments these are).
 
-    The classes of one test cell m form a group.  Groups whose source cells
-    fill an h x w rectangle of more than one cell are batched by shape, and
-    a batch of at least _GRID_MIN kernel elements goes through
-    _grid_solid_angles on those rectangles of `verts`; every other class
-    goes through _solid_angles_paired.  Both sum the same contiguous row of
-    q products per class, so the path changes no bit.
+    The classes of one test cell m in one block form a group.  A group's
+    lines are the rows of its source cells (n1, n2) when their bounding
+    rectangle is no taller than wide, else its columns.  A class takes the
+    lower order when it is `beyond` and its line lies outside the span of
+    the lines holding a class of the group that is not; so every class not
+    beyond, and every beyond class whose line crosses that span, keeps the
+    order.  A group whose source cells fill a rectangle is cut across its
+    lines into that span and the bands on either side.
+
+    Returns (lower, order, pieces): `order` sorts the classes by (block, m,
+    n1, n2), and pieces holds, for each piece of more than one cell, its
+    rule (1: the lower order), first row, first column, rows, columns, the
+    sorted position of its first cell, the step in position of one row, and
+    the first class of its group.
     """
-    q = W.shape[1]
+    key = block * c * c + rep_m
+    order = np.argsort(key * c * c + rep_n)      # no two classes share a pair
+    key = key[order]
+    start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    count = np.diff(np.r_[start, len(key)])
+    n1, n2 = np.divmod(rep_n[order], c)
+    i0, j0 = np.minimum.reduceat(n1, start), np.minimum.reduceat(n2, start)
+    h = np.maximum.reduceat(n1, start) - i0 + 1
+    w = np.maximum.reduceat(n2, start) - j0 + 1
+    g = np.flatnonzero((h * w == count) & (count > 1))
+    i, j, hh, ww = i0[g], j0[g], h[g], w[g]
+    # pieces of the rectangles g: (first row, first column, rows, columns)
+    pieces, rule = [(i, j, hh, ww)], [0]
+    lower = np.zeros(len(key), dtype=bool)
+    if beyond.any():
+        rows = h <= w
+        k = np.repeat(np.arange(len(start)), count)
+        line = np.where(rows[k], n1, n2)
+        far = beyond[order]
+        # [b, e) spans the lines holding a class not beyond
+        b = np.minimum.reduceat(np.where(far, c, line), start)
+        e = np.maximum.reduceat(np.where(far, -1, line), start) + 1
+        lower[order] = far & ~((b[k] <= line) & (line < e[k]))
+        rows, b, e = rows[g], b[g], e[g]
+        first = np.where(rows, i, j)
+        end = first + np.where(rows, hh, ww)
+        empty = e <= b                  # no class kept: all in one band
+        b[empty] = e[empty] = end[empty]
+
+        def band(lo, hi):
+            """The lines [lo, hi) of each rectangle g as a piece."""
+            return (np.where(rows, lo, i), np.where(rows, j, lo),
+                    np.where(rows, hi - lo, hh), np.where(rows, ww, hi - lo))
+        pieces, rule = [band(b, e), band(first, b), band(e, end)], [0, 1, 1]
+    PI, PJ, PH, PW = (np.concatenate(a) for a in zip(*pieces))
+    G, PR = np.tile(g, len(rule)), np.repeat(rule, len(g))
+    big = PH * PW > 1
+    G, PR, PI, PJ, PH, PW = (a[big] for a in (G, PR, PI, PJ, PH, PW))
+    base = start[G] + (PI - i0[G]) * w[G] + (PJ - j0[G])
+    return lower, order, (PR, PI, PJ, PH, PW, base, w[G], order[start[G]])
+
+
+def _far_entries(rules, verts, quads, pairs, block, rep_m, rep_n, beyond,
+                 L: int) -> np.ndarray:
+    """(W[m] * solid angles of source cell n from the nodes P[m]).sum(-1)
+    for each class representative: test cell m = rep_m of patch pm, source
+    cell n = rep_n of patch pn, where (pm, pn) = pairs[block], with (P, W) =
+    rules[1] for the classes that _far_pieces lowers, else rules[0].  rules
+    hold (P, W) of every patch, (patches, cells, q, 3) and (patches, cells,
+    q); verts the (x, y, z) components (patches, c + 1, c + 1) of the vertex
+    grids; quads the cells (patches, cells, 4, 3).
+
+    The pieces of _far_pieces are batched by rule and shape, and a batch of
+    at least _GRID_MIN kernel elements goes through _grid_solid_angles on
+    those rectangles of `verts`; every other class goes through
+    _solid_angles_paired.  Both sum the same contiguous row of q products
+    per class, so the path changes no bit.
+    """
+    c = 1 << L
     out = np.empty(len(rep_m))
-    rest = np.arange(len(rep_m))
-    if len(rep_m) * q >= _GRID_MIN:
-        c = 1 << L
-        order = np.lexsort((rep_n, rep_m))
-        rm, rn = rep_m[order], rep_n[order]
-        start = np.flatnonzero(np.r_[True, rm[1:] != rm[:-1]])
-        count = np.diff(np.r_[start, len(rm)])
-        n1, n2 = np.divmod(rn, c)
-        i0, j0 = np.minimum.reduceat(n1, start), np.minimum.reduceat(n2, start)
-        h = np.maximum.reduceat(n1, start) - i0 + 1
-        w = np.maximum.reduceat(n2, start) - j0 + 1
-        rect = (h * w == count) & (count > 1)
-        grid = np.zeros_like(rect)
-        for hg, wg in set(zip(h[rect].tolist(), w[rect].tolist())):
-            g = np.flatnonzero(rect & (h == hg) & (w == wg))
-            if len(g) * hg * wg * q < _GRID_MIN:
-                continue
-            grid[g] = True
-            step = max(1, _TILE // (hg * wg * q))
-            for lo in range(0, len(g), step):
-                gs = g[lo:lo + step]
-                ii = np.arange(hg + 1)[:, None, None] + i0[gs]
-                jj = np.arange(wg + 1)[:, None] + j0[gs]
-                m = rm[start[gs]]
-                om = _grid_solid_angles([v[ii, jj] for v in verts],
-                                        [P[m, :, a] for a in range(3)])
-                vals = (W[m] * om).sum(axis=-1)
-                out[order[np.arange(hg * wg)[:, None] + start[gs]]] = \
-                    vals.reshape(hg * wg, -1)
-        rest = order[np.repeat(~grid, count)]
-    for lo in range(0, len(rest), _CHUNK):    # one gather of nodes and quads
-        k = rest[lo:lo + _CHUNK]
-        om = _solid_angles_paired(quads_n[rep_n[k]], P[rep_m[k]])
-        out[k] = (W[rep_m[k]] * om).sum(axis=1)
+    q = np.array([W.shape[-1] for _, W in rules])
+    if not (beyond.any() or len(rep_m) * q[0] >= _GRID_MIN):
+        lower, rest = beyond, np.arange(len(rep_m))
+    else:
+        lower, order, (PR, PI, PJ, PH, PW, base, stride, first) = _far_pieces(
+            block, rep_m, rep_n, beyond, c)
+        _, inv = np.unique((PR * (c + 1) + PH) * (c + 1) + PW, return_inverse=True)
+        done = np.zeros(len(rep_m), dtype=bool)
+        for u in np.flatnonzero(np.bincount(inv, PH * PW * q[PR]) >= _GRID_MIN):
+            sel = np.flatnonzero(inv == u)
+            r, hg, wg = PR[sel[0]], PH[sel[0]], PW[sel[0]]
+            P, W = rules[r]
+            step = max(1, _TILE // (hg * wg * q[r]))
+            for lo in range(0, len(sel), step):
+                s = sel[lo:lo + step]
+                k = first[s]
+                pm, pn = pairs[block[k]].T
+                # the rectangles' vertices, flat in (patch, i, j)
+                ii = (pn * (c + 1) + PI[s]) + np.arange(hg + 1)[:, None, None]
+                vi = ii * (c + 1) + (PJ[s] + np.arange(wg + 1)[:, None])
+                m = pm, rep_m[k]
+                om = _grid_solid_angles([v.ravel()[vi] for v in verts],
+                                        [P[m + (slice(None), a)] for a in range(3)])
+                om *= W[m]
+                pos = (base[s] + np.arange(hg)[:, None, None] * stride[s]
+                       + np.arange(wg)[:, None])
+                out[order[pos]] = om.sum(axis=-1)
+                done[pos] = True
+        rest = order[~done]
+    for r, (P, W) in enumerate(rules):
+        ks = rest[lower[rest] == bool(r)]
+        for lo in range(0, len(ks), _CHUNK):  # one gather of nodes and quads
+            k = ks[lo:lo + _CHUNK]
+            pm, pn = pairs[block[k]].T
+            m = pm, rep_m[k]
+            om = _solid_angles_paired(quads[pn, rep_n[k]], P[m])
+            out[k] = (W[m] * om).sum(axis=1)
     return out
 
 
-def _close_classes(quads_m, quads_n, centers_m, centers_n, diag,
-                   rep_m, rep_n):
+def _close_classes(quads_m, quads_n, d2, diag, rep_m, rep_n):
     """Near and touching classes of a block between distinct patches, each
-    judged once, at its representative (m, n) = (rep_m[k], rep_n[k]).
+    judged once, at its representative (m, n) = (rep_m[k], rep_n[k]), whose
+    cell centres lie d2[k] apart, squared.
 
     Cells of distinct patches meet only where their dyadic grids align node
     to node, so a pair is touching when a corner of m coincides with one of
@@ -591,7 +677,6 @@ def _close_classes(quads_m, quads_n, centers_m, centers_n, diag,
     does the entry.  Returns (near ids, touching ids in the C order of their
     representatives, touching features in _unit_cell_rule's form).
     """
-    d2 = ((centers_m[rep_m] - centers_n[rep_n]) ** 2).sum(-1)
     k = np.flatnonzero(d2 <= (2.5 * diag) ** 2)
     k = k[np.lexsort((rep_n[k], rep_m[k]))]
     # (class, corner of m, corner of n): which corners coincide
@@ -610,14 +695,22 @@ def assemble(surface: PolyhedralSurface, L: int, *, quad_order: int = 4,
 
     The source-cell integral is the closed-form signed solid angle; the
     test-cell integral maps one cached _unit_cell_rule onto each batch of
-    cells: quad_order^2 Gauss, upgraded to a 2x2 subdivision on near classes
-    and to grade_depth-graded panels toward the shared feature on touching
-    classes.  Each patch-pair block is kept as a table with one entry per
-    class of _pair_classes, and every class is computed, and judged far,
-    near or touching (_close_classes), once, at its first pair.  Every
-    touching entry is recomputed one grading level coarser, and a
-    disagreement of more than 5% raises, at the first such pair in C order.
-    No (N, N) array is allocated until the system's `A` is read.
+    cells: quad_order^2 Gauss on far classes, upgraded to a 2x2 subdivision
+    on near classes and to grade_depth-graded panels toward the shared
+    feature on touching classes.  With quad_order >= 4, a far class whose
+    representative's cell centres lie at least _FAR_DIAGS (10) larger-cell
+    diagonals apart takes (quad_order - 1)^2 Gauss instead, unless its
+    source row (or column) lies within the span of those holding a closer
+    class of the same test cell, so that the classes still cut into few
+    rectangles (_far_pieces); no closer class is lowered.  On the unit
+    cube up to L=3 no centres lie that far apart, so A keeps its bits; above
+    that, no entry moves by more than 1e-12 of max|A|.  Each patch-pair block
+    is kept as a table with one entry per class of _pair_classes, and every
+    class is computed, and judged far, near or touching (_close_classes),
+    once, at its first pair.  Every touching entry is recomputed one grading
+    level coarser, and a disagreement of more than 5% raises, at the first
+    such pair in C order.  No (N, N) array is allocated until the system's
+    `A` is read.
     """
     _check_counts(L=L, quad_order=quad_order, grade_depth=grade_depth,
                   workers=workers)
@@ -628,13 +721,21 @@ def assemble(surface: PolyhedralSurface, L: int, *, quad_order: int = 4,
     if N > max_cells:
         raise MemoryError(f"{N} cells exceed the budget of {max_cells}")
 
-    quads = [_cell_quads(p, L) for p in surface.patches]
-    verts = [_vertex_grid(q) for q in quads]
-    gauss = [_cell_nodes(p, L, np.arange(cells), _unit_cell_rule(quad_order))
-             for p in surface.patches]
-    areas = np.concatenate([w.sum(axis=1) for _, w in gauss])
+    quads = np.stack([_cell_quads(p, L) for p in surface.patches])
+    verts = [np.stack(v) for v in zip(*map(_vertex_grid, quads))]
+    # far classes at least _FAR_DIAGS diagonals apart take one order less:
+    # there order 3 is off by 6.0e-13 of max|A|, order 2 by 2.9e-9
+    orders = (quad_order, quad_order - 1) if quad_order >= 4 else (quad_order,)
+    rules = []                          # (P, W) of every patch, per order
+    for order in orders:
+        P, W = zip(*(_cell_nodes(p, L, np.arange(cells), _unit_cell_rule(order))
+                     for p in surface.patches))
+        rules.append((np.stack(P), np.stack(W)))
+    areas = rules[0][1].sum(axis=2).ravel()
     centers = np.concatenate([q.mean(axis=1) for q in quads])
-    cell_centers = centers.reshape(-1, cells, 3)
+    # (x, y, z) rows of each patch's cell centres
+    cell_centers = np.ascontiguousarray(centers.reshape(-1, cells, 3)
+                                        .transpose(0, 2, 1))
     diags = [np.linalg.norm(q[:, 2] - q[:, 0], axis=1).max() for q in quads]
 
     def rule_values(pm, pn, m, n, feature, depth):
@@ -644,51 +745,88 @@ def assemble(surface: PolyhedralSurface, L: int, *, quad_order: int = 4,
         om = _solid_angles_paired(quads[pn][n], P)
         return np.array([w @ o for w, o in zip(W, om)]) / _FOUR_PI
 
-    def do_pair(pm: int, pn: int) -> _Block:
-        qn = quads[pn]
-        P, W = gauss[pm]                      # (cells, q2, 3), (cells, q2)
-        (cls, ia, ib), (rep_m, rep_n) = _pair_classes(
+    def classes(pm: int, pn: int):
+        """Block (pm, pn)'s classes, its far classes far enough apart for
+        the lower order, and its near and touching classes."""
+        table, (rep_m, rep_n) = _pair_classes(
             surface.patches[pm], surface.patches[pn], L)
-        # keep close classes here: dropping them splits the far grid rectangles
-        entries = _far_entries(P, W, verts[pn], qn, rep_m, rep_n, L)
-        entries /= _FOUR_PI
-        near, touching, features = _close_classes(
-            quads[pm], qn, cell_centers[pm], cell_centers[pn],
-            max(diags[pm], diags[pn]), rep_m, rep_n)
-        # each close class is computed at its representative; near classes
-        # take the 2x2 split at depth 0, which exempts them from the
-        # coarser-level check
-        k = np.concatenate([near, touching])
-        m, n = rep_m[k], rep_n[k]
-        rules = ([((None, None), 0)] * len(near)
-                 + [(feature, grade_depth) for feature in features])
-        val, val2 = np.empty(len(k)), np.empty(len(k))
-        for feature, depth in dict.fromkeys(rules):
-            idx = np.array([i for i, r in enumerate(rules) if r == (feature, depth)])
-            val[idx] = rule_values(pm, pn, m[idx], n[idx], feature, depth)
-            if depth:
-                val2[idx] = rule_values(pm, pn, m[idx], n[idx], feature, depth - 1)
-        entries[k] = val
-        # every touching entry is checked one grading level coarser; entries
-        # scale with the cell area, and so must the floor
-        t = np.arange(len(near), len(k))
-        floor = 1e-12 * areas[pm * cells + m[t]]
-        bad = t[np.abs(val[t] - val2[t]) > np.maximum(0.05 * np.abs(val[t]), floor)]
-        if bad.size:
-            i = bad[0]
-            raise RuntimeError(
-                f"quadrature failure on touching cell pair "
-                f"({pm},{m[i]})x({pn},{n[i]}): {val[i]} vs {val2[i]}")
-        return _Block(pm, pn, entries, cls, ia, ib)
+        diag = max(diags[pm], diags[pn])
+        d = [a[rep_m] - b[rep_n]
+             for a, b in zip(cell_centers[pm], cell_centers[pn])]
+        d2 = _dot(d, d)                 # the bits of (d ** 2).sum(-1)
+        beyond = (d2 >= (_FAR_DIAGS * diag) ** 2) & (len(orders) > 1)
+        close = _close_classes(quads[pm], quads[pn], d2, diag, rep_m, rep_n)
+        return pm, pn, table, rep_m, rep_n, beyond, close
+
+    def finish(todo) -> list[_Block]:
+        """The blocks of `todo`, their far classes computed in one batch."""
+        pms, pns, tables, reps_m, reps_n, beyond, close = zip(*todo)
+        counts = [len(r) for r in reps_m]
+        # close classes too: without them the grid rectangles would split
+        far = _far_entries(rules, verts, quads, np.array([pms, pns]).T,
+                           np.repeat(np.arange(len(todo)), counts),
+                           *map(np.concatenate, (reps_m, reps_n, beyond)), L)
+        far /= _FOUR_PI
+        blocks = []
+        for pm, pn, table, rep_m, rep_n, (near, touching, features), entries \
+                in zip(pms, pns, tables, reps_m, reps_n, close,
+                       np.split(far, np.cumsum(counts)[:-1])):
+            # each close class is computed at its representative; near
+            # classes take the 2x2 split at depth 0, which exempts them from
+            # the coarser-level check
+            k = np.concatenate([near, touching])
+            m, n = rep_m[k], rep_n[k]
+            kinds = ([((None, None), 0)] * len(near)
+                     + [(feature, grade_depth) for feature in features])
+            val, val2 = np.empty(len(k)), np.empty(len(k))
+            for feature, depth in dict.fromkeys(kinds):
+                idx = np.array([i for i, r in enumerate(kinds)
+                                if r == (feature, depth)])
+                val[idx] = rule_values(pm, pn, m[idx], n[idx], feature, depth)
+                if depth:
+                    val2[idx] = rule_values(pm, pn, m[idx], n[idx], feature,
+                                            depth - 1)
+            entries[k] = val
+            # every touching entry is checked one grading level coarser;
+            # entries scale with the cell area, and so must the floor
+            t = np.arange(len(near), len(k))
+            floor = 1e-12 * areas[pm * cells + m[t]]
+            bad = t[np.abs(val[t] - val2[t])
+                    > np.maximum(0.05 * np.abs(val[t]), floor)]
+            if bad.size:
+                i = bad[0]
+                raise RuntimeError(
+                    f"quadrature failure on touching cell pair "
+                    f"({pm},{m[i]})x({pn},{n[i]}): {val[i]} vs {val2[i]}")
+            blocks.append(_Block(pm, pn, entries, *table))
+        return blocks
+
+    def do_pairs(pairs) -> list[_Block]:
+        """The blocks of `pairs`, in order.  Far classes are computed for
+        runs of consecutive blocks of at most _BATCH classes together (or
+        one block), so that small blocks fill the vertex-grid batches."""
+        blocks, todo, size = [], [], 0
+        for pm, pn in pairs:
+            block = classes(pm, pn)
+            if todo and size + len(block[3]) > _BATCH:
+                blocks += finish(todo)
+                todo, size = [], 0
+            todo.append(block)
+            size += len(block[3])
+        return blocks + finish(todo)
 
     pairs = [(pm, pn) for pm in range(surface.n_patches)
              for pn in range(surface.n_patches) if pm != pn]
-    # map returns the blocks in the order of pairs, whichever thread ends first
     if workers > 1:
+        # one run of consecutive pairs a worker; map returns the runs in
+        # order, whichever thread ends first, and raises the first run's
+        # error: that of the first pair in order
+        step = -(-len(pairs) // workers)
+        runs = [pairs[i:i + step] for i in range(0, len(pairs), step)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(lambda ab: do_pair(*ab), pairs))
+            blocks = [b for run in pool.map(do_pairs, runs) for b in run]
     else:
-        blocks = [do_pair(pm, pn) for pm, pn in pairs]
+        blocks = do_pairs(pairs)
     return DoubleLayerSystem(surface=surface, L=L, blocks=blocks, areas=areas,
                              centers=centers, quad_order=quad_order,
                              grade_depth=grade_depth)

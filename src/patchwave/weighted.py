@@ -114,19 +114,24 @@ def _point_distance(pts, e1, e2, center):
 
 
 def _line_distance(pts, e1, e2, a, direction):
-    """Derivative table of the distance to the line through `a` with unit
-    `direction`."""
+    """Derivative table of the distance d to the line through `a` with unit
+    `direction`; the derivatives are NaN on the line."""
     w = pts - a
     along = w @ direction
     perp = w - along[:, None] * direction[None, :]
     d = np.linalg.norm(perp, axis=-1)
     f1 = e1 - (e1 @ direction) * direction
     f2 = e2 - (e2 @ direction) * direction
-    d1 = perp @ f1 / d
-    d2 = perp @ f2 / d
+
+    def over_d(x):
+        """x / d, formed off the line only: 0/0 would warn from the weighted
+        norm's worker threads, which a caller's np.errstate does not reach"""
+        return np.divide(x, d, out=np.full_like(d, np.nan), where=d > 0.0)
+    d1 = over_d(perp @ f1)
+    d2 = over_d(perp @ f2)
     return {(0, 0): d, (1, 0): d1, (0, 1): d2,
-            (2, 0): (f1 @ f1 - d1 * d1) / d, (1, 1): (f1 @ f2 - d1 * d2) / d,
-            (0, 2): (f2 @ f2 - d2 * d2) / d}
+            (2, 0): over_d(f1 @ f1 - d1 * d1), (1, 1): over_d(f1 @ f2 - d1 * d2),
+            (0, 2): over_d(f2 @ f2 - d2 * d2)}
 
 
 def _chain(G, dist):
@@ -272,13 +277,21 @@ class EdgePowerModel(_FaceHandleBase):
 
     def plane_derivs(self, pts, e1, e2):
         b = self.beta
-        line = _chain(lambda d: (d ** b, b * d ** (b - 1.0),
-                                 b * (b - 1.0) * d ** (b - 2.0)),
-                      _line_distance(pts, e1, e2, self.a, self.direction))
+
+        def profile(d):
+            """d^b and its first two derivatives, these NaN on the line"""
+            off = d > 0.0
+
+            def power(e):
+                out = np.full_like(d, np.nan)
+                out[off] = d[off] ** e
+                return out
+            return d ** b, b * power(b - 1.0), b * (b - 1.0) * power(b - 2.0)
+        line = _chain(profile, _line_distance(pts, e1, e2, self.a, self.direction))
         ann = _chain(lambda d: _window_derivs(d, *self.band, self.width),
                      _point_distance(pts, e1, e2, self.a))
         # where the annulus's table is all zero, u is zero with every
-        # derivative, also at points rounded onto the line (0/0 in its table)
+        # derivative, also at points rounded onto the line (NaN in its table)
         off = np.all([v == 0.0 for v in ann.values()], axis=0)
         return {ab: np.where(off, 0.0, v)
                 for ab, v in _leibniz(line, ann, upto=2).items()}

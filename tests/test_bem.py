@@ -449,11 +449,12 @@ def _assert_same_classes(patch_m, patch_n, L):
 
 
 def _close(quads_m, quads_n, rep_m, rep_n):
-    """bem._close_classes with the cell centres and diagonal assemble passes."""
+    """bem._close_classes with the squared centre distances and the diagonal
+    assemble passes."""
     diag = max(np.linalg.norm(q[:, 2] - q[:, 0], axis=1).max()
                for q in (quads_m, quads_n))
-    return bem._close_classes(quads_m, quads_n, quads_m.mean(axis=1),
-                              quads_n.mean(axis=1), diag, rep_m, rep_n)
+    d2 = ((quads_m.mean(axis=1)[rep_m] - quads_n.mean(axis=1)[rep_n]) ** 2).sum(-1)
+    return bem._close_classes(quads_m, quads_n, d2, diag, rep_m, rep_n)
 
 
 def _assert_every_pair_has_its_class_rule(patch_m, patch_n, L, features=True):
@@ -673,25 +674,79 @@ def test_near_and_touching_classes_are_bitwise_the_per_pair_path(
     assert str(err.value) == failure
 
 
-def _far_per_pair(system):
-    """Per block, every far class entry computed at its first pair by one
-    _solid_angles_paired call: {block: (far class ids, entries)}."""
+def _class_kinds(system):
+    """Per block: its classes' representatives (rm, rn), their kinds (0 far,
+    1 near, 2 touching) from the all-pairs touch oracle, and the far classes
+    whose cell centres lie at least 10 larger-cell diagonals apart."""
     surface, L, c = system.surface, system.L, 1 << system.L
     quads = [bem._cell_quads(p, L) for p in surface.patches]
-    want = {}
-    for k, b in enumerate(system.blocks):
-        P, W = bem._cell_nodes(surface.patches[b.pm], L, np.arange(c * c),
-                               bem._unit_cell_rule(system.quad_order))
+    out = []
+    for b in system.blocks:
         _, (rm, rn) = bem._pair_classes(surface.patches[b.pm],
                                         surface.patches[b.pn], L)
-        entries = (W[rm] * bem._solid_angles_paired(quads[b.pn][rn], P[rm])
-                   ).sum(axis=1) / (4 * math.pi)
         touching, near = _touch_candidates_oracle(quads[b.pm], quads[b.pn])
         cls = b.cls[np.broadcast_to(b.ia, (c,) * 4), np.broadcast_to(b.ib, (c,) * 4)]
-        taken = {int(cls[m // c, m % c, n // c, n % c])
-                 for m, n in near + [(m, n) for m, n, _ in touching]}
-        far = np.setdiff1d(np.arange(len(entries)), list(taken))
-        want[k] = far, entries[far]
+        kind = np.zeros(len(rm), dtype=int)
+        for code, pairs in ((1, near), (2, [(m, n) for m, n, _ in touching])):
+            if pairs:
+                m, n = np.array(pairs).T
+                kind[cls[m // c, m % c, n // c, n % c]] = code
+        diag = max(np.linalg.norm(q[:, 2] - q[:, 0], axis=1).max()
+                   for q in (quads[b.pm], quads[b.pn]))
+        d2 = ((quads[b.pm].mean(axis=1)[rm] - quads[b.pn].mean(axis=1)[rn]) ** 2
+              ).sum(-1)
+        out.append((rm, rn, kind, (kind == 0) & (d2 >= (10.0 * diag) ** 2)))
+    return out
+
+
+def _lowered_oracle(rm, rn, beyond, c):
+    """The classes that take the lower order, from the rule's statement, one
+    test cell at a time: a class at least 10 diagonals apart is lowered
+    unless its line, its source row when its test cell's source cells span
+    no more rows than columns and else its source column, lies within the
+    span of the lines holding a class of that test cell that is not."""
+    lowered = np.zeros(len(rm), dtype=bool)
+    n1, n2 = np.divmod(rn, c)
+    order = np.argsort(rm, kind="stable")
+    for g in np.split(order, np.flatnonzero(np.diff(rm[order])) + 1):
+        line = n1[g] if np.ptp(n1[g]) <= np.ptp(n2[g]) else n2[g]
+        kept = line[~beyond[g]]
+        spanned = (kept.min() <= line) & (line <= kept.max()) if len(kept) else False
+        lowered[g] = beyond[g] & ~spanned
+    return lowered
+
+
+def _far_values(system, block, m, n, order):
+    """Entries of cell pairs (m, n) of a block at the plain order-`order`
+    outer rule, each W[m] . solid angles from one _solid_angles_paired call
+    per chunk of pairs."""
+    surface, L = system.surface, system.L
+    b = system.blocks[block]
+    quads = bem._cell_quads(surface.patches[b.pn], L)
+    P, W = bem._cell_nodes(surface.patches[b.pm], L, np.arange(4 ** L),
+                           bem._unit_cell_rule(order))
+    out = np.empty(len(m))
+    for lo in range(0, len(m), 4096):
+        k = slice(lo, lo + 4096)
+        out[k] = (W[m[k]] * bem._solid_angles_paired(quads[n[k]], P[m[k]])
+                  ).sum(axis=1)
+    return out / (4 * math.pi)
+
+
+def _far_per_pair(system):
+    """Per block, every far class entry computed at its first pair, at
+    quad_order or, where _lowered_oracle lowers it, one order less:
+    {block: (far class ids, entries)}."""
+    want = {}
+    c, q = 1 << system.L, system.quad_order
+    for k, (rm, rn, kind, beyond) in enumerate(_class_kinds(system)):
+        far = np.flatnonzero(kind == 0)
+        lowered = _lowered_oracle(rm, rn, beyond, c)[far]
+        entries = np.empty(len(far))
+        for order, sel in ((q, ~lowered), (q - 1, lowered)):
+            ids = far[sel]
+            entries[sel] = _far_values(system, k, rm[ids], rn[ids], order)
+        want[k] = far, entries
     return want
 
 
@@ -709,6 +764,67 @@ def test_far_entries_are_bitwise_the_per_pair_path(name, L, grid_calls,
     for system in systems:
         for k, (far, entries) in want.items():
             assert _same_bits(system.blocks[k].entries[far], entries), k
+
+
+def _max_abs_A(system):
+    """max|A| from the class tables and the diagonal, without forming A."""
+    return max([float(np.abs(b.entries).max()) for b in system.blocks]
+               + [float(0.5 * system.areas.max())])
+
+
+@pytest.mark.parametrize("name, L", [("cube", 4), ("fichera", 3), ("prism", 3),
+                                     ("frustum", 4)])
+def test_distant_far_classes_take_one_order_less(name, L, systems):
+    system = (systems[4] if name == "cube"
+              else assemble(_OPERATOR_SURFACES[name](), L))
+    scale = _max_abs_A(system)
+    q, c = system.quad_order, 1 << L
+    n_beyond = n_lowered = 0
+    for k, (rm, rn, kind, beyond) in enumerate(_class_kinds(system)):
+        got = system.blocks[k].entries
+        # below 10 diagonals: the quad_order rule, bit for bit
+        ids = np.flatnonzero((kind == 0) & ~beyond)
+        assert _same_bits(got[ids], _far_values(system, k, rm[ids], rn[ids], q)), k
+        # from 10 diagonals on: within 1e-12 of max|A| of the quad_order value
+        # and of an order-8 reference, and bit for bit the rule's order
+        ids = np.flatnonzero(beyond)
+        lowered = _lowered_oracle(rm, rn, beyond, c)[ids]
+        at = {o: _far_values(system, k, rm[ids], rn[ids], o) for o in (q, q - 1, 8)}
+        assert _same_bits(got[ids], np.where(lowered, at[q - 1], at[q])), k
+        assert float(np.abs(got[ids] - at[q]).max(initial=0.0)) <= 1e-12 * scale
+        assert float(np.abs(got[ids] - at[8]).max(initial=0.0)) <= 1e-12 * scale
+        n_beyond += len(ids)
+        n_lowered += int(lowered.sum())
+    assert n_beyond >= 120
+    # on the prism no line holds beyond classes only
+    assert (n_lowered > 0) == (name != "prism")
+
+
+@pytest.mark.parametrize("name, L, touching", [("cube", 3, 2.5e-4),
+                                               ("fichera", 2, 2.5e-4),
+                                               ("frustum", 2, 4e-4)])
+def test_entries_are_within_their_budget_of_a_converged_A(name, L, touching,
+                                                          systems):
+    system = (systems[3] if name == "cube"
+              else assemble(_OPERATOR_SURFACES[name](), L))
+    # converged well below the budgets: on the cube at L=3, grading to depth
+    # 24 moves no touching entry by 1e-15 of itself, and order 16 by 2.5e-6
+    ref = assemble(system.surface, L, quad_order=12, grade_depth=8)
+    scale = _max_abs_A(ref)
+    err = {0: 0.0, 1: 0.0, 2: 0.0}
+    for k, (_, _, kind, _) in enumerate(_class_kinds(system)):
+        got, want = system.blocks[k].entries, ref.blocks[k].entries
+        for code in err:
+            d, w = np.abs(got - want)[kind == code], np.abs(want[kind == code])
+            if code == 2:   # touching: relative to the entry, zero if coplanar
+                d = np.divide(d, w, out=np.where(d > 0.0, np.inf, 0.0), where=w > 0.0)
+            err[code] = max(err[code], float(d.max(initial=0.0)))
+    print(f"{name} L={L}: far {err[0] / scale:.2e}, near {err[1] / scale:.2e} "
+          f"of max|A|; touching {err[2]:.2e} of the entry")
+    assert err[0] <= 2e-8 * scale
+    assert err[1] <= 2e-8 * scale
+    assert err[2] <= touching
+    assert float(np.abs(system.areas - ref.areas).max()) <= 1e-14 * scale
 
 
 def test_assemble_guards(cube):
@@ -833,6 +949,24 @@ def test_matvec_is_deterministic_across_threads(systems):
                      for _ in range(2))
     assert _same_bits(first, second)
     assert _same_bits(first, systems[3].matvec(x))
+
+
+def test_workers_change_no_bit_where_far_classes_are_lowered(systems):
+    # at L=4 on the cube some cell centres lie 10 or more diagonals apart,
+    # so distant far classes take the lower order, and two workers each
+    # batch the far classes of their own run of blocks
+    want = systems[4]
+    centers, cells = want.centers, 4 ** 4
+    span = np.linalg.norm(centers[:cells, None] - centers[None, cells:], axis=-1)
+    assert span.max() >= bem._FAR_DIAGS * math.sqrt(2.0) / 16
+    got = assemble(want.surface, 4, workers=2)
+    assert _same_bits(got.areas, want.areas)
+    assert len(got.blocks) == len(want.blocks)
+    for a, b in zip(got.blocks, want.blocks):
+        assert (a.pm, a.pn) == (b.pm, b.pn)
+        assert _same_bits(a.entries, b.entries), (a.pm, a.pn)
+        for u, v in ((a.cls, b.cls), (a.ia, b.ia), (a.ib, b.ib)):
+            assert np.array_equal(u, v)
 
 
 def test_operator_gmres_matches_lu(systems):

@@ -1,5 +1,6 @@
 import functools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -306,15 +307,14 @@ def test_the_norm_on_the_support_is_bitwise_the_full_mesh(name, edge, k,
         model = VertexPowerModel(surface, vertex, data.draw(st.floats(-0.4, 1.5)),
                                  cut=(cut0, cut0 + data.draw(frac) * h / 2))
     spec = WeightedSpec(k, 0.5)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        assert (_outcome(weighted._norm_terms, model, surface, rou, spec,
-                         workers=workers, **FAST)
-                == _outcome(weighted._norm_terms, _NoSupport(model), surface,
-                            rou, spec, workers=1, **FAST))
-        assert (_outcome(delta_weighted_norm, model, surface, rou, spec,
-                         vertex, **FAST)
-                == _outcome(delta_weighted_norm, _NoSupport(model), surface,
-                            rou, spec, vertex, **FAST))
+    assert (_outcome(weighted._norm_terms, model, surface, rou, spec,
+                     workers=workers, **FAST)
+            == _outcome(weighted._norm_terms, _NoSupport(model), surface,
+                        rou, spec, workers=1, **FAST))
+    assert (_outcome(delta_weighted_norm, model, surface, rou, spec,
+                     vertex, **FAST)
+            == _outcome(delta_weighted_norm, _NoSupport(model), surface,
+                        rou, spec, vertex, **FAST))
 
 
 def test_face_derivs_only_where_the_support_ball_reaches(cube, rou,
@@ -371,16 +371,39 @@ def test_face_block_size_changes_no_bit(name, case, monkeypatch):
         spec = WeightedSpec(2, 1.2)
 
     def outcome():
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return (_outcome(weighted._norm_terms, handle, surface, rou, spec,
-                             workers=2, **mesh),
-                    _outcome(delta_weighted_norm, handle, surface, rou, spec, 0,
-                             **mesh))
+        return (_outcome(weighted._norm_terms, handle, surface, rou, spec,
+                         workers=2, **mesh),
+                _outcome(delta_weighted_norm, handle, surface, rou, spec, 0,
+                         **mesh))
 
     want = outcome()
     for block in (1, 1 << 30):
         monkeypatch.setattr(weighted, "_FACE_BLOCK", block)
         assert outcome() == want
+
+
+def test_edge_model_derivatives_warn_nowhere_and_vanish_on_the_line():
+    # mesh points that round onto the edge line made 0/0 in the line's
+    # table; a caller's np.errstate does not reach the weighted norm's pool
+    # threads, so every run printed four RuntimeWarnings from there
+    surface, rou = _surface_and_rou("fichera")
+    h = surface.min_edge
+    handle = EdgePowerModel(surface, 0, 1, 0.6, band=(0.1 * h, 0.4 * h),
+                            width=0.05 * h)
+    spec, mesh = WeightedSpec(2, 1.2), dict(depth=32, quad_order=8)
+    on_line = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        by_workers = [_outcome(weighted._norm_terms, handle, surface, rou, spec,
+                               workers=workers, **mesh) for workers in (1, 2)]
+        for n, t, face, pts in _sector_faces(surface, rou):
+            on = weighted._line_distance(pts, face.e1, face.e2, handle.a,
+                                         handle.direction)[(0, 0)] == 0.0
+            on_line += int(on.sum())
+            for v in handle.plane_derivs(pts, face.e1, face.e2).values():
+                assert not v[on].view(np.int64).any()       # all +0.0
+    assert by_workers[0] == by_workers[1]
+    assert on_line > 0
 
 
 def test_the_weighted_norm_runs_in_bounded_memory(cube, rou):
@@ -546,8 +569,8 @@ def test_chain_rule_tables_match_the_hand_expanded_ones(name, cube, fichera):
                / np.linalg.norm(surface.vertices[v] - face.apex) for v in others]
         edge = EdgePowerModel(surface, n, others[int(np.argmax(ray))], 0.6,
                               band=(0.2 * h, 0.6 * h), width=0.08 * h)
+        got = edge.plane_derivs(pts, e1, e2)
         with np.errstate(divide="ignore", invalid="ignore"):
-            got = edge.plane_derivs(pts, e1, e2)
             want = _edge_plane_derivs_oracle(edge, pts, e1, e2)
         assert got.keys() == want.keys()
         for ab in want:
