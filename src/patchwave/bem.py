@@ -320,17 +320,47 @@ def _orientation_check(surface: PolyhedralSurface) -> None:
 
 
 class _Block(NamedTuple):
-    """Patch-pair block (pm, pn) in _pair_classes' form: entries[cls][ia, ib],
-    with ia and ib broadcasting to (c, c, c, c) over (m1, m2, n1, n2).  Each
-    class's entry is computed at its representative, with the far, near or
-    touching rule that _close_classes gives the class there."""
+    """Patch-pair block (pm, pn) in matvec form: the block times a source
+    density X (c, c) is Z.ravel()[flat].sum(-1) with Z = E @ X, or E @ X.T
+    when `transpose`; flat (c^2, c, int32) is None when E is the whole
+    block (_factor_form)."""
 
     pm: int
     pn: int
-    entries: np.ndarray
-    cls: np.ndarray
-    ia: np.ndarray
-    ib: np.ndarray
+    E: np.ndarray
+    flat: np.ndarray | None
+    transpose: bool
+
+
+def _factor_form(T: np.ndarray, ia: np.ndarray, ib: np.ndarray, c: int):
+    """(E, flat, transpose) of _Block for the block entry T[ia, ib], where
+    T = entries[cls] and ia and ib broadcast to (c, c, c, c) over (m1, m2,
+    n1, n2) as _pair_classes gives them.
+
+    With (na, nb) = (n1, n2), or (n2, n1) in the swapped form, the entry is
+    T[ia(m1, na), ib(m2, nb)].  T is expanded along the group with more
+    classes, so E has rows (class, m) and columns n of that group; the
+    other group's classes are gathered by flat, an (m1 m2, n) index into Z,
+    and summed over n.  Either way flat[m, j] // c is the row of E that
+    holds the entries (m, n) with n = (j, i) when `transpose`, else (i, j),
+    at column i.
+    """
+    if ia.shape == (c, c, 1, 1):                # one class per pair
+        return T, None, False
+    k = np.arange(c, dtype=np.int32)
+    swap = ia.shape == (c, 1, 1, c)
+    ia, ib = ia.reshape(c, c).astype(np.int32), ib.reshape(c, c).astype(np.int32)
+    if T.shape[0] <= T.shape[1]:
+        # E[(a, m2), nb] = T[a, ib(m2, nb)]; sum Z[ia(m1, na), m2, na]
+        E = T[:, ib].reshape(-1, c)
+        flat = (ia[:, None, :] * c + k[:, None]) * c + k
+        transpose = not swap
+    else:
+        # E[(m1, b), na] = T[ia(m1, na), b]; sum Z[m1, ib(m2, nb), nb]
+        E = np.ascontiguousarray(T[ia].transpose(0, 2, 1)).reshape(-1, c)
+        flat = (k[:, None, None] * T.shape[1] + ib) * c + k
+        transpose = swap
+    return E, flat.reshape(c * c, c), transpose
 
 
 @dataclass
@@ -340,9 +370,10 @@ class DoubleLayerSystem:
     Cells are C-ordered (patch, k1, k2); row m tests against cell m, column
     n integrates the density of cell n.  Same-patch off-diagonal entries
     are exactly zero, and the diagonal is (1/2)|cell|.  Each other patch-pair
-    block is kept as its class table (`blocks`, in (pm, pn) order): `matvec`
-    applies the matrix from those tables, and the dense `A` is built only on
-    its first access.
+    block is stored once, in the matvec form of _Block (`blocks`, in (pm,
+    pn) order): `matvec` applies the matrix from those factors, and the
+    dense `A`, an exact copy of their entries, is built only on its first
+    access.
     """
 
     surface: PolyhedralSurface
@@ -359,54 +390,22 @@ class DoubleLayerSystem:
 
     @cached_property
     def A(self) -> np.ndarray:
-        """The dense (N, N) matrix, built once from the class tables."""
-        cells = 1 << (2 * self.L)
+        """The dense (N, N) matrix, gathered once from the blocks."""
+        c = 1 << self.L
+        cells = c * c
         N = self.n_cells
         A = np.zeros((N, N))
-        for b in self.blocks:
-            A[b.pm * cells:(b.pm + 1) * cells, b.pn * cells:(b.pn + 1) * cells] = \
-                b.entries[b.cls][b.ia, b.ib].reshape(cells, cells)
+        for pm, pn, E, flat, transpose in self.blocks:
+            if flat is not None:
+                E = E[flat // c]                # (m, j, i), see _factor_form
+                E = (E if transpose else E.transpose(0, 2, 1)).reshape(cells, cells)
+            A[pm * cells:(pm + 1) * cells, pn * cells:(pn + 1) * cells] = E
         idx = np.arange(N)
         A[idx, idx] += 0.5 * self.areas
         return A
 
-    @cached_property
-    def _factors(self) -> list[tuple]:
-        """Per block (pm, pn, E, flat, transpose): the block times a source
-        density X (c, c) is Z.ravel()[flat].sum(-1) with Z = E @ X, or E @ X
-        transposed; flat is None when E is the whole block.
-
-        With T = entries[cls] and (na, nb) = (n1, n2), or (n2, n1) in the
-        swapped form, the block entry is T[ia(m1, na), ib(m2, nb)].  T is
-        expanded along the group with more classes, so E has rows (class,
-        m) and columns n of that group; the other group's classes are
-        gathered by flat, an (m1 m2, n) index into Z, and summed over n.
-        """
-        c = 1 << self.L
-        k = np.arange(c)
-        out = []
-        for b in self.blocks:
-            T = b.entries[b.cls]
-            if b.ia.shape == (c, c, 1, 1):          # one class per pair
-                out.append((b.pm, b.pn, T, None, False))
-                continue
-            swap = b.ia.shape == (c, 1, 1, c)
-            ia, ib = b.ia.reshape(c, c), b.ib.reshape(c, c)
-            if T.shape[0] <= T.shape[1]:
-                # E[(a, m2), nb] = T[a, ib(m2, nb)]; sum Z[ia(m1, na), m2, na]
-                E = T[:, ib].reshape(-1, c)
-                flat = (ia[:, None, :] * c + k[:, None]) * c + k
-                transpose = not swap
-            else:
-                # E[(m1, b), na] = T[ia(m1, na), b]; sum Z[m1, ib(m2, nb), nb]
-                E = np.ascontiguousarray(T[ia].transpose(0, 2, 1)).reshape(-1, c)
-                flat = (k[:, None, None] * T.shape[1] + ib) * c + k
-                transpose = swap
-            out.append((b.pm, b.pn, E, flat.reshape(c * c, c), transpose))
-        return out
-
     def matvec(self, x) -> np.ndarray:
-        """A @ x from the class tables, without forming A."""
+        """A @ x from the blocks, without forming A."""
         x = np.asarray(x, dtype=float)
         if x.size != self.n_cells:
             raise ValueError(f"matvec needs {self.n_cells} values, got {x.size}")
@@ -414,12 +413,17 @@ class DoubleLayerSystem:
         X = x.reshape(-1, c, c)
         y = 0.5 * self.areas * x.ravel()
         Y = y.reshape(-1, c * c)
-        for pm, pn, E, flat, transpose in self._factors:
+        # flat widened into one buffer: numpy gathers by an int32 index
+        # through a cast, 2 ms of a 7 ms product on the cube at L=5 (2-core
+        # Xeon, one BLAS thread)
+        idx = np.empty((c * c, c), dtype=np.intp)
+        for pm, pn, E, flat, transpose in self.blocks:
             if flat is None:
                 Y[pm] += E @ X[pn].ravel()
             else:
                 Z = E @ (X[pn].T if transpose else X[pn])
-                Y[pm] += Z.ravel()[flat].sum(axis=1)
+                idx[...] = flat
+                Y[pm] += Z.ravel()[idx].sum(axis=1)
         return y
 
 
@@ -704,13 +708,14 @@ def assemble(surface: PolyhedralSurface, L: int, *, quad_order: int = 4,
     class of the same test cell, so that the classes still cut into few
     rectangles (_far_pieces); no closer class is lowered.  On the unit
     cube up to L=3 no centres lie that far apart, so A keeps its bits; above
-    that, no entry moves by more than 1e-12 of max|A|.  Each patch-pair block
-    is kept as a table with one entry per class of _pair_classes, and every
-    class is computed, and judged far, near or touching (_close_classes),
-    once, at its first pair.  Every touching entry is recomputed one grading
-    level coarser, and a disagreement of more than 5% raises, at the first
-    such pair in C order.  No (N, N) array is allocated until the system's
-    `A` is read.
+    that, no entry moves by more than 1e-12 of max|A|.  Every class of
+    _pair_classes is computed, and judged far, near or touching
+    (_close_classes), once, at its first pair; as soon as a block's class
+    entries exist they are expanded into its matvec form (_factor_form),
+    the only form the system keeps.  Every touching entry is recomputed one
+    grading level coarser, and a disagreement of more than 5% raises, at
+    the first such pair in C order.  No (N, N) array is allocated until the
+    system's `A` is read.
     """
     _check_counts(L=L, quad_order=quad_order, grade_depth=grade_depth,
                   workers=workers)
@@ -798,7 +803,8 @@ def assemble(surface: PolyhedralSurface, L: int, *, quad_order: int = 4,
                 raise RuntimeError(
                     f"quadrature failure on touching cell pair "
                     f"({pm},{m[i]})x({pn},{n[i]}): {val[i]} vs {val2[i]}")
-            blocks.append(_Block(pm, pn, entries, *table))
+            cls, ia, ib = table
+            blocks.append(_Block(pm, pn, *_factor_form(entries[cls], ia, ib, c)))
         return blocks
 
     def do_pairs(pairs) -> list[_Block]:
@@ -924,27 +930,85 @@ def galerkin_rhs(system: DoubleLayerSystem, g, quad_order: int = 4) -> np.ndarra
     return vals.reshape(surface.n_patches, c, c).ravel() * system.areas
 
 
+_RESTART = 20        # Krylov vectors per GMRES cycle
+_MAX_CYCLES = 400    # GMRES restart cycles before it gives up
+_RTOL = 1e-12        # GMRES stops at a true residual of _RTOL |b|
+
+
+def _gmres(matvec: Callable, b: np.ndarray) -> np.ndarray:
+    """x with |b - A x| <= _RTOL |b| by restarted GMRES(_RESTART) from x = 0
+    (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7, 1986): modified
+    Gram-Schmidt Arnoldi, Givens rotations, and the true residual checked
+    after each cycle; a Krylov space that the operator leaves invariant
+    ends the cycle, and the next one restarts from the true residual.
+    Raises RuntimeError after _MAX_CYCLES cycles short of the tolerance, and
+    on a zero pivot of the rotated Hessenberg matrix."""
+    tol = _RTOL * float(np.linalg.norm(b))
+    m = min(_RESTART, len(b))
+    V, H = np.empty((m + 1, len(b))), np.zeros((m + 1, m))
+    cs, sn = np.zeros(m), np.zeros(m)
+    x, r = np.zeros(len(b)), b
+    for cycle in range(_MAX_CYCLES + 1):
+        beta = float(np.linalg.norm(r))
+        if beta <= tol:
+            return x
+        if cycle == _MAX_CYCLES or not math.isfinite(beta):
+            raise RuntimeError(f"GMRES did not converge: residual {beta:.3e} "
+                               f"above {tol:.3e} after {cycle} cycles of {m}")
+        V[0] = r / beta
+        g = np.zeros(m + 1)
+        g[0] = beta
+        for j in range(m):
+            w = matvec(V[j])
+            h0 = float(np.linalg.norm(w))
+            for i in range(j + 1):
+                H[i, j] = V[i] @ w
+                w -= H[i, j] * V[i]
+            H[j + 1, j] = float(np.linalg.norm(w))
+            invariant = H[j + 1, j] <= np.finfo(float).eps * h0
+            if invariant:
+                H[j + 1, j] = 0.0
+            else:
+                V[j + 1] = w / H[j + 1, j]
+            for i in range(j):
+                H[i, j], H[i + 1, j] = (cs[i] * H[i, j] + sn[i] * H[i + 1, j],
+                                        cs[i] * H[i + 1, j] - sn[i] * H[i, j])
+            rho = math.hypot(H[j, j], H[j + 1, j])
+            if rho == 0.0:
+                raise RuntimeError("GMRES broke down: the operator maps a "
+                                   "Krylov vector to zero")
+            cs[j], sn[j] = H[j, j] / rho, H[j + 1, j] / rho
+            H[j, j], H[j + 1, j] = rho, 0.0
+            g[j + 1] = -sn[j] * g[j]
+            g[j] *= cs[j]
+            if invariant or abs(g[j + 1]) <= tol:
+                break
+        y = g[:j + 1]                   # back substitution on H[:j+1, :j+1]
+        for i in range(j, -1, -1):
+            y[i] = (y[i] - H[i, i + 1:j + 1] @ y[i + 1:]) / H[i, i]
+        x += y @ V[:j + 1]
+        r = b - matvec(x)
+
+
 def solve(system: DoubleLayerSystem, g, quad_order: int = 4,
           use_gmres: bool = False) -> SolveReport:
     """Solve A u = Galerkin rhs of g; dense LU by default.
 
-    The LU path factors the dense `system.A`, reports a 1-norm condition
-    estimate and raises on a numerically singular matrix.  use_gmres
-    switches to unpreconditioned GMRES on `system.matvec`, which never forms
-    A (intended for L >= 5 when factorization is too expensive); the
-    condition estimate is then not available.  A non-finite right-hand side
-    is a ValueError.
+    The LU path factors the dense `system.A` with scipy.linalg, reports a
+    1-norm condition estimate and raises on a numerically singular matrix.
+    use_gmres switches to the package's own unpreconditioned restarted
+    GMRES (_gmres) on `system.matvec`, which never forms A and imports
+    nothing from scipy (intended for L >= 5 when factorization is too
+    expensive); the condition estimate is then not available, and a solve
+    that does not converge raises RuntimeError.  A non-finite right-hand
+    side is a ValueError.
     """
     b = galerkin_rhs(system, g, quad_order)
     if not np.isfinite(b).all():
         raise ValueError("the Galerkin right-hand side has non-finite values")
     bnorm = float(np.linalg.norm(b))
     if use_gmres:
-        from scipy.sparse.linalg import LinearOperator, gmres
-        op = LinearOperator((len(b), len(b)), matvec=system.matvec, dtype=float)
-        u, info = gmres(op, b, rtol=1e-12, atol=0.0, maxiter=400)
-        if info != 0:
-            raise RuntimeError(f"GMRES did not converge (info={info})")
+        u = _gmres(system.matvec, b)
         cond = math.nan
         Au = system.matvec(u)
     else:

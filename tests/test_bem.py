@@ -617,6 +617,32 @@ def _graded_cell_nodes_oracle(patch, L, k1, k2, feature, depth, order, skew):
     return patch.chart(S, T), W
 
 
+def _block_classes(system, b):
+    """Block b's class of every pair, (c, c, c, c) over (m1, m2, n1, n2), and
+    each class's representative (rm, rn), from _pair_classes."""
+    surface, L, c = system.surface, system.L, 1 << system.L
+    (cls, ia, ib), reps = bem._pair_classes(surface.patches[b.pm],
+                                            surface.patches[b.pn], L)
+    return cls[np.broadcast_to(ia, (c,) * 4), np.broadcast_to(ib, (c,) * 4)], reps
+
+
+def _class_entries(system):
+    """Per block, each class's entry read from the stored matvec form at the
+    class's representative (m, n): E[m, n] when flat is None, else
+    E[flat[m, j] // c, i] with n = (j, i) when transpose, else (i, j)."""
+    c = 1 << system.L
+    out = []
+    for b in system.blocks:
+        _, (rm, rn) = _block_classes(system, b)
+        if b.flat is None:
+            out.append(b.E[rm, rn])
+            continue
+        n1, n2 = np.divmod(rn, c)
+        j, i = (n1, n2) if b.transpose else (n2, n1)
+        out.append(b.E[b.flat[rm, j] // c, i])
+    return out
+
+
 def _near_and_touching_oracle(system, skew=1.0):
     """Every near and touching class entry of `system`, computed pair by pair
     in list order (near, then touching) at the first pair of its class: graded
@@ -634,7 +660,7 @@ def _near_and_touching_oracle(system, skew=1.0):
 
     want, failure = {}, None
     for k, b in enumerate(system.blocks):
-        cls = b.cls[np.broadcast_to(b.ia, (c,) * 4), np.broadcast_to(b.ib, (c,) * 4)]
+        cls, _ = _block_classes(system, b)
         touching, near = _touch_candidates_oracle(quads[b.pm], quads[b.pn])
         for m, n, feature in [(m, n, None) for m, n in near] + touching:
             key = (k, int(cls[m // c, m % c, n // c, n % c]))
@@ -663,7 +689,8 @@ def test_near_and_touching_classes_are_bitwise_the_per_pair_path(
     want, _ = _near_and_touching_oracle(by_workers[0])
     assert len(want) > 0
     for system in by_workers:
-        got = np.array([system.blocks[k].entries[cid] for k, cid in want])
+        entries = _class_entries(system)
+        got = np.array([entries[k][cid] for k, cid in want])
         assert _same_bits(got, np.array(list(want.values())))
     # a skewed depth-3 rule fails at the same first pair with the same values
     _, failure = _near_and_touching_oracle(by_workers[0], skew=1.1)
@@ -682,10 +709,8 @@ def _class_kinds(system):
     quads = [bem._cell_quads(p, L) for p in surface.patches]
     out = []
     for b in system.blocks:
-        _, (rm, rn) = bem._pair_classes(surface.patches[b.pm],
-                                        surface.patches[b.pn], L)
+        cls, (rm, rn) = _block_classes(system, b)
         touching, near = _touch_candidates_oracle(quads[b.pm], quads[b.pn])
-        cls = b.cls[np.broadcast_to(b.ia, (c,) * 4), np.broadcast_to(b.ib, (c,) * 4)]
         kind = np.zeros(len(rm), dtype=int)
         for code, pairs in ((1, near), (2, [(m, n) for m, n, _ in touching])):
             if pairs:
@@ -762,13 +787,14 @@ def test_far_entries_are_bitwise_the_per_pair_path(name, L, grid_calls,
     assert grid_calls
     want = _far_per_pair(systems[0])
     for system in systems:
+        got = _class_entries(system)
         for k, (far, entries) in want.items():
-            assert _same_bits(system.blocks[k].entries[far], entries), k
+            assert _same_bits(got[k][far], entries), k
 
 
 def _max_abs_A(system):
-    """max|A| from the class tables and the diagonal, without forming A."""
-    return max([float(np.abs(b.entries).max()) for b in system.blocks]
+    """max|A| from the stored blocks and the diagonal, without forming A."""
+    return max([float(np.abs(b.E).max()) for b in system.blocks]
                + [float(0.5 * system.areas.max())])
 
 
@@ -780,8 +806,9 @@ def test_distant_far_classes_take_one_order_less(name, L, systems):
     scale = _max_abs_A(system)
     q, c = system.quad_order, 1 << L
     n_beyond = n_lowered = 0
+    entries = _class_entries(system)
     for k, (rm, rn, kind, beyond) in enumerate(_class_kinds(system)):
-        got = system.blocks[k].entries
+        got = entries[k]
         # below 10 diagonals: the quad_order rule, bit for bit
         ids = np.flatnonzero((kind == 0) & ~beyond)
         assert _same_bits(got[ids], _far_values(system, k, rm[ids], rn[ids], q)), k
@@ -812,8 +839,9 @@ def test_entries_are_within_their_budget_of_a_converged_A(name, L, touching,
     ref = assemble(system.surface, L, quad_order=12, grade_depth=8)
     scale = _max_abs_A(ref)
     err = {0: 0.0, 1: 0.0, 2: 0.0}
-    for k, (_, _, kind, _) in enumerate(_class_kinds(system)):
-        got, want = system.blocks[k].entries, ref.blocks[k].entries
+    for (_, _, kind, _), got, want in zip(_class_kinds(system),
+                                         _class_entries(system),
+                                         _class_entries(ref)):
         for code in err:
             d, w = np.abs(got - want)[kind == code], np.abs(want[kind == code])
             if code == 2:   # touching: relative to the entry, zero if coplanar
@@ -963,10 +991,10 @@ def test_workers_change_no_bit_where_far_classes_are_lowered(systems):
     assert _same_bits(got.areas, want.areas)
     assert len(got.blocks) == len(want.blocks)
     for a, b in zip(got.blocks, want.blocks):
-        assert (a.pm, a.pn) == (b.pm, b.pn)
-        assert _same_bits(a.entries, b.entries), (a.pm, a.pn)
-        for u, v in ((a.cls, b.cls), (a.ia, b.ia), (a.ib, b.ib)):
-            assert np.array_equal(u, v)
+        assert (a.pm, a.pn, a.transpose) == (b.pm, b.pn, b.transpose)
+        assert _same_bits(a.E, b.E), (a.pm, a.pn)
+        assert (a.flat is None) == (b.flat is None)
+        assert a.flat is None or np.array_equal(a.flat, b.flat)
 
 
 def test_operator_gmres_matches_lu(systems):
@@ -984,14 +1012,71 @@ def test_gmres_solve_never_forms_the_dense_matrix(cube):
     tracemalloc.start()
     try:
         system = assemble(cube, 4)
+        held, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
         report = solve(system, lambda pts: np.ones(len(pts)), use_gmres=True)
-        peak = tracemalloc.get_traced_memory()[1]
+        solve_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the dense A alone is 1536^2 doubles, 18.9 MB
-    assert peak < 12e6
+    # the dense A alone is 1536^2 doubles, 18.9 MB; assembly peaks at 9.1 MB,
+    # and the solve adds 0.87 MB (right-hand side nodes, Krylov basis) to
+    # the 2.5 MB the system holds
+    assert max(peak, solve_peak) < 11.4e6
+    assert solve_peak - held < 1.1e6
     assert "A" not in vars(system)
     assert report.residual < 1e-12
+
+
+def test_blocks_are_stored_once_in_matvec_form(cube):
+    tracemalloc.start()
+    try:
+        system = assemble(cube, 4)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    for b in system.blocks:
+        assert b.E.dtype == np.float64
+        assert b.flat is None or b.flat.dtype == np.int32
+    # one float64 per expanded entry and one int32 per index, besides the
+    # cell areas and centres: keeping the 196,230 class entries as well
+    # would add 1.6 MB to the 2.4 MB stored
+    stored = (8 * sum(b.E.size for b in system.blocks)
+              + 4 * sum(b.flat.size for b in system.blocks if b.flat is not None)
+              + system.areas.nbytes + system.centers.nbytes)
+    assert held <= 1.05 * stored
+    assert "A" not in vars(system)
+
+
+def _operator_rhs(pts):
+    return np.cos(pts[:, 0]) + pts[:, 1] * pts[:, 2]
+
+
+def test_gmres_raises_when_it_does_not_converge(systems, monkeypatch):
+    # one cycle of two Krylov vectors cannot reach 1e-12 of |b|
+    monkeypatch.setattr(bem, "_RESTART", 2)
+    monkeypatch.setattr(bem, "_MAX_CYCLES", 1)
+    with pytest.raises(RuntimeError, match=r"GMRES did not converge: residual "
+                                           r"\S+ above \S+ after 1 cycles of 2"):
+        solve(systems[2], _operator_rhs, use_gmres=True)
+
+
+@pytest.mark.parametrize("scale", [0.0, 2.0])
+def test_gmres_breakdown_solves_exactly_or_raises(systems, monkeypatch, scale):
+    # a right-hand side on one cell spans an invariant Krylov space of the
+    # operator 2 Id at the first step, and the zero operator breaks down
+    # there with no solution
+    monkeypatch.setattr(bem.DoubleLayerSystem, "matvec",
+                        lambda self, x: scale * np.asarray(x, dtype=float))
+    g = np.eye(1, 96, 5).ravel()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if scale == 0.0:
+            with pytest.raises(RuntimeError, match="GMRES broke down"):
+                solve(systems[2], g, use_gmres=True)
+            return
+        report = solve(systems[2], g, use_gmres=True)
+    assert report.residual == 0.0
+    assert _same_bits(report.density.ravel(), report.rhs / 2.0)
 
 
 @pytest.mark.parametrize("use_gmres", [False, True])

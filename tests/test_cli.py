@@ -547,6 +547,16 @@ def test_import_loads_no_heavy_scipy():
     assert _fresh_python("-c", code).stdout.strip() == "[]"
 
 
+def test_gmres_solve_imports_no_scipy_solver():
+    # the GMRES path is the package's own; only an LU solve loads scipy.linalg
+    code = ("import sys, numpy as np, patchwave as pw\n"
+            "system = pw.assemble(pw.load_surface(pw.unit_cube()), 2)\n"
+            "rep = pw.solve(system, lambda p: np.ones(len(p)), use_gmres=True)\n"
+            "print(rep.residual < 1e-12, [m for m in sys.modules if m.startswith("
+            "('scipy.sparse', 'scipy.linalg'))])")
+    assert _fresh_python("-c", code).stdout.strip() == "True []"
+
+
 def test_bem_solve_factors_through_the_lazy_import(tmp_path):
     out = tmp_path / "out"
     run = _fresh_python("-m", "patchwave.cli", "bem-solve", "-L", "2",
