@@ -31,8 +31,6 @@ harmonic h means solving ((1/2)Id - K) u = -h|_boundary.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
@@ -40,7 +38,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._gauss import unit_rule
-from .surface import (PolyhedralSurface, SurfaceError, _check_counts,
+from .surface import (PolyhedralSurface, SurfaceError, _check_counts, _map,
                       points_quad_distance)
 from .spaces import BesovSpec
 from .wavelets import BasisSpec, CoefficientField, analyze
@@ -295,16 +293,9 @@ def _cell_nodes(patch, L: int, cells: np.ndarray, rule):
 
 
 def _orientation_check(surface: PolyhedralSurface) -> None:
-    """Directed shared edges must alternate and the enclosed volume must be
-    positive (consistently outward patch normals)."""
-    directed = Counter()
-    for p in surface.patches:
-        ids = list(p.corner_ids)
-        for k in range(4):
-            directed[(ids[k], ids[(k + 1) % 4])] += 1
-    for (u, v), cnt in directed.items():
-        if cnt != 1 or directed.get((v, u), 0) != 1:
-            raise SurfaceError("patch windings are not consistently oriented")
+    """The enclosed volume must be positive: the patch normals point
+    outward.  That the windings agree across every shared edge is already
+    checked by `load_surface` (PolyhedralSurface._check_edges)."""
     vol = 0.0
     for p in surface.patches:
         n = np.cross(p.coeff_b, p.coeff_c)
@@ -823,16 +814,11 @@ def assemble(surface: PolyhedralSurface, L: int, *, quad_order: int = 4,
 
     pairs = [(pm, pn) for pm in range(surface.n_patches)
              for pn in range(surface.n_patches) if pm != pn]
-    if workers > 1:
-        # one run of consecutive pairs a worker; map returns the runs in
-        # order, whichever thread ends first, and raises the first run's
-        # error: that of the first pair in order
-        step = -(-len(pairs) // workers)
-        runs = [pairs[i:i + step] for i in range(0, len(pairs), step)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = [b for run in pool.map(do_pairs, runs) for b in run]
-    else:
-        blocks = do_pairs(pairs)
+    # one run of consecutive pairs a worker, so one run when workers == 1;
+    # the first failing run holds the first failing pair in order
+    step = -(-len(pairs) // workers)
+    runs = [pairs[i:i + step] for i in range(0, len(pairs), step)]
+    blocks = [b for run in _map(do_pairs, runs, workers) for b in run]
     return DoubleLayerSystem(surface=surface, L=L, blocks=blocks, areas=areas,
                              centers=centers, quad_order=quad_order,
                              grade_depth=grade_depth)
@@ -858,9 +844,10 @@ def gauss_check(surface: PolyhedralSurface, x, patch: int | None = None,
 
     Classical values: -1 at interior points, -1/2 at smooth surface points
     (pass the containing patch; its own coplanar contribution is exactly
-    zero), 0 outside.
+    zero), 0 outside.  An inward-oriented surface is a SurfaceError.
     """
     _check_counts(L=L)
+    _orientation_check(surface)
     if patch is not None and (isinstance(patch, bool) or not isinstance(
             patch, (int, np.integer)) or not 0 <= patch < surface.n_patches):
         raise ValueError(f"patch must be None or a patch index in "
@@ -935,14 +922,14 @@ _MAX_CYCLES = 400    # GMRES restart cycles before it gives up
 _RTOL = 1e-12        # GMRES stops at a true residual of _RTOL |b|
 
 
-def _gmres(matvec: Callable, b: np.ndarray) -> np.ndarray:
-    """x with |b - A x| <= _RTOL |b| by restarted GMRES(_RESTART) from x = 0
-    (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7, 1986): modified
-    Gram-Schmidt Arnoldi, Givens rotations, and the true residual checked
-    after each cycle; a Krylov space that the operator leaves invariant
-    ends the cycle, and the next one restarts from the true residual.
-    Raises RuntimeError after _MAX_CYCLES cycles short of the tolerance, and
-    on a zero pivot of the rotated Hessenberg matrix."""
+def _gmres(matvec: Callable, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """x with |b - A x| <= _RTOL |b|, and that norm |b - A x|, by restarted
+    GMRES(_RESTART) from x = 0 (Saad and Schultz, SIAM J. Sci. Stat.
+    Comput. 7, 1986): modified Gram-Schmidt Arnoldi, Givens rotations, and
+    the true residual checked after each cycle; a Krylov space that the
+    operator leaves invariant ends the cycle, and the next one restarts from
+    the true residual.  Raises RuntimeError after _MAX_CYCLES cycles short
+    of the tolerance, and on a zero pivot of the rotated Hessenberg matrix."""
     tol = _RTOL * float(np.linalg.norm(b))
     m = min(_RESTART, len(b))
     V, H = np.empty((m + 1, len(b))), np.zeros((m + 1, m))
@@ -951,7 +938,7 @@ def _gmres(matvec: Callable, b: np.ndarray) -> np.ndarray:
     for cycle in range(_MAX_CYCLES + 1):
         beta = float(np.linalg.norm(r))
         if beta <= tol:
-            return x
+            return x, beta
         if cycle == _MAX_CYCLES or not math.isfinite(beta):
             raise RuntimeError(f"GMRES did not converge: residual {beta:.3e} "
                                f"above {tol:.3e} after {cycle} cycles of {m}")
@@ -1008,9 +995,8 @@ def solve(system: DoubleLayerSystem, g, quad_order: int = 4,
         raise ValueError("the Galerkin right-hand side has non-finite values")
     bnorm = float(np.linalg.norm(b))
     if use_gmres:
-        u = _gmres(system.matvec, b)
+        u, rnorm = _gmres(system.matvec, b)
         cond = math.nan
-        Au = system.matvec(u)
     else:
         from scipy.linalg import lu_factor, lu_solve
         from scipy.linalg.lapack import dgecon
@@ -1025,8 +1011,8 @@ def solve(system: DoubleLayerSystem, g, quad_order: int = 4,
         # with buffer alignment; clamp to 12 digits so reports are replayable
         if math.isfinite(cond):
             cond = float(f"{cond:.12g}")
-        Au = system.A @ u
-    residual = float(np.linalg.norm(Au - b)) / (bnorm if bnorm else 1.0)
+        rnorm = float(np.linalg.norm(system.A @ u - b))
+    residual = rnorm / (bnorm if bnorm else 1.0)
     c = 1 << system.L
     density = u.reshape(system.surface.n_patches, c, c)
     return SolveReport(density=density, residual=residual, cond=cond, rhs=b)
@@ -1054,8 +1040,10 @@ def potential_eval(surface: PolyhedralSurface, density: np.ndarray, y):
     """Double layer potential of a cellwise density at interior points.
 
     Exact for piecewise-constant densities (per-cell solid angles); refuses
-    points closer to the surface than one cell size.
+    points closer to the surface than one cell size, and an inward-oriented
+    surface (SurfaceError).
     """
+    _orientation_check(surface)
     density = np.asarray(density, dtype=float)
     L = _density_level(surface, density)
     single = np.ndim(y) == 1

@@ -11,8 +11,10 @@ reduce in fixed order, so identical configs produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import bisect
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -118,96 +120,48 @@ def config_hash(config: ExperimentConfig) -> str:
 # -- validation with line-precise reporting ---------------------------------------
 
 
-def _elem_pos(text: str, pos: int, index: int) -> int | None:
-    """Char position where element `index` of the array starting after `pos`
-    begins (string-literal and nesting aware)."""
-    j = text.find("[", pos)
-    if j < 0:
-        return None
-    depth = 0
-    elem = 0
-    in_str = False
-    while j < len(text):
-        ch = text[j]
-        if in_str:
-            if ch == "\\":
-                j += 2
-                continue
-            if ch == '"':
-                in_str = False
-        elif depth == 1 and elem == index and not ch.isspace() and ch != ",":
-            return j
-        elif ch == '"':
-            in_str = True
-        elif ch in "[{":
-            depth += 1
-        elif ch in "]}":
-            depth -= 1
-            if depth == 0:
-                return None
-        elif ch == "," and depth == 1:
-            elem += 1
-        j += 1
-    return None
+def _item_lines(text: str) -> dict:
+    """Line of each key and array element of the JSON `text`, by path, in
+    one walk: keys and scalars are read by the stdlib decoder, containers by
+    their brackets.  A repeated key takes the line of its last occurrence,
+    the one json.loads keeps.  Text that is not JSON gives no lines."""
+    decode = json.JSONDecoder().raw_decode
+    skip = re.compile(r"[ \t\n\r]*").match
+    breaks = [m.start() for m in re.finditer("\n", text)]
+    lines = {}
 
+    def walk(pos: int, path: tuple) -> int:
+        """Record the items of the value at `pos`; the position after it."""
+        pos = skip(text, pos).end()
+        if text[pos] not in "[{":
+            return decode(text, pos)[1]
+        close = "]" if text[pos] == "[" else "}"
+        for index in itertools.count():
+            pos = skip(text, pos + 1).end()     # past the bracket or comma
+            if text[pos] == close and not index:
+                return pos + 1
+            item, line = path + (index,), bisect.bisect(breaks, pos) + 1
+            if close == "}":
+                key, pos = decode(text, pos)
+                pos = skip(text, pos).end()
+                if not isinstance(key, str) or text[pos] != ":":
+                    raise ValueError("not JSON")
+                item, pos = path + (key,), pos + 1
+                if item in lines:       # a repeated key: json keeps the last
+                    for stale in [p for p in lines if p[:len(item)] == item]:
+                        del lines[stale]
+            lines[item] = line
+            pos = skip(text, walk(pos, item)).end()
+            if text[pos] == close:
+                return pos + 1
+            if text[pos] != ",":
+                raise ValueError("not JSON")
 
-def _key_line(text: str | None, doc, path: tuple) -> int | None:
-    """Line of the config item `path` points at, scanning the raw text.
-
-    Locates the innermost named key by counting document-order occurrences,
-    then steps through trailing array indices.  Falls back to ancestor keys.
-    """
-    if text is None:
-        return None
-    trail = []
-    while path and not isinstance(path[-1], str):
-        trail.append(path[-1])
-        path = path[:-1]
-    trail.reverse()
-    if not path:
-        return None
-    name = path[-1]
-    count = 0
-    found = False
-
-    def walk(node, cur):
-        nonlocal count, found
-        if found:
-            return
-        if isinstance(node, dict):
-            for k, v in node.items():
-                if found:
-                    return
-                if k == name:
-                    count += 1
-                    if cur + (k,) == path:
-                        found = True
-                        return
-                walk(v, cur + (k,))
-        elif isinstance(node, list):
-            for i, v in enumerate(node):
-                if found:
-                    return
-                walk(v, cur + (i,))
-
-    walk(doc, ())
-    if not found:
-        return _key_line(text, doc, path[:-1])
-    pattern = re.compile(r'"%s"\s*:' % re.escape(name))
-    pos = None
-    for seen, match in enumerate(pattern.finditer(text), start=1):
-        if seen == count:
-            pos = match.start()
-            cursor = match.end()
-            for index in trail:
-                cursor = _elem_pos(text, cursor, index)
-                if cursor is None:
-                    break
-                pos = cursor
-            break
-    if pos is None:
-        return None
-    return text.count("\n", 0, pos) + 1
+    try:
+        end = walk(0, ())
+    except (ValueError, IndexError, RecursionError):
+        return {}
+    return lines if skip(text, end).end() == len(text) else {}
 
 
 def _path_str(path: tuple) -> str:
@@ -217,17 +171,20 @@ def _path_str(path: tuple) -> str:
     return out or "<config>"
 
 
-class _Check:
-    """Collects context (raw text + parsed doc) and raises rich errors."""
+class _Check(NamedTuple):
+    """A config's JSON text (None without a file) and source name.  `fail`
+    raises a ConfigError prefixed `source:line: key-path:`, at the line of
+    the item at the path or else of its nearest ancestor in the text."""
 
-    def __init__(self, doc, text: str | None, source: str):
-        self.doc = doc
-        self.text = text
-        self.source = source
+    text: str | None
+    source: str
 
     def fail(self, path: tuple, message: str):
-        line = _key_line(self.text, self.doc, path)
-        where = f"{self.source}:{line}" if line is not None else self.source
+        lines = {} if self.text is None else _item_lines(self.text)
+        item = path
+        while item and item not in lines:
+            item = item[:-1]
+        where = f"{self.source}:{lines[item]}" if item else self.source
         raise ConfigError(f"{where}: {_path_str(path)}: {message}")
 
 
@@ -382,7 +339,7 @@ def _as_rhs(value, chk: _Check, path: tuple) -> None:
 def config_from_dict(doc: dict, *, text: str | None = None,
                      source: str = "config") -> ExperimentConfig:
     """Build and validate a config; errors carry source:line: key-path."""
-    chk = _Check(doc, text, source)
+    chk = _Check(text, source)
     if not isinstance(doc, dict):
         raise ConfigError(f"{source}: top level must be an object")
     for key in doc:
@@ -921,7 +878,7 @@ def main(argv=None) -> int:
         _add_params(p, kind.params, "params.")
 
     args = parser.parse_args(argv)
-    flags = _Check(None, None, "command line")
+    flags = _Check(None, "command line")
     try:
         if args.config is None:
             config = config_from_dict(_flag_doc(args), source=flags.source)

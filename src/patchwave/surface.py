@@ -12,6 +12,7 @@ import json
 import math
 import numbers
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +44,16 @@ def _check_counts(**counts) -> None:
         if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
                 or value < 1):
             raise ValueError(f"{name} must be >= 1 and an integer, got {value!r}")
+
+
+def _map(fn, jobs, workers: int) -> list:
+    """fn of each job, on `workers` threads when more than one.  The results
+    come back in job order, and the error raised is the first failing job's
+    in that order."""
+    if workers == 1:
+        return [fn(job) for job in jobs]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, jobs))
 
 
 def _unit(v):

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import sqrt
@@ -22,7 +21,7 @@ from math import sqrt
 import numpy as np
 
 from ._gauss import unit_rule
-from .surface import PolyhedralSurface, _check_counts
+from .surface import PolyhedralSurface, _check_counts, _map
 
 __all__ = [
     "BasisSpec",
@@ -350,12 +349,7 @@ def analyze(surface: PolyhedralSurface, sampler, basis: BasisSpec, J: int,
                 levels[j][i, 1, c0:c1] = np.einsum("ma,nb,kalb->klmn", Smat, Wmat, U4) * scale
                 levels[j][i, 2, c0:c1] = np.einsum("ma,nb,kalb->klmn", Wmat, Wmat, U4) * scale
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            list(ex.map(run, jobs))
-    else:
-        for job in jobs:
-            run(job)
+    _map(run, jobs, workers)
     return CoefficientField(basis=basis, J=J, n_patches=surface.n_patches,
                             coarse=coarse, levels=levels, surface=surface)
 
@@ -551,10 +545,7 @@ def basis_inner_product(surface: PolyhedralSurface, basis: BasisSpec,
     ja = basis.j_star if a.etype == 0 else a.level
     jb = basis.j_star if b.etype == 0 else b.level
     lev = max(ja, jb) + 1
-    nodes, weights = _ref_nodes(basis, 1)
-    cells = 1 << lev
-    x = (np.arange(cells)[:, None] / cells + nodes[None, :] / cells).ravel()
-    w = np.tile(weights / cells, cells)
+    x, w = _ref_nodes(basis, 1 << lev)
     fa_s = _index_values(basis, a, x, 0)
     fb_s = _index_values(basis, b, x, 0)
     fa_t = _index_values(basis, a, x, 1)
@@ -567,11 +558,7 @@ def dual_l2_norm(surface: PolyhedralSurface, basis: BasisSpec,
     """True L2(surface) norm of the (self-dual) basis function."""
     patch = surface.patches[idx.patch]
     j = basis.j_star if idx.etype == 0 else idx.level
-    sub = 1
-    nodes, weights = _ref_nodes(basis, sub)
-    cells = 1 << (j + 1)
-    x = (np.arange(cells)[:, None] / cells + nodes[None, :] / cells).ravel()
-    w = np.tile(weights / cells, cells)
+    x, w = _ref_nodes(basis, 1 << (j + 1))
     S, T = np.meshgrid(x, x, indexing="ij")
     vals = _index_values(basis, idx, S, 0) * _index_values(basis, idx, T, 1)
     jac = patch.jacobian_det(S.ravel(), T.ravel()).reshape(S.shape)

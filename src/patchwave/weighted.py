@@ -25,7 +25,6 @@ lies in the scale iff rho < beta + 1, the edge model iff rho < beta + 1/2.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import groupby
 from math import comb, pi
@@ -34,7 +33,8 @@ import numpy as np
 
 from ._gauss import unit_rule
 from .surface import (PolyhedralSurface, ResolutionOfUnity, _check_counts,
-                      _smooth_step, _smooth_step_derivs, _step_down_derivs)
+                      _map, _smooth_step, _smooth_step_derivs,
+                      _step_down_derivs)
 
 __all__ = [
     "WeightedSpec",
@@ -624,19 +624,14 @@ def _norm_terms(handle, surface, resolution, spec, *, depth, quad_order,
                                           * q ** (br + bp - spec.rho))
             values[(br, bp)] = _converged(shells(np.abs(W * pol[(br, bp)]) ** 2),
                                           n, patch, (br, bp))
-        return job, values
+        return values
 
-    # a divergent term raises inside its job, so a serial run stops at the
-    # first divergent face, and either map raises the first one in job order
+    # a divergent term raises inside its job: the first one in job order
     jobs = [(n, t) for n in range(surface.n_vertices)
             for t in range(len(surface.cone_faces(n)))]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = dict(ex.map(run, jobs))
-    else:
-        results = dict(map(run, jobs))
-    return {(n, t, term): value for (n, t) in jobs
-            for term, value in results[(n, t)].items()}
+    return {(n, t, term): value
+            for (n, t), values in zip(jobs, _map(run, jobs, workers))
+            for term, value in values.items()}
 
 
 def delta_weighted_norm(handle, surface: PolyhedralSurface,

@@ -871,6 +871,18 @@ def test_assemble_guards(cube):
         assemble(inward, 1)
 
 
+def test_identity_checks_refuse_an_inward_surface():
+    # the reversed cube loads; its kernel integral at the centre came out
+    # +1, where the classical value at interior points is -1
+    flipped = unit_cube()
+    flipped["patches"] = [list(q)[::-1] for q in flipped["patches"]]
+    inward = load_surface(flipped)
+    with pytest.raises(SurfaceError, match="oriented inward"):
+        gauss_check(inward, [0.5, 0.5, 0.5])
+    with pytest.raises(SurfaceError, match="oriented inward"):
+        potential_eval(inward, np.ones((6, 2, 2)), [0.5, 0.5, 0.5])
+
+
 _INSIDE = np.array([0.4, 0.5, 0.6])
 
 

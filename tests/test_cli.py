@@ -119,6 +119,86 @@ def test_validation_locates_bad_n_lo(tmp_path):
         config_from_dict(doc)
 
 
+def _reported_line(text, path):
+    """The line a validation error at `path` of the config `text` names."""
+    with pytest.raises(ConfigError) as err:
+        cli._Check(text, "f").fail(path, "bad")
+    where = str(err.value).split(": ", 1)[0]
+    return None if where == "f" else int(where.removeprefix("f:"))
+
+
+def _dump_order(node, lines: dict, path=(), line=1) -> int:
+    """Fill `lines` with the line of each item of `node`, dumped with an
+    indent from `line` on, and return its last line: every item starts a
+    line, and a non-empty container closes on a line of its own."""
+    items = (list(node.items()) if isinstance(node, dict)
+             else list(enumerate(node)) if isinstance(node, list) else [])
+    for key, value in items:
+        line += 1
+        lines[path + (key,)] = line
+        line = _dump_order(value, lines, path + (key,), line)
+    return line + bool(items)
+
+
+# key names that recur at every depth, need escapes, or look like JSON text
+_KEYS = st.sampled_from(["J", "kind", "spec", "é", "名", 'q"k', "\\", "a b"])
+_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from(['"J": 1', '{"kind": [', "]}", ",", "\\\"", "\n"])
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_KEYS, inner, max_size=3), max_leaves=16)
+
+
+@settings(max_examples=150)
+@given(doc=st.dictionaries(_KEYS, _VALUES, min_size=1, max_size=4))
+def test_errors_name_the_line_of_every_item(doc):
+    lines = {}
+    _dump_order(doc, lines)
+    for text in (json.dumps(doc, indent=2),
+                 json.dumps(doc, indent=1, separators=(",", " : "),
+                            ensure_ascii=False)):
+        for path, line in lines.items():
+            assert _reported_line(text, path) == line, (text, path)
+            # a path the text lacks falls back to its nearest ancestor
+            assert _reported_line(text, path + ("missing", 0)) == line
+        assert _reported_line(text, ("missing",)) is None
+    compact = json.dumps(doc)
+    assert {_reported_line(compact, path) for path in lines} == {1}
+
+
+def test_a_repeated_key_is_located_where_json_reads_it(tmp_path, capsys):
+    # json.loads keeps the last of repeated keys, and so does the report
+    path = tmp_path / "bad.json"
+    path.write_text('{\n  "kind": "norms",\n  "J": 3,\n  "J": -1\n}\n')
+    assert cli.main(["norms", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {path}:4: J: must be >= 0, got -1")
+    # the items of the earlier value are gone with it
+    assert cli._item_lines('{"a": {"b": 1},\n "a": 2}') == {("a",): 2}
+    # an escaped key is read as json reads it
+    path.write_text('{\n  "kind": "norms",\n  "\\u004a": -1\n}\n')
+    with pytest.raises(ConfigError) as err:
+        config_from_file(path)
+    assert str(err.value).startswith(f"{path}:3: J: must be >= 0, got -1")
+
+
+def test_text_that_is_not_json_gives_no_line():
+    doc = {**BASE, "J": -1}
+    full = json.dumps(doc, indent=2)
+    line = next(i for i, ln in enumerate(full.splitlines(), 1) if '"J"' in ln)
+    with pytest.raises(ConfigError, match=f"^bad.json:{line}: J: must be"):
+        config_from_dict(doc, text=full, source="bad.json")
+    # config_from_dict is public: its text may be anything, such as any
+    # proper prefix of the config's own text
+    for text in ["", "not json", '{"J": -1,}', '{"J" -1}', '{"J": -1} {',
+                 '{"J": 3; "J": -1}', "{'J': -1}", '{"J": [1, 2}', "[" * 5000,
+                 *(full[:cut] for cut in range(len(full)))]:
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(doc, text=text, source="bad.json")
+        assert str(err.value).startswith("bad.json: J: must be >= 0"), text
+
+
 EMBED = {"kind": "embed-check", "basis": "haar", "J": 3,
          "params": {"model": {"kind": "vertex", "beta": 0.6}}}
 BEM = {"kind": "bem-solve", "L": 2, "J": 2, "params": {"rhs": ["constant"]}}
