@@ -430,6 +430,8 @@ def config_from_file(path, kind: str | None = None) -> ExperimentConfig:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
+    except RecursionError:
+        raise ConfigError(f"{path}: invalid JSON: nested too deeply") from None
     config = config_from_dict(doc, text=text, source=str(path))
     if kind is not None and config.kind != kind:
         raise ConfigError(f"{path}: config kind {config.kind!r} does not match "

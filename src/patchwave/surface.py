@@ -63,50 +63,35 @@ def _unit(v):
     return v / n
 
 
-def point_segment_distance(p, a, b):
-    """Euclidean distance from point `p` to segment [a, b]."""
-    ab = b - a
-    denom = float(np.dot(ab, ab))
-    if denom == 0.0:
-        return float(np.linalg.norm(p - a))
-    t = float(np.dot(p - a, ab)) / denom
-    t = min(1.0, max(0.0, t))
-    return float(np.linalg.norm(p - (a + t * ab)))
+def quad_edge_distance(P, corners):
+    """Distance from points P (..., 3) to the nearest of a quad's four edges.
 
-
-def point_quad_distance(p, corners):
-    """Euclidean distance from `p` to a planar convex quadrilateral given by 4 corners."""
-    c = np.asarray(corners, dtype=float)
-    n = _unit(np.cross(c[1] - c[0], c[3] - c[0]))
-    off = float(np.dot(p - c[0], n))
-    proj = p - off * n
-    # inside test against all four edges (consistent winding)
-    inside = True
+    Elementwise products and last-axis sums only, so one point and an array
+    of points agree bit for bit.
+    """
+    dist = np.inf
     for k in range(4):
-        a, b = c[k], c[(k + 1) % 4]
-        if np.dot(np.cross(b - a, proj - a), n) < -1e-14:
-            inside = False
-            break
-    if inside:
-        return abs(off)
-    d = min(point_segment_distance(p, c[k], c[(k + 1) % 4]) for k in range(4))
-    return d
+        a, b = corners[k], corners[(k + 1) % 4]
+        ab = b - a
+        t = np.clip(((P - a) * ab).sum(-1) / (ab * ab).sum(-1), 0.0, 1.0)
+        foot = P - (a + t[..., None] * ab)
+        dist = np.minimum(dist, np.sqrt((foot * foot).sum(-1)))
+    return dist
 
 
 def points_quad_distance(P, corners):
-    """`point_quad_distance` from each row of P (N, 3), in array form."""
+    """Euclidean distance from each row of P (N, 3) to a planar convex quad
+    given by 4 corners: the plane offset where the point projects inside,
+    else the edge distance.  The inside test's tolerance scales with each
+    edge's squared length, so the result scales with the quad."""
     c = np.asarray(corners, dtype=float)
     n = _unit(np.cross(c[1] - c[0], c[3] - c[0]))
     off = (P - c[0]) @ n
     proj = P - off[:, None] * n
     ab = np.roll(c, -1, axis=0) - c                       # the 4 edges, (4, 3)
-    inside = np.all(np.cross(ab[:, None], proj - c[:, None]) @ n >= -1e-14, axis=0)
-    ap = P - c[:, None]                                   # (4, N, 3)
-    denom = (ab * ab).sum(-1)[:, None, None]
-    t = np.divide(ap @ ab[..., None], denom, where=denom > 0,
-                  out=np.zeros(ap.shape[:2] + (1,)))
-    seg = np.linalg.norm(P - (c[:, None] + np.clip(t, 0.0, 1.0) * ab[:, None]), axis=-1)
-    return np.where(inside, np.abs(off), seg.min(axis=0))
+    tol = -1e-14 * (ab * ab).sum(-1)[:, None]
+    inside = np.all(np.cross(ab[:, None], proj - c[:, None]) @ n >= tol, axis=0)
+    return np.where(inside, np.abs(off), quad_edge_distance(P, c))
 
 
 @dataclass(frozen=True)
@@ -433,6 +418,9 @@ def load_surface(source) -> PolyhedralSurface:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise SurfaceError(f"surface file is not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise SurfaceError("surface file is not valid JSON: nested too "
+                               "deeply") from None
     for key in ("vertices", "patches"):
         if key not in doc:
             raise SurfaceError(f"surface description lacks required field '{key}'")
@@ -517,13 +505,10 @@ class ResolutionOfUnity:
         """Distance from each vertex to the nearest patch not containing it."""
         surf = self.surface
         out = np.full(surf.n_vertices, np.inf)
-        for n in range(surf.n_vertices):
-            inc = set(surf.incident_patches(n))
-            p = surf.vertices[n]
-            for patch in surf.patches:
-                if patch.index in inc:
-                    continue
-                out[n] = min(out[n], point_quad_distance(p, patch.corners))
+        for patch in surf.patches:
+            d = points_quad_distance(surf.vertices, patch.corners)
+            d[list(patch.corner_ids)] = np.inf
+            np.minimum(out, d, out=out)
         return out
 
     def _validate(self, clear):

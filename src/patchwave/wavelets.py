@@ -21,7 +21,7 @@ from math import sqrt
 import numpy as np
 
 from ._gauss import unit_rule
-from .surface import PolyhedralSurface, _check_counts, _map
+from .surface import PolyhedralSurface, _check_counts, _map, quad_edge_distance
 
 __all__ = [
     "BasisSpec",
@@ -461,14 +461,7 @@ def _cell_witness(patch, j: int, k1, k2):
     radius = np.sqrt(((c[0] - center) ** 2).sum(-1))
     for ck in c[1:]:
         radius = np.maximum(radius, np.sqrt(((ck - center) ** 2).sum(-1)))
-    dist = np.inf
-    for ke in range(4):
-        a, b = patch.corners[ke], patch.corners[(ke + 1) % 4]
-        ab = b - a
-        tpar = np.clip(((center - a) * ab).sum(-1) / (ab * ab).sum(-1), 0.0, 1.0)
-        foot = center - (a + tpar[..., None] * ab)
-        dist = np.minimum(dist, np.sqrt((foot * foot).sum(-1)))
-    return center, radius, dist - radius
+    return center, radius, quad_edge_distance(center, patch.corners) - radius
 
 
 def classify_index(surface: PolyhedralSurface, basis: BasisSpec,

@@ -34,7 +34,7 @@ import numpy as np
 from ._gauss import unit_rule
 from .surface import (PolyhedralSurface, ResolutionOfUnity, _check_counts,
                       _map, _smooth_step, _smooth_step_derivs,
-                      _step_down_derivs)
+                      _step_down_derivs, quad_edge_distance)
 
 __all__ = [
     "WeightedSpec",
@@ -342,10 +342,10 @@ class ConstantModel(_FaceHandleBase):
 class FiniteDifferenceHandle(_FaceHandleBase):
     """Centered finite differences of a 3D-point callable, in-plane.
 
-    Step h = `rel_step` times the face scale. Refuses evaluation whenever a
-    point sits within 10h of the face's patch boundary: one-sided stencils
-    would silently sample across the edge, so analytic derivatives are
-    required there instead.
+    Step h = `rel_step` times the patch's shortest edge. Refuses evaluation
+    whenever a point sits within 10h of the face's patch boundary: one-sided
+    stencils would silently sample across the edge, so analytic derivatives
+    are required there instead.
     """
 
     def __init__(self, surface, func, rel_step: float = 1e-5):
@@ -359,14 +359,8 @@ class FiniteDifferenceHandle(_FaceHandleBase):
     def face_derivs(self, n, t, Y, upto: int = 2):
         pts, face = self.face_points(n, t, Y)
         patch = self.surface.patches[face.patch]
-        h = self.rel_step * max(patch.min_edge, 1.0)
-        dists = np.full(len(pts), np.inf)
-        for ke in range(4):
-            a, b = patch.corners[ke], patch.corners[(ke + 1) % 4]
-            ab = b - a
-            tt = np.clip((pts - a) @ ab / float(ab @ ab), 0.0, 1.0)
-            dists = np.minimum(dists, np.linalg.norm(pts - (a + tt[:, None] * ab), axis=1))
-        if np.any(dists < 10.0 * h):
+        h = self.rel_step * patch.min_edge
+        if np.any(quad_edge_distance(pts, patch.corners) < 10.0 * h):
             raise ValueError(
                 "finite-difference handle refused: points within 10h of the face "
                 "boundary; supply analytic derivatives for boundary-graded quadrature")

@@ -27,7 +27,27 @@ from patchwave import (
     unit_cube,
 )
 from patchwave._gauss import unit_rule
-from patchwave.surface import Patch, point_quad_distance, points_quad_distance
+from patchwave.surface import Patch, points_quad_distance
+
+
+def point_quad_distance(p, corners):
+    """Distance from one point to a planar convex quad, one edge at a time:
+    the scalar oracle of `points_quad_distance`, with the same inside test
+    (a tolerance of 1e-14 squared edge lengths)."""
+    c = np.asarray(corners, dtype=float)
+    n = np.cross(c[1] - c[0], c[3] - c[0])
+    n = n / np.linalg.norm(n)
+    off = float(np.dot(p - c[0], n))
+    proj = p - off * n
+    edges = [(c[k], c[(k + 1) % 4]) for k in range(4)]
+    if all(np.dot(np.cross(b - a, proj - a), n) >= -1e-14 * np.dot(b - a, b - a)
+           for a, b in edges):
+        return abs(off)
+    dists = []
+    for a, b in edges:
+        t = min(1.0, max(0.0, float(np.dot(p - a, b - a) / np.dot(b - a, b - a))))
+        dists.append(float(np.linalg.norm(p - (a + t * (b - a)))))
+    return min(dists)
 
 
 def _tri_oracle(R1, R2, R3):

@@ -500,6 +500,22 @@ def test_bad_surface_file_is_a_config_error(tmp_path, capsys, vertex, message):
     assert f"surface: {message}" in capsys.readouterr().err
 
 
+def test_deeply_nested_json_is_a_config_error(tmp_path, capsys):
+    # json.loads raises RecursionError here, which used to end in a traceback
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000, encoding="utf-8")
+    assert cli.main(["norms", "--config", str(deep)]) == 2
+    assert capsys.readouterr().err == (f"error: {deep}: invalid JSON: "
+                                       "nested too deeply\n")
+    path = _write(tmp_path, "exp.json", {**BASE, "surface": str(deep)})
+    line = next(i for i, ln in enumerate(path.read_text().splitlines(), 1)
+                if '"surface"' in ln)
+    assert cli.main(["norms", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {path}:{line}: surface: surface file is not valid JSON: "
+        "nested too deeply")
+
+
 def test_main_reports_errors_and_exit_code(tmp_path, capsys):
     doc = dict(BASE)
     doc["spaces"] = [[0.5, 1.0, 2.0]]

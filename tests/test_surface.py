@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from patchwave import (
     ConstantModel,
@@ -13,6 +13,8 @@ from patchwave import (
     surface_text,
     unit_cube,
 )
+from patchwave.surface import ResolutionOfUnity, points_quad_distance, quad_edge_distance
+from test_bem import _frustum, _moved_cube, point_quad_distance
 
 
 def _volume(surface):
@@ -197,6 +199,15 @@ def test_load_rejects_out_of_range_vertex_id(vid):
         load_surface(desc)
 
 
+def test_deeply_nested_json_is_a_surface_error(tmp_path):
+    # json.loads raises RecursionError here, which used to escape
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    for source in (str(path), '{"vertices": ' + "[" * 100_000):
+        with pytest.raises(SurfaceError, match="not valid JSON: nested too deeply"):
+            load_surface(source)
+
+
 def _patched(**fields):
     return {**unit_cube(), **fields}
 
@@ -249,3 +260,85 @@ def test_fuzzed_descriptions_raise_only_surface_errors(name, data):
         load_surface(desc)
     except SurfaceError:
         pass
+
+
+# -- distance to a patch ------------------------------------------------------
+
+_SQUARE = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
+_TRAPEZOID = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.5, 0.5, 1.0], [0.5, 0.5, 1.0]])
+
+
+def _surface(name):
+    return {"cube": lambda: load_surface(unit_cube()),
+            "fichera": lambda: load_surface(fichera_corner()),
+            "moved_cube": _moved_cube, "frustum": _frustum}[name]()
+
+
+def _rotation(q):
+    w, x, y, z = np.asarray(q) / np.linalg.norm(q)
+    return np.array([[1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+                     [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+                     [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]])
+
+
+def test_inside_test_is_in_patch_units():
+    # 0.5% of an edge outside a side and 0.1% of one above the plane: at
+    # scale 1e-6 an absolute tolerance took the point as inside and returned
+    # its height, 0.196 of the distance
+    for s in (1e-6, 1.0, 1e6):
+        d = points_quad_distance(np.array([[1.005, 0.5, 0.001]]) * s, _SQUARE * s)
+        assert d[0] == pytest.approx(np.hypot(0.005, 0.001) * s, rel=1e-9)
+
+
+@settings(max_examples=300)
+@given(quad=st.sampled_from([_SQUARE, _TRAPEZOID]), log_s=st.floats(-6.0, 6.0),
+       q=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+       uv=st.lists(st.floats(-0.5, 1.5), min_size=2, max_size=2),
+       height=st.floats(1e-3, 1.0), side=st.sampled_from([-1.0, 1.0]))
+@example(quad=_SQUARE, log_s=-6.0, q=[1.0, 0.0, 0.0, 0.0], uv=[1.005, 0.5],
+         height=1e-3, side=1.0)
+def test_quad_distance_scales_and_turns_with_the_quad(quad, log_s, q, uv, height, side):
+    assume(np.linalg.norm(q) > 0.1)
+    c = quad
+    n = np.cross(c[1] - c[0], c[3] - c[0])
+    n /= np.linalg.norm(n)
+    foot = c[0] + uv[0] * (c[1] - c[0]) + uv[1] * (c[3] - c[0])
+    # at least 1e-9 edge lengths off every edge line
+    for k in range(4):
+        ab = c[(k + 1) % 4] - c[k]
+        assume(np.linalg.norm(np.cross(ab, foot - c[k])) >= 1e-9 * (ab @ ab))
+    P = (foot + side * height * n)[None]
+    s, R = 10.0 ** log_s, _rotation(q)
+    want = points_quad_distance(P, c)[0]
+    got = points_quad_distance(s * P @ R.T, s * c @ R.T)[0] / s
+    assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("name", ["cube", "frustum", "moved_cube"])
+def test_quad_edge_distance_of_one_point_is_its_array_value(name):
+    surface = _surface(name)
+    lo, hi = surface.vertices.min(axis=0), surface.vertices.max(axis=0)
+    P = np.random.default_rng(1312).uniform(lo - 0.25 * (hi - lo), hi + 0.25 * (hi - lo),
+                                            (6, 5, 3))
+    P[0, 0] = surface.vertices[0]
+    P[0, 1] = 0.5 * (surface.vertices[0] + surface.vertices[1])
+    for patch in surface.patches:
+        grid = quad_edge_distance(P, patch.corners)
+        assert grid.shape == (6, 5)
+        rows = quad_edge_distance(P.reshape(-1, 3), patch.corners)
+        one = np.array([quad_edge_distance(p, patch.corners) for p in P.reshape(-1, 3)])
+        for other in (rows, one):
+            assert np.array_equal(other.view(np.int64), grid.ravel().view(np.int64))
+
+
+@pytest.mark.parametrize("name", ["cube", "fichera", "moved_cube"])
+def test_resolution_radii_equal_the_scalar_clearances(name):
+    surface = _surface(name)
+    clear = np.array([min(point_quad_distance(v, p.corners) for p in surface.patches
+                          if n not in p.corner_ids)
+                      for n, v in enumerate(surface.vertices)])
+    rou = ResolutionOfUnity(surface)
+    r1 = clear - 2.0 * rou.C1
+    r0 = np.minimum(rou.C1, 0.5 * r1)
+    assert np.array_equal(rou.r1.view(np.int64), r1.view(np.int64))
+    assert np.array_equal(rou.r0.view(np.int64), r0.view(np.int64))

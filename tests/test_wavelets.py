@@ -34,6 +34,7 @@ from patchwave import bem, wavelets
 from patchwave._gauss import unit_rule
 from patchwave.wavelets import family_for
 from test_bem import _frustum, _moved_cube
+from test_surface import _surface
 
 
 class _FieldSampler:
@@ -304,6 +305,42 @@ def test_classify_level_matches_classify_index_off_the_cube(fichera, name, j):
     assert mask.shape == (n, 1 << j, 1 << j)
     if j >= 4:
         assert mask.any()
+
+
+def _clearance_oracle(patch, j):
+    """Every level-j cell's clearance, with the patch boundary distance taken
+    one edge at a time as `_cell_witness` did before it shared the surface's
+    edge distance."""
+    h, k = 0.5 ** j, np.arange(1 << j)
+    s0, t0 = k[:, None] * h, k[None, :] * h
+    c = [patch.chart(s0 + ds, t0 + dt)
+         for ds, dt in ((0.0, 0.0), (h, 0.0), (h, h), (0.0, h))]
+    center = (c[0] + c[1] + c[2] + c[3]) / 4.0
+    radius = np.sqrt(((c[0] - center) ** 2).sum(-1))
+    for ck in c[1:]:
+        radius = np.maximum(radius, np.sqrt(((ck - center) ** 2).sum(-1)))
+    dist = np.inf
+    for ke in range(4):
+        a, b = patch.corners[ke], patch.corners[(ke + 1) % 4]
+        ab = b - a
+        tpar = np.clip(((center - a) * ab).sum(-1) / (ab * ab).sum(-1), 0.0, 1.0)
+        foot = center - (a + tpar[..., None] * ab)
+        dist = np.minimum(dist, np.sqrt((foot * foot).sum(-1)))
+    return dist - radius
+
+
+@pytest.mark.parametrize("name", ["cube", "fichera", "moved_cube", "frustum"])
+def test_classify_level_keeps_the_per_edge_clearance(name):
+    surface = _surface(name)
+    for j in range(1, 9):
+        cells = 1 << j
+        k = np.arange(cells)
+        inner = (k > 0) & (k < cells - 1)
+        ring = inner[:, None] & inner[None, :]
+        mask = classify_level(surface, haar_basis(), j)
+        for patch in surface.patches:
+            want = ring & (_clearance_oracle(patch, j) > 0.5 ** j)
+            assert np.array_equal(mask[patch.index], want)
 
 
 def test_classify_level_mask_is_cached_and_read_only(cube, haar, alpert2):

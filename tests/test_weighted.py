@@ -171,6 +171,21 @@ def test_analytic_vs_finite_difference(cube):
             assert np.allclose(dn[key], de[key], rtol=1e-6, atol=1e-8)
 
 
+def test_finite_difference_step_scales_with_the_patch():
+    # a step of at least rel_step refused every point of this small cube's
+    # faces as lying within 10 steps of the boundary
+    s = 1e-4
+    desc = unit_cube()
+    desc["vertices"] = (np.array(desc["vertices"]) * s).tolist()
+    small = load_surface(desc)
+    g = np.array([0.3, -1.2, 2.5])
+    fd = FiniteDifferenceHandle(small, lambda p: p @ g)
+    face = small.cone_faces(0)[0]
+    out = fd.face_derivs(0, 0, np.array([[0.5, 0.4]]) * s, upto=1)
+    assert out[(1, 0)][0] == pytest.approx(g @ face.e1, abs=1e-6)
+    assert out[(0, 1)][0] == pytest.approx(g @ face.e2, abs=1e-6)
+
+
 def test_constant_model_norm_finite(cube, rou):
     handle = ConstantModel(cube, 1.0)
     value = weighted_sobolev_norm(handle, cube, rou, WeightedSpec(1, 0.5),
