@@ -37,6 +37,17 @@ def _require_sequence_target(target: BesovSpec) -> None:
 # -- the approximation plan ------------------------------------------------------
 
 
+def _index_weights(field: CoefficientField, target: BesovSpec):
+    """Weights 2**(j e) |c| in level, then flat order, and the level offsets."""
+    e = target.weight_exponent()
+    js = field.level_range()
+    offsets = np.cumsum([0] + [field.level(j).size for j in js], dtype=np.int64)
+    w = np.empty(offsets[-1])
+    for j, lo, hi in zip(js, offsets, offsets[1:]):
+        np.multiply(2.0 ** (j * e), np.abs(field.level(j)).ravel(), out=w[lo:hi])
+    return w, offsets
+
+
 @dataclass(frozen=True)
 class NTermPlan:
     """Every wavelet index of a field, ordered by decreasing weighted modulus.
@@ -46,14 +57,11 @@ class NTermPlan:
     (level, patch, type, cell, component).  The generator block is always
     retained and never counts against n.  ``tail_p[n]`` holds
     sum_{m >= n} weight_m ** p, so errors for all n come from one table.
+    The plan stores no index positions: ``retained`` sorts ``field`` again.
     """
 
     target: BesovSpec
-    basis: BasisSpec
-    n_patches: int
-    field_J: int
-    order_level: np.ndarray
-    order_flat: np.ndarray
+    field: CoefficientField
     weights: np.ndarray
     tail_p: np.ndarray
 
@@ -80,14 +88,16 @@ class NTermPlan:
 
     def retained(self, n: int) -> tuple[WaveletIndex, ...]:
         """The first n indices of the plan as WaveletIndex tuples."""
-        n = min(max(n, 0), self.n_indices)
-        r = self.basis.d
+        w, offsets = _index_weights(self.field, self.target)
+        order = np.argsort(-w, kind="stable")[:max(n, 0)]
+        which = np.searchsorted(offsets, order, side="right") - 1
+        js, r = self.field.level_range(), self.field.basis.d
         out = []
-        for j, flat in zip(self.order_level[:n], self.order_flat[:n]):
-            cells = 1 << int(j)
+        for lev, flat in zip(which, order - offsets[which]):
+            cells = 1 << js[lev]
             i, e, k1, k2, m1, m2 = np.unravel_index(
-                int(flat), (self.n_patches, 3, cells, cells, r, r))
-            out.append(WaveletIndex(int(j), int(i), int(e) + 1,
+                int(flat), (self.field.n_patches, 3, cells, cells, r, r))
+            out.append(WaveletIndex(js[lev], int(i), int(e) + 1,
                                     int(k1), int(k2), int(m1), int(m2)))
         return tuple(out)
 
@@ -95,24 +105,13 @@ class NTermPlan:
 def n_term_plan(field: CoefficientField, target: BesovSpec) -> NTermPlan:
     """Sort all wavelet coefficients of ``field`` by target-weighted modulus."""
     _require_sequence_target(target)
-    e = target.weight_exponent()
-    p = target.p
-    js = field.level_range()
-    offsets = np.cumsum([0] + [field.level(j).size for j in js], dtype=np.int64)
-    w = np.empty(offsets[-1])
-    for j, lo, hi in zip(js, offsets, offsets[1:]):
-        np.multiply(2.0 ** (j * e), np.abs(field.level(j)).ravel(), out=w[lo:hi])
+    w, _ = _index_weights(field, target)
     # primary: weight descending; ties: level, then flat position ascending,
     # which is the order of w, so a stable sort keeps it
-    order = np.argsort(-w, kind="stable")
-    which = np.searchsorted(offsets, order, side="right") - 1
-    w = w[order]
+    w = w[np.argsort(-w, kind="stable")]
     tail = np.zeros(len(w) + 1)
-    tail[:-1] = np.cumsum((w ** p)[::-1])[::-1]
-    return NTermPlan(target=target, basis=field.basis, n_patches=field.n_patches,
-                     field_J=field.J,
-                     order_level=np.asarray(js, dtype=np.int16)[which],
-                     order_flat=order - offsets[which], weights=w, tail_p=tail)
+    tail[:-1] = np.cumsum((w ** target.p)[::-1])[::-1]
+    return NTermPlan(target=target, field=field, weights=w, tail_p=tail)
 
 
 def best_n_term(field: CoefficientField, target: BesovSpec,

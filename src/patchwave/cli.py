@@ -38,7 +38,7 @@ from .weighted import (ConstantModel, EdgePowerModel, VertexPowerModel,
 from .approx import (_boundary_window, _interior_window, _inverse_tau,
                      boundary_tail_check, fit_rate, interior_tail_check,
                      n_term_plan, predicted_rate, synth_field, whitney_check)
-from .bem import analyze_solution, assemble, solve
+from .bem import HarmonicProbe, analyze_solution, assemble, solve
 
 SCHEMA_VERSION = "1.0.0"
 
@@ -487,7 +487,7 @@ def _field_from(config, surface, basis):
     if "field" in config.params:
         try:
             return load_field(config.params["field"], surface)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             config.check.fail(("params", "field"), f"cannot read: {exc}")
     synth = dict(config.params["synth"])
     kind = synth.pop("kind")
@@ -610,11 +610,10 @@ def _parse_rhs(tokens, n_cells: int, chk: _Check):
     if head == "constant":
         return lambda pts: np.ones(len(pts))
     if head == "harmonic:linear":
-        axis = int(_rhs_number(tokens[1])) if len(tokens) > 1 else 0
-        return lambda pts: pts[:, axis].copy()
+        return HarmonicProbe.linear(
+            int(_rhs_number(tokens[1])) if len(tokens) > 1 else 0)
     if head == "harmonic:pole":
-        pole = np.array([_rhs_number(t) for t in tokens[1:4]])
-        return lambda pts: 1.0 / np.linalg.norm(pts - pole, axis=1)
+        return HarmonicProbe.point_source([_rhs_number(t) for t in tokens[1:4]])
     try:
         values = np.loadtxt(tokens[1], ndmin=1)
     except (OSError, ValueError) as exc:

@@ -12,8 +12,8 @@ Coefficients are taken in the patchwise parametric inner product
 """
 from __future__ import annotations
 
-import io
 import json
+import zipfile
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import sqrt
@@ -410,7 +410,7 @@ def synthesize(field: CoefficientField, points):
     for i, x in enumerate(pts):
         hit = None
         for patch in surf.patches:
-            if abs(float(np.dot(x - patch.coeff_a, patch.normal))) > 1e-9 * (surf.min_edge + 1):
+            if abs(float(np.dot(x - patch.coeff_a, patch.normal))) > 2e-9 * surf.min_edge:
                 continue
             s, t = patch.chart_inverse(x)
             if -1e-12 <= s <= 1 + 1e-12 and -1e-12 <= t <= 1 + 1e-12:
@@ -670,15 +670,21 @@ def save_field(field: CoefficientField, path) -> None:
 
 
 def load_field(path, surface: PolyhedralSurface | None = None) -> CoefficientField:
-    with np.load(path) as data:
-        header = json.loads(bytes(data["header"]).decode())
-        basis = BasisSpec(**header["basis"])
-        levels = {j: data[f"level_{j}"] for j in header["levels"]}
-        field = CoefficientField(basis=basis, J=header["J"],
-                                 n_patches=header["n_patches"],
-                                 coarse=data["coarse"], levels=levels,
-                                 surface=surface)
-    if surface is not None and header["surface_hash"] is not None:
-        if surface.content_hash() != header["surface_hash"]:
+    """Read a save_field archive; any other file is a ValueError naming path."""
+    try:
+        with np.load(path) as data:
+            header = json.loads(bytes(data["header"]).decode())
+            basis = BasisSpec(**header["basis"])
+            levels = {j: data[f"level_{j}"]
+                      for j in range(basis.j_star, header["J"] + 1)}
+            field = CoefficientField(basis=basis, J=header["J"],
+                                     n_patches=header["n_patches"],
+                                     coarse=data["coarse"], levels=levels,
+                                     surface=surface)
+            built_on = header["surface_hash"]
+    except (KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path}: not a saved coefficient field: {exc}") from None
+    if surface is not None and built_on is not None:
+        if surface.content_hash() != built_on:
             raise ValueError("surface does not match the one the field was built on")
     return field

@@ -1,4 +1,7 @@
+import gc
 import math
+import tracemalloc
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -89,11 +92,38 @@ def test_plan_order_is_the_three_key_lexsort(order, n_patches, extra, target,
                 for j, a in shape.levels.items()})
     plan = n_term_plan(field, target)
     level, flat, *floats = _lexsort_plan(field, target)
-    assert plan.order_level.dtype == np.int16 and plan.order_flat.dtype == np.int64
-    assert np.array_equal(plan.order_level, level)
-    assert np.array_equal(plan.order_flat, flat)
+    kept = plan.retained(plan.n_indices)
+    assert all(type(v) is int for idx in kept for v in astuple(idx))
+    assert [(idx.level, int(np.ravel_multi_index(
+                (idx.patch, idx.etype - 1, idx.k1, idx.k2, idx.m1, idx.m2),
+                field.level(idx.level).shape))) for idx in kept] == list(
+        zip(level.tolist(), flat.tolist()))
     for got, want in zip((plan.weights, plan.weight_p, plan.tail_p), floats):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_plan_keeps_only_its_weights_and_tail(cube, haar):
+    # the plan holds the sorted weights (8N bytes) and the tail table
+    # (8N + 8); no per-index level or position array is built or kept
+    shape = empty_field(haar, cube.n_patches, 7)
+    rng = np.random.default_rng(7)
+    field = CoefficientField(
+        basis=haar, J=7, n_patches=cube.n_patches, coarse=shape.coarse,
+        levels={j: rng.standard_normal(a.shape) for j, a in shape.levels.items()})
+    n = sum(a.size for a in field.levels.values())
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        plan = n_term_plan(field, L2)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [f.name for f in fields(plan)] == ["target", "field", "weights", "tail_p"]
+    assert plan.weights.nbytes + plan.tail_p.nbytes == 2 * 8 * n + 8
+    assert peak - base < 4.5 * 8 * n
+    # 4 KiB for the plan object and other small Python objects
+    assert kept - base <= 2 * 8 * n + 8 + 4096
 
 
 @settings(max_examples=40)

@@ -516,6 +516,22 @@ def test_deeply_nested_json_is_a_config_error(tmp_path, capsys):
         "nested too deeply")
 
 
+@pytest.mark.parametrize("write", [
+    lambda path: np.savez(path, coarse=np.zeros((6, 1, 1, 1, 1))),
+    lambda path: path.write_text("not an archive\n", encoding="utf-8"),
+], ids=["npz-without-header", "text-file"])
+def test_a_file_that_is_not_a_saved_field_is_a_config_error(tmp_path, capsys,
+                                                            write):
+    # these used to end in a raw KeyError or numpy's pickle message, exit 1
+    bad = tmp_path / "bad.npz"
+    write(bad)
+    argv = ["norms", "--field", str(bad), "--space", "1,2,2",
+            "--output-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert (f"params.field: cannot read: {bad}: not a saved coefficient field"
+            in capsys.readouterr().err)
+
+
 def test_main_reports_errors_and_exit_code(tmp_path, capsys):
     doc = dict(BASE)
     doc["spaces"] = [[0.5, 1.0, 2.0]]

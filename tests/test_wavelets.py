@@ -1,3 +1,5 @@
+import json
+import re
 import tracemalloc
 from math import sqrt
 
@@ -248,6 +250,23 @@ def test_synthesize_at_points(cube, haar):
     want = synthesize_params(field, 2, S, T)
     got = synthesize(field, patch.chart(S, T))
     assert np.allclose(got, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("s", [1e-6, 1.0, 1e6])
+def test_synthesize_plane_test_is_in_surface_units(haar, s):
+    # at s = 1e-6 an absolute 1e-9 floor located a point 7e-4 cube
+    # lengths off the face
+    desc = unit_cube()
+    desc["vertices"] = [[s * x for x in v] for v in desc["vertices"]]
+    surf = load_surface(desc)
+    field = synth_field(surf, haar, "random_besov", 2, spec=_any_spec(), seed=5)
+    patch = surf.patches[2]
+    on = patch.chart(np.array([0.4]), np.array([0.6]))[0]
+    want = synthesize_params(field, 2, np.array([0.4]), np.array([0.6]))[0]
+    assert synthesize(field, on + 1e-10 * s * patch.normal) == pytest.approx(
+        want, rel=1e-9)
+    with pytest.raises(ValueError, match="not located on any patch"):
+        synthesize(field, on + 7e-4 * s * patch.normal)
 
 
 def test_moment_spot_checks(cube, haar, alpert2):
@@ -509,6 +528,32 @@ def test_field_save_load_roundtrip(tmp_path, cube, haar):
     assert np.array_equal(back.coarse, field.coarse)
     for j in field.level_range():
         assert np.array_equal(back.level(j), field.level(j))
+
+
+@pytest.mark.parametrize("spoil", ["no-header", "header-not-json",
+                                   "wrong-shape", "levels-short-of-J"])
+def test_load_field_refuses_an_archive_that_is_not_a_field(tmp_path, cube,
+                                                           haar, spoil):
+    field = synth_field(cube, haar, "random_besov", 2, spec=_any_spec(), seed=1)
+    save_field(field, tmp_path / "field.npz")
+    with np.load(tmp_path / "field.npz") as data:
+        members = dict(data)
+    if spoil == "no-header":
+        del members["header"]
+    elif spoil == "header-not-json":
+        members["header"] = np.frombuffer(b"{basis", dtype=np.uint8)
+    elif spoil == "wrong-shape":
+        members["level_1"] = members["level_1"][:, :, :1]
+    else:
+        header = json.loads(bytes(members.pop("header")).decode())
+        header["levels"] = header["levels"][:-1]
+        del members[f"level_{field.J}"]
+        members["header"] = np.frombuffer(json.dumps(header).encode(), np.uint8)
+    bad = tmp_path / "bad.npz"
+    np.savez(bad, **members)
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{bad}: not a saved coefficient field")):
+        load_field(bad, cube)
 
 
 def test_field_structure(cube, haar):
