@@ -7,17 +7,14 @@ from .surface import (ConeFace, Patch, PolyhedralSurface, ResolutionOfUnity,
                       SurfaceError, fichera_corner, load_surface,
                       quasi_random_points, surface_text, unit_cube)
 from .wavelets import (BasisSpec, CoefficientField, WaveletIndex, analyze,
-                       basis_inner_product, classify_index, classify_level,
-                       dual_l2_norm, empty_field, haar_basis, level_size,
-                       load_field, moment_check, multiwavelet_basis,
+                       classify_index, classify_level, empty_field, haar_basis,
+                       level_size, load_field, moment_check, multiwavelet_basis,
                        save_field, support_of, synthesize, synthesize_params)
 from .spaces import (BesovSpec, adaptivity_tau, admissible, besov_level_terms,
                      besov_norm, coarse_lp_norm, critical_line_spec,
-                     embedding_predicate, interpolation_params,
-                     on_critical_line, seq_norm, sobolev_norm)
-from .weighted import (AnalyticModel, ConstantModel, EdgePowerModel,
-                       FiniteDifferenceHandle, VertexPowerModel,
-                       WeightedNormDivergence, WeightedSpec, delta_weighted_norm,
+                     embedding_predicate, on_critical_line, seq_norm)
+from .weighted import (ConstantModel, EdgePowerModel, FiniteDifferenceHandle,
+                       VertexPowerModel, WeightedNormDivergence, WeightedSpec,
                        partition_face_derivs, sector_q, weighted_sobolev_norm)
 from .approx import (GrowthReport, NTermPlan, RateReport, UniformApprox,
                      alpha_star, assess_growth, best_n_term,

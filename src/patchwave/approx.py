@@ -15,6 +15,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from ._gauss import unit_rule
 from .spaces import BesovSpec, admissible, besov_norm, embedding_predicate
 from .surface import PolyhedralSurface
 from .wavelets import (BasisSpec, CoefficientField, WaveletIndex, _zero_arrays,
@@ -365,8 +366,6 @@ def whitney_check(f: Callable, Q: tuple[float, float, float], k: int,
     ||f - P||_{L2(Q)} / (|Q|^{k/2} |f|_{W^k(L2(Q))}), or exactly 0.0 when
     the numerator is at roundoff level (polynomial reproduction).
     """
-    from ._gauss import unit_rule
-
     if k < 1:
         raise ValueError("k must be >= 1")
     x0, y0, edge = Q

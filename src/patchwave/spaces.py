@@ -11,7 +11,6 @@ thresholding work in that regime.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,10 +27,8 @@ __all__ = [
     "besov_norm",
     "besov_level_terms",
     "seq_norm",
-    "sobolev_norm",
     "coarse_lp_norm",
     "embedding_predicate",
-    "interpolation_params",
 ]
 
 _TOL = 1e-12
@@ -184,27 +181,6 @@ def seq_norm(field: CoefficientField, spec: BesovSpec, J: int | None = None) -> 
     return _lq_combine(terms, spec.q)
 
 
-def sobolev_norm(field: CoefficientField, s: float,
-                 J: int | None = None, quad_order: int = 8) -> float:
-    """L2-scale norm of order s: coarse L2 plus (sum_j 4^{sj} sum |c|^2)^{1/2}.
-
-    The coefficient characterization is validated for |s| < 1/2 on these
-    surfaces; outside that range a warning is emitted and the value returned
-    is the same formula, to be read as a diagnostic only.
-    """
-    if abs(s) >= 0.5:
-        warnings.warn(
-            f"order s={s} outside the validated range |s| < 1/2; value is formal",
-            UserWarning, stacklevel=2)
-    total = 0.0
-    for j in field.level_range():
-        if J is not None and j > J:
-            break
-        arr = field.levels[j]
-        total += 4.0 ** (s * j) * float((np.abs(arr) ** 2).sum())
-    return coarse_lp_norm(field, 2.0, quad_order=quad_order) + math.sqrt(total)
-
-
 def embedding_predicate(src: BesovSpec, dst: BesovSpec, tol: float = _TOL) -> bool:
     """Continuous embedding of the src scale into the dst scale.
 
@@ -220,17 +196,3 @@ def embedding_predicate(src: BesovSpec, dst: BesovSpec, tol: float = _TOL) -> bo
         return src.q <= dst.q + tol
     return False
 
-
-def interpolation_params(a: BesovSpec, b: BesovSpec, theta: float) -> BesovSpec:
-    """Exact interpolation space between two scales: componentwise convex
-    combination of (alpha, 1/p, 1/q) with parameter theta in (0, 1)."""
-    if not (0.0 < theta < 1.0):
-        raise ValueError("theta must lie strictly between 0 and 1")
-    if math.isinf(a.q) and math.isinf(b.q):
-        raise ValueError("at least one endpoint must have q < inf")
-    alpha = (1 - theta) * a.alpha + theta * b.alpha
-    ip = (1 - theta) * a.inv_p + theta * b.inv_p
-    iq = (1 - theta) * a.inv_q + theta * b.inv_q
-    p = math.inf if ip == 0.0 else 1.0 / ip
-    q = math.inf if iq == 0.0 else 1.0 / iq
-    return BesovSpec(alpha=alpha, p=p, q=q)

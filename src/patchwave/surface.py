@@ -513,7 +513,7 @@ class ResolutionOfUnity:
 
     def _validate(self, clear):
         surf = self.surface
-        tol = 1e-12 * max(1.0, surf.min_edge)
+        tol = 1e-12 * surf.min_edge
         if np.any(self.r0 <= 0) or np.any(self.r1 <= self.r0):
             raise SurfaceError("resolution radii must satisfy 0 < r0 < r1")
         # (U1): supports keep clearance C1 from every non-incident patch

@@ -38,8 +38,6 @@ __all__ = [
     "classify_level",
     "moment_check",
     "support_of",
-    "basis_inner_product",
-    "dual_l2_norm",
     "level_size",
     "save_field",
     "load_field",
@@ -508,7 +506,7 @@ def classify_level(surface: PolyhedralSurface, basis: BasisSpec, j: int):
     return masks
 
 
-# -- inner products and moments -------------------------------------------------
+# -- dual moments ---------------------------------------------------------------
 
 def _factor_values(basis: BasisSpec, j: int, k, m: int, wavelet: bool, x):
     """1-D factor at parameter points x: component m of the wavelet (or
@@ -520,43 +518,6 @@ def _factor_values(basis: BasisSpec, j: int, k, m: int, wavelet: bool, x):
     vals = fam.wavelet(m, np.clip(local, 0.0, 1.0)) if wavelet \
         else fam.scaling(m, np.clip(local, 0.0, 1.0))
     return np.where(inside, vals, 0.0) * sqrt(2.0) ** j
-
-
-def _index_values(basis: BasisSpec, idx: WaveletIndex, x, dim: int):
-    """1-D factor values of a basis function at parameter points x."""
-    j = basis.j_star if idx.etype == 0 else idx.level
-    if dim == 0:
-        return _factor_values(basis, j, idx.k1, idx.m1, idx.etype in (1, 3), x)
-    return _factor_values(basis, j, idx.k2, idx.m2, idx.etype in (2, 3), x)
-
-
-def basis_inner_product(surface: PolyhedralSurface, basis: BasisSpec,
-                        a: WaveletIndex, b: WaveletIndex) -> float:
-    """Parametric inner product of two basis functions (exact quadrature)."""
-    if a.patch != b.patch:
-        return 0.0
-    ja = basis.j_star if a.etype == 0 else a.level
-    jb = basis.j_star if b.etype == 0 else b.level
-    lev = max(ja, jb) + 1
-    x, w = _ref_nodes(basis, 1 << lev)
-    fa_s = _index_values(basis, a, x, 0)
-    fb_s = _index_values(basis, b, x, 0)
-    fa_t = _index_values(basis, a, x, 1)
-    fb_t = _index_values(basis, b, x, 1)
-    return float((w * fa_s * fb_s).sum() * (w * fa_t * fb_t).sum())
-
-
-def dual_l2_norm(surface: PolyhedralSurface, basis: BasisSpec,
-                 idx: WaveletIndex) -> float:
-    """True L2(surface) norm of the (self-dual) basis function."""
-    patch = surface.patches[idx.patch]
-    j = basis.j_star if idx.etype == 0 else idx.level
-    x, w = _ref_nodes(basis, 1 << (j + 1))
-    S, T = np.meshgrid(x, x, indexing="ij")
-    vals = _index_values(basis, idx, S, 0) * _index_values(basis, idx, T, 1)
-    jac = patch.jacobian_det(S.ravel(), T.ravel()).reshape(S.shape)
-    W = np.outer(w, w)
-    return float(np.sqrt(np.sum(W * vals ** 2 * jac)))
 
 
 def _horner(c, x):

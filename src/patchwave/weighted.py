@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from math import comb, pi
+from math import comb
 
 import numpy as np
 
@@ -41,11 +41,9 @@ __all__ = [
     "WeightedNormDivergence",
     "VertexPowerModel",
     "EdgePowerModel",
-    "AnalyticModel",
     "ConstantModel",
     "FiniteDifferenceHandle",
     "weighted_sobolev_norm",
-    "delta_weighted_norm",
     "sector_q",
 ]
 
@@ -295,33 +293,6 @@ class EdgePowerModel(_FaceHandleBase):
         off = np.all([v == 0.0 for v in ann.values()], axis=0)
         return {ab: np.where(off, 0.0, v)
                 for ab, v in _leibniz(line, ann, upto=2).items()}
-
-
-class AnalyticModel(_FaceHandleBase):
-    """Wraps value/gradient/Hessian callables on 3D points into a face handle."""
-
-    def __init__(self, surface, func, grad, hess=None):
-        super().__init__(surface)
-        self.func = func
-        self.grad = grad
-        self.hess = hess
-
-    def __call__(self, pts):
-        return np.asarray(self.func(np.atleast_2d(np.asarray(pts, dtype=float))))
-
-    def plane_derivs(self, pts, e1, e2):
-        vals = np.asarray(self.func(pts))
-        G = np.asarray(self.grad(pts))                 # (N, 3)
-        out = {(0, 0): vals, (1, 0): G @ e1, (0, 1): G @ e2}
-        if self.hess is not None:
-            H = np.asarray(self.hess(pts))             # (N, 3, 3)
-            out[(2, 0)] = np.einsum("nij,i,j->n", H, e1, e1)
-            out[(1, 1)] = np.einsum("nij,i,j->n", H, e1, e2)
-            out[(0, 2)] = np.einsum("nij,i,j->n", H, e2, e2)
-        else:
-            z = np.zeros_like(vals)
-            out[(2, 0)] = out[(1, 1)] = out[(0, 2)] = z
-        return out
 
 
 class ConstantModel(_FaceHandleBase):
@@ -627,21 +598,3 @@ def _norm_terms(handle, surface, resolution, spec, *, depth, quad_order,
             for (n, t), values in zip(jobs, _map(run, jobs, workers))
             for term, value in values.items()}
 
-
-def delta_weighted_norm(handle, surface: PolyhedralSurface,
-                        resolution: ResolutionOfUnity, spec: WeightedSpec,
-                        vertex: int, *, depth: int = 32,
-                        quad_order: int = 8) -> float:
-    """Sum over faces of ||min(C2, ray distance)^(k-rho) D^a (phi_n u)||_L2,
-    |a| <= k, in Cartesian in-plane derivatives: the flattened-weight side of
-    the comparison inequality against the weighted norm."""
-    total = 0.0
-    for t, face in enumerate(surface.cone_faces(vertex)):
-        cart, R, _, q, shells = _face_table(handle, surface, resolution, spec.k,
-                                            vertex, t, depth, quad_order)
-        Wd = np.minimum(resolution.C2,
-                        R * np.sin(np.minimum(q, pi / 2.0))) ** (spec.k - spec.rho)
-        for term in sorted(cart):
-            sums = shells(np.abs(Wd * cart[term]) ** 2)
-            total += np.sqrt(_converged(sums, vertex, face.patch, term))
-    return total

@@ -294,6 +294,14 @@ def _moved_cube(s=1.0):
     return load_surface(desc)
 
 
+def _rotation(q):
+    """The proper rotation of the quaternion q (normalised here)."""
+    w, x, y, z = np.asarray(q) / np.linalg.norm(q)
+    return np.array([[1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+                     [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+                     [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]])
+
+
 def _frustum():
     """A square frustum: its four sides are planar trapezoids, whose charts
     have a bilinear term."""
@@ -358,6 +366,31 @@ def test_touching_tolerances_scale_with_the_surface(systems):
     unit = systems[2].A
     assert float(np.abs(big.A / s ** 2 - unit).max()) < 1e-12 * float(
         np.abs(unit).max())
+
+
+@functools.cache
+def _unit_frame(name, L):
+    surface = {"cube": lambda: load_surface(unit_cube()),
+               "fichera": lambda: load_surface(fichera_corner()),
+               "prism": _prism}[name]()
+    return surface, assemble(surface, L).A
+
+
+@pytest.mark.parametrize("name, L", [("cube", 3), ("fichera", 2), ("prism", 3)])
+@settings(max_examples=3)
+@given(q=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+       shift=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),
+       log_s=st.floats(-3.0, 3.0))
+def test_A_is_invariant_under_rotation_translation_and_scaling(name, L, q,
+                                                               shift, log_s):
+    assume(np.linalg.norm(q) > 0.1)
+    surface, unit = _unit_frame(name, L)
+    s = 10.0 ** log_s
+    moved = load_surface({
+        "vertices": ((surface.vertices @ _rotation(q).T + shift) * s).tolist(),
+        "patches": [list(p.corner_ids) for p in surface.patches]})
+    A = assemble(moved, L).A / s ** 2
+    assert float(np.abs(A - unit).max()) <= 1e-13 * float(np.abs(unit).max())
 
 
 def _skewed(rule):

@@ -19,7 +19,7 @@ from patchwave.cli import (
     config_from_file,
     config_hash,
 )
-from test_weighted import _nan_near_vertex_0
+from test_weighted import _NanNearVertex0
 
 
 def _write(tmp_path, name, doc):
@@ -634,7 +634,7 @@ def test_divergent_norm_is_a_cli_error(tmp_path, capsys):
 
 def test_non_finite_norm_is_a_cli_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "_model_from",
-                        lambda model, surface, chk: _nan_near_vertex_0(surface))
+                        lambda model, surface, chk: _NanNearVertex0(surface))
     argv = ["embed-check", "--model", "vertex", "-J", "2",
             "--output-dir", str(tmp_path)]
     assert cli.main(argv) == 1

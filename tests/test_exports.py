@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -38,3 +39,33 @@ def test_every_module_level_import_is_used(path):
     unused = sorted(f"{name} (line {line})" for name, line in imported.items()
                     if name not in used | exported)
     assert not unused, f"{path.name} imports but never uses {unused}"
+
+
+# exported classes and functions that no library module, benchmark study or
+# acceptance criterion calls, each kept on purpose
+_KEPT_WITHOUT_CALLER = {
+    "FiniteDifferenceHandle": "the only way a user's own function reaches the weighted norm",
+    "classify_index": "the per-cell witness that the level mask is tested against",
+    "synthesize": "evaluates a field at 3-D surface points",
+}
+
+
+def test_every_exported_name_has_a_caller_or_a_reason():
+    root = Path(__file__).resolve().parents[1]
+    callers = ([p for p in sorted(Path(patchwave.__file__).parent.glob("*.py"))
+                if p.name != "__init__.py"]
+               + sorted((root / "perfbench").glob("*.py"))
+               + [root / "tests" / "test_acceptance.py"])
+    referenced = set()
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    api = {name for name in patchwave.__all__
+           if inspect.isclass(getattr(patchwave, name))
+           or inspect.isfunction(getattr(patchwave, name))}
+    uncalled = sorted(api - referenced)
+    assert uncalled == sorted(_KEPT_WITHOUT_CALLER), (
+        f"exported without a caller: {uncalled}; delete them or give a reason")

@@ -13,10 +13,8 @@ from patchwave import (
     coarse_lp_norm,
     critical_line_spec,
     embedding_predicate,
-    interpolation_params,
     on_critical_line,
     seq_norm,
-    sobolev_norm,
     synth_field,
 )
 
@@ -107,16 +105,15 @@ def test_coarse_lp_norm_of_constant(cube, haar):
 
 
 def test_sobolev_norm_weighting(cube, haar):
+    # on the Hilbert line p = q = 2 the scale is the Sobolev scale H^s
     field = synth_field(cube, haar, "random_besov", 3,
                         spec=BesovSpec(1.0, 2.0, 2.0), seed=9)
     coarse_part = coarse_lp_norm(field, 2.0)
     for s in (0.0, 0.25):
         detail = math.fsum(4.0 ** (s * j) * float((field.level(j) ** 2).sum())
                            for j in field.level_range())
-        assert sobolev_norm(field, s) == pytest.approx(
+        assert besov_norm(field, BesovSpec(s, 2.0, 2.0)) == pytest.approx(
             coarse_part + math.sqrt(detail), rel=1e-12)
-    with pytest.warns(UserWarning, match="validated range"):
-        sobolev_norm(field, 0.6)
 
 
 def test_norm_rejects_inadmissible(cube, haar):
@@ -131,17 +128,3 @@ def test_embedding_predicate():
     assert not embedding_predicate(BesovSpec(1.5, 1.0, 1.0), BesovSpec(0.9, 2.0, 2.0))
     assert embedding_predicate(BesovSpec(1.5, 2.0, 2.0), BesovSpec(1.0, 2.0, 2.0))
     assert not embedding_predicate(BesovSpec(1.0, 2.0, 2.0), BesovSpec(1.5, 2.0, 2.0))
-
-
-def test_interpolation_params():
-    a = BesovSpec(2.0, 1.0, 1.0)
-    b = BesovSpec(1.0, 2.0, 2.0)
-    mid = interpolation_params(a, b, 0.5)
-    assert mid.alpha == pytest.approx(1.5)
-    assert mid.inv_p == pytest.approx(0.75)
-    assert mid.inv_q == pytest.approx(0.75)
-    near_a = interpolation_params(a, b, 1e-9)
-    assert near_a.alpha == pytest.approx(a.alpha, rel=1e-6)
-    for theta in (0.0, 1.0, -0.2, 1.2):
-        with pytest.raises(ValueError):
-            interpolation_params(a, b, theta)

@@ -3,10 +3,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from patchwave import (
-    ConstantModel,
     SurfaceError,
-    WeightedSpec,
-    delta_weighted_norm,
     fichera_corner,
     load_surface,
     quasi_random_points,
@@ -14,7 +11,7 @@ from patchwave import (
     unit_cube,
 )
 from patchwave.surface import ResolutionOfUnity, points_quad_distance, quad_edge_distance
-from test_bem import _frustum, _moved_cube, point_quad_distance
+from test_bem import _frustum, _moved_cube, _rotation, point_quad_distance
 
 
 def _volume(surface):
@@ -133,10 +130,7 @@ def test_partition_examples(cube, rou):
     lambda cube, rou: cube.cone_faces(1.5),
     lambda cube, rou: cube.cone_faces(True),
     lambda cube, rou: rou.eval(-1, cube.vertices[7]),
-    lambda cube, rou: delta_weighted_norm(ConstantModel(cube, 1.0), cube, rou,
-                                          WeightedSpec(1, 0.5), vertex=99),
-], ids=["cone-faces-99", "cone-faces-1.5", "cone-faces-true", "eval-minus-1",
-        "delta-norm-99"])
+], ids=["cone-faces-99", "cone-faces-1.5", "cone-faces-true", "eval-minus-1"])
 def test_vertex_queries_reject_bad_ids(cube, rou, query):
     # these used to raise a raw KeyError, or to read 1.5 and True as vertex 1
     # and -1 as vertex 7
@@ -274,13 +268,6 @@ def _surface(name):
             "moved_cube": _moved_cube, "frustum": _frustum}[name]()
 
 
-def _rotation(q):
-    w, x, y, z = np.asarray(q) / np.linalg.norm(q)
-    return np.array([[1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-                     [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-                     [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]])
-
-
 def test_inside_test_is_in_patch_units():
     # 0.5% of an edge outside a side and 0.1% of one above the plane: at
     # scale 1e-6 an absolute tolerance took the point as inside and returned
@@ -342,3 +329,18 @@ def test_resolution_radii_equal_the_scalar_clearances(name):
     r0 = np.minimum(rou.C1, 0.5 * r1)
     assert np.array_equal(rou.r1.view(np.int64), r1.view(np.int64))
     assert np.array_equal(rou.r0.view(np.int64), r0.view(np.int64))
+
+
+@pytest.mark.parametrize("s", [1e-6, 1.0, 1e6])
+def test_resolution_tolerance_is_in_surface_units(s):
+    # r1 lies 5e-7 edge lengths past the clearance condition; with the
+    # tolerance 1e-12 max(1, min_edge) the small cube accepted it
+    desc = unit_cube()
+    desc["vertices"] = (np.array(desc["vertices"]) * s).tolist()
+    surface = load_surface(desc)
+    rou = ResolutionOfUnity(surface)
+    C1 = surface.min_edge / 8.0
+    assert rou.C1 == C1
+    r1 = rou._clearances() - C1 + 5e-7 * surface.min_edge
+    with pytest.raises(SurfaceError, match="violates the clearance condition"):
+        ResolutionOfUnity(surface, C1=C1, r1=r1)

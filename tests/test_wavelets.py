@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import tracemalloc
@@ -13,10 +14,8 @@ from patchwave import (
     VertexPowerModel,
     WaveletIndex,
     analyze,
-    basis_inner_product,
     classify_index,
     classify_level,
-    dual_l2_norm,
     empty_field,
     fichera_corner,
     haar_basis,
@@ -69,25 +68,36 @@ def test_level_size(basis):
         assert level_size(basis, j, 6) == 6 * 3 * 4 ** j * r * r
 
 
-def test_orthonormality(cube, basis, rng):
-    j0 = basis.j_star
-    r = basis.d
+def test_orthonormality(cube, basis):
+    # analysis of one basis function gives its unit field back: it has norm
+    # one and is orthogonal to every other index up to level J (the cube's
+    # charts are isometric, so this holds on the geometric surface too)
+    j0, r = basis.j_star, basis.d
+    J = j0 + 1
     idxs = [
         WaveletIndex(j0, 0, 0, 0, 0, 0, 0),
         WaveletIndex(j0, 0, 1, 0, 0, r - 1, 0),
         WaveletIndex(j0, 0, 2, 0, 0, 0, r - 1),
         WaveletIndex(j0, 0, 3, 0, 0, r - 1, r - 1),
-        WaveletIndex(j0 + 1, 0, 1, 1, 0, 0, 0),
-        WaveletIndex(j0 + 1, 0, 3, 0, 1, 0, 0),
+        WaveletIndex(J, 0, 1, 1, 0, 0, 0),
+        WaveletIndex(J, 0, 3, 0, 1, 0, 0),
     ]
-    for a in idxs:
-        for b in idxs:
-            expect = 1.0 if a == b else 0.0
-            got = basis_inner_product(cube, basis, a, b)
-            assert got == pytest.approx(expect, abs=1e-12)
-    # the self-dual system is L2-normalized on the geometric surface too
-    assert dual_l2_norm(cube, basis, idxs[0]) == pytest.approx(1.0, abs=1e-12)
-    assert dual_l2_norm(cube, basis, idxs[4]) == pytest.approx(1.0, abs=1e-12)
+    for patch in (0, 3, 5):
+        for idx in idxs:
+            coarse, levels = wavelets._zero_arrays(basis, cube.n_patches, J)
+            idx = dataclasses.replace(idx, patch=patch)
+            if idx.etype == 0:
+                coarse[patch, idx.k1, idx.k2, idx.m1, idx.m2] = 1.0
+            else:
+                levels[idx.level][patch, idx.etype - 1, idx.k1, idx.k2,
+                                  idx.m1, idx.m2] = 1.0
+            unit = wavelets.CoefficientField(basis, J, cube.n_patches, coarse,
+                                             levels, cube)
+            back = analyze(cube, _FieldSampler(unit), basis, J,
+                           min_cell_level=J + 1)
+            assert np.abs(back.coarse - unit.coarse).max() <= 1e-12
+            for j in unit.level_range():
+                assert np.abs(back.level(j) - unit.level(j)).max() <= 1e-12
 
 
 def test_analyze_synthesize_roundtrip(cube, basis):

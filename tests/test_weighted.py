@@ -7,7 +7,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from patchwave import (
-    AnalyticModel,
     ConstantModel,
     EdgePowerModel,
     FiniteDifferenceHandle,
@@ -15,7 +14,6 @@ from patchwave import (
     WeightedNormDivergence,
     WeightedSpec,
     ResolutionOfUnity,
-    delta_weighted_norm,
     fichera_corner,
     load_surface,
     partition_face_derivs,
@@ -152,20 +150,13 @@ def test_models_reject_foreign_vertices(cube):
 
 
 def test_analytic_vs_finite_difference(cube):
-    func = lambda p: np.sin(p[:, 0] + 2 * p[:, 1]) * np.exp(p[:, 2])  # noqa: E731
-
-    def grad(p):
-        g = np.empty_like(p)
-        g[:, 0] = np.cos(p[:, 0] + 2 * p[:, 1]) * np.exp(p[:, 2])
-        g[:, 1] = 2 * np.cos(p[:, 0] + 2 * p[:, 1]) * np.exp(p[:, 2])
-        g[:, 2] = np.sin(p[:, 0] + 2 * p[:, 1]) * np.exp(p[:, 2])
-        return g
-
-    exact = AnalyticModel(cube, func, grad)
-    fd = FiniteDifferenceHandle(cube, func)
-    Y = np.array([[0.3, 0.2], [0.6, 0.45], [0.1, 0.8]])
-    for n, t in ((0, 0), (3, 1)):
-        de = exact.face_derivs(n, t, Y, upto=1)
+    # the vertex model's analytic table inside its cutoff band, where every
+    # factor of u varies
+    model = VertexPowerModel(cube, 0, 0.6)
+    fd = FiniteDifferenceHandle(cube, model)
+    Y = np.array([[0.3, 0.2], [0.25, 0.3], [0.2, 0.35]])
+    for n, t in ((0, 0), (0, 2)):
+        de = model.face_derivs(n, t, Y, upto=1)
         dn = fd.face_derivs(n, t, Y, upto=1)
         for key in ((0, 0), (1, 0), (0, 1)):
             assert np.allclose(dn[key], de[key], rtol=1e-6, atol=1e-8)
@@ -242,17 +233,8 @@ def test_depth_must_exceed_the_divergence_window(cube, rou, depth):
     spec = WeightedSpec(1, 0.9)
     with pytest.raises(ValueError, match="depth must exceed the 5-shell"):
         weighted_sobolev_norm(handle, cube, rou, spec, depth=depth)
-    with pytest.raises(ValueError, match="depth must exceed the 5-shell"):
-        delta_weighted_norm(handle, cube, rou, spec, 0, depth=depth)
     with pytest.raises(WeightedNormDivergence):
         weighted_sobolev_norm(handle, cube, rou, spec, depth=6, quad_order=4)
-
-
-def test_delta_weighted_norm_runs(cube, rou):
-    handle = ConstantModel(cube, 1.0)
-    value = delta_weighted_norm(handle, cube, rou, WeightedSpec(1, 0.5), 0,
-                                depth=16, quad_order=4)
-    assert np.isfinite(value) and value > 0.0
 
 
 def test_workers_do_not_change_the_norm(cube, rou):
@@ -315,7 +297,6 @@ def test_the_norm_on_the_support_is_bitwise_the_full_mesh(name, edge, k,
                                data.draw(st.floats(0.1, 1.0)),
                                band=(lo, lo + data.draw(frac) * h / 2),
                                width=data.draw(frac) * h / 8)
-        vertex = ids[j]
     else:
         cut0 = data.draw(frac) * h / 2
         vertex = data.draw(st.integers(0, surface.n_vertices - 1))
@@ -326,10 +307,6 @@ def test_the_norm_on_the_support_is_bitwise_the_full_mesh(name, edge, k,
                      workers=workers, **FAST)
             == _outcome(weighted._norm_terms, _NoSupport(model), surface,
                         rou, spec, workers=1, **FAST))
-    assert (_outcome(delta_weighted_norm, model, surface, rou, spec,
-                     vertex, **FAST)
-            == _outcome(delta_weighted_norm, _NoSupport(model), surface,
-                        rou, spec, vertex, **FAST))
 
 
 def test_face_derivs_only_where_the_support_ball_reaches(cube, rou,
@@ -386,10 +363,8 @@ def test_face_block_size_changes_no_bit(name, case, monkeypatch):
         spec = WeightedSpec(2, 1.2)
 
     def outcome():
-        return (_outcome(weighted._norm_terms, handle, surface, rou, spec,
-                         workers=2, **mesh),
-                _outcome(delta_weighted_norm, handle, surface, rou, spec, 0,
-                         **mesh))
+        return _outcome(weighted._norm_terms, handle, surface, rou, spec,
+                        workers=2, **mesh)
 
     want = outcome()
     for block in (1, 1 << 30):
@@ -446,19 +421,25 @@ def test_edge_norm_is_finite_on_the_fichera_corner(cube, fichera):
     assert np.isfinite(value) and value == pytest.approx(want, rel=1e-12)
 
 
-def _nan_near_vertex_0(surface):
-    v = surface.vertices[0]
-    return AnalyticModel(
-        surface,
-        lambda pts: np.where(np.linalg.norm(pts - v, axis=-1) < 0.1, np.nan, 0.0),
-        lambda pts: np.zeros((len(pts), 3)))
+class _NanNearVertex0(weighted._FaceHandleBase):
+    """NaN within 0.1 of vertex 0, zero elsewhere, with zero derivatives."""
+
+    def __call__(self, pts):
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        near = np.linalg.norm(pts - self.surface.vertices[0], axis=-1) < 0.1
+        return np.where(near, np.nan, 0.0)
+
+    def plane_derivs(self, pts, e1, e2):
+        z = np.zeros(len(pts))
+        return {(0, 0): self(pts), (1, 0): z, (0, 1): z,
+                (2, 0): z, (1, 1): z, (0, 2): z}
 
 
 def test_a_nan_in_a_sector_is_a_value_error(cube, rou):
     patch = cube.cone_faces(0)[0].patch
     with pytest.raises(ValueError, match=f"not finite at vertex 0, face patch "
                                          rf"{patch}, derivative term \(0, 0\)"):
-        weighted_sobolev_norm(_nan_near_vertex_0(cube), cube, rou,
+        weighted_sobolev_norm(_NanNearVertex0(cube), cube, rou,
                               WeightedSpec(1, 0.5), **FAST)
 
 
