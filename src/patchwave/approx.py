@@ -16,7 +16,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._gauss import unit_rule
-from .spaces import BesovSpec, admissible, besov_norm, embedding_predicate
+from .spaces import (BesovSpec, _finite_sum, admissible, besov_norm,
+                     embedding_predicate)
 from .surface import PolyhedralSurface
 from .wavelets import (BasisSpec, CoefficientField, WaveletIndex, _zero_arrays,
                        classify_level, level_size)
@@ -104,14 +105,31 @@ class NTermPlan:
 
 
 def n_term_plan(field: CoefficientField, target: BesovSpec) -> NTermPlan:
-    """Sort all wavelet coefficients of ``field`` by target-weighted modulus."""
+    """Sort all wavelet coefficients of ``field`` by target-weighted modulus.
+
+    ValueError, naming the level, if a weight or the sum of their p-th
+    powers is not finite.
+    """
     _require_sequence_target(target)
     w, _ = _index_weights(field, target)
     # primary: weight descending; ties: level, then flat position ascending,
-    # which is the order of w, so a stable sort keeps it
-    w = w[np.argsort(-w, kind="stable")]
+    # which is the order of w, so a stable sort of -w keeps it. Negation is
+    # exact: the sorted values are those of w[argsort(-w, kind="stable")]
+    np.negative(w, out=w)
+    w.sort(kind="stable")
+    np.negative(w, out=w)
     tail = np.zeros(len(w) + 1)
-    tail[:-1] = np.cumsum((w ** target.p)[::-1])[::-1]
+    wp = tail[:-1]
+    wp[...] = w
+    wp **= target.p
+    rev = tail[-2::-1]
+    np.cumsum(rev, out=rev)
+    if not math.isfinite(tail[0]):
+        # name the first level whose own sum is not finite
+        e = target.weight_exponent()
+        for j in field.level_range():
+            _level_sum(field, j, 2.0 ** (j * e), target.p)
+        _finite_sum(float(tail[0]), "all levels")
     return NTermPlan(target=target, field=field, weights=w, tail_p=tail)
 
 
@@ -150,9 +168,17 @@ def uniform_approx(field: CoefficientField, target: BesovSpec,
         if j <= J_keep:
             n_eff += level_size(field.basis, j, field.n_patches)
         else:
-            w = (2.0 ** (j * e)) * np.abs(field.level(j)).ravel()
-            total += float((w ** p).sum())
+            total += _level_sum(field, j, 2.0 ** (j * e), p)
     return UniformApprox(total ** (1.0 / p), n_eff)
+
+
+def _level_sum(field: CoefficientField, j: int, scale: float,
+               p: float) -> float:
+    """sum (scale |c|)^p over level j, or ValueError if it is not finite."""
+    w = np.abs(field.level(j)).ravel()
+    w *= scale
+    w **= p
+    return _finite_sum(float(w.sum()), f"level {j}")
 
 
 # -- predicted exponents ---------------------------------------------------------
@@ -206,15 +232,18 @@ def gamma_star(s: float, s_prime: float, p: float, alpha_star: float,
 def _level_class_sum(field: CoefficientField, j: int, tau: float,
                      kinds: str) -> float:
     """sum |c|^tau over the wavelet indices of one level, filtered by class."""
-    lev = field.level(j)
     if kinds == "all":
-        sel = np.abs(lev)
+        sel = np.abs(field.level(j))
     else:
+        # the mask before |c|: building it (once per level) is the larger
+        # transient
         interior = classify_level(field.surface, field.basis, j)
         mask = interior if kinds == "interior" else ~interior
+        sel = np.abs(field.level(j))
         # broadcast the per-cell mask over type and component axes
-        sel = np.abs(lev) * mask[:, None, :, :, None, None]
-    return float((sel ** tau).sum())
+        sel *= mask[:, None, :, :, None, None]
+    sel **= tau
+    return _finite_sum(float(sel.sum()), f"level {j}")
 
 
 def level_tail_sums(field: CoefficientField, tau: float,

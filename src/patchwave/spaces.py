@@ -90,12 +90,23 @@ def admissible(spec: BesovSpec, tol: float = _TOL) -> bool:
     return True
 
 
-def _lp(arrays, p: float) -> float:
-    """l^p aggregate of the absolute values of a list of ndarrays."""
+def _finite_sum(total: float, block: str) -> float:
+    """`total`, a sum over the coefficients of `block`, or ValueError if it
+    is not finite."""
+    if not math.isfinite(total):
+        raise ValueError(f"the sum over {block} is not finite: a coefficient "
+                         "there is NaN or infinite, or the sum overflows")
+    return total
+
+
+def _lp(a, p: float, block: str) -> float:
+    """l^p norm of the absolute values of the coefficient array `a` of
+    `block`, or ValueError if it is not finite."""
     if math.isinf(p):
-        return max((float(np.abs(a).max()) if a.size else 0.0) for a in arrays)
-    total = sum(float((np.abs(a) ** p).sum()) for a in arrays)
-    return total ** (1.0 / p)
+        return _finite_sum(float(np.abs(a).max()) if a.size else 0.0, block)
+    w = np.abs(a)
+    w **= p
+    return _finite_sum(float(w.sum()), block) ** (1.0 / p)
 
 
 def _lq_combine(terms, q: float) -> float:
@@ -139,12 +150,16 @@ def coarse_lp_norm(field: CoefficientField, p: float, quad_order: int = 8) -> fl
         Cg = C[np.ix_(k, k)]                                   # (N, N, r, r)
         vals = (1 << j0) * np.einsum("abmn,ma,nb->ab", Cg, sval, sval)
         if math.isinf(p):
-            best = max(best, float(np.abs(vals).max()))
+            # checked per patch: max(best, nan) would drop the nan
+            best = max(best, _finite_sum(float(np.abs(vals).max()),
+                                         "the generator block"))
         else:
             S, T = np.meshgrid(x, x, indexing="ij")
             jac = patch.jacobian_det(S.ravel(), T.ravel()).reshape(S.shape)
             total += float(np.sum(np.outer(w, w) * np.abs(vals) ** p * jac))
-    return best if math.isinf(p) else total ** (1.0 / p)
+    if math.isinf(p):
+        return best
+    return _finite_sum(total, "the generator block") ** (1.0 / p)
 
 
 def besov_level_terms(field: CoefficientField, spec: BesovSpec,
@@ -156,7 +171,7 @@ def besov_level_terms(field: CoefficientField, spec: BesovSpec,
         if J is not None and j > J:
             break
         arr = field.levels[j]
-        out[j] = 2.0 ** (j * e) * _lp([arr], spec.p)
+        out[j] = 2.0 ** (j * e) * _lp(arr, spec.p, f"level {j}")
     return out
 
 
@@ -176,7 +191,8 @@ def seq_norm(field: CoefficientField, spec: BesovSpec, J: int | None = None) -> 
     """Pure coefficient-space version: the generator block enters as a level-j*
     term (weight 2^{j* e}, l^p over its coefficients); no surface quadrature."""
     e = spec.weight_exponent()
-    terms = [2.0 ** (field.basis.j_star * e) * _lp([field.coarse], spec.p)]
+    terms = [2.0 ** (field.basis.j_star * e)
+             * _lp(field.coarse, spec.p, "the generator block")]
     terms.extend(besov_level_terms(field, spec, J=J).values())
     return _lq_combine(terms, spec.q)
 

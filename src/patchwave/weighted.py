@@ -173,7 +173,7 @@ class _FaceHandleBase:
     A model may declare a private support ball ``_support = (center, r)``.
     The contract: at distance >= r from the centre the model's value is
     exactly +0.0 and every derivative of it is exactly zero.
-    `wavelets._sample` and `_face_table` rely on the contract and evaluate
+    `wavelets._sample` and `_face_shells` rely on the contract and evaluate
     such a model only where the ball can reach.
     """
 
@@ -459,17 +459,15 @@ def _sector_mesh(r_max: float, gamma: float, depth: int, order: int):
     return (rn, rw, rl), (pn, pw, pl)
 
 
-# mesh points per block of `_face_table` (at least one row of the mesh)
+# mesh points per block of `_face_shells` (at least one row of the mesh)
 _FACE_BLOCK = 1 << 14
 
 
-def _face_table(handle, surface, resolution, k, n, t, depth, order):
-    """phi_n u on the graded sector mesh of cone face (n, t).
-
-    Returns its Cartesian derivative table to order k, the mesh's polar
-    coordinates R and PHI, the angle q to the nearest ray, and `shells(F)`:
-    the integral of F r dr dphi per refinement shell (the larger of the two
-    layer indices).
+def _face_shells(handle, surface, resolution, spec, n, t, depth, order):
+    """{term: the integral of |W d(phi_n u)|^2 r dr dphi per refinement
+    shell} on the graded sector mesh of cone face (n, t), for term (0, 0)
+    and each derivative term of `spec`. W is the term's weight (1 for
+    (0, 0)); a point's shell is the larger of its two layer indices.
 
     A handle with a support ball (see `_FaceHandleBase`) is evaluated only on
     the mesh rows whose radius the ball can reach, and a face with no such
@@ -477,16 +475,14 @@ def _face_table(handle, surface, resolution, k, n, t, depth, order):
     would add +0.0 to its shell, so the shell sums are bit for bit those of
     the full mesh.
 
-    The handle, the partition and the product rule run on blocks of whole
-    mesh rows, at most `_FACE_BLOCK` points a block unless one row holds
-    more, and each block is written into the full-face table. Every value
-    is computed point by point, so the table does not depend on the block
-    size; `shells` sums the full-face arrays in one `bincount`, because
-    summing per-block shell sums would round differently.
+    The handle, the partition, the product and chain rules and each term's
+    weighted square run on blocks of whole mesh rows, at most `_FACE_BLOCK`
+    points a block unless one row holds more, so no full-face table is
+    built. Each block's terms are added into the running shell sums with
+    `np.add.at`, point by point in row-major order: the additions of one
+    `bincount` over the full face, so the sums do not depend on the block
+    size. Summing per-block shell sums would round differently.
     """
-    if depth <= _WINDOW:
-        raise ValueError(f"depth must exceed the {_WINDOW}-shell divergence "
-                         f"window, got {depth}")
     face = surface.cone_faces(n)[t]
     (rn, rw, rl), (pn, pw, pl) = _sector_mesh(float(resolution.r1[n]),
                                               face.gamma, depth, order)
@@ -495,28 +491,59 @@ def _face_table(handle, surface, resolution, k, n, t, depth, order):
         lo, hi = face._ball_radii(*support)
         rows = (rn >= lo) & (rn <= hi)
         rn, rw, rl = rn[rows], rw[rows], rl[rows]
-    R, PHI = np.meshgrid(rn, pn, indexing="ij")
-    cart = {ab: np.zeros(R.shape) for ab in _TERMS if sum(ab) <= k}
+    sums = {term: np.zeros(depth) for term in [(0, 0)] + spec.derivative_terms()}
     step = max(1, _FACE_BLOCK // len(pn))
     for r0 in range(0, len(rn), step):
-        Rb, Pb = R[r0:r0 + step], PHI[r0:r0 + step]
-        Y = np.stack([(Rb * np.cos(Pb)).ravel(), (Rb * np.sin(Pb)).ravel()],
+        block = slice(r0, r0 + step)
+        R, PHI = np.meshgrid(rn[block], pn, indexing="ij")
+        Y = np.stack([(R * np.cos(PHI)).ravel(), (R * np.sin(PHI)).ravel()],
                      axis=1)
         pts = face.apex + Y[:, :1] * face.e1 + Y[:, 1:2] * face.e2
-        ud = handle.face_derivs(n, t, Y, upto=k)
+        ud = handle.face_derivs(n, t, Y, upto=spec.k)
         pd = partition_face_derivs(resolution, n, t, pts, face.e1, face.e2)
-        for ab, v in _leibniz(pd, ud, upto=k).items():
-            # a complex handle makes the table complex
-            cart[ab] = cart[ab].astype(np.result_type(cart[ab], v), copy=False)
-            cart[ab][r0:r0 + step] = np.reshape(v, Rb.shape)
-    weights = np.outer(rw, pw)
-    shell = np.maximum(rl[:, None], pl[None, :]).ravel()
+        cart = {ab: np.reshape(v, R.shape)
+                for ab, v in _leibniz(pd, ud, upto=spec.k).items()}
+        pol = _polar_derivs(cart, R, PHI, upto=spec.k)
+        # dropped now, not held through the next block's partition call. The
+        # rest of a block lives until the next block rebinds it: freeing a
+        # whole block at once let the allocator return its pages, and a
+        # fresh process faulted them in again every block (3x the faults)
+        del Y, pts, ud, pd, cart
+        q = sector_q(PHI, face.gamma)
+        weights = np.outer(rw[block], pw)
+        shell = np.maximum(rl[block, None], pl[None, :]).ravel()
+        for br, bp in sums:
+            W = 1.0 if br + bp == 0 else (R ** (br - spec.rho) * (1.0 + R) ** spec.rho
+                                          * q ** (br + bp - spec.rho))
+            F = np.abs(W * pol[(br, bp)]) ** 2
+            np.add.at(sums[(br, bp)], shell, (F * R * weights).ravel())
+    return sums
 
-    def shells(F):
-        return np.bincount(shell, weights=(F * R * weights).ravel(),
-                           minlength=depth)
 
-    return cart, R, PHI, sector_q(PHI, face.gamma), shells
+def _check_depth(surface, depth, order):
+    """ValueError unless `depth` exceeds the divergence window and every
+    angle node of every face's mesh lies strictly inside (0, gamma).
+
+    Deep enough, the nodes of the cells mirrored toward the ray at gamma
+    round onto it: there q = 0, and a negative power of q is infinite. The
+    mesh of a shallower depth is a prefix of the deeper one, so the first
+    layer holding such a node is the largest usable depth.
+    """
+    if depth <= _WINDOW:
+        raise ValueError(f"depth must exceed the {_WINDOW}-shell divergence "
+                         f"window, got {depth}")
+    usable = depth
+    for gamma in {face.gamma for n in range(surface.n_vertices)
+                  for face in surface.cone_faces(n)}:
+        # the angle nodes do not depend on the radius
+        _, (pn, _, pl) = _sector_mesh(1.0, gamma, depth, order)
+        on_ray = (pn <= 0.0) | (pn >= gamma)
+        if on_ray.any():
+            usable = min(usable, int(pl[on_ray].min()))
+    if usable < depth:
+        raise ValueError(f"depth {depth} puts angle nodes on a ray of a cone "
+                         f"face (q = 0); the largest usable depth at quad_order "
+                         f"{order} is {usable}")
 
 
 # a term diverges when each of its deepest _WINDOW shells grows its running
@@ -556,7 +583,8 @@ def weighted_sobolev_norm(handle, surface: PolyhedralSurface,
     per face and derivative pair. Raises WeightedNormDivergence when the
     deepest five refinement shells of any term all grow by more than 1%;
     convergent power-type tails fall under that rate well before `depth`
-    layers, divergent ones never do.
+    layers, divergent ones never do. A `depth` of at most 5, or one that puts
+    an angle node of some face's mesh onto a ray, is a ValueError.
     """
     _check_counts(workers=workers)
     terms = _norm_terms(handle, surface, resolution, spec, depth=depth,
@@ -577,19 +605,14 @@ def _norm_terms(handle, surface, resolution, spec, *, depth, quad_order,
                 workers):
     """{(vertex, face, term): squared weighted L2 norm} in vertex, face and
     term order; term (0, 0) is the face's share of the cone L2 norm."""
+    _check_depth(surface, depth, quad_order)
+
     def run(job):
         n, t = job
         patch = surface.cone_faces(n)[t].patch
-        cart, R, PHI, q, shells = _face_table(handle, surface, resolution,
-                                              spec.k, n, t, depth, quad_order)
-        pol = _polar_derivs(cart, R, PHI, upto=spec.k)
-        values = {}
-        for br, bp in [(0, 0)] + spec.derivative_terms():
-            W = 1.0 if br + bp == 0 else (R ** (br - spec.rho) * (1.0 + R) ** spec.rho
-                                          * q ** (br + bp - spec.rho))
-            values[(br, bp)] = _converged(shells(np.abs(W * pol[(br, bp)]) ** 2),
-                                          n, patch, (br, bp))
-        return values
+        return {term: _converged(sums, n, patch, term) for term, sums in
+                _face_shells(handle, surface, resolution, spec, n, t, depth,
+                             quad_order).items()}
 
     # a divergent term raises inside its job: the first one in job order
     jobs = [(n, t) for n in range(surface.n_vertices)

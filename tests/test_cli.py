@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from patchwave import cli, unit_cube
 from patchwave.cli import (
     ConfigError,
-    ExperimentConfig,
     canonical_config,
     config_from_dict,
     config_from_file,

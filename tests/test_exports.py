@@ -21,10 +21,15 @@ def test_every_exported_name_resolves(name):
     assert not missing, f"{name}.__all__ names undefined {missing}"
 
 
-@pytest.mark.parametrize("path", sorted(Path(patchwave.__file__).parent.glob("*.py")),
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("path", sorted(Path(patchwave.__file__).parent.glob("*.py"))
+                         + sorted((_ROOT / "tests").glob("*.py")),
                          ids=lambda p: p.name)
 def test_every_module_level_import_is_used(path):
-    # the project runs no linter; this stands in for its unused-import rule
+    # the project runs no linter; this stands in for its unused-import rule,
+    # over the library and its tests
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = {}
     for node in tree.body:
@@ -34,8 +39,10 @@ def test_every_module_level_import_is_used(path):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported.update({a.asname or a.name: node.lineno for a in node.names})
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    module = "patchwave" if path.stem == "__init__" else f"patchwave.{path.stem}"
-    exported = set(getattr(importlib.import_module(module), "__all__", []))
+    exported = set()
+    if path.parent.name == "patchwave":
+        module = "patchwave" if path.stem == "__init__" else f"patchwave.{path.stem}"
+        exported = set(getattr(importlib.import_module(module), "__all__", []))
     unused = sorted(f"{name} (line {line})" for name, line in imported.items()
                     if name not in used | exported)
     assert not unused, f"{path.name} imports but never uses {unused}"
@@ -51,11 +58,10 @@ _KEPT_WITHOUT_CALLER = {
 
 
 def test_every_exported_name_has_a_caller_or_a_reason():
-    root = Path(__file__).resolve().parents[1]
     callers = ([p for p in sorted(Path(patchwave.__file__).parent.glob("*.py"))
                 if p.name != "__init__.py"]
-               + sorted((root / "perfbench").glob("*.py"))
-               + [root / "tests" / "test_acceptance.py"])
+               + sorted((_ROOT / "perfbench").glob("*.py"))
+               + [_ROOT / "tests" / "test_acceptance.py"])
     referenced = set()
     for path in callers:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

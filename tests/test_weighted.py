@@ -1,4 +1,5 @@
 import functools
+import gc
 import tracemalloc
 import warnings
 
@@ -209,13 +210,13 @@ def test_divergence_stops_at_the_first_divergent_face(cube, rou, monkeypatch,
     # the norm of `embed-check --model vertex --beta=-0.3 --rho 0.9`: term
     # (1, 0) of the first face diverges, and a serial run computes no other
     faces = []
-    face_table = weighted._face_table
+    face_shells = weighted._face_shells
 
     def counted(*args):
         faces.append(args[4:6])
-        return face_table(*args)
+        return face_shells(*args)
 
-    monkeypatch.setattr(weighted, "_face_table", counted)
+    monkeypatch.setattr(weighted, "_face_shells", counted)
     handle = VertexPowerModel(cube, vertex=0, beta=-0.3)
     with pytest.raises(WeightedNormDivergence) as err:
         weighted_sobolev_norm(handle, cube, rou, WeightedSpec(1, 0.9),
@@ -235,6 +236,20 @@ def test_depth_must_exceed_the_divergence_window(cube, rou, depth):
         weighted_sobolev_norm(handle, cube, rou, spec, depth=depth)
     with pytest.raises(WeightedNormDivergence):
         weighted_sobolev_norm(handle, cube, rou, spec, depth=6, quad_order=4)
+
+
+def test_depth_must_keep_the_angle_nodes_off_the_rays(cube, rou):
+    # from depth 53 the nodes of the cells mirrored toward the ray at
+    # gamma = pi/2 round onto it (q = 0): q**(-0.2) warned from the pool and
+    # the norm raised "not finite" for a convergent norm
+    handle, spec = VertexPowerModel(cube, 0, 0.6), WeightedSpec(1, 1.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = weighted_sobolev_norm(handle, cube, rou, spec, depth=52)
+        with pytest.raises(ValueError, match="largest usable depth at "
+                                             "quad_order 8 is 52"):
+            weighted_sobolev_norm(handle, cube, rou, spec, depth=53)
+    assert value == pytest.approx(8.2970572068, abs=1e-10)
 
 
 def test_workers_do_not_change_the_norm(cube, rou):
@@ -407,6 +422,24 @@ def test_the_weighted_norm_runs_in_bounded_memory(cube, rou):
     finally:
         tracemalloc.stop()
     assert peak < 40e6
+
+
+@pytest.mark.parametrize("depth", [32, 48])
+def test_the_weighted_norm_streams_each_face(cube, rou, depth):
+    # the faces are reduced block by block, so the peak is some 46 arrays
+    # of one block (6.1 MB) whatever the depth; with full-face tables it
+    # was 14.4 MB at depth 32 and 32.7 MB at depth 48
+    model = VertexPowerModel(cube, 0, 0.6)
+    block = 8 * weighted._FACE_BLOCK
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        weighted_sobolev_norm(model, cube, rou, WeightedSpec(1, 1.2), depth=depth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 56 * block
 
 
 def test_edge_norm_is_finite_on_the_fichera_corner(cube, fichera):
