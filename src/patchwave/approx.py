@@ -206,20 +206,19 @@ def alpha_star(rho: float, k: int, s: float, p: float) -> float:
     return min(rho, k - rho, s - (inv_p - 0.5))
 
 
-def gamma_star(s: float, s_prime: float, p: float, alpha_star: float,
-               s_boundary: float = 1.0) -> float:
+def gamma_star(s: float, s_prime: float, p: float, alpha_star: float) -> float:
     """Convergence-gap exponent for an interpolated target scale.
 
     theta interpolates between the base space (s_prime = 0, theta = 1) and
     the target smoothness; the 0/0 corner at s_prime = 0 resolves to
-    theta = 1.
+    theta = 1. On a Lipschitz boundary s_prime < min(3/2, 1) = 1.
     """
     inv_p = 0.0 if math.isinf(p) else 1.0 / p
     gap = 2.0 * (inv_p - 0.5)
     if s - s_prime < gap - _TOL:
         raise ValueError("need s - s_prime >= 2(1/p - 1/2)")
-    if not (0.0 <= s_prime < min(1.5, s_boundary)):
-        raise ValueError("need 0 <= s_prime < min(3/2, s_boundary)")
+    if not (0.0 <= s_prime < 1.0):
+        raise ValueError("need 0 <= s_prime < 1 = min(3/2, boundary smoothness)")
     denom = s - gap
     frac = 0.0 if s_prime == 0.0 else s_prime / denom
     theta = 1.0 - frac
@@ -262,43 +261,44 @@ def level_tail_sums(field: CoefficientField, tau: float,
             for j in field.level_range()}
 
 
+_GROWTH_TOL = 0.05
+_GROWTH_WINDOW = 3
+
+
 @dataclass(frozen=True)
 class GrowthReport:
     """Per-step growth of a cumulative quantity, judged over a final window."""
 
     values: np.ndarray
     growths: np.ndarray
-    tol: float
-    window: int
 
     @property
     def stable(self) -> bool:
         """No growth step in the final window exceeds the tolerance."""
-        tail = self.growths[-self.window:]
-        return bool(len(tail) >= 1 and np.all(tail <= self.tol))
+        tail = self.growths[-_GROWTH_WINDOW:]
+        return bool(len(tail) >= 1 and np.all(tail <= _GROWTH_TOL))
 
     @property
     def growing(self) -> bool:
         """Every growth step in the final window exceeds the tolerance."""
-        tail = self.growths[-self.window:]
-        return bool(len(tail) >= 1 and np.all(tail > self.tol))
+        tail = self.growths[-_GROWTH_WINDOW:]
+        return bool(len(tail) >= 1 and np.all(tail > _GROWTH_TOL))
 
 
-def assess_growth(values, *, growth_tol: float = 0.05,
-                  window: int = 3) -> GrowthReport:
+def assess_growth(values) -> GrowthReport:
     """Relative step-to-step growth of a cumulative sequence.
 
-    A probe quantity "grows" when every one of the last ``window`` steps
-    increases by more than ``growth_tol``; it is "stable" when none does.
+    A probe quantity "grows" when every one of its last 3 steps increases
+    by more than 5%; it is "stable" when none does. Needs at least 4 values.
     """
     v = np.asarray(list(values), dtype=float)
-    if len(v) < window + 1:
-        raise ValueError("need at least window + 1 values")
+    if len(v) < _GROWTH_WINDOW + 1:
+        raise ValueError(f"need at least {_GROWTH_WINDOW + 1} values")
     prev = v[:-1]
     with np.errstate(divide="ignore", invalid="ignore"):
         g = np.where(prev > 0.0, v[1:] / prev - 1.0,
                      np.where(v[1:] > 0.0, np.inf, 0.0))
-    return GrowthReport(values=v, growths=g, tol=growth_tol, window=window)
+    return GrowthReport(values=v, growths=g)
 
 
 def cumulative_tail(level_sums: dict[int, float]) -> np.ndarray:
@@ -383,15 +383,14 @@ def _fd_partial(f: Callable, X, Y, bx: int, by: int, h: float):
     return f(X, Y)
 
 
-def whitney_check(f: Callable, Q: tuple[float, float, float], k: int,
-                  derivs: dict[tuple[int, int], Callable] | None = None,
-                  quad_order: int = 12) -> float:
+def whitney_check(f: Callable, Q: tuple[float, float, float], k: int) -> float:
     """Ratio of the best polynomial-fit error on a square to its scaled
     k-th seminorm.
 
     Q = (x0, y0, edge) is an axis-aligned square; the fit runs over total
-    degree < k; the seminorm uses supplied partial derivatives of order k
-    or central finite differences.  Returns
+    degree < k; both norms use a 12-point Gauss rule per direction, and the
+    seminorm takes the order-k partials by central finite differences of
+    step edge/1000.  Returns
     ||f - P||_{L2(Q)} / (|Q|^{k/2} |f|_{W^k(L2(Q))}), or exactly 0.0 when
     the numerator is at roundoff level (polynomial reproduction).
     """
@@ -402,7 +401,7 @@ def whitney_check(f: Callable, Q: tuple[float, float, float], k: int,
         raise ValueError(f"square (x0, y0, edge) must be finite, got {Q!r}")
     if edge <= 0:
         raise ValueError("square edge must be positive")
-    nodes, wts = unit_rule(quad_order)
+    nodes, wts = unit_rule(12)
     X, Y = np.meshgrid(x0 + edge * nodes, y0 + edge * nodes, indexing="ij")
     W = np.outer(wts, wts).ravel() * edge * edge
     fv = np.asarray(f(X, Y), dtype=float).ravel()
@@ -430,17 +429,13 @@ def whitney_check(f: Callable, Q: tuple[float, float, float], k: int,
     h_fd = edge * 1e-3
     for bx in range(k + 1):
         by = k - bx
-        if derivs is not None:
-            dv = np.asarray(derivs[(bx, by)](X, Y), dtype=float).ravel()
-        else:
-            dv = np.asarray(_fd_partial(f, X, Y, bx, by, h_fd),
-                            dtype=float).ravel()
+        dv = np.asarray(_fd_partial(f, X, Y, bx, by, h_fd), dtype=float).ravel()
         semi_sq += float((W * dv ** 2).sum())
     seminorm = math.sqrt(semi_sq)
     denom = (edge * edge) ** (k / 2.0) * seminorm
     if denom <= numerator * 1e-12:
         raise RuntimeError("vanishing seminorm with a nonzero fit residual; "
-                           "quadrature or derivative inputs are inconsistent")
+                           "the quadrature or finite differences are inconsistent")
     return numerator / denom
 
 

@@ -977,9 +977,8 @@ def _gmres(matvec: Callable, b: np.ndarray) -> tuple[np.ndarray, float]:
         r = b - matvec(x)
 
 
-def solve(system: DoubleLayerSystem, g, quad_order: int = 4,
-          use_gmres: bool = False) -> SolveReport:
-    """Solve A u = Galerkin rhs of g; dense LU by default.
+def solve(system: DoubleLayerSystem, g, use_gmres: bool = False) -> SolveReport:
+    """Solve A u = `galerkin_rhs` of g at its default order; dense LU by default.
 
     The LU path factors the dense `system.A` with scipy.linalg, reports a
     1-norm condition estimate and raises on a numerically singular matrix.
@@ -990,7 +989,7 @@ def solve(system: DoubleLayerSystem, g, quad_order: int = 4,
     that does not converge raises RuntimeError.  A non-finite right-hand
     side is a ValueError.
     """
-    b = galerkin_rhs(system, g, quad_order)
+    b = galerkin_rhs(system, g)
     if not np.isfinite(b).all():
         raise ValueError("the Galerkin right-hand side has non-finite values")
     bnorm = float(np.linalg.norm(b))
@@ -1104,14 +1103,13 @@ class SolutionReport:
 
 def analyze_solution(surface: PolyhedralSurface, density: np.ndarray,
                      basis: BasisSpec, J: int, weighted: WeightedSpec, *,
-                     s: float = 0.75, s_prime: float = 0.0,
-                     workers: int = 1) -> SolutionReport:
+                     s: float = 0.75, workers: int = 1) -> SolutionReport:
     """Wavelet-analyze a cellwise density and fit adaptive/uniform rates.
 
-    Targets (s_prime, 2, 2); the adaptive prediction is gamma*/2 from the
-    assumed interior regularity (k, rho) and boundary smoothness s, with
-    alpha* = min(rho, k - rho, s); s is restricted to (0, 1) and rho to
-    (0, k).
+    Targets (0, 2, 2), the L2 sequence norm (s' = 0); the adaptive
+    prediction is gamma*/2 from the assumed interior regularity (k, rho)
+    and boundary smoothness s, with alpha* = min(rho, k - rho, s); s is
+    restricted to (0, 1) and rho to (0, k).
     """
     if isinstance(density, SolveReport):
         density = density.density
@@ -1126,9 +1124,9 @@ def analyze_solution(surface: PolyhedralSurface, density: np.ndarray,
                          f"{weighted.rho} with k = {weighted.k}")
     field = analyze(surface, _CellDensitySampler(density), basis, J,
                     min_cell_level=L, workers=workers)
-    target = BesovSpec(s_prime, 2.0, 2.0)
+    target = BesovSpec(0.0, 2.0, 2.0)
     a_star = alpha_star(weighted.rho, weighted.k, s, 2.0)
-    gam = gamma_star(s, s_prime, 2.0, a_star)
+    gam = gamma_star(s, 0.0, 2.0, a_star)
 
     plan = n_term_plan(field, target)
     scale = plan.error_at(0)

@@ -480,7 +480,7 @@ def _surface_from(config: ExperimentConfig) -> PolyhedralSurface:
 
 def _basis_from(config: ExperimentConfig) -> BasisSpec:
     d, j_star = config.basis
-    return BasisSpec(d=d, dt=d, j_star=j_star)
+    return BasisSpec(d=d, j_star=j_star)
 
 
 def _field_from(config, surface, basis):
@@ -572,7 +572,8 @@ def _run_embed_check(config, out, chash):
         field = analyze(surface, handle, basis, config.J,
                         workers=config.workers)
         norm = weighted_sobolev_norm(handle, surface,
-                                     ResolutionOfUnity(surface), weighted)
+                                     ResolutionOfUnity(surface), weighted,
+                                     workers=config.workers)
         tail_rows = []
         for tau in _tail_taus(config):
             b_lhs, _, b_ratio = boundary_tail_check(field, s, p, tau)

@@ -66,7 +66,9 @@ class BesovSpec:
 
 
 def adaptivity_tau(alpha: float) -> float:
-    """Integrability on the critical line at smoothness alpha: 1/tau = alpha/2 + 1/2."""
+    """Integrability on the critical line at a finite alpha > -1: 1/tau = alpha/2 + 1/2."""
+    if not (math.isfinite(alpha) and alpha > -1.0):
+        raise ValueError(f"alpha must be finite and > -1, got {alpha!r}")
     return 2.0 / (alpha + 1.0)
 
 
@@ -76,16 +78,16 @@ def critical_line_spec(alpha: float) -> BesovSpec:
     return BesovSpec(alpha=alpha, p=tau, q=tau)
 
 
-def on_critical_line(spec: BesovSpec, tol: float = _TOL) -> bool:
-    return abs(spec.inv_p - (spec.alpha / 2.0 + 0.5)) <= tol
+def on_critical_line(spec: BesovSpec) -> bool:
+    return abs(spec.inv_p - (spec.alpha / 2.0 + 0.5)) <= _TOL
 
 
-def admissible(spec: BesovSpec, tol: float = _TOL) -> bool:
+def admissible(spec: BesovSpec) -> bool:
     """1/2 <= 1/p <= alpha/2 + 1/2, with q <= 2 required on the critical line."""
     lo, hi = 0.5, spec.alpha / 2.0 + 0.5
-    if spec.inv_p < lo - tol or spec.inv_p > hi + tol:
+    if spec.inv_p < lo - _TOL or spec.inv_p > hi + _TOL:
         return False
-    if on_critical_line(spec, tol) and spec.q > 2.0 + tol:
+    if on_critical_line(spec) and spec.q > 2.0 + _TOL:
         return False
     return True
 
@@ -116,10 +118,11 @@ def _lq_combine(terms, q: float) -> float:
     return float((terms ** q).sum() ** (1.0 / q))
 
 
-def coarse_lp_norm(field: CoefficientField, p: float, quad_order: int = 8) -> float:
+def coarse_lp_norm(field: CoefficientField, p: float) -> float:
     """Geometric L_p(surface) norm of the generator-block part of the expansion.
 
-    For p = inf the generator part is a product of per-direction polynomials of
+    For finite p, an 8-point Gauss rule per coarse cell and direction. For
+    p = inf the generator part is a product of per-direction polynomials of
     degree < 2 on each coarse cell, so the max over cell corners is exact.
     """
     if field.surface is None:
@@ -135,7 +138,7 @@ def coarse_lp_norm(field: CoefficientField, p: float, quad_order: int = 8) -> fl
         edge = np.concatenate([[eps], np.linspace(0.25, 0.75, 3), [1 - eps]])
         x = ((np.arange(cells)[:, None] + edge[None, :]) / cells).ravel()
     else:
-        xg, wg = unit_rule(quad_order)
+        xg, wg = unit_rule(8)
         x = ((np.arange(cells)[:, None] + xg[None, :]) / cells).ravel()
         w = np.tile(wg / cells, cells)
 
@@ -162,42 +165,35 @@ def coarse_lp_norm(field: CoefficientField, p: float, quad_order: int = 8) -> fl
     return _finite_sum(total, "the generator block") ** (1.0 / p)
 
 
-def besov_level_terms(field: CoefficientField, spec: BesovSpec,
-                      J: int | None = None) -> dict[int, float]:
+def besov_level_terms(field: CoefficientField, spec: BesovSpec) -> dict[int, float]:
     """Weighted per-level contributions 2^{j e} (sum_xi |c_xi|^p)^{1/p}."""
     e = spec.weight_exponent()
-    out = {}
-    for j in field.level_range():
-        if J is not None and j > J:
-            break
-        arr = field.levels[j]
-        out[j] = 2.0 ** (j * e) * _lp(arr, spec.p, f"level {j}")
-    return out
+    return {j: 2.0 ** (j * e) * _lp(field.levels[j], spec.p, f"level {j}")
+            for j in field.level_range()}
 
 
-def besov_norm(field: CoefficientField, spec: BesovSpec,
-               J: int | None = None, quad_order: int = 8) -> float:
+def besov_norm(field: CoefficientField, spec: BesovSpec) -> float:
     """Coarse L_p part plus weighted level aggregate; errors on inadmissible specs."""
     if not admissible(spec):
         raise ValueError(
             f"(alpha={spec.alpha}, p={spec.p}, q={spec.q}) lies outside the "
             "admissible window 1/2 <= 1/p <= alpha/2 + 1/2 (q <= 2 on the line)")
-    terms = besov_level_terms(field, spec, J=J)
+    terms = besov_level_terms(field, spec)
     tail = _lq_combine(list(terms.values()), spec.q)
-    return coarse_lp_norm(field, spec.p, quad_order=quad_order) + tail
+    return coarse_lp_norm(field, spec.p) + tail
 
 
-def seq_norm(field: CoefficientField, spec: BesovSpec, J: int | None = None) -> float:
+def seq_norm(field: CoefficientField, spec: BesovSpec) -> float:
     """Pure coefficient-space version: the generator block enters as a level-j*
     term (weight 2^{j* e}, l^p over its coefficients); no surface quadrature."""
     e = spec.weight_exponent()
     terms = [2.0 ** (field.basis.j_star * e)
              * _lp(field.coarse, spec.p, "the generator block")]
-    terms.extend(besov_level_terms(field, spec, J=J).values())
+    terms.extend(besov_level_terms(field, spec).values())
     return _lq_combine(terms, spec.q)
 
 
-def embedding_predicate(src: BesovSpec, dst: BesovSpec, tol: float = _TOL) -> bool:
+def embedding_predicate(src: BesovSpec, dst: BesovSpec) -> bool:
     """Continuous embedding of the src scale into the dst scale.
 
     Holds when the smoothness gap gamma = alpha0 - alpha1 strictly exceeds
@@ -206,9 +202,9 @@ def embedding_predicate(src: BesovSpec, dst: BesovSpec, tol: float = _TOL) -> bo
     """
     gamma = src.alpha - dst.alpha
     need = 2.0 * max(0.0, src.inv_p - dst.inv_p)
-    if gamma > need + tol:
+    if gamma > need + _TOL:
         return True
-    if abs(gamma - need) <= tol:
-        return src.q <= dst.q + tol
+    if abs(gamma - need) <= _TOL:
+        return src.q <= dst.q + _TOL
     return False
 

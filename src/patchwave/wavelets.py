@@ -16,12 +16,13 @@ import json
 import zipfile
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import sqrt
+from math import inf, sqrt
 
 import numpy as np
 
 from ._gauss import unit_rule
-from .surface import PolyhedralSurface, _check_counts, _map, quad_edge_distance
+from .surface import (PolyhedralSurface, _check_counts, _is_integer, _map,
+                      quad_edge_distance)
 
 __all__ = [
     "BasisSpec",
@@ -53,37 +54,40 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BasisSpec:
-    """Basis family parameters: primal order d, dual moments dt, coarsest level, quadrature.
+    """Basis family parameters: primal order d and coarsest wavelet level j_star.
 
-    Supported families have d == dt in {1, 2}; order 1 is Haar. Wavelet levels run from j_star upward; the generator block sits
-    at level j_star - 1 by convention.
+    Supported orders are 1 (Haar) and 2. The family is orthonormal, so its
+    dual order ``dt`` equals d; analysis takes ``quad_order`` = 4 Gauss
+    points per cell and direction. Wavelet levels run from j_star upward;
+    the generator block sits at level j_star - 1 by convention.
     """
 
     d: int = 1
-    dt: int = 1
     j_star: int = 0
-    quad_order: int = 4
 
     def __post_init__(self):
-        if self.d not in (1, 2):
-            raise ValueError("supported primal orders are 1 (Haar) and 2")
-        if self.dt != self.d:
-            raise ValueError("this orthonormal family has dt == d; "
-                             f"got d={self.d}, dt={self.dt}")
-        if self.j_star < 0:
-            raise ValueError("j_star must be >= 0")
-        if self.quad_order < self.d:
-            raise ValueError("quadrature order must be at least the primal order")
+        if not (_is_integer(self.d) and self.d in (1, 2)):
+            raise ValueError("supported primal orders are the integers 1 (Haar) "
+                             f"and 2, got {self.d!r}")
+        if not (_is_integer(self.j_star) and self.j_star >= 0):
+            raise ValueError(f"j_star must be an integer >= 0, got {self.j_star!r}")
+
+    @property
+    def dt(self) -> int:
+        return self.d
+
+    @property
+    def quad_order(self) -> int:
+        return 4
 
 
+def haar_basis() -> BasisSpec:
+    return BasisSpec(d=1, j_star=0)
 
-def haar_basis(j_star: int = 0, quad_order: int = 4) -> BasisSpec:
-    return BasisSpec(d=1, dt=1, j_star=j_star, quad_order=quad_order)
 
-
-def multiwavelet_basis(j_star: int = 2, quad_order: int = 4) -> BasisSpec:
+def multiwavelet_basis() -> BasisSpec:
     """Order-2 family: piecewise linear, two vanishing moments, orthonormal."""
-    return BasisSpec(d=2, dt=2, j_star=j_star, quad_order=quad_order)
+    return BasisSpec(d=2, j_star=2)
 
 
 # -- 1-D reference functions --------------------------------------------------
@@ -171,6 +175,36 @@ class IndexClass:
         return self.kind == "interior"
 
 
+def _check_index(basis: BasisSpec, n_patches, idx: WaveletIndex,
+                 generator: bool = False) -> int:
+    """The level of the cells that `idx` indexes, or ValueError unless it
+    names a function of `basis` on `n_patches` patches: a wavelet (level >=
+    j_star) or, if `generator`, a generator (level j_star - 1, the cells of
+    level j_star)."""
+    fields = (idx.level, idx.patch, idx.etype, idx.k1, idx.k2, idx.m1, idx.m2)
+    if not all(isinstance(v, (int, np.integer)) for v in fields):
+        raise ValueError(f"{idx} has a non-integer field")
+    j = idx.level
+    if idx.etype == 0:
+        if not generator:
+            raise ValueError("generator-block indices are not classified")
+        if j != basis.j_star - 1:
+            raise ValueError(f"generator indices have level j_star - 1 = "
+                             f"{basis.j_star - 1}, got {j}")
+        j = basis.j_star
+    elif idx.etype not in (1, 2, 3):
+        raise ValueError(f"etype {idx.etype} is not a wavelet type (1, 2 or 3)")
+    elif j < basis.j_star:
+        raise ValueError(f"level {j} is below the first wavelet level {basis.j_star}")
+    if not (0 <= idx.m1 < basis.d and 0 <= idx.m2 < basis.d):
+        raise ValueError(f"components ({idx.m1}, {idx.m2}) outside [0, {basis.d})")
+    cells = 1 << j
+    if not (0 <= idx.patch < n_patches
+            and 0 <= idx.k1 < cells and 0 <= idx.k2 < cells):
+        raise ValueError(f"{idx} lies outside the surface's level-{j} cells")
+    return j
+
+
 def level_size(basis: BasisSpec, j: int, n_patches: int) -> int:
     """Number of wavelet indices at level j across the whole surface."""
     return n_patches * 3 * basis.d ** 2 * (1 << j) ** 2
@@ -214,8 +248,12 @@ class CoefficientField:
         return range(self.basis.j_star, self.J + 1)
 
     def entry(self, idx: WaveletIndex):
+        """The coefficient of `idx`; ValueError unless the field holds it."""
+        _check_index(self.basis, self.n_patches, idx, generator=True)
         if idx.etype == 0:
             return self.coarse[idx.patch, idx.k1, idx.k2, idx.m1, idx.m2]
+        if idx.level not in self.levels:
+            raise ValueError(f"level {idx.level} is not stored in this field")
         return self.levels[idx.level][idx.patch, idx.etype - 1,
                                       idx.k1, idx.k2, idx.m1, idx.m2]
 
@@ -230,9 +268,8 @@ def _zero_arrays(basis: BasisSpec, n_patches: int, J: int, dtype=np.float64):
 
 
 def empty_field(basis: BasisSpec, n_patches: int, J: int,
-                surface: PolyhedralSurface | None = None,
-                dtype=np.float64) -> CoefficientField:
-    coarse, levels = _zero_arrays(basis, n_patches, J, dtype)
+                surface: PolyhedralSurface | None = None) -> CoefficientField:
+    coarse, levels = _zero_arrays(basis, n_patches, J)
     return CoefficientField(basis=basis, J=J, n_patches=n_patches,
                             coarse=coarse, levels=levels, surface=surface)
 
@@ -357,6 +394,8 @@ def analyze(surface: PolyhedralSurface, sampler, basis: BasisSpec, J: int,
 def synthesize_params(field: CoefficientField, patch_index: int, S, T):
     """Evaluate the expansion at parameter points of one patch."""
     basis = field.basis
+    _check_index(basis, field.n_patches,
+                 WaveletIndex(basis.j_star - 1, patch_index, 0, 0, 0), generator=True)
     fam = family_for(basis)
     shape = np.asarray(S).shape
     S = np.asarray(S, dtype=float).ravel()
@@ -425,10 +464,8 @@ def synthesize(field: CoefficientField, points):
 def support_of(basis: BasisSpec, idx: WaveletIndex,
                surface: PolyhedralSurface | None = None):
     """Exact parameter support rectangle and (optionally) its surface measure."""
-    if idx.etype == 0:
-        j = basis.j_star
-    else:
-        j = idx.level
+    j = _check_index(basis, inf if surface is None else surface.n_patches,
+                     idx, generator=True)
     h = 0.5 ** j
     rect = ((idx.k1 * h, (idx.k1 + 1) * h), (idx.k2 * h, (idx.k2 + 1) * h))
     param_area = h * h
@@ -470,9 +507,7 @@ def classify_index(surface: PolyhedralSurface, basis: BasisSpec,
     square, and the circumscribed ball of its image keeps more than 2^{-level}
     (surface units) of clearance from the patch boundary.
     """
-    if idx.etype == 0:
-        raise ValueError("generator-block indices are not classified")
-    j = idx.level
+    j = _check_index(basis, surface.n_patches, idx)
     cells = 1 << j
     rect, _, _ = support_of(basis, idx)
     if idx.k1 == 0 or idx.k2 == 0 or idx.k1 == cells - 1 or idx.k2 == cells - 1:
@@ -548,7 +583,7 @@ def _moment_table(basis: BasisSpec, j: int, shape, data: bytes, block: int = 0):
     deg = int((ps + pt).max()) if ps.size else -1
     if deg >= basis.dt:
         raise ValueError(f"polynomial degree {deg} not below dt={basis.dt}")
-    x, w = unit_rule(max(basis.quad_order, basis.d + max(deg, 0) // 2 + 1))
+    x, w = unit_rule(basis.quad_order)  # exact: degree <= 2 per direction
     half = 0.5 ** (j + 1)
     cells, r = 1 << j, basis.d
     k = np.arange(cells)[:, None]
@@ -585,22 +620,7 @@ def moment_check(surface: PolyhedralSurface, basis: BasisSpec,
     C = np.atleast_2d(np.asarray(poly_coeffs, dtype=float))
     if C.ndim != 2 or C.size == 0:
         raise ValueError(f"poly_coeffs must be a non-empty 2-D array, got shape {C.shape}")
-    fields = (idx.level, idx.patch, idx.etype, idx.k1, idx.k2, idx.m1, idx.m2)
-    if not all(isinstance(v, (int, np.integer)) for v in fields):
-        raise ValueError(f"{idx} has a non-integer field")
-    if idx.etype == 0:
-        raise ValueError("generator-block indices are not classified")
-    if idx.etype not in (1, 2, 3):
-        raise ValueError(f"etype {idx.etype} is not a wavelet type (1, 2 or 3)")
-    j = idx.level
-    if j < basis.j_star:
-        raise ValueError(f"level {j} is below the first wavelet level {basis.j_star}")
-    if not (0 <= idx.m1 < basis.d and 0 <= idx.m2 < basis.d):
-        raise ValueError(f"components ({idx.m1}, {idx.m2}) outside [0, {basis.d})")
-    cells = 1 << j
-    if not (0 <= idx.patch < surface.n_patches
-            and 0 <= idx.k1 < cells and 0 <= idx.k2 < cells):
-        raise ValueError(f"{idx} lies outside the surface's level-{j} cells")
+    j = _check_index(basis, surface.n_patches, idx)
     if not classify_level(surface, basis, j)[idx.patch, idx.k1, idx.k2]:
         raise ValueError("moment_check applies to interior indices only")
     # the first block's row count gives the index's block; a level of one
@@ -618,8 +638,7 @@ def moment_check(surface: PolyhedralSurface, basis: BasisSpec,
 def save_field(field: CoefficientField, path) -> None:
     """Loss-free dump: npz archive with a JSON header and per-level arrays."""
     header = {
-        "basis": {"d": field.basis.d, "dt": field.basis.dt,
-                  "j_star": field.basis.j_star, "quad_order": field.basis.quad_order},
+        "basis": {"d": field.basis.d, "j_star": field.basis.j_star},
         "J": field.J,
         "n_patches": field.n_patches,
         "surface_hash": field.surface.content_hash() if field.surface else None,
@@ -635,7 +654,12 @@ def load_field(path, surface: PolyhedralSurface | None = None) -> CoefficientFie
     try:
         with np.load(path) as data:
             header = json.loads(bytes(data["header"]).decode())
-            basis = BasisSpec(**header["basis"])
+            spec = header["basis"]
+            basis = BasisSpec(spec["d"], spec["j_star"])
+            # older archives also record dt and quad_order, at these values
+            if not (spec.keys() <= {"d", "dt", "j_star", "quad_order"} and all(
+                    spec[key] == getattr(basis, key) for key in spec)):
+                raise ValueError(f"basis {spec} is not one that save_field writes")
             levels = {j: data[f"level_{j}"]
                       for j in range(basis.j_star, header["J"] + 1)}
             field = CoefficientField(basis=basis, J=header["J"],

@@ -33,7 +33,7 @@ import numpy as np
 
 from ._gauss import unit_rule
 from .surface import (PolyhedralSurface, ResolutionOfUnity, _check_counts,
-                      _map, _smooth_step, _smooth_step_derivs,
+                      _is_integer, _map, _smooth_step, _smooth_step_derivs,
                       _step_down_derivs, quad_edge_distance)
 
 __all__ = [
@@ -61,10 +61,11 @@ class WeightedSpec:
     rho: float
 
     def __post_init__(self):
-        if self.k not in (1, 2):
-            raise ValueError("derivative order k must be 1 or 2")
-        if self.rho < 0:
-            raise ValueError("rho must be nonnegative")
+        if not (_is_integer(self.k) and self.k in (1, 2)):
+            raise ValueError(f"derivative order k must be the integer 1 or 2, "
+                             f"got {self.k!r}")
+        if not (np.isfinite(self.rho) and self.rho >= 0):
+            raise ValueError(f"rho must be finite and nonnegative, got {self.rho!r}")
 
     def derivative_terms(self):
         return [(br, bp) for br in range(self.k + 1) for bp in range(self.k + 1)
@@ -310,19 +311,21 @@ class ConstantModel(_FaceHandleBase):
                 (1, 0): z, (0, 1): z, (2, 0): z, (1, 1): z, (0, 2): z}
 
 
+_FD_REL_STEP = 1e-5
+
+
 class FiniteDifferenceHandle(_FaceHandleBase):
     """Centered finite differences of a 3D-point callable, in-plane.
 
-    Step h = `rel_step` times the patch's shortest edge. Refuses evaluation
+    Step h = 1e-5 times the patch's shortest edge. Refuses evaluation
     whenever a point sits within 10h of the face's patch boundary: one-sided
     stencils would silently sample across the edge, so analytic derivatives
     are required there instead.
     """
 
-    def __init__(self, surface, func, rel_step: float = 1e-5):
+    def __init__(self, surface, func):
         super().__init__(surface)
         self.func = func
-        self.rel_step = float(rel_step)
 
     def __call__(self, pts):
         return np.asarray(self.func(np.atleast_2d(np.asarray(pts, dtype=float))))
@@ -330,7 +333,7 @@ class FiniteDifferenceHandle(_FaceHandleBase):
     def face_derivs(self, n, t, Y, upto: int = 2):
         pts, face = self.face_points(n, t, Y)
         patch = self.surface.patches[face.patch]
-        h = self.rel_step * patch.min_edge
+        h = _FD_REL_STEP * patch.min_edge
         if np.any(quad_edge_distance(pts, patch.corners) < 10.0 * h):
             raise ValueError(
                 "finite-difference handle refused: points within 10h of the face "
@@ -354,8 +357,7 @@ class FiniteDifferenceHandle(_FaceHandleBase):
 # -- partition-of-unity derivatives on a cone face -------------------------------
 
 
-def partition_face_derivs(resolution: ResolutionOfUnity, n: int, t: int, pts,
-                          e1, e2):
+def partition_face_derivs(resolution: ResolutionOfUnity, n: int, pts, e1, e2):
     """In-plane Cartesian derivatives (to order 2) of phi_n at face points.
 
     phi_n = B_n / sum_m B_m with radial bumps B_m = psi_m(|x - v_m|); the
@@ -447,12 +449,9 @@ def _sector_mesh(r_max: float, gamma: float, depth: int, order: int):
                 _graded_cells_to_zero(half, depth)]
 
     def expand(cells):
-        nodes, weights, layers = [], [], []
-        for lo, hi, layer in cells:
-            nodes.append(lo + (hi - lo) * xg)
-            weights.append((hi - lo) * wg)
-            layers.append(np.full(order, layer, dtype=int))
-        return np.concatenate(nodes), np.concatenate(weights), np.concatenate(layers)
+        lo, hi, layer = (np.array(c)[:, None] for c in zip(*cells))
+        return ((lo + (hi - lo) * xg).ravel(), ((hi - lo) * wg).ravel(),
+                np.broadcast_to(layer, (len(cells), order)).ravel())
 
     rn, rw, rl = expand(r_cells)
     pn, pw, pl = expand(p_cells)
@@ -500,7 +499,7 @@ def _face_shells(handle, surface, resolution, spec, n, t, depth, order):
                      axis=1)
         pts = face.apex + Y[:, :1] * face.e1 + Y[:, 1:2] * face.e2
         ud = handle.face_derivs(n, t, Y, upto=spec.k)
-        pd = partition_face_derivs(resolution, n, t, pts, face.e1, face.e2)
+        pd = partition_face_derivs(resolution, n, pts, face.e1, face.e2)
         cart = {ab: np.reshape(v, R.shape)
                 for ab, v in _leibniz(pd, ud, upto=spec.k).items()}
         pol = _polar_derivs(cart, R, PHI, upto=spec.k)

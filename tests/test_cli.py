@@ -761,13 +761,29 @@ def test_rerun_is_byte_identical(tmp_path):
                        shallow=False)
 
 
-def test_worker_count_does_not_change_bytes(tmp_path):
-    doc = {"kind": "bem-solve", "surface": "cube", "L": 2, "J": 2,
-           "params": {"rhs": ["harmonic:pole", "2.5", "1.7", "3.1"]}}
-    out1 = _run(tmp_path / "w1", {**doc, "workers": 1})
-    out4 = _run(tmp_path / "w4", {**doc, "workers": 4})
-    for name in ("density.csv", "report.csv", "manifest.json"):
-        assert filecmp.cmp(out1 / name, out4 / name, shallow=False)
+def test_worker_count_does_not_change_bytes(tmp_path, monkeypatch):
+    # the weighted norm, embed-check's slowest step, runs on the workers too
+    workers_seen, norm = [], cli.weighted_sobolev_norm
+
+    def recorded(*args, workers=1, **kwargs):
+        workers_seen.append(workers)
+        return norm(*args, workers=workers, **kwargs)
+
+    monkeypatch.setattr(cli, "weighted_sobolev_norm", recorded)
+    runs = [({"kind": "bem-solve", "surface": "cube", "L": 2, "J": 2,
+              "params": {"rhs": ["harmonic:pole", "2.5", "1.7", "3.1"]}},
+             ("density.csv", "report.csv")),
+            ({"kind": "embed-check", "surface": "cube", "J": 3,
+              "spaces": [[1.0, 2.0, 2.0]],
+              "params": {"model": {"kind": "vertex", "beta": 0.6},
+                         "taus": [1.6]}},
+             ("embeddings.csv", "tails.csv"))]
+    for doc, files in runs:
+        out1 = _run(tmp_path / doc["kind"] / "w1", {**doc, "workers": 1})
+        out4 = _run(tmp_path / doc["kind"] / "w4", {**doc, "workers": 4})
+        for name in (*files, "manifest.json"):
+            assert filecmp.cmp(out1 / name, out4 / name, shallow=False)
+    assert workers_seen == [1, 4]
 
 
 def test_cli_main_end_to_end(tmp_path):

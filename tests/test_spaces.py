@@ -48,6 +48,13 @@ def test_critical_line_edges():
     assert not on_critical_line(BesovSpec(1.2, 1.0, 2.0))
 
 
+@pytest.mark.parametrize("make", [adaptivity_tau, critical_line_spec])
+@pytest.mark.parametrize("alpha", [-1.0, -2.5, math.nan, math.inf])
+def test_the_critical_line_needs_a_finite_alpha_above_minus_one(make, alpha):
+    with pytest.raises(ValueError, match="alpha must be finite and > -1"):
+        make(alpha)
+
+
 def test_adaptivity_scale():
     for alpha in (0.5, 1.0, 2.0):
         tau = adaptivity_tau(alpha)

@@ -57,9 +57,19 @@ def test_basis_spec_validation():
     assert haar_basis().d == 1 and haar_basis().j_star == 0
     assert multiwavelet_basis().d == 2 and multiwavelet_basis().j_star == 2
     with pytest.raises(ValueError):
-        BasisSpec(d=3, dt=3)
-    with pytest.raises(ValueError):
-        BasisSpec(d=2, dt=1)  # construction is self-dual
+        BasisSpec(d=3)
+    assert BasisSpec(d=2).dt == 2         # construction is self-dual
+
+
+@pytest.mark.parametrize("args, match", [
+    ((1, 0.5), "j_star must be an integer"),
+    ((1.0,), "primal orders are the integers"),
+    ((True, True), "primal orders are the integers"),
+    ((1, True), "j_star must be an integer"),
+], ids=["half-level", "float-order", "bool-order", "bool-level"])
+def test_basis_spec_refuses_a_non_integer(args, match):
+    with pytest.raises(ValueError, match=match):
+        BasisSpec(*args)
 
 
 def test_level_size(basis):
@@ -540,8 +550,32 @@ def test_field_save_load_roundtrip(tmp_path, cube, haar):
         assert np.array_equal(back.level(j), field.level(j))
 
 
+def test_load_field_reads_an_archive_that_records_dt_and_quad_order(tmp_path,
+                                                                    cube, haar):
+    # as archives did while both were settable
+    field = synth_field(cube, haar, "random_besov", 2, spec=_any_spec(), seed=3)
+    save_field(field, tmp_path / "field.npz")
+    with np.load(tmp_path / "field.npz") as data:
+        members = dict(data)
+    header = json.loads(bytes(members.pop("header")).decode())
+    header["basis"].update(dt=1, quad_order=4)
+    np.savez(tmp_path / "older.npz", **members,
+             header=np.frombuffer(json.dumps(header).encode(), np.uint8))
+    back = load_field(tmp_path / "older.npz", cube)
+    assert back.basis == haar
+    assert np.array_equal(back.coarse, field.coarse)
+    for j in field.level_range():
+        assert np.array_equal(back.level(j), field.level(j))
+
+
+# header changes to the basis that no saved field has
+_BASIS_SPOILS = {"dt-not-d": {"dt": 2}, "quad-order-8": {"quad_order": 8},
+                 "unknown-basis-key": {"extra": 1}}
+
+
 @pytest.mark.parametrize("spoil", ["no-header", "header-not-json",
-                                   "wrong-shape", "levels-short-of-J"])
+                                   "wrong-shape", "levels-short-of-J",
+                                   *_BASIS_SPOILS])
 def test_load_field_refuses_an_archive_that_is_not_a_field(tmp_path, cube,
                                                            haar, spoil):
     field = synth_field(cube, haar, "random_besov", 2, spec=_any_spec(), seed=1)
@@ -556,8 +590,11 @@ def test_load_field_refuses_an_archive_that_is_not_a_field(tmp_path, cube,
         members["level_1"] = members["level_1"][:, :, :1]
     else:
         header = json.loads(bytes(members.pop("header")).decode())
-        header["levels"] = header["levels"][:-1]
-        del members[f"level_{field.J}"]
+        if spoil == "levels-short-of-J":
+            header["levels"] = header["levels"][:-1]
+            del members[f"level_{field.J}"]
+        else:
+            header["basis"].update(_BASIS_SPOILS[spoil])
         members["header"] = np.frombuffer(json.dumps(header).encode(), np.uint8)
     bad = tmp_path / "bad.npz"
     np.savez(bad, **members)
@@ -576,3 +613,46 @@ def test_entry(cube, haar):
     field = synth_field(cube, haar, "random_besov", 2, spec=_any_spec(), seed=2)
     idx = WaveletIndex(1, 3, 2, 0, 1, 0, 0)
     assert field.entry(idx) == field.level(1)[3, 1, 0, 1, 0, 0]
+    assert field.entry(WaveletIndex(-1, 3, 0, 0, 0)) == field.coarse[3, 0, 0, 0, 0]
+
+
+_QUERIES = {
+    "classify_index": lambda f, idx: classify_index(f.surface, f.basis, idx),
+    "support_of": lambda f, idx: support_of(f.basis, idx, f.surface),
+    "entry": lambda f, idx: f.entry(idx),
+    "moment_check": lambda f, idx: moment_check(f.surface, f.basis, idx, [[1.0]]),
+}
+_OTHER_QUERIES = {
+    "support_of-no-surface": lambda f, idx: support_of(f.basis, idx),
+    "synthesize_params": lambda f, idx: synthesize_params(
+        f, idx.patch, np.array([0.5]), np.array([0.5])),
+}
+# each bad index (on a haar field of the cube up to level 3) and the
+# refusal that every query above gives it
+_BAD_INDICES = [
+    (WaveletIndex(2, 0, 1, 9, 1), "outside"),
+    (WaveletIndex(2, 0, 1, 1, -1), "outside"),
+    (WaveletIndex(2, 99, 1, 1, 1), "outside"),
+    (WaveletIndex(2, 0, 7, 1, 1), "etype"),
+    (WaveletIndex(2, 0, 1, 1, 1, 1, 0), "components"),
+    (WaveletIndex(2, 0, 1, 1.5, 1), "non-integer"),
+    (WaveletIndex(-2, 0, 1, 1, 1), "below the first wavelet level"),
+]
+
+
+@pytest.mark.parametrize("query, idx, match", [
+    *[(q, idx, match) for q in _QUERIES for idx, match in _BAD_INDICES],
+    ("entry", WaveletIndex(1, 0, 1, -1, 0), "outside"),
+    ("entry", WaveletIndex(4, 0, 1, 1, 1), "not stored"),
+    ("entry", WaveletIndex(-1, 0, 0, 1, 0), "outside"),
+    ("entry", WaveletIndex(2, 0, 0, 0, 0), "generator indices have level"),
+    ("support_of", WaveletIndex(0, 0, 0, 0, 0), "generator indices have level"),
+    ("classify_index", WaveletIndex(-1, 0, 0, 0, 0), "generator"),
+    ("support_of-no-surface", WaveletIndex(1, 0, 1, 9, 0), "outside"),
+    ("synthesize_params", WaveletIndex(2, 99, 1, 1, 1), "outside"),
+])
+def test_every_index_query_refuses_an_index_it_does_not_hold(cube, haar, query,
+                                                             idx, match):
+    field = empty_field(haar, cube.n_patches, 3, cube)
+    with pytest.raises(ValueError, match=match):
+        {**_QUERIES, **_OTHER_QUERIES}[query](field, idx)

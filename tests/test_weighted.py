@@ -44,6 +44,17 @@ def test_weighted_spec():
     assert WeightedSpec(k=1, rho=1.8).rho == 1.8
 
 
+@pytest.mark.parametrize("k, rho, match", [
+    (1, np.nan, "rho must be finite"),
+    (1, np.inf, "rho must be finite"),
+    (1.0, 0.5, "k must be the integer 1 or 2"),
+    (True, 0.5, "k must be the integer 1 or 2"),
+], ids=["nan-rho", "inf-rho", "float-k", "bool-k"])
+def test_weighted_spec_refuses_what_the_norm_cannot_use(k, rho, match):
+    with pytest.raises(ValueError, match=match):
+        WeightedSpec(k, rho)
+
+
 def test_sector_q():
     gamma = np.pi / 2
     assert sector_q(0.0, gamma) == pytest.approx(0.0, abs=1e-15)
@@ -339,9 +350,11 @@ def test_face_derivs_only_where_the_support_ball_reaches(cube, rou,
         calls[(n, t)] = calls.get((n, t), 0) + len(Y)
         return face_derivs(n, t, Y, upto)
 
-    def partition(resolution, n, t, *args):
-        partitions.append((n, t))
-        return partition_face_derivs(resolution, n, t, *args)
+    def partition(resolution, n, pts, e1, e2):
+        # the face of vertex n whose first ray is e1
+        partitions.append((n, next(t for t, face in enumerate(cube.cone_faces(n))
+                                   if np.array_equal(face.e1, e1))))
+        return partition_face_derivs(resolution, n, pts, e1, e2)
 
     model.face_derivs = counted
     monkeypatch.setattr(weighted, "partition_face_derivs", partition)
@@ -587,7 +600,7 @@ def test_chain_rule_tables_match_the_hand_expanded_ones(name, cube, fichera):
     worst_edge = 0.0
     for n, t, face, pts in _sector_faces(surface, rou):
         e1, e2 = face.e1, face.e2
-        _same_bits(partition_face_derivs(rou, n, t, pts, e1, e2),
+        _same_bits(partition_face_derivs(rou, n, pts, e1, e2),
                    _partition_face_derivs_oracle(rou, n, pts, e1, e2))
         model = VertexPowerModel(surface, n, 0.6)
         _same_bits(model.plane_derivs(pts, e1, e2),
@@ -633,10 +646,10 @@ def test_partition_on_the_own_plateau(name, cube, fichera):
         # d1 and d2 take both signs
         R, PHI = np.meshgrid(np.linspace(0.0, rou.r0[n], 9),
                              np.linspace(0.0, 2 * np.pi, 64, endpoint=False))
-        for t, face in enumerate(surface.cone_faces(n)):
+        for face in surface.cone_faces(n):
             pts = face.apex + ((R * np.cos(PHI)).reshape(-1, 1) * face.e1
                                + (R * np.sin(PHI)).reshape(-1, 1) * face.e2)
-            got = partition_face_derivs(rou, n, t, pts, face.e1, face.e2)
+            got = partition_face_derivs(rou, n, pts, face.e1, face.e2)
             _same_bits(got, _partition_face_derivs_oracle(rou, n, pts,
                                                           face.e1, face.e2))
             assert (got[(0, 0)] == 1.0).all()
@@ -654,7 +667,7 @@ def test_partition_with_no_other_bump_in_reach(name, cube, fichera):
         d = np.linalg.norm(pts[:, None, :] - surface.vertices[None], axis=-1)
         others = np.delete(d - rou.r1, n, axis=1)
         assert (others > 0).all() and (d[:, n] > rou.r0[n]).any()
-        _same_bits(partition_face_derivs(rou, n, t, pts, face.e1, face.e2),
+        _same_bits(partition_face_derivs(rou, n, pts, face.e1, face.e2),
                    _partition_face_derivs_oracle(rou, n, pts, face.e1,
                                                  face.e2))
 
@@ -664,7 +677,7 @@ def test_partition_off_the_face_plane(cube, rou, lift):
     # bumps of vertices above or below the face reach lifted points
     for n, t, face, pts in _shrunk_faces(cube, rou, lambda n: 0.5 * rou.r1[n],
                                          lift):
-        _same_bits(partition_face_derivs(rou, n, t, pts, face.e1, face.e2),
+        _same_bits(partition_face_derivs(rou, n, pts, face.e1, face.e2),
                    _partition_face_derivs_oracle(rou, n, pts, face.e1,
                                                  face.e2))
 
