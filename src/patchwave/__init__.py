@@ -9,7 +9,7 @@ from .surface import (ConeFace, Patch, PolyhedralSurface, ResolutionOfUnity,
 from .wavelets import (BasisSpec, CoefficientField, WaveletIndex, analyze,
                        classify_index, classify_level, empty_field, haar_basis,
                        level_size, load_field, moment_check, multiwavelet_basis,
-                       save_field, support_of, synthesize, synthesize_params)
+                       save_field, synthesize, synthesize_params)
 from .spaces import (BesovSpec, adaptivity_tau, admissible, besov_level_terms,
                      besov_norm, coarse_lp_norm, critical_line_spec,
                      embedding_predicate, on_critical_line, seq_norm)

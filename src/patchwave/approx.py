@@ -462,14 +462,19 @@ class RateReport:
         return -self.slope
 
 
-def fit_rate(samples, predicted: float | None = None, *,
-             rel_tol: float = 0.10, abs_tol: float = 0.05) -> RateReport:
+# fit_rate's verdict band; the nterm report header records both
+_RATE_REL_TOL = 0.10
+_RATE_ABS_TOL = 0.05
+
+
+def fit_rate(samples, predicted: float | None = None) -> RateReport:
     """Fit error ~ C * n^slope by least squares on log-log axes.
 
     With at least seven samples the two smallest and the single largest n
     are dropped before fitting (transient and truncation ends pollute the
     asymptotic slope).  ``predicted`` is a positive decay exponent; the
-    verdict compares it against -slope within max(rel_tol*|pred|, abs_tol).
+    verdict compares it against -slope within
+    max(_RATE_REL_TOL * |predicted|, _RATE_ABS_TOL).
     """
     pairs = np.asarray([(float(n), float(e)) for n, e in samples])
     if len(pairs) < 4:
@@ -493,7 +498,7 @@ def fit_rate(samples, predicted: float | None = None, *,
         (0.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot)
     verdict = "unchecked"
     if predicted is not None:
-        tol = max(rel_tol * abs(predicted), abs_tol)
+        tol = max(_RATE_REL_TOL * abs(predicted), _RATE_ABS_TOL)
         verdict = "consistent" if abs(-slope - predicted) <= tol else "inconsistent"
     return RateReport(n=n, error=err, slope=float(slope),
                       intercept=float(intercept), r_squared=float(r2),

@@ -44,7 +44,7 @@ from .spaces import BesovSpec
 from .wavelets import BasisSpec, CoefficientField, analyze
 from .weighted import WeightedSpec
 from .approx import (RateReport, alpha_star, fit_rate, gamma_star,
-                     level_tail_sums, n_term_plan, uniform_approx)
+                     n_term_plan, uniform_approx)
 
 _FOUR_PI = 4.0 * math.pi
 
@@ -618,34 +618,31 @@ def _far_entries(rules, verts, quads, pairs, block, rep_m, rep_n, beyond,
     c = 1 << L
     out = np.empty(len(rep_m))
     q = np.array([W.shape[-1] for _, W in rules])
-    if not (beyond.any() or len(rep_m) * q[0] >= _GRID_MIN):
-        lower, rest = beyond, np.arange(len(rep_m))
-    else:
-        lower, order, (PR, PI, PJ, PH, PW, base, stride, first) = _far_pieces(
-            block, rep_m, rep_n, beyond, c)
-        _, inv = np.unique((PR * (c + 1) + PH) * (c + 1) + PW, return_inverse=True)
-        done = np.zeros(len(rep_m), dtype=bool)
-        for u in np.flatnonzero(np.bincount(inv, PH * PW * q[PR]) >= _GRID_MIN):
-            sel = np.flatnonzero(inv == u)
-            r, hg, wg = PR[sel[0]], PH[sel[0]], PW[sel[0]]
-            P, W = rules[r]
-            step = max(1, _TILE // (hg * wg * q[r]))
-            for lo in range(0, len(sel), step):
-                s = sel[lo:lo + step]
-                k = first[s]
-                pm, pn = pairs[block[k]].T
-                # the rectangles' vertices, flat in (patch, i, j)
-                ii = (pn * (c + 1) + PI[s]) + np.arange(hg + 1)[:, None, None]
-                vi = ii * (c + 1) + (PJ[s] + np.arange(wg + 1)[:, None])
-                m = pm, rep_m[k]
-                om = _grid_solid_angles([v.ravel()[vi] for v in verts],
-                                        [P[m + (slice(None), a)] for a in range(3)])
-                om *= W[m]
-                pos = (base[s] + np.arange(hg)[:, None, None] * stride[s]
-                       + np.arange(wg)[:, None])
-                out[order[pos]] = om.sum(axis=-1)
-                done[pos] = True
-        rest = order[~done]
+    lower, order, (PR, PI, PJ, PH, PW, base, stride, first) = _far_pieces(
+        block, rep_m, rep_n, beyond, c)
+    _, inv = np.unique((PR * (c + 1) + PH) * (c + 1) + PW, return_inverse=True)
+    done = np.zeros(len(rep_m), dtype=bool)
+    for u in np.flatnonzero(np.bincount(inv, PH * PW * q[PR]) >= _GRID_MIN):
+        sel = np.flatnonzero(inv == u)
+        r, hg, wg = PR[sel[0]], PH[sel[0]], PW[sel[0]]
+        P, W = rules[r]
+        step = max(1, _TILE // (hg * wg * q[r]))
+        for lo in range(0, len(sel), step):
+            s = sel[lo:lo + step]
+            k = first[s]
+            pm, pn = pairs[block[k]].T
+            # the rectangles' vertices, flat in (patch, i, j)
+            ii = (pn * (c + 1) + PI[s]) + np.arange(hg + 1)[:, None, None]
+            vi = ii * (c + 1) + (PJ[s] + np.arange(wg + 1)[:, None])
+            m = pm, rep_m[k]
+            om = _grid_solid_angles([v.ravel()[vi] for v in verts],
+                                    [P[m + (slice(None), a)] for a in range(3)])
+            om *= W[m]
+            pos = (base[s] + np.arange(hg)[:, None, None] * stride[s]
+                   + np.arange(wg)[:, None])
+            out[order[pos]] = om.sum(axis=-1)
+            done[pos] = True
+    rest = order[~done]
     for r, (P, W) in enumerate(rules):
         ks = rest[lower[rest] == bool(r)]
         for lo in range(0, len(ks), _CHUNK):  # one gather of nodes and quads
@@ -860,9 +857,8 @@ def gauss_check(surface: PolyhedralSurface, x, patch: int | None = None,
 
 @dataclass(frozen=True)
 class HarmonicProbe:
-    """A named harmonic function, evaluated at an (N, 3) array of points."""
+    """A harmonic function, evaluated at an (N, 3) array of points."""
 
-    name: str
     func: Callable
 
     def __call__(self, pts) -> np.ndarray:
@@ -870,15 +866,12 @@ class HarmonicProbe:
 
     @staticmethod
     def linear(axis: int) -> "HarmonicProbe":
-        return HarmonicProbe(name=f"linear{axis}",
-                             func=lambda p: p[:, axis].copy())
+        return HarmonicProbe(lambda p: p[:, axis].copy())
 
     @staticmethod
     def point_source(pole) -> "HarmonicProbe":
         pole = np.asarray(pole, dtype=float)
-        return HarmonicProbe(
-            name="pole",
-            func=lambda p: 1.0 / np.linalg.norm(p - pole, axis=1))
+        return HarmonicProbe(lambda p: 1.0 / np.linalg.norm(p - pole, axis=1))
 
 
 # -- solving and evaluating ------------------------------------------------------
@@ -891,19 +884,20 @@ class SolveReport:
     density: np.ndarray          # (patches, 2^L, 2^L)
     residual: float
     cond: float
-    rhs: np.ndarray
 
 
-def galerkin_rhs(system: DoubleLayerSystem, g, quad_order: int = 4) -> np.ndarray:
+_RHS_ORDER = 4       # Gauss points a side of each cell's right-hand side rule
+
+
+def galerkin_rhs(system: DoubleLayerSystem, g) -> np.ndarray:
     """Cellwise integrals of g: callable on 3D points, or per-cell values."""
     surface = system.surface
     c = 1 << system.L
     if callable(g):
-        _check_counts(quad_order=quad_order)
         parts = []
         for p in surface.patches:
             P, W = _cell_nodes(p, system.L, np.arange(c * c),
-                               _unit_cell_rule(quad_order))
+                               _unit_cell_rule(_RHS_ORDER))
             vals = np.asarray(g(P.reshape(-1, 3)))
             if vals.size != W.size:
                 raise ValueError(f"g returned {vals.size} values for "
@@ -978,7 +972,7 @@ def _gmres(matvec: Callable, b: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def solve(system: DoubleLayerSystem, g, use_gmres: bool = False) -> SolveReport:
-    """Solve A u = `galerkin_rhs` of g at its default order; dense LU by default.
+    """Solve A u = `galerkin_rhs` of g; dense LU by default.
 
     The LU path factors the dense `system.A` with scipy.linalg, reports a
     1-norm condition estimate and raises on a numerically singular matrix.
@@ -1014,7 +1008,7 @@ def solve(system: DoubleLayerSystem, g, use_gmres: bool = False) -> SolveReport:
     residual = rnorm / (bnorm if bnorm else 1.0)
     c = 1 << system.L
     density = u.reshape(system.surface.n_patches, c, c)
-    return SolveReport(density=density, residual=residual, cond=cond, rhs=b)
+    return SolveReport(density=density, residual=residual, cond=cond)
 
 
 def interior_dirichlet_density(system: DoubleLayerSystem,
@@ -1087,8 +1081,6 @@ class SolutionReport:
     uniform: RateReport | None
     predicted_gamma: float
     alpha_star: float
-    boundary_tails: dict
-    interior_tails: dict
     noise_floor: bool
 
     @property
@@ -1148,14 +1140,6 @@ def analyze_solution(surface: PolyhedralSurface, density: np.ndarray,
         uni = [u for u in uni if u.error > 1e-8 * scale]
         if len(uni) >= 4:
             uniform = fit_rate([(u.n_effective, u.error) for u in uni])
-
-    # tail exponents: 1/tau inside the admissible boundary window
-    # [1/2, 1/2 + s) and interior window [1/2, 1/2 + min(rho, k - rho))
-    tau_b = 1.0 if s > 0.5 else 1.0 / (0.5 + 0.5 * s)
-    tau_i = 1.0 / (0.5 + 0.5 * min(weighted.rho, weighted.k - weighted.rho))
     return SolutionReport(
         field=field, adaptive=adaptive, uniform=uniform,
-        predicted_gamma=gam, alpha_star=a_star,
-        boundary_tails=level_tail_sums(field, tau_b, kinds="boundary"),
-        interior_tails=level_tail_sums(field, tau_i, kinds="interior"),
-        noise_floor=noise)
+        predicted_gamma=gam, alpha_star=a_star, noise_floor=noise)

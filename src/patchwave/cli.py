@@ -35,9 +35,10 @@ from .spaces import BesovSpec, admissible, besov_norm, embedding_predicate, seq_
 from .weighted import (ConstantModel, EdgePowerModel, VertexPowerModel,
                        WeightedNormDivergence, WeightedSpec,
                        weighted_sobolev_norm)
-from .approx import (_boundary_window, _interior_window, _inverse_tau,
-                     boundary_tail_check, fit_rate, interior_tail_check,
-                     n_term_plan, predicted_rate, synth_field, whitney_check)
+from .approx import (_RATE_ABS_TOL, _RATE_REL_TOL, _boundary_window,
+                     _interior_window, _inverse_tau, boundary_tail_check,
+                     fit_rate, interior_tail_check, n_term_plan,
+                     predicted_rate, synth_field, whitney_check)
 from .bem import HarmonicProbe, analyze_solution, assemble, solve
 
 SCHEMA_VERSION = "1.0.0"
@@ -769,7 +770,7 @@ _KINDS = {
         "predicted": _Param(_as_number, None, "--predicted", _FLOAT, "rate"),
         "source_space": _Param(_as_space, None, "--source-space", _SPACE,
                                "space predicting the rate"),
-    }, {"slope_rel_tol": 0.1, "slope_abs_tol": 0.05}),
+    }, {"slope_rel_tol": _RATE_REL_TOL, "slope_abs_tol": _RATE_ABS_TOL}),
     "embed-check": _Kind("embedding table and tail-sum study",
                          _run_embed_check, {
         "model": _Param(

@@ -184,7 +184,6 @@ class ConeFace:
     """
 
     vertex: int
-    t: int
     patch: int                   # the unique incident patch spanning this sector
     gamma: float                 # opening angle in (0, pi)
     apex: np.ndarray             # (3,)
@@ -313,7 +312,7 @@ class PolyhedralSurface:
         for vid, inc in sorted(incident.items()):
             self._check_vertex_cycle(vid, inc)
             faces = []
-            for t, (pi, pos) in enumerate(sorted(inc)):
+            for pi, pos in sorted(inc):
                 p = self.patches[pi]
                 apex = self.vertices[vid]
                 nxt = p.corners[(pos + 1) % 4] - apex
@@ -321,7 +320,7 @@ class PolyhedralSurface:
                 e1 = _unit(nxt)
                 e2 = _unit(prv - np.dot(prv, e1) * e1)
                 gamma = math.atan2(float(np.dot(prv, e2)), float(np.dot(prv, e1)))
-                f = ConeFace(vertex=vid, t=t, patch=pi, gamma=gamma, apex=apex,
+                f = ConeFace(vertex=vid, patch=pi, gamma=gamma, apex=apex,
                              e1=e1, e2=e2, normal=p.normal)
                 for arr in (f.e1, f.e2):
                     arr.flags.writeable = False
@@ -372,9 +371,6 @@ class PolyhedralSurface:
 
     def cone_faces(self, n) -> list[ConeFace]:
         return self.cones[self._vertex_id("vertex", n)]
-
-    def incident_patches(self, n):
-        return [f.patch for f in self.cone_faces(n)]
 
     def description(self):
         return {
@@ -488,8 +484,8 @@ class ResolutionOfUnity:
         self.surface = surface
         self.C1 = float(C1 if C1 is not None
                         else surface.constants.get("C1", surface.min_edge / 8.0))
-        if self.C1 <= 0:
-            raise SurfaceError("C1 must be positive")
+        if not (math.isfinite(self.C1) and self.C1 > 0):
+            raise SurfaceError(f"C1 must be finite and positive, got {self.C1:.6g}")
         nv = surface.n_vertices
         clear = self._clearances()
         if r1 is None:
@@ -513,8 +509,12 @@ class ResolutionOfUnity:
     def _validate(self, clear):
         surf = self.surface
         tol = 1e-12 * surf.min_edge
-        if np.any(self.r0 <= 0) or np.any(self.r1 <= self.r0):
-            raise SurfaceError("resolution radii must satisfy 0 < r0 < r1")
+        # with r0 = min(C1, r1 / 2) and C1 > 0, 0 < r0 < r1 holds iff r1 > 0
+        bad = ~(self.r1 > 0)
+        if np.any(bad):
+            n = int(np.argmax(bad))
+            raise SurfaceError(f"resolution radius r1[{n}]={self.r1[n]:.6g} "
+                               f"must be positive")
         # (U1): supports keep clearance C1 from every non-incident patch
         bad = self.r1 + self.C1 > clear + tol
         if np.any(bad):
@@ -554,17 +554,6 @@ class ResolutionOfUnity:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return np.vstack([self.profile(m, np.linalg.norm(pts - v, axis=1))
                           for m, v in enumerate(self.surface.vertices)])
-
-    def eval(self, n, pts):
-        """phi_n at surface points `pts` ((3,) or (N,3))."""
-        n = self.surface._vertex_id("vertex", n)
-        val = self.eval_all(pts)[n]
-        return float(val[0]) if np.asarray(pts).ndim == 1 else val
-
-    def eval_all(self, pts):
-        """All phi_n at the given points: array of shape (n_vertices, N)."""
-        bumps = self._bumps(pts)
-        return bumps / np.sum(bumps, axis=0, keepdims=True)
 
 
 # -- reference surfaces -----------------------------------------------------

@@ -16,7 +16,7 @@ import json
 import zipfile
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import inf, sqrt
+from math import sqrt
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .surface import (PolyhedralSurface, _check_counts, _is_integer, _map,
 __all__ = [
     "BasisSpec",
     "WaveletIndex",
-    "IndexClass",
     "CoefficientField",
     "haar_basis",
     "multiwavelet_basis",
@@ -38,7 +37,6 @@ __all__ = [
     "classify_index",
     "classify_level",
     "moment_check",
-    "support_of",
     "level_size",
     "save_field",
     "load_field",
@@ -160,38 +158,15 @@ class WaveletIndex:
     m2: int = 0
 
 
-@dataclass(frozen=True)
-class IndexClass:
-    """Interior/boundary classification witness for one wavelet index."""
-
-    kind: str                     # "interior" or "boundary"
-    rect: tuple                   # parameter support ((s0,s1),(t0,t1))
-    ball_center: np.ndarray | None = None
-    ball_radius: float = 0.0
-    edge_clearance: float = 0.0   # 3D distance from ball to patch boundary
-
-    @property
-    def interior(self) -> bool:
-        return self.kind == "interior"
-
-
-def _check_index(basis: BasisSpec, n_patches, idx: WaveletIndex,
-                 generator: bool = False) -> int:
-    """The level of the cells that `idx` indexes, or ValueError unless it
-    names a function of `basis` on `n_patches` patches: a wavelet (level >=
-    j_star) or, if `generator`, a generator (level j_star - 1, the cells of
-    level j_star)."""
+def _check_index(basis: BasisSpec, n_patches, idx: WaveletIndex) -> int:
+    """The level of `idx`, or ValueError unless it names a wavelet (level >=
+    j_star) of `basis` on `n_patches` patches."""
     fields = (idx.level, idx.patch, idx.etype, idx.k1, idx.k2, idx.m1, idx.m2)
     if not all(isinstance(v, (int, np.integer)) for v in fields):
         raise ValueError(f"{idx} has a non-integer field")
     j = idx.level
     if idx.etype == 0:
-        if not generator:
-            raise ValueError("generator-block indices are not classified")
-        if j != basis.j_star - 1:
-            raise ValueError(f"generator indices have level j_star - 1 = "
-                             f"{basis.j_star - 1}, got {j}")
-        j = basis.j_star
+        raise ValueError("generator-block indices are not classified")
     elif idx.etype not in (1, 2, 3):
         raise ValueError(f"etype {idx.etype} is not a wavelet type (1, 2 or 3)")
     elif j < basis.j_star:
@@ -246,16 +221,6 @@ class CoefficientField:
 
     def level_range(self):
         return range(self.basis.j_star, self.J + 1)
-
-    def entry(self, idx: WaveletIndex):
-        """The coefficient of `idx`; ValueError unless the field holds it."""
-        _check_index(self.basis, self.n_patches, idx, generator=True)
-        if idx.etype == 0:
-            return self.coarse[idx.patch, idx.k1, idx.k2, idx.m1, idx.m2]
-        if idx.level not in self.levels:
-            raise ValueError(f"level {idx.level} is not stored in this field")
-        return self.levels[idx.level][idx.patch, idx.etype - 1,
-                                      idx.k1, idx.k2, idx.m1, idx.m2]
 
 
 def _zero_arrays(basis: BasisSpec, n_patches: int, J: int, dtype=np.float64):
@@ -393,9 +358,10 @@ def analyze(surface: PolyhedralSurface, sampler, basis: BasisSpec, J: int,
 
 def synthesize_params(field: CoefficientField, patch_index: int, S, T):
     """Evaluate the expansion at parameter points of one patch."""
+    if not (_is_integer(patch_index) and 0 <= patch_index < field.n_patches):
+        raise ValueError(f"patch {patch_index!r} lies outside the field's "
+                         f"{field.n_patches} patches")
     basis = field.basis
-    _check_index(basis, field.n_patches,
-                 WaveletIndex(basis.j_star - 1, patch_index, 0, 0, 0), generator=True)
     fam = family_for(basis)
     shape = np.asarray(S).shape
     S = np.asarray(S, dtype=float).ravel()
@@ -459,33 +425,15 @@ def synthesize(field: CoefficientField, points):
     return out if out.size > 1 else out[0]
 
 
-# -- classification and supports ----------------------------------------------
+# -- classification -------------------------------------------------------------
 
-def support_of(basis: BasisSpec, idx: WaveletIndex,
-               surface: PolyhedralSurface | None = None):
-    """Exact parameter support rectangle and (optionally) its surface measure."""
-    j = _check_index(basis, inf if surface is None else surface.n_patches,
-                     idx, generator=True)
-    h = 0.5 ** j
-    rect = ((idx.k1 * h, (idx.k1 + 1) * h), (idx.k2 * h, (idx.k2 + 1) * h))
-    param_area = h * h
-    surface_area = None
-    if surface is not None:
-        patch = surface.patches[idx.patch]
-        sc = 0.5 * (rect[0][0] + rect[0][1])
-        tc = 0.5 * (rect[1][0] + rect[1][1])
-        # |det D kappa| is affine in (s,t): midpoint value integrates it exactly
-        surface_area = float(patch.jacobian_det(np.array(sc), np.array(tc))) * param_area
-    return rect, param_area, surface_area
+def _cell_clearance(patch, j: int, k1, k2):
+    """Clearance of the image of level-j cell (k1, k2) from the patch boundary.
 
-
-def _cell_witness(patch, j: int, k1, k2):
-    """Ball around the image of level-j cell (k1, k2) and its clearance.
-
-    Returns (center, radius, clearance): the corner mean, the largest corner
-    distance from it, and the distance from the center to the patch boundary
-    minus the radius. Broadcasts over k1 and k2 using elementwise operations
-    and last-axis sums only, so one cell and a whole level agree bit for bit.
+    The distance from the corner mean to the patch boundary, minus the
+    largest corner distance from the mean (the circumscribed ball's radius).
+    Broadcasts over k1 and k2 using elementwise operations and last-axis sums
+    only, so one cell and a whole level agree bit for bit.
     """
     h = 0.5 ** j
     s0 = np.asarray(k1) * h
@@ -496,12 +444,12 @@ def _cell_witness(patch, j: int, k1, k2):
     radius = np.sqrt(((c[0] - center) ** 2).sum(-1))
     for ck in c[1:]:
         radius = np.maximum(radius, np.sqrt(((ck - center) ** 2).sum(-1)))
-    return center, radius, quad_edge_distance(center, patch.corners) - radius
+    return quad_edge_distance(center, patch.corners) - radius
 
 
 def classify_index(surface: PolyhedralSurface, basis: BasisSpec,
-                   idx: WaveletIndex) -> IndexClass:
-    """Interior/boundary split of a wavelet index.
+                   idx: WaveletIndex) -> bool:
+    """Whether a wavelet index is interior, one cell at a time.
 
     Interior requires: the support cell sits strictly inside the open parameter
     square, and the circumscribed ball of its image keeps more than 2^{-level}
@@ -509,14 +457,10 @@ def classify_index(surface: PolyhedralSurface, basis: BasisSpec,
     """
     j = _check_index(basis, surface.n_patches, idx)
     cells = 1 << j
-    rect, _, _ = support_of(basis, idx)
     if idx.k1 == 0 or idx.k2 == 0 or idx.k1 == cells - 1 or idx.k2 == cells - 1:
-        return IndexClass(kind="boundary", rect=rect)
-    center, radius, clearance = _cell_witness(surface.patches[idx.patch], j,
-                                              idx.k1, idx.k2)
-    kind = "interior" if clearance > 0.5 ** j else "boundary"
-    return IndexClass(kind=kind, rect=rect, ball_center=center,
-                      ball_radius=float(radius), edge_clearance=float(clearance))
+        return False
+    return bool(_cell_clearance(surface.patches[idx.patch], j, idx.k1, idx.k2)
+                > 0.5 ** j)
 
 
 def classify_level(surface: PolyhedralSurface, basis: BasisSpec, j: int):
@@ -535,7 +479,7 @@ def classify_level(surface: PolyhedralSurface, basis: BasisSpec, j: int):
         inner = (k > 0) & (k < cells - 1)
         ring = inner[:, None] & inner[None, :]
         masks = _readonly(np.stack([
-            ring & (_cell_witness(patch, j, k[:, None], k[None, :])[2] > 0.5 ** j)
+            ring & (_cell_clearance(patch, j, k[:, None], k[None, :]) > 0.5 ** j)
             for patch in surface.patches]))
         surface._interior_masks[j] = masks
     return masks

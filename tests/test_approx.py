@@ -223,8 +223,9 @@ def test_best_n_term_returns_heaviest(cube, haar):
          for j in field.level_range()
          for v in field.level(j).ravel()),
         reverse=True)
-    got = sorted((2.0 ** (idx.level * e) * abs(field.entry(idx))
-                  for idx in indices), reverse=True)
+    got = sorted((2.0 ** (i.level * e) * abs(field.level(i.level)[
+        i.patch, i.etype - 1, i.k1, i.k2, i.m1, i.m2]) for i in indices),
+                 reverse=True)
     assert got == pytest.approx(weights[:5], rel=1e-13)
     assert err <= n_term_plan(field, target).error_at(4)
 
@@ -288,8 +289,11 @@ def test_fit_rate_verdict_tolerance():
     samples = [(n, n ** -0.6) for n in ns]
     assert fit_rate(samples, predicted=0.646).verdict == "consistent"
     assert fit_rate(samples, predicted=0.71).verdict == "inconsistent"
-    assert fit_rate(samples, predicted=0.63, rel_tol=0.0,
-                    abs_tol=0.001).verdict == "inconsistent"
+    # below the default band, and either side of its absolute floor
+    assert fit_rate(samples, predicted=0.53).verdict == "inconsistent"
+    flat = [(n, n ** -0.2) for n in ns]
+    assert fit_rate(flat, predicted=0.24).verdict == "consistent"
+    assert fit_rate(flat, predicted=0.26).verdict == "inconsistent"
 
 
 def test_fit_rate_input_validation():

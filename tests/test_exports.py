@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -53,18 +54,22 @@ def test_every_module_level_import_is_used(path):
 # acceptance criterion calls, each kept on purpose
 _KEPT_WITHOUT_CALLER = {
     "FiniteDifferenceHandle": "the only way a user's own function reaches the weighted norm",
-    "classify_index": "the per-cell witness that the level mask is tested against",
+    "classify_index": "the one-cell classifier that the level mask is tested against",
     "synthesize": "evaluates a field at 3-D surface points",
 }
 
 
+def _callers():
+    """The library modules, the benchmark studies and the acceptance tests."""
+    return ([p for p in sorted(Path(patchwave.__file__).parent.glob("*.py"))
+             if p.name != "__init__.py"]
+            + sorted((_ROOT / "perfbench").glob("*.py"))
+            + [_ROOT / "tests" / "test_acceptance.py"])
+
+
 def test_every_exported_name_has_a_caller_or_a_reason():
-    callers = ([p for p in sorted(Path(patchwave.__file__).parent.glob("*.py"))
-                if p.name != "__init__.py"]
-               + sorted((_ROOT / "perfbench").glob("*.py"))
-               + [_ROOT / "tests" / "test_acceptance.py"])
     referenced = set()
-    for path in callers:
+    for path in _callers():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name):
                 referenced.add(node.id)
@@ -76,6 +81,83 @@ def test_every_exported_name_has_a_caller_or_a_reason():
     uncalled = sorted(api - referenced)
     assert uncalled == sorted(_KEPT_WITHOUT_CALLER), (
         f"exported without a caller: {uncalled}; delete them or give a reason")
+
+
+def _members():
+    """{Class.name: (class, name)} for every public method and property and
+    every dataclass or NamedTuple field of each class in a module's
+    __all__; a member is labelled by the class that defines it."""
+    out = {}
+    for module in _MODULES:
+        mod = importlib.import_module(module)
+        for cls in (getattr(mod, n) for n in getattr(mod, "__all__", [])):
+            if not inspect.isclass(cls):
+                continue
+            for klass in cls.__mro__:
+                if not klass.__module__.startswith("patchwave"):
+                    continue
+                for m, raw in vars(klass).items():
+                    f = getattr(raw, "__func__", raw)
+                    if not m.startswith("_") and (isinstance(raw, property)
+                                                  or inspect.isfunction(f)):
+                        out[f"{klass.__name__}.{m}"] = (klass, m)
+            fields = ([f.name for f in dataclasses.fields(cls)]
+                      if dataclasses.is_dataclass(cls) else getattr(cls, "_fields", ()))
+            out.update((f"{cls.__name__}.{f}", (cls, f)) for f in fields)
+    return out
+
+
+class _Scoped(ast.NodeVisitor):
+    """Tracks the qualified name of the class or function being visited."""
+
+    def __init__(self):
+        self.scope = []
+
+    def _enter(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = _enter
+
+
+class _Reads(_Scoped):
+    """(attribute name, qualified name of the enclosing definition) of each
+    attribute read."""
+
+    def __init__(self):
+        super().__init__()
+        self.reads = set()
+
+    def visit_Attribute(self, node):
+        if isinstance(node.ctx, ast.Load):
+            self.reads.add((node.attr, ".".join(self.scope)))
+        self.generic_visit(node)
+
+
+# public methods and record fields that no library module, benchmark study or
+# acceptance criterion reads, each kept on purpose
+_KEPT_UNREAD = {
+    "DoubleLayerSystem.grade_depth": "test_bem's per-pair oracle rebuilds "
+                                     "touching entries at the system's depth",
+}
+
+
+def test_every_member_and_field_has_a_reader_or_a_reason():
+    visitor = _Reads()
+    for path in _callers():
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+    unread = []
+    for label, (klass, name) in sorted(_members().items()):
+        # a read inside the member's own definition does not count
+        own = f"{klass.__qualname__}.{name}"
+        if not any(attr == name and scope != own and not scope.startswith(own + ".")
+                   for attr, scope in visitor.reads):
+            unread.append(label)
+    assert unread == sorted(_KEPT_UNREAD), (
+        f"members and fields that nothing reads: "
+        f"{sorted(set(unread) - set(_KEPT_UNREAD))}; delete them or give a "
+        f"reason (stale reasons: {sorted(set(_KEPT_UNREAD) - set(unread))})")
 
 
 def _routines():
@@ -118,20 +200,14 @@ def _options():
     return options, own
 
 
-class _Calls(ast.NodeVisitor):
+class _Calls(_Scoped):
     """Each call's callee name, positional arguments up to the first
     `*args`, keyword arguments by name (a `**` expansion sets none), and
     the qualified name of the function that makes it."""
 
     def __init__(self):
-        self.scope, self.calls = [], []
-
-    def _enter(self, node):
-        self.scope.append(node.name)
-        self.generic_visit(node)
-        self.scope.pop()
-
-    visit_ClassDef = visit_FunctionDef = _enter
+        super().__init__()
+        self.calls = []
 
     def visit_Call(self, node):
         f = node.func

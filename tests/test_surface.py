@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -6,6 +8,7 @@ from patchwave import (
     SurfaceError,
     fichera_corner,
     load_surface,
+    partition_face_derivs,
     quasi_random_points,
     surface_text,
     unit_cube,
@@ -102,47 +105,56 @@ def test_cone_structure(cube):
             assert np.linalg.norm(f.e2) == pytest.approx(1.0, abs=1e-12)
 
 
+def _phi(rou, patch, pts):
+    """Every phi_n at points of one patch: (n_vertices, N), from the
+    partition the weighted norm evaluates, in the frame of one of the
+    patch's cone faces."""
+    surface = rou.surface
+    face = next(f for n in patch.corner_ids for f in surface.cone_faces(n)
+                if f.patch == patch.index)
+    pts = np.atleast_2d(pts)
+    return np.array([partition_face_derivs(rou, n, pts, face.e1, face.e2)[(0, 0)]
+                     for n in range(surface.n_vertices)])
+
+
 def test_partition_examples(cube, rou):
+    patch = cube.patches[0]
+    assert {0, 1} <= set(patch.corner_ids)
     # at a vertex the owning weight is 1, all others 0
-    v = cube.vertices[0]
-    for n in range(cube.n_vertices):
-        expect = 1.0 if n == 0 else 0.0
-        assert rou.eval(n, v) == pytest.approx(expect, abs=1e-12)
+    phi = _phi(rou, patch, cube.vertices[0])[:, 0]
+    assert phi == pytest.approx(np.eye(cube.n_vertices)[0], abs=1e-12)
     # midpoint of an edge splits evenly between the endpoints
     mid = 0.5 * (cube.vertices[0] + cube.vertices[1])
-    w0 = rou.eval(0, mid)
-    w1 = rou.eval(1, mid)
-    assert w0 == pytest.approx(0.5, abs=1e-12)
-    assert w1 == pytest.approx(0.5, abs=1e-12)
+    phi = _phi(rou, patch, mid)[:, 0]
+    assert phi[0] == pytest.approx(0.5, abs=1e-12)
+    assert phi[1] == pytest.approx(0.5, abs=1e-12)
     # at a face barycenter the four face corners contribute equally and the
     # opposite-face vertices (distance sqrt(1.5) > r1) not at all
-    bary = cube.patches[0].chart(0.5, 0.5)
-    face = set(cube.patches[0].corner_ids)
+    phi = _phi(rou, patch, patch.chart(0.5, 0.5))[:, 0]
     for n in range(cube.n_vertices):
-        if n in face:
-            assert rou.eval(n, bary) == pytest.approx(0.25, abs=1e-12)
+        if n in patch.corner_ids:
+            assert phi[n] == pytest.approx(0.25, abs=1e-12)
         else:
-            assert rou.eval(n, bary) == 0.0
+            assert phi[n] == 0.0
 
 
 @pytest.mark.parametrize("query", [
-    lambda cube, rou: cube.cone_faces(99),
-    lambda cube, rou: cube.cone_faces(1.5),
-    lambda cube, rou: cube.cone_faces(True),
-    lambda cube, rou: rou.eval(-1, cube.vertices[7]),
-], ids=["cone-faces-99", "cone-faces-1.5", "cone-faces-true", "eval-minus-1"])
-def test_vertex_queries_reject_bad_ids(cube, rou, query):
+    lambda cube: cube.cone_faces(99),
+    lambda cube: cube.cone_faces(1.5),
+    lambda cube: cube.cone_faces(True),
+], ids=["cone-faces-99", "cone-faces-1.5", "cone-faces-true"])
+def test_vertex_queries_reject_bad_ids(cube, query):
     # these used to raise a raw KeyError, or to read 1.5 and True as vertex 1
-    # and -1 as vertex 7
     with pytest.raises(ValueError, match="vertex must be a vertex id in"):
-        query(cube, rou)
+        query(cube)
     assert cube.cone_faces(np.int64(3)) == cube.cone_faces(3)
 
 
 def test_partition_sums_to_one(cube, rou):
-    _, _, pts = quasi_random_points(cube, 200)
-    total = rou.eval_all(pts).sum(axis=0)
-    assert np.allclose(total, 1.0, atol=1e-12)
+    ids, _, pts = quasi_random_points(cube, 200)
+    for patch in cube.patches:
+        total = _phi(rou, patch, pts[ids == patch.index]).sum(axis=0)
+        assert np.allclose(total, 1.0, atol=1e-12)
 
 
 def test_partition_profile_shape(rou):
@@ -344,3 +356,33 @@ def test_resolution_tolerance_is_in_surface_units(s):
     r1 = rou._clearances() - C1 + 5e-7 * surface.min_edge
     with pytest.raises(SurfaceError, match="violates the clearance condition"):
         ResolutionOfUnity(surface, C1=C1, r1=r1)
+
+
+def _nan_c1(cube):
+    # json.loads reads the NaN literal that json.dumps writes
+    desc = unit_cube()
+    desc["constants"] = {"C1": float("nan")}
+    return ResolutionOfUnity(load_surface(json.dumps(desc)))
+
+
+def _bad_r1(cube, value):
+    r1 = ResolutionOfUnity(cube).r1.copy()
+    r1[2] = value
+    return ResolutionOfUnity(cube, r1=r1)
+
+
+@pytest.mark.parametrize("build, match", [
+    (_nan_c1, "C1 must be finite and positive, got nan"),
+    (lambda cube: ResolutionOfUnity(cube, C1=float("inf")),
+     "C1 must be finite and positive, got inf"),
+    (lambda cube: ResolutionOfUnity(cube, C1=0.0),
+     "C1 must be finite and positive, got 0"),
+    (lambda cube: _bad_r1(cube, float("nan")),
+     r"resolution radius r1\[2\]=nan must be positive"),
+    (lambda cube: _bad_r1(cube, -0.25),
+     r"resolution radius r1\[2\]=-0.25 must be positive"),
+], ids=["C1-nan-in-json", "C1-inf", "C1-zero", "r1-nan", "r1-negative"])
+def test_resolution_radii_name_the_bad_value(cube, build, match):
+    # a NaN C1 or r1 was reported as radii that leave the surface uncovered
+    with pytest.raises(SurfaceError, match=match):
+        build(cube)

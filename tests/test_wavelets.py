@@ -25,7 +25,6 @@ from patchwave import (
     moment_check,
     multiwavelet_basis,
     save_field,
-    support_of,
     synth_field,
     synthesize,
     synthesize_params,
@@ -320,9 +319,8 @@ def _classify_matches(surface, j, patches):
     for i in patches:
         for k1 in range(cells):
             for k2 in range(cells):
-                cls = classify_index(surface, haar_basis(),
-                                     WaveletIndex(j, i, 1, k1, k2, 0, 0))
-                assert cls.interior == bool(mask[i, k1, k2])
+                idx = WaveletIndex(j, i, 1, k1, k2, 0, 0)
+                assert classify_index(surface, haar_basis(), idx) is bool(mask[i, k1, k2])
     return mask
 
 
@@ -348,7 +346,7 @@ def test_classify_level_matches_classify_index_off_the_cube(fichera, name, j):
 
 def _clearance_oracle(patch, j):
     """Every level-j cell's clearance, with the patch boundary distance taken
-    one edge at a time as `_cell_witness` did before it shared the surface's
+    one edge at a time as `_cell_clearance` did before it shared the surface's
     edge distance."""
     h, k = 0.5 ** j, np.arange(1 << j)
     s0, t0 = k[:, None] * h, k[None, :] * h
@@ -530,14 +528,6 @@ def test_moment_check_rejects_malformed_input(basis_name, idx, coeffs, match,
         moment_check(cube, basis, idx, coeffs)
 
 
-def test_support_of(cube, haar):
-    idx = WaveletIndex(2, 1, 2, 1, 3, 0, 0)
-    rect, param_area, surf_area = support_of(haar, idx, cube)
-    assert rect == ((0.25, 0.5), (0.75, 1.0))
-    assert param_area == pytest.approx(1 / 16)
-    assert surf_area == pytest.approx(1 / 16)  # unit jacobian on the cube
-
-
 def test_field_save_load_roundtrip(tmp_path, cube, haar):
     field = synth_field(cube, haar, "random_besov", 3, spec=_any_spec(), seed=1)
     path = tmp_path / "field.npz"
@@ -609,21 +599,11 @@ def test_field_structure(cube, haar):
     assert field.level(2).shape == (6, 3, 4, 4, 1, 1)
 
 
-def test_entry(cube, haar):
-    field = synth_field(cube, haar, "random_besov", 2, spec=_any_spec(), seed=2)
-    idx = WaveletIndex(1, 3, 2, 0, 1, 0, 0)
-    assert field.entry(idx) == field.level(1)[3, 1, 0, 1, 0, 0]
-    assert field.entry(WaveletIndex(-1, 3, 0, 0, 0)) == field.coarse[3, 0, 0, 0, 0]
-
-
 _QUERIES = {
     "classify_index": lambda f, idx: classify_index(f.surface, f.basis, idx),
-    "support_of": lambda f, idx: support_of(f.basis, idx, f.surface),
-    "entry": lambda f, idx: f.entry(idx),
     "moment_check": lambda f, idx: moment_check(f.surface, f.basis, idx, [[1.0]]),
 }
 _OTHER_QUERIES = {
-    "support_of-no-surface": lambda f, idx: support_of(f.basis, idx),
     "synthesize_params": lambda f, idx: synthesize_params(
         f, idx.patch, np.array([0.5]), np.array([0.5])),
 }
@@ -642,13 +622,7 @@ _BAD_INDICES = [
 
 @pytest.mark.parametrize("query, idx, match", [
     *[(q, idx, match) for q in _QUERIES for idx, match in _BAD_INDICES],
-    ("entry", WaveletIndex(1, 0, 1, -1, 0), "outside"),
-    ("entry", WaveletIndex(4, 0, 1, 1, 1), "not stored"),
-    ("entry", WaveletIndex(-1, 0, 0, 1, 0), "outside"),
-    ("entry", WaveletIndex(2, 0, 0, 0, 0), "generator indices have level"),
-    ("support_of", WaveletIndex(0, 0, 0, 0, 0), "generator indices have level"),
     ("classify_index", WaveletIndex(-1, 0, 0, 0, 0), "generator"),
-    ("support_of-no-surface", WaveletIndex(1, 0, 1, 9, 0), "outside"),
     ("synthesize_params", WaveletIndex(2, 99, 1, 1, 1), "outside"),
 ])
 def test_every_index_query_refuses_an_index_it_does_not_hold(cube, haar, query,

@@ -70,8 +70,7 @@ def test_vertex_power_model_values(cube):
     beta = 0.6
     model = VertexPowerModel(cube, vertex=0, beta=beta)
     v = cube.vertices[0]
-    inc = cube.incident_patches(0)
-    patch = cube.patches[inc[0]]
+    patch = cube.patches[cube.cone_faces(0)[0].patch]
     # walk along a patch diagonal away from the vertex
     s, t = patch.chart_inverse(v)
     for lam, inside in ((0.05, True), (0.12, True), (0.9, False)):
