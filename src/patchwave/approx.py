@@ -447,7 +447,6 @@ class RateReport:
     """Least-squares power-law fit of an error sequence on log-log axes."""
 
     n: np.ndarray
-    error: np.ndarray
     slope: float
     intercept: float
     r_squared: float
@@ -500,7 +499,7 @@ def fit_rate(samples, predicted: float | None = None) -> RateReport:
     if predicted is not None:
         tol = max(_RATE_REL_TOL * abs(predicted), _RATE_ABS_TOL)
         verdict = "consistent" if abs(-slope - predicted) <= tol else "inconsistent"
-    return RateReport(n=n, error=err, slope=float(slope),
+    return RateReport(n=n, slope=float(slope),
                       intercept=float(intercept), r_squared=float(r2),
                       fit_lo=lo, fit_hi=hi, predicted=predicted, verdict=verdict)
 

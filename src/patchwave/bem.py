@@ -6,12 +6,12 @@ same-patch block exact (the kernel vanishes between coplanar points), and
 the remaining inner integrals have a closed form: the kernel integrated
 over a flat source cell is the signed solid angle the cell subtends.  Only
 the outer (test-cell) integral is done by quadrature, graded toward shared
-edges and corners.  Far cells take a plain Gauss rule of quad_order points a
-side or, mostly where the cell centres lie at least _FAR_DIAGS = 10 cell
-diagonals apart (see assemble), one point fewer: there the outer integrand
-is smooth enough that order 3 differs from order 8 by at most 6.0e-13 of
-max|A|, and order 2 by 2.9e-9 (Sauter and Schwab, Boundary Element
-Methods, 2011, ch. 5).
+edges and corners.  Far cells take a plain Gauss rule of _QUAD_ORDER = 4
+points a side or, mostly where the cell centres lie at least _FAR_DIAGS =
+10 cell diagonals apart (see assemble), one point fewer: there the outer
+integrand is smooth enough that order 3 differs from order 8 by at most
+6.0e-13 of max|A|, and order 2 by 2.9e-9 (Sauter and Schwab, Boundary
+Element Methods, 2011, ch. 5).
 
 Every solid angle comes from one van Oosterom-Strackee core, _quad_kernel,
 fed by one of two front ends that give the same bits: per corner for
@@ -38,10 +38,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._gauss import unit_rule
-from .surface import (PolyhedralSurface, SurfaceError, _check_counts, _map,
+from .surface import (PolyhedralSurface, _check_counts, _map,
                       points_quad_distance)
 from .spaces import BesovSpec
-from .wavelets import BasisSpec, CoefficientField, analyze
+from .wavelets import BasisSpec, analyze
 from .weighted import WeightedSpec
 from .approx import (RateReport, alpha_star, fit_rate, gamma_star,
                      n_term_plan, uniform_approx)
@@ -184,6 +184,9 @@ _CHUNK = 1024        # points per solid_angles chunk, quads per paired chunk
 _BATCH = 1 << 15     # classes per far-field batch of consecutive blocks
 _FAR_DIAGS = 10.0    # centre distance, in larger-cell diagonals, from which a
                      # far class takes one Gauss order less (see assemble)
+_QUAD_ORDER = 4      # Gauss points a side of a far cell's outer rule
+_GRADE_DEPTH = 4     # graded panels toward a touching pair's shared feature
+_MAX_CELLS = 8192    # cells that assemble accepts
 
 
 def solid_angles(quads: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -292,21 +295,6 @@ def _cell_nodes(patch, L: int, cells: np.ndarray, rule):
     return patch.chart(S, T), w * h * h * patch.jacobian_det(S, T)
 
 
-def _orientation_check(surface: PolyhedralSurface) -> None:
-    """The enclosed volume must be positive: the patch normals point
-    outward.  That the windings agree across every shared edge is already
-    checked by `load_surface` (PolyhedralSurface._check_edges)."""
-    vol = 0.0
-    for p in surface.patches:
-        n = np.cross(p.coeff_b, p.coeff_c)
-        area = float(np.linalg.norm(n))
-        center = p.chart(np.array([0.5]), np.array([0.5]))[0]
-        vol += float(np.dot(center, n / area)) * area / 3.0
-    if vol <= 0.0:
-        raise SurfaceError("patch normals enclose nonpositive volume "
-                           "(surface oriented inward)")
-
-
 # -- the assembled system --------------------------------------------------------
 
 
@@ -372,8 +360,6 @@ class DoubleLayerSystem:
     blocks: list[_Block]
     areas: np.ndarray
     centers: np.ndarray
-    quad_order: int
-    grade_depth: int
 
     @property
     def n_cells(self) -> int:
@@ -680,18 +666,17 @@ def _close_classes(quads_m, quads_n, d2, diag, rep_m, rep_n):
     return near, k[touch], list(features)
 
 
-def assemble(surface: PolyhedralSurface, L: int, *, quad_order: int = 4,
-             grade_depth: int = 4, workers: int = 1,
-             max_cells: int = 8192) -> DoubleLayerSystem:
+def assemble(surface: PolyhedralSurface, L: int, *,
+             workers: int = 1) -> DoubleLayerSystem:
     """Galerkin matrix A[m, n] = (1/2) delta_mn |cell_m| - (K-part).
 
     The source-cell integral is the closed-form signed solid angle; the
     test-cell integral maps one cached _unit_cell_rule onto each batch of
-    cells: quad_order^2 Gauss on far classes, upgraded to a 2x2 subdivision
-    on near classes and to grade_depth-graded panels toward the shared
-    feature on touching classes.  With quad_order >= 4, a far class whose
+    cells: _QUAD_ORDER^2 (16) Gauss on far classes, upgraded to a 2x2
+    subdivision on near classes and to panels graded _GRADE_DEPTH (4) deep
+    toward the shared feature on touching classes.  A far class whose
     representative's cell centres lie at least _FAR_DIAGS (10) larger-cell
-    diagonals apart takes (quad_order - 1)^2 Gauss instead, unless its
+    diagonals apart takes (_QUAD_ORDER - 1)^2 Gauss instead, unless its
     source row (or column) lies within the span of those holding a closer
     class of the same test cell, so that the classes still cut into few
     rectangles (_far_pieces); no closer class is lowered.  On the unit
@@ -703,22 +688,21 @@ def assemble(surface: PolyhedralSurface, L: int, *, quad_order: int = 4,
     the only form the system keeps.  Every touching entry is recomputed one
     grading level coarser, and a disagreement of more than 5% raises, at
     the first such pair in C order.  No (N, N) array is allocated until the
-    system's `A` is read.
+    system's `A` is read.  More than _MAX_CELLS (8192) cells is a
+    MemoryError.
     """
-    _check_counts(L=L, quad_order=quad_order, grade_depth=grade_depth,
-                  workers=workers)
-    _orientation_check(surface)
+    _check_counts(L=L, workers=workers)
     c = 1 << L
     cells = c * c
     N = surface.n_patches * cells
-    if N > max_cells:
-        raise MemoryError(f"{N} cells exceed the budget of {max_cells}")
+    if N > _MAX_CELLS:
+        raise MemoryError(f"{N} cells exceed the budget of {_MAX_CELLS}")
 
     quads = np.stack([_cell_quads(p, L) for p in surface.patches])
     verts = [np.stack(v) for v in zip(*map(_vertex_grid, quads))]
     # far classes at least _FAR_DIAGS diagonals apart take one order less:
     # there order 3 is off by 6.0e-13 of max|A|, order 2 by 2.9e-9
-    orders = (quad_order, quad_order - 1) if quad_order >= 4 else (quad_order,)
+    orders = (_QUAD_ORDER, _QUAD_ORDER - 1)
     rules = []                          # (P, W) of every patch, per order
     for order in orders:
         P, W = zip(*(_cell_nodes(p, L, np.arange(cells), _unit_cell_rule(order))
@@ -734,7 +718,7 @@ def assemble(surface: PolyhedralSurface, L: int, *, quad_order: int = 4,
     def rule_values(pm, pn, m, n, feature, depth):
         """Entries of cell pairs (m, n) of block (pm, pn), each its w @ o."""
         P, W = _cell_nodes(surface.patches[pm], L, m,
-                           _unit_cell_rule(quad_order, feature, depth))
+                           _unit_cell_rule(_QUAD_ORDER, feature, depth))
         om = _solid_angles_paired(quads[pn][n], P)
         return np.array([w @ o for w, o in zip(W, om)]) / _FOUR_PI
 
@@ -747,7 +731,7 @@ def assemble(surface: PolyhedralSurface, L: int, *, quad_order: int = 4,
         d = [a[rep_m] - b[rep_n]
              for a, b in zip(cell_centers[pm], cell_centers[pn])]
         d2 = _dot(d, d)                 # the bits of (d ** 2).sum(-1)
-        beyond = (d2 >= (_FAR_DIAGS * diag) ** 2) & (len(orders) > 1)
+        beyond = d2 >= (_FAR_DIAGS * diag) ** 2
         close = _close_classes(quads[pm], quads[pn], d2, diag, rep_m, rep_n)
         return pm, pn, table, rep_m, rep_n, beyond, close
 
@@ -770,7 +754,7 @@ def assemble(surface: PolyhedralSurface, L: int, *, quad_order: int = 4,
             k = np.concatenate([near, touching])
             m, n = rep_m[k], rep_n[k]
             kinds = ([((None, None), 0)] * len(near)
-                     + [(feature, grade_depth) for feature in features])
+                     + [(feature, _GRADE_DEPTH) for feature in features])
             val, val2 = np.empty(len(k)), np.empty(len(k))
             for feature, depth in dict.fromkeys(kinds):
                 idx = np.array([i for i, r in enumerate(kinds)
@@ -817,8 +801,7 @@ def assemble(surface: PolyhedralSurface, L: int, *, quad_order: int = 4,
     runs = [pairs[i:i + step] for i in range(0, len(pairs), step)]
     blocks = [b for run in _map(do_pairs, runs, workers) for b in run]
     return DoubleLayerSystem(surface=surface, L=L, blocks=blocks, areas=areas,
-                             centers=centers, quad_order=quad_order,
-                             grade_depth=grade_depth)
+                             centers=centers)
 
 
 # -- identity checks -------------------------------------------------------------
@@ -841,10 +824,9 @@ def gauss_check(surface: PolyhedralSurface, x, patch: int | None = None,
 
     Classical values: -1 at interior points, -1/2 at smooth surface points
     (pass the containing patch; its own coplanar contribution is exactly
-    zero), 0 outside.  An inward-oriented surface is a SurfaceError.
+    zero), 0 outside.
     """
     _check_counts(L=L)
-    _orientation_check(surface)
     if patch is not None and (isinstance(patch, bool) or not isinstance(
             patch, (int, np.integer)) or not 0 <= patch < surface.n_patches):
         raise ValueError(f"patch must be None or a patch index in "
@@ -1033,10 +1015,8 @@ def potential_eval(surface: PolyhedralSurface, density: np.ndarray, y):
     """Double layer potential of a cellwise density at interior points.
 
     Exact for piecewise-constant densities (per-cell solid angles); refuses
-    points closer to the surface than one cell size, and an inward-oriented
-    surface (SurfaceError).
+    points closer to the surface than one cell size.
     """
-    _orientation_check(surface)
     density = np.asarray(density, dtype=float)
     L = _density_level(surface, density)
     single = np.ndim(y) == 1
@@ -1076,7 +1056,6 @@ class _CellDensitySampler:
 class SolutionReport:
     """Adaptive-vs-uniform approximation study of a solved density."""
 
-    field: CoefficientField
     adaptive: RateReport | None
     uniform: RateReport | None
     predicted_gamma: float
@@ -1141,5 +1120,5 @@ def analyze_solution(surface: PolyhedralSurface, density: np.ndarray,
         if len(uni) >= 4:
             uniform = fit_rate([(u.n_effective, u.error) for u in uni])
     return SolutionReport(
-        field=field, adaptive=adaptive, uniform=uniform,
+        adaptive=adaptive, uniform=uniform,
         predicted_gamma=gam, alpha_star=a_star, noise_floor=noise)

@@ -43,8 +43,7 @@ def _is_integer(value) -> bool:
 
 
 def _check_counts(**counts) -> None:
-    """Levels, orders, depths and worker counts must be integers (not bools)
-    >= 1."""
+    """Levels and worker counts must be integers (not bools) >= 1."""
     for name, value in counts.items():
         if not _is_integer(value) or value < 1:
             raise ValueError(f"{name} must be >= 1 and an integer, got {value!r}")
@@ -235,10 +234,17 @@ class PolyhedralSurface:
                 isinstance(c, numbers.Real) and not isinstance(c, bool)
                 for c in constants.values())):
             raise SurfaceError("constants must map names to numbers")
+        try:
+            self.constants = {k: float(v) for k, v in (constants or {}).items()}
+        except OverflowError:
+            raise SurfaceError("constants must lie in the float range") from None
+        C1 = self.constants.get("C1")
+        if C1 is not None and not 0 < C1 < math.inf:
+            raise SurfaceError(f"C1 must be finite and positive, got {C1:.6g}")
         self._scale = float(np.max(np.ptp(self.vertices, axis=0)))
         self.patches = [self._build_patch(i, q) for i, q in enumerate(quads)]
-        self.constants = dict(constants or {})
         self._check_edges()
+        self._check_volume()
         self.cones = self._build_cones()
         self.min_edge = min(p.min_edge for p in self.patches)
         # read-only interior cell masks per wavelet level, filled on demand
@@ -302,6 +308,16 @@ class PolyhedralSurface:
                 raise SurfaceError(
                     f"inconsistent orientation across edge ({a},{b}) "
                     f"between patches {uses[0][0]} and {uses[1][0]}")
+
+    def _check_volume(self):
+        """The patch normals must enclose positive volume: they point
+        outward.  By the divergence theorem with F = x, 3 V is the sum over
+        the flat patches of (x . n) |patch|, x any point of the patch."""
+        vol = sum(float(np.dot(p.chart(0.5, 0.5), p.normal)) * p.area
+                  for p in self.patches)
+        if vol <= 0.0:
+            raise SurfaceError("patch normals enclose nonpositive volume "
+                               "(surface oriented inward)")
 
     def _build_cones(self):
         incident: dict[int, list[tuple[int, int]]] = {}
@@ -376,7 +392,7 @@ class PolyhedralSurface:
         return {
             "vertices": [[float(x) for x in v] for v in self.vertices],
             "patches": [list(p.corner_ids) for p in self.patches],
-            "constants": {k: float(v) for k, v in sorted(self.constants.items())},
+            "constants": dict(sorted(self.constants.items())),
         }
 
     def content_hash(self):
@@ -395,7 +411,9 @@ def load_surface(source) -> PolyhedralSurface:
 
     Required fields: ``vertices`` (list of [x, y, z]) and ``patches`` (list of
     [v0, v1, v2, v3], counter-clockwise from outside). Optional: ``constants``
-    with key C1, the clearance of `ResolutionOfUnity`.
+    with key C1, the clearance of `ResolutionOfUnity`, finite and positive.
+    A surface whose patch normals enclose nonpositive volume (wound inward)
+    is refused.
     """
     if isinstance(source, PolyhedralSurface):
         return source
@@ -475,24 +493,19 @@ class ResolutionOfUnity:
 
     Each vertex n carries a radial profile equal to 1 for r <= r0[n], 0 for
     r >= r1[n], with r0 = min(C1, r1 / 2); phi_n is the bump divided by the
-    sum of all bumps. Construction validates the separation conditions: bumps
-    vanish on non-incident patches with clearance C1, plateau balls meet no
+    sum of all bumps. C1 is the surface's constant C1, else min_edge / 8, and
+    r1[n] is vertex n's clearance from the patches not containing it, less
+    2 C1, so every bump vanishes on those patches with clearance C1.
+    Construction validates the rest: r1 is positive, plateau balls meet no
     other bump, and the supports cover the surface.
     """
 
-    def __init__(self, surface: PolyhedralSurface, C1=None, r1=None):
+    def __init__(self, surface: PolyhedralSurface):
         self.surface = surface
-        self.C1 = float(C1 if C1 is not None
-                        else surface.constants.get("C1", surface.min_edge / 8.0))
-        if not (math.isfinite(self.C1) and self.C1 > 0):
-            raise SurfaceError(f"C1 must be finite and positive, got {self.C1:.6g}")
-        nv = surface.n_vertices
-        clear = self._clearances()
-        if r1 is None:
-            r1 = clear - 2.0 * self.C1
-        self.r1 = np.broadcast_to(np.asarray(r1, dtype=float), (nv,)).copy()
+        self.C1 = surface.constants.get("C1", surface.min_edge / 8.0)
+        self.r1 = self._clearances() - 2.0 * self.C1
         self.r0 = np.minimum(self.C1, 0.5 * self.r1)
-        self._validate(clear)
+        self._validate()
         self.r0.flags.writeable = False
         self.r1.flags.writeable = False
 
@@ -506,22 +519,15 @@ class ResolutionOfUnity:
             np.minimum(out, d, out=out)
         return out
 
-    def _validate(self, clear):
+    def _validate(self):
         surf = self.surface
         tol = 1e-12 * surf.min_edge
         # with r0 = min(C1, r1 / 2) and C1 > 0, 0 < r0 < r1 holds iff r1 > 0
-        bad = ~(self.r1 > 0)
+        bad = self.r1 <= 0
         if np.any(bad):
             n = int(np.argmax(bad))
             raise SurfaceError(f"resolution radius r1[{n}]={self.r1[n]:.6g} "
                                f"must be positive")
-        # (U1): supports keep clearance C1 from every non-incident patch
-        bad = self.r1 + self.C1 > clear + tol
-        if np.any(bad):
-            n = int(np.argmax(bad))
-            raise SurfaceError(
-                f"resolution radius r1[{n}]={self.r1[n]:.6g} violates the clearance "
-                f"condition against non-incident patches (clearance {clear[n]:.6g}, C1={self.C1:.6g})")
         # plateau balls must not meet any other bump support
         v = surf.vertices
         for n in range(surf.n_vertices):

@@ -427,13 +427,17 @@ def synthesize(field: CoefficientField, points):
 
 # -- classification -------------------------------------------------------------
 
-def _cell_clearance(patch, j: int, k1, k2):
-    """Clearance of the image of level-j cell (k1, k2) from the patch boundary.
+def _cell_clears(patch, j: int, k1, k2):
+    """Whether the image of level-j cell (k1, k2) clears the patch boundary
+    by more than 2^-j patch units, a patch unit being min(|b|, |c|) of the
+    chart's edge vectors (1 on a unit square), so that moving, turning or
+    scaling the surface changes the answer only by rounding.
 
-    The distance from the corner mean to the patch boundary, minus the
-    largest corner distance from the mean (the circumscribed ball's radius).
-    Broadcasts over k1 and k2 using elementwise operations and last-axis sums
-    only, so one cell and a whole level agree bit for bit.
+    The clearance is the distance from the corner mean to the patch
+    boundary, minus the largest corner distance from the mean (the
+    circumscribed ball's radius).  Broadcasts over k1 and k2 using
+    elementwise operations and last-axis sums only, so one cell and a whole
+    level agree bit for bit.
     """
     h = 0.5 ** j
     s0 = np.asarray(k1) * h
@@ -444,7 +448,8 @@ def _cell_clearance(patch, j: int, k1, k2):
     radius = np.sqrt(((c[0] - center) ** 2).sum(-1))
     for ck in c[1:]:
         radius = np.maximum(radius, np.sqrt(((ck - center) ** 2).sum(-1)))
-    return quad_edge_distance(center, patch.corners) - radius
+    unit = min(np.linalg.norm(patch.coeff_b), np.linalg.norm(patch.coeff_c))
+    return quad_edge_distance(center, patch.corners) - radius > h * unit
 
 
 def classify_index(surface: PolyhedralSurface, basis: BasisSpec,
@@ -453,14 +458,13 @@ def classify_index(surface: PolyhedralSurface, basis: BasisSpec,
 
     Interior requires: the support cell sits strictly inside the open parameter
     square, and the circumscribed ball of its image keeps more than 2^{-level}
-    (surface units) of clearance from the patch boundary.
+    patch units of clearance from the patch boundary (see `_cell_clears`).
     """
     j = _check_index(basis, surface.n_patches, idx)
     cells = 1 << j
     if idx.k1 == 0 or idx.k2 == 0 or idx.k1 == cells - 1 or idx.k2 == cells - 1:
         return False
-    return bool(_cell_clearance(surface.patches[idx.patch], j, idx.k1, idx.k2)
-                > 0.5 ** j)
+    return bool(_cell_clears(surface.patches[idx.patch], j, idx.k1, idx.k2))
 
 
 def classify_level(surface: PolyhedralSurface, basis: BasisSpec, j: int):
@@ -468,9 +472,9 @@ def classify_level(surface: PolyhedralSurface, basis: BasisSpec, j: int):
 
     A cell is interior when it avoids the parameter boundary and the
     circumscribed ball of its image clears the patch boundary by more than
-    2^{-j} surface units; agrees cell-by-cell with ``classify_index``. The
-    mask depends on the surface and j only; it is computed once per surface
-    and level and returned read-only.
+    2^{-j} patch units (see `_cell_clears`); agrees cell-by-cell with
+    ``classify_index``. The mask depends on the surface and j only; it is
+    computed once per surface and level and returned read-only.
     """
     masks = surface._interior_masks.get(j)
     if masks is None:
@@ -479,7 +483,7 @@ def classify_level(surface: PolyhedralSurface, basis: BasisSpec, j: int):
         inner = (k > 0) & (k < cells - 1)
         ring = inner[:, None] & inner[None, :]
         masks = _readonly(np.stack([
-            ring & (_cell_clearance(patch, j, k[:, None], k[None, :]) > 0.5 ** j)
+            ring & _cell_clears(patch, j, k[:, None], k[None, :])
             for patch in surface.patches]))
         surface._interior_masks[j] = masks
     return masks

@@ -408,7 +408,7 @@ def test_verify_quadrature_fires_at_any_scale(scale, cube, monkeypatch):
     monkeypatch.setattr(bem, "_unit_cell_rule", _skewed(bem._unit_cell_rule))
     surface = cube if scale is None else _moved_cube(scale)
     with pytest.raises(RuntimeError, match="quadrature failure"):
-        assemble(surface, 2, grade_depth=4)
+        assemble(surface, 2)
 
 
 # -- the class and touch searches over all 16^L pairs, as oracles ------------
@@ -708,7 +708,7 @@ def _near_and_touching_oracle(system, skew=1.0):
     def value(pm, pn, m, n, feature, depth):
         pts, wts = _graded_cell_nodes_oracle(
             surface.patches[pm], L, m // c, m % c, feature, depth,
-            system.quad_order, skew if depth == 3 else 1.0)
+            bem._QUAD_ORDER, skew if depth == 3 else 1.0)
         return float(wts @ solid_angles(quads[pn][n:n + 1], pts)[:, 0]) / (4 * math.pi)
 
     want, failure = {}, None
@@ -722,8 +722,8 @@ def _near_and_touching_oracle(system, skew=1.0):
             if feature is None:
                 want[key] = value(b.pm, b.pn, m, n, (None, None), 1)
                 continue
-            val = value(b.pm, b.pn, m, n, feature, system.grade_depth)
-            val2 = value(b.pm, b.pn, m, n, feature, system.grade_depth - 1)
+            val = value(b.pm, b.pn, m, n, feature, bem._GRADE_DEPTH)
+            val2 = value(b.pm, b.pn, m, n, feature, bem._GRADE_DEPTH - 1)
             floor = 1e-12 * system.areas[b.pm * c * c + m]
             if failure is None and abs(val - val2) > max(0.05 * abs(val), floor):
                 failure = (f"quadrature failure on touching cell pair "
@@ -813,10 +813,10 @@ def _far_values(system, block, m, n, order):
 
 def _far_per_pair(system):
     """Per block, every far class entry computed at its first pair, at
-    quad_order or, where _lowered_oracle lowers it, one order less:
+    _QUAD_ORDER or, where _lowered_oracle lowers it, one order less:
     {block: (far class ids, entries)}."""
     want = {}
-    c, q = 1 << system.L, system.quad_order
+    c, q = 1 << system.L, bem._QUAD_ORDER
     for k, (rm, rn, kind, beyond) in enumerate(_class_kinds(system)):
         far = np.flatnonzero(kind == 0)
         lowered = _lowered_oracle(rm, rn, beyond, c)[far]
@@ -857,15 +857,15 @@ def test_distant_far_classes_take_one_order_less(name, L, systems):
     system = (systems[4] if name == "cube"
               else assemble(_OPERATOR_SURFACES[name](), L))
     scale = _max_abs_A(system)
-    q, c = system.quad_order, 1 << L
+    q, c = bem._QUAD_ORDER, 1 << L
     n_beyond = n_lowered = 0
     entries = _class_entries(system)
     for k, (rm, rn, kind, beyond) in enumerate(_class_kinds(system)):
         got = entries[k]
-        # below 10 diagonals: the quad_order rule, bit for bit
+        # below 10 diagonals: the _QUAD_ORDER rule, bit for bit
         ids = np.flatnonzero((kind == 0) & ~beyond)
         assert _same_bits(got[ids], _far_values(system, k, rm[ids], rn[ids], q)), k
-        # from 10 diagonals on: within 1e-12 of max|A| of the quad_order value
+        # from 10 diagonals on: within 1e-12 of max|A| of the _QUAD_ORDER value
         # and of an order-8 reference, and bit for bit the rule's order
         ids = np.flatnonzero(beyond)
         lowered = _lowered_oracle(rm, rn, beyond, c)[ids]
@@ -884,12 +884,14 @@ def test_distant_far_classes_take_one_order_less(name, L, systems):
                                                ("fichera", 2, 2.5e-4),
                                                ("frustum", 2, 4e-4)])
 def test_entries_are_within_their_budget_of_a_converged_A(name, L, touching,
-                                                          systems):
+                                                          systems, monkeypatch):
     system = (systems[3] if name == "cube"
               else assemble(_OPERATOR_SURFACES[name](), L))
     # converged well below the budgets: on the cube at L=3, grading to depth
     # 24 moves no touching entry by 1e-15 of itself, and order 16 by 2.5e-6
-    ref = assemble(system.surface, L, quad_order=12, grade_depth=8)
+    monkeypatch.setattr(bem, "_QUAD_ORDER", 12)
+    monkeypatch.setattr(bem, "_GRADE_DEPTH", 8)
+    ref = assemble(system.surface, L)
     scale = _max_abs_A(ref)
     err = {0: 0.0, 1: 0.0, 2: 0.0}
     for (_, _, kind, _), got, want in zip(_class_kinds(system),
@@ -911,29 +913,20 @@ def test_entries_are_within_their_budget_of_a_converged_A(name, L, touching,
 def test_assemble_guards(cube):
     with pytest.raises(ValueError):
         assemble(cube, 0)
-    with pytest.raises(MemoryError):
-        assemble(cube, 5, max_cells=1000)
-    # at 0 the coarser check grading had no panels, and numpy failed with
-    # "need at least one array to concatenate"
-    with pytest.raises(ValueError, match="grade_depth must be >= 1"):
-        assemble(cube, 1, grade_depth=0)
-    flipped = unit_cube()
-    flipped["patches"] = [list(q)[::-1] for q in flipped["patches"]]
-    inward = load_surface(flipped)
-    with pytest.raises(SurfaceError):
-        assemble(inward, 1)
+    # 6 patches of 64^2 cells exceed the 8192-cell budget
+    with pytest.raises(MemoryError, match="24576 cells exceed the budget of 8192"):
+        assemble(cube, 6)
 
 
 def test_identity_checks_refuse_an_inward_surface():
-    # the reversed cube loads; its kernel integral at the centre came out
-    # +1, where the classical value at interior points is -1
+    # the reversed cube used to load; its kernel integral at the centre came
+    # out +1, where the classical value at interior points is -1.  It is
+    # refused where it loads, so no assemble, gauss_check or potential_eval
+    # sees it
     flipped = unit_cube()
     flipped["patches"] = [list(q)[::-1] for q in flipped["patches"]]
-    inward = load_surface(flipped)
     with pytest.raises(SurfaceError, match="oriented inward"):
-        gauss_check(inward, [0.5, 0.5, 0.5])
-    with pytest.raises(SurfaceError, match="oriented inward"):
-        potential_eval(inward, np.ones((6, 2, 2)), [0.5, 0.5, 0.5])
+        load_surface(flipped)
 
 
 _INSIDE = np.array([0.4, 0.5, 0.6])
@@ -942,9 +935,6 @@ _INSIDE = np.array([0.4, 0.5, 0.6])
 @pytest.mark.parametrize("call, match", [
     (lambda s: assemble(s.surface, 2.0), r"L must be >= 1 and an integer, got 2\.0"),
     (lambda s: assemble(s.surface, True), "L must be >= 1 and an integer, got True"),
-    (lambda s: assemble(s.surface, 1, grade_depth=2.5), "grade_depth must be"),
-    (lambda s: assemble(s.surface, 1, quad_order=2.5), "quad_order must be"),
-    (lambda s: assemble(s.surface, 1, quad_order=0), "quad_order must be"),
     # these worker counts returned a system
     (lambda s: assemble(s.surface, 1, workers=2.5),
      r"workers must be >= 1 and an integer, got 2\.5"),

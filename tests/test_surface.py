@@ -235,6 +235,9 @@ def _patch0(*ids):
     (_patch0(0, 3, 2, "x"), "patch 0: .* got \\[0, 3, 2, 'x'\\]"),
     (_patch0(0, 3, 2, 1.5), "patch 0: .* got \\[0, 3, 2, 1.5\\]"),
     (_patch0(0, 3, 2, True), "patch 0: .* got \\[0, 3, 2, True\\]"),
+    # an integer past the float range loaded, and an OverflowError escaped
+    # from content_hash and ResolutionOfUnity
+    (_patched(constants={"C1": 10 ** 400}), "constants must lie in the float range"),
 ])
 def test_load_rejects_malformed_fields(desc, message):
     # these used to raise a raw ValueError or TypeError, or (1.5, true) to
@@ -343,46 +346,74 @@ def test_resolution_radii_equal_the_scalar_clearances(name):
     assert np.array_equal(rou.r0.view(np.int64), r0.view(np.int64))
 
 
+def _posed(name, q, s, offset, constants=None):
+    """Surface `name` turned by the quaternion q, scaled by s and moved by
+    s * offset."""
+    desc = unit_cube() if name == "cube" else fichera_corner()
+    desc["vertices"] = ((np.array(desc["vertices"]) @ _rotation(q).T + offset)
+                        * s).tolist()
+    if constants is not None:
+        desc["constants"] = constants
+    return load_surface(desc)
+
+
 @pytest.mark.parametrize("s", [1e-6, 1.0, 1e6])
-def test_resolution_tolerance_is_in_surface_units(s):
-    # r1 lies 5e-7 edge lengths past the clearance condition; with the
-    # tolerance 1e-12 max(1, min_edge) the small cube accepted it
-    desc = unit_cube()
-    desc["vertices"] = (np.array(desc["vertices"]) * s).tolist()
-    surface = load_surface(desc)
-    rou = ResolutionOfUnity(surface)
-    C1 = surface.min_edge / 8.0
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(["cube", "fichera"]),
+       q=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+       offset=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+       share=st.floats(1 / 64, 1 / 4))
+@example(name="cube", q=[1.0, 0.0, 0.0, 0.0], offset=[0.0, 0.0, 0.0], share=1 / 8)
+def test_resolution_tolerance_is_in_surface_units(s, name, q, offset, share):
+    # r1 = clearance - 2 C1, so every support keeps clearance C1 from the
+    # patches not containing its vertex, within 1e-12 edge lengths at every
+    # scale
+    assume(np.linalg.norm(q) > 0.1)
+    surface = _posed(name, q, s, offset)
+    C1 = share * surface.min_edge
+    surface = _posed(name, q, s, offset, {"C1": C1})
+    try:
+        rou = ResolutionOfUnity(surface)
+    except SurfaceError as exc:
+        # a large C1 leaves r1 <= 0 or part of the surface uncovered
+        assert "must be positive" in str(exc) or "uncovered" in str(exc)
+        return
     assert rou.C1 == C1
-    r1 = rou._clearances() - C1 + 5e-7 * surface.min_edge
-    with pytest.raises(SurfaceError, match="violates the clearance condition"):
-        ResolutionOfUnity(surface, C1=C1, r1=r1)
+    assert np.all(rou.r1 + C1 <= rou._clearances() + 1e-12 * surface.min_edge)
+    assert np.all((0 < rou.r0) & (rou.r0 <= C1) & (rou.r0 < rou.r1))
 
 
-def _nan_c1(cube):
+def _cube_with(C1):
+    desc = unit_cube()
+    desc["constants"] = {"C1": C1}
+    return load_surface(desc)
+
+
+def _nan_c1():
     # json.loads reads the NaN literal that json.dumps writes
     desc = unit_cube()
     desc["constants"] = {"C1": float("nan")}
-    return ResolutionOfUnity(load_surface(json.dumps(desc)))
-
-
-def _bad_r1(cube, value):
-    r1 = ResolutionOfUnity(cube).r1.copy()
-    r1[2] = value
-    return ResolutionOfUnity(cube, r1=r1)
+    return load_surface(json.dumps(desc))
 
 
 @pytest.mark.parametrize("build, match", [
     (_nan_c1, "C1 must be finite and positive, got nan"),
-    (lambda cube: ResolutionOfUnity(cube, C1=float("inf")),
-     "C1 must be finite and positive, got inf"),
-    (lambda cube: ResolutionOfUnity(cube, C1=0.0),
-     "C1 must be finite and positive, got 0"),
-    (lambda cube: _bad_r1(cube, float("nan")),
-     r"resolution radius r1\[2\]=nan must be positive"),
-    (lambda cube: _bad_r1(cube, -0.25),
-     r"resolution radius r1\[2\]=-0.25 must be positive"),
-], ids=["C1-nan-in-json", "C1-inf", "C1-zero", "r1-nan", "r1-negative"])
-def test_resolution_radii_name_the_bad_value(cube, build, match):
-    # a NaN C1 or r1 was reported as radii that leave the surface uncovered
+    (lambda: _cube_with(float("inf")), "C1 must be finite and positive, got inf"),
+    (lambda: _cube_with(0), "C1 must be finite and positive, got 0"),
+    # r1 = 1 - 2 C1 on the unit cube
+    (lambda: ResolutionOfUnity(_cube_with(0.625)),
+     r"resolution radius r1\[0\]=-0.25 must be positive"),
+], ids=["C1-nan-in-json", "C1-inf", "C1-zero", "r1-negative"])
+def test_resolution_radii_name_the_bad_value(build, match):
+    # a NaN C1 was reported as radii that leave the surface uncovered
     with pytest.raises(SurfaceError, match=match):
-        build(cube)
+        build()
+
+
+def test_resolution_refuses_radii_that_leave_the_surface_uncovered():
+    # a 10 x 1 x 1 box: r1 = 1 - 2 C1 = 0.75 reaches no point of the long
+    # faces' middle
+    desc = unit_cube()
+    desc["vertices"] = (np.array(desc["vertices"]) * [10.0, 1.0, 1.0]).tolist()
+    with pytest.raises(SurfaceError, match="uncovered"):
+        ResolutionOfUnity(load_surface(desc))

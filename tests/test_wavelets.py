@@ -34,7 +34,7 @@ from patchwave import bem, wavelets
 from patchwave._gauss import unit_rule
 from patchwave.wavelets import family_for
 from test_bem import _frustum, _moved_cube
-from test_surface import _surface
+from test_surface import _posed, _surface
 
 
 class _FieldSampler:
@@ -346,8 +346,8 @@ def test_classify_level_matches_classify_index_off_the_cube(fichera, name, j):
 
 def _clearance_oracle(patch, j):
     """Every level-j cell's clearance, with the patch boundary distance taken
-    one edge at a time as `_cell_clearance` did before it shared the surface's
-    edge distance."""
+    one edge at a time, where `_cell_clears` uses the surface's shared edge
+    distance."""
     h, k = 0.5 ** j, np.arange(1 << j)
     s0, t0 = k[:, None] * h, k[None, :] * h
     c = [patch.chart(s0 + ds, t0 + dt)
@@ -376,8 +376,25 @@ def test_classify_level_keeps_the_per_edge_clearance(name):
         ring = inner[:, None] & inner[None, :]
         mask = classify_level(surface, haar_basis(), j)
         for patch in surface.patches:
-            want = ring & (_clearance_oracle(patch, j) > 0.5 ** j)
+            unit = min(np.linalg.norm(patch.coeff_b), np.linalg.norm(patch.coeff_c))
+            want = ring & (_clearance_oracle(patch, j) > 0.5 ** j * unit)
             assert np.array_equal(mask[patch.index], want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(["cube", "fichera"]), j=st.sampled_from([3, 4, 5]),
+       q=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+       offset=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+       log_s=st.floats(-6.0, 6.0))
+def test_interior_counts_do_not_change_when_the_surface_turns_or_scales(
+        name, j, q, offset, log_s):
+    # measured against an absolute 2^-j, the unit cube's interior cells at
+    # j=3 were 96 at scale 1, 0 at scale 1e-6 and 216 at scale 1e6
+    assume(np.linalg.norm(q) > 0.1)
+    posed = _posed(name, q, 10.0 ** log_s, offset)
+    counts = [int(classify_level(s, haar_basis(), j).sum())
+              for s in (_surface(name), posed)]
+    assert counts[1] == counts[0]
 
 
 def test_classify_level_mask_is_cached_and_read_only(cube, haar, alpert2):
@@ -607,23 +624,26 @@ _OTHER_QUERIES = {
     "synthesize_params": lambda f, idx: synthesize_params(
         f, idx.patch, np.array([0.5]), np.array([0.5])),
 }
-# each bad index (on a haar field of the cube up to level 3) and the
-# refusal that every query above gives it
-_BAD_INDICES = [
-    (WaveletIndex(2, 0, 1, 9, 1), "outside"),
-    (WaveletIndex(2, 0, 1, 1, -1), "outside"),
-    (WaveletIndex(2, 99, 1, 1, 1), "outside"),
-    (WaveletIndex(2, 0, 7, 1, 1), "etype"),
-    (WaveletIndex(2, 0, 1, 1, 1, 1, 0), "components"),
-    (WaveletIndex(2, 0, 1, 1.5, 1), "non-integer"),
-    (WaveletIndex(-2, 0, 1, 1, 1), "below the first wavelet level"),
-]
+# each bad index (on a haar field of the cube up to level 3), by name, and
+# the refusal that every query above gives it
+_BAD_INDICES = {
+    "k1-outside": (WaveletIndex(2, 0, 1, 9, 1), "outside"),
+    "k2-outside": (WaveletIndex(2, 0, 1, 1, -1), "outside"),
+    "patch-outside": (WaveletIndex(2, 99, 1, 1, 1), "outside"),
+    "etype": (WaveletIndex(2, 0, 7, 1, 1), "etype"),
+    "components": (WaveletIndex(2, 0, 1, 1, 1, 1, 0), "components"),
+    "non-integer": (WaveletIndex(2, 0, 1, 1.5, 1), "non-integer"),
+    "below-first-level": (WaveletIndex(-2, 0, 1, 1, 1), "below the first wavelet level"),
+}
 
 
 @pytest.mark.parametrize("query, idx, match", [
-    *[(q, idx, match) for q in _QUERIES for idx, match in _BAD_INDICES],
-    ("classify_index", WaveletIndex(-1, 0, 0, 0, 0), "generator"),
-    ("synthesize_params", WaveletIndex(2, 99, 1, 1, 1), "outside"),
+    *[pytest.param(q, idx, match, id=f"{q}-{case}")
+      for q in _QUERIES for case, (idx, match) in _BAD_INDICES.items()],
+    pytest.param("classify_index", WaveletIndex(-1, 0, 0, 0, 0), "generator",
+                 id="classify_index-generator"),
+    pytest.param("synthesize_params", WaveletIndex(2, 99, 1, 1, 1), "outside",
+                 id="synthesize_params-patch-outside"),
 ])
 def test_every_index_query_refuses_an_index_it_does_not_hold(cube, haar, query,
                                                              idx, match):
