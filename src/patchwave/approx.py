@@ -93,12 +93,13 @@ class NTermPlan:
         w, offsets = _index_weights(self.field, self.target)
         order = np.argsort(-w, kind="stable")[:max(n, 0)]
         which = np.searchsorted(offsets, order, side="right") - 1
-        js, r = self.field.level_range(), self.field.basis.d
+        js, r, n_patches = (self.field.level_range(), self.field.basis.d,
+                            self.field.n_patches)
         out = []
         for lev, flat in zip(which, order - offsets[which]):
             cells = 1 << js[lev]
             i, e, k1, k2, m1, m2 = np.unravel_index(
-                int(flat), (self.field.n_patches, 3, cells, cells, r, r))
+                int(flat), (n_patches, 3, cells, cells, r, r))
             out.append(WaveletIndex(js[lev], int(i), int(e) + 1,
                                     int(k1), int(k2), int(m1), int(m2)))
         return tuple(out)
@@ -254,8 +255,6 @@ def level_tail_sums(field: CoefficientField, tau: float,
     """
     if kinds not in ("all", "interior", "boundary"):
         raise ValueError(f"unknown index class {kinds!r}")
-    if kinds != "all" and field.surface is None:
-        raise ValueError("classified tail sums need the field's surface")
     _inverse_tau(tau)
     return {j: _level_class_sum(field, j, tau, kinds)
             for j in field.level_range()}
@@ -361,8 +360,6 @@ def interior_tail_check(field: CoefficientField, norm: float,
     _interior_window(weighted, tau)
     if field.basis.dt < weighted.k:
         raise ValueError("basis dual order is below the derivative order")
-    if field.surface is None:
-        raise ValueError("interior tail check needs the field's surface")
     lhs = math.fsum(level_tail_sums(field, tau, kinds="interior").values())
     rhs = norm ** tau
     ratio = 0.0 if lhs == 0.0 else lhs / rhs
@@ -452,8 +449,8 @@ class RateReport:
     r_squared: float
     fit_lo: int
     fit_hi: int
-    predicted: float | None = None
-    verdict: str = "unchecked"
+    predicted: float | None
+    verdict: str
 
     @property
     def decay(self) -> float:
@@ -507,7 +504,16 @@ def fit_rate(samples, predicted: float | None = None) -> RateReport:
 # -- synthetic coefficient fields ------------------------------------------------
 
 
-def synth_field(surface: PolyhedralSurface | None, basis: BasisSpec,
+# synth_field's kinds and the generator parameters each one takes, all needed
+_SYNTH_PARAMS = {
+    "extremal_a_star": ("level", "alpha"),
+    "lacunary": ("alpha",),
+    "random_besov": ("spec", "seed"),
+    "suffix_saturator": ("gamma", "spec"),
+}
+
+
+def synth_field(surface: PolyhedralSurface, basis: BasisSpec,
                 kind: str, J: int, **params) -> CoefficientField:
     """Deterministic coefficient-field generators for approximation studies.
 
@@ -521,11 +527,18 @@ def synth_field(surface: PolyhedralSurface | None, basis: BasisSpec,
       - "suffix_saturator": gamma, spec (p = q) -> weights chosen so the
         n-term error in the given target is (n+1)**(-gamma/2) up to the
         finite-census truncation; fills levels from coarse to fine.
+    A missing or unknown parameter is a ValueError naming it.
     """
-    n_patches = surface.n_patches if surface is not None else params.pop("n_patches")
+    if kind not in tuple(_SYNTH_PARAMS):      # no hashing: kind may be a list
+        raise ValueError(f"unknown synthetic field kind {kind!r}")
+    missing = [key for key in _SYNTH_PARAMS[kind] if key not in params]
+    unknown = [key for key in params if key not in _SYNTH_PARAMS[kind]]
+    if missing or unknown:
+        raise ValueError(f"a {kind} field takes {list(_SYNTH_PARAMS[kind])}: "
+                         f"missing {missing}, unknown {unknown}")
     if J < basis.j_star:
         raise ValueError("J must be at least the generator level")
-    coarse, levels = _zero_arrays(basis, n_patches, J)
+    coarse, levels = _zero_arrays(basis, surface.n_patches, J)
 
     if kind == "extremal_a_star":
         j0 = int(params["level"])
@@ -550,7 +563,7 @@ def synth_field(surface: PolyhedralSurface | None, basis: BasisSpec,
                 lp = float((np.abs(g) ** spec.p).sum() ** (1.0 / spec.p))
             target_lp = 2.0 ** (-float(j)) / (2.0 ** (j * e))
             levels[j][...] = g * (target_lp / lp)
-    elif kind == "suffix_saturator":
+    else:       # suffix_saturator
         gamma = float(params["gamma"])
         spec = params["spec"]
         _require_sequence_target(spec)
@@ -566,7 +579,5 @@ def synth_field(surface: PolyhedralSurface | None, basis: BasisSpec,
             w = wp ** (1.0 / spec.p)
             levels[j][...] = (w / 2.0 ** (j * e)).reshape(levels[j].shape)
             start += size
-    else:
-        raise ValueError(f"unknown synthetic field kind {kind!r}")
 
-    return CoefficientField(basis, J, n_patches, coarse, levels, surface)
+    return CoefficientField(basis, J, surface, coarse, levels)

@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._gauss import unit_rule
-from .surface import (PolyhedralSurface, _check_counts, _map,
+from .surface import (PolyhedralSurface, _check_counts, _is_integer, _map,
                       points_quad_distance)
 from .spaces import BesovSpec
 from .wavelets import BasisSpec, analyze
@@ -187,6 +187,7 @@ _FAR_DIAGS = 10.0    # centre distance, in larger-cell diagonals, from which a
 _QUAD_ORDER = 4      # Gauss points a side of a far cell's outer rule
 _GRADE_DEPTH = 4     # graded panels toward a touching pair's shared feature
 _MAX_CELLS = 8192    # cells that assemble accepts
+_GAUSS_LEVEL = 4     # dyadic level of the cells gauss_check integrates over
 
 
 def solid_angles(quads: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -818,21 +819,18 @@ def _as_points(y, one: bool = False) -> np.ndarray:
     return Y.reshape(-1, 3)
 
 
-def gauss_check(surface: PolyhedralSurface, x, patch: int | None = None,
-                L: int = 4) -> float:
-    """Kernel integral over the surface (cellwise at level L) at point x.
+def gauss_check(surface: PolyhedralSurface, x, patch: int | None = None) -> float:
+    """Kernel integral over the surface (cellwise at level _GAUSS_LEVEL) at point x.
 
     Classical values: -1 at interior points, -1/2 at smooth surface points
     (pass the containing patch; its own coplanar contribution is exactly
     zero), 0 outside.
     """
-    _check_counts(L=L)
-    if patch is not None and (isinstance(patch, bool) or not isinstance(
-            patch, (int, np.integer)) or not 0 <= patch < surface.n_patches):
+    if patch is not None and not (_is_integer(patch) and 0 <= patch < surface.n_patches):
         raise ValueError(f"patch must be None or a patch index in "
                          f"[0, {surface.n_patches}), got {patch!r}")
     x = _as_points(x, one=True)
-    total = sum(float(solid_angles(_cell_quads(p, L), x).sum())
+    total = sum(float(solid_angles(_cell_quads(p, _GAUSS_LEVEL), x).sum())
                 for p in surface.patches if p.index != patch)
     return -total / _FOUR_PI
 
@@ -1082,8 +1080,6 @@ def analyze_solution(surface: PolyhedralSurface, density: np.ndarray,
     and boundary smoothness s, with alpha* = min(rho, k - rho, s); s is
     restricted to (0, 1) and rho to (0, k).
     """
-    if isinstance(density, SolveReport):
-        density = density.density
     density = np.asarray(density, dtype=float)
     L = _density_level(surface, density)
     if J > L:

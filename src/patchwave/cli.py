@@ -35,30 +35,29 @@ from .spaces import BesovSpec, admissible, besov_norm, embedding_predicate, seq_
 from .weighted import (ConstantModel, EdgePowerModel, VertexPowerModel,
                        WeightedNormDivergence, WeightedSpec,
                        weighted_sobolev_norm)
-from .approx import (_RATE_ABS_TOL, _RATE_REL_TOL, _boundary_window,
-                     _interior_window, _inverse_tau, boundary_tail_check,
-                     fit_rate, interior_tail_check, n_term_plan,
-                     predicted_rate, synth_field, whitney_check)
+from .approx import (_RATE_ABS_TOL, _RATE_REL_TOL, _SYNTH_PARAMS,
+                     _boundary_window, _interior_window, _inverse_tau,
+                     boundary_tail_check, fit_rate, interior_tail_check,
+                     n_term_plan, predicted_rate, synth_field, whitney_check)
 from .bem import HarmonicProbe, analyze_solution, assemble, solve
 
 SCHEMA_VERSION = "1.0.0"
 
 _NAMED_BASES = {"haar": (1, 0), "alpert2": (2, 2)}
 
-# synthetic field kinds and the generator parameters each one needs
-_SYNTH_REQUIRED = {
-    "extremal_a_star": ("level", "alpha"),
-    "lacunary": ("alpha",),
-    "random_besov": ("spec",),
-    "suffix_saturator": ("gamma", "spec"),
-}
-
 _RHS_FORMS = ("constant | harmonic:linear [axis 0-2] | harmonic:pole px py pz"
               " | file path")
 
-# singularity models and the fields each one needs
-_MODEL_REQUIRED = {"vertex": ("beta",), "edge": ("beta",), "constant": ()}
+# each kind of an object parameter: the fields it needs and those it also
+# takes. A synth kind takes synth_field's; the seed defaults to the config's
+_SYNTH_KINDS = {kind: (tuple(key for key in keys if key != "seed"),
+                       tuple(key for key in keys if key == "seed"))
+                for kind, keys in _SYNTH_PARAMS.items()}
+_MODEL_KINDS = {"vertex": (("beta",), ("vertex",)),
+                "edge": (("beta",), ("v0", "v1")),
+                "constant": ((), ("value",))}
 _MODEL_KIND = "vertex"          # the kind of a model that names none
+_BETA = 0.6                     # --beta's value where the model takes one
 
 _WHITNEY_FUNCS = {
     "exp": lambda x, y: np.exp(x + y),
@@ -298,23 +297,24 @@ def _as_names(value, chk: _Check, path: tuple, choices: tuple) -> None:
                                   f"available: {list(choices)}")
 
 
-def _as_object(value, chk: _Check, path: tuple, name: str, required: dict,
+def _as_object(value, chk: _Check, path: tuple, name: str, kinds: dict,
                fields: dict, default_kind: str | None = None) -> None:
-    """An object whose 'kind' is a key of `required`, which lists the
-    fields each kind needs; its other keys are `fields`, with checkers."""
+    """An object whose 'kind' is a key of `kinds`, which gives the fields
+    each kind needs and the ones it also takes; `fields` checks each one."""
     if not isinstance(value, dict):
         chk.fail(path, f"{name} must be an object")
     kind = value.get("kind", default_kind)
-    if kind not in tuple(required):
+    if kind not in tuple(kinds):
         chk.fail(path + ("kind",), f"{name} kind must be one of "
-                                   f"{tuple(required)}, got {kind!r}")
-    for key in required[kind]:
+                                   f"{tuple(kinds)}, got {kind!r}")
+    needs, takes = kinds[kind]
+    for key in needs:
         if key not in value:
             chk.fail(path, f"{kind} {name} needs '{key}'")
     for key in [key for key in value if key != "kind"]:
-        if key not in fields:
-            chk.fail(path + (key,), f"not a {name} field "
-                                    f"(allowed: {sorted(fields)})")
+        if key not in needs + takes:
+            chk.fail(path + (key,), f"not a {name} field of kind {kind!r} "
+                                    f"(allowed: {sorted(needs + takes)})")
         fields[key](value[key], chk, path + (key,))
 
 
@@ -494,7 +494,7 @@ def _field_from(config, surface, basis):
     kind = synth.pop("kind")
     if "spec" in synth:
         synth["spec"] = BesovSpec(*synth["spec"])
-    if kind == "random_besov":
+    if "seed" in _SYNTH_PARAMS[kind]:
         synth.setdefault("seed", config.seed)
     return synth_field(surface, basis, kind, config.J, **synth)
 
@@ -733,10 +733,10 @@ _AT_LEAST_1 = partial(_as_int, minimum=1)
 _FUNC_NAMES = tuple(sorted(_WHITNEY_FUNCS))
 
 _SYNTH = _Param(
-    partial(_as_object, name="synth", required=_SYNTH_REQUIRED, fields={
+    partial(_as_object, name="synth", kinds=_SYNTH_KINDS, fields={
         "spec": _as_space, "alpha": _as_number, "gamma": _as_number,
         "level": _AT_LEAST_0, "seed": _AT_LEAST_0}),
-    None, "--synth", {"choices": tuple(_SYNTH_REQUIRED)}, "field generator",
+    None, "--synth", {"choices": tuple(_SYNTH_KINDS)}, "field generator",
     {"alpha": ("--alpha", _FLOAT), "gamma": ("--gamma", _FLOAT),
      "level": ("--level", _INT), "spec": ("--synth-spec", _SPACE)})
 _FIELD = _Param(_as_path, None, "--field", {}, "saved field (.npz)")
@@ -774,14 +774,13 @@ _KINDS = {
     "embed-check": _Kind("embedding table and tail-sum study",
                          _run_embed_check, {
         "model": _Param(
-            partial(_as_object, name="model", required=_MODEL_REQUIRED,
+            partial(_as_object, name="model", kinds=_MODEL_KINDS,
                     fields={"beta": _as_number, "value": _as_number,
                             "vertex": _AT_LEAST_0, "v0": _AT_LEAST_0,
                             "v1": _AT_LEAST_0}, default_kind=_MODEL_KIND),
-            None, "--model", {"choices": tuple(_MODEL_REQUIRED)},
+            None, "--model", {"choices": tuple(_MODEL_KINDS)},
             "singularity model of the tail study",
-            {"beta": ("--beta", {"type": float, "default": 0.6,
-                                 "help": "default %(default)s"}),
+            {"beta": ("--beta", {"type": float, "help": f"default {_BETA}"}),
              "vertex": ("--vertex", _INT), "v0": ("--v0", _INT),
              "v1": ("--v1", _INT)}),
         "taus": _Param(partial(_as_numbers, each=_inverse_tau), None, "--tau",
@@ -836,8 +835,7 @@ def run(config: ExperimentConfig) -> int:
 
 
 def _add_params(parser, table: dict, prefix: str) -> None:
-    """The flags of `table`; one not given sets nothing, unless its
-    keywords carry a default (--beta)."""
+    """The flags of `table`; one not given sets nothing."""
     for key, prm in table.items():
         default = "" if prm.default is None else \
             f"; default {json.dumps(prm.default)}"
@@ -846,13 +844,16 @@ def _add_params(parser, table: dict, prefix: str) -> None:
                             **prm.spec)
         for member, (name, spec) in prm.members.items():
             parser.add_argument(name, dest=f"{key}.{member}",
-                                **{"default": argparse.SUPPRESS, **spec})
+                                default=argparse.SUPPRESS, **spec)
 
 
 def _flag_doc(args) -> dict:
     """The config of a flag run; its params hold the flags given (and
-    model.beta's default), as a config file spelling them out would."""
-    given = vars(args)
+    model.beta's default, for a model that takes beta), as a config file
+    spelling them out would."""
+    given = dict(vars(args))
+    if "model" in given and "beta" in _MODEL_KINDS[given["model"]][0]:
+        given.setdefault("model.beta", _BETA)
     params = {}
     for key, prm in _KINDS[args.command].params.items():
         if key in given:

@@ -105,7 +105,7 @@ def _lp(a, p: float, block: str) -> float:
     """l^p norm of the absolute values of the coefficient array `a` of
     `block`, or ValueError if it is not finite."""
     if math.isinf(p):
-        return _finite_sum(float(np.abs(a).max()) if a.size else 0.0, block)
+        return _finite_sum(float(np.abs(a).max()), block)
     w = np.abs(a)
     w **= p
     return _finite_sum(float(w.sum()), block) ** (1.0 / p)
@@ -125,8 +125,6 @@ def coarse_lp_norm(field: CoefficientField, p: float) -> float:
     p = inf the generator part is a product of per-direction polynomials of
     degree < 2 on each coarse cell, so the max over cell corners is exact.
     """
-    if field.surface is None:
-        raise ValueError("field has no surface attached")
     basis = field.basis
     fam = family_for(basis)
     j0 = basis.j_star

@@ -114,10 +114,10 @@ class Patch:
     min_edge: float
 
     # bilinear coefficients: kappa(s,t) = a + b s + c t + d s t
-    coeff_a: np.ndarray = field(repr=False, default=None)
-    coeff_b: np.ndarray = field(repr=False, default=None)
-    coeff_c: np.ndarray = field(repr=False, default=None)
-    coeff_d: np.ndarray = field(repr=False, default=None)
+    coeff_a: np.ndarray = field(repr=False)
+    coeff_b: np.ndarray = field(repr=False)
+    coeff_c: np.ndarray = field(repr=False)
+    coeff_d: np.ndarray = field(repr=False)
 
     def chart(self, s, t):
         """Evaluate the bilinear chart at parameters (s, t); broadcasts."""

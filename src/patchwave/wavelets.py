@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import sqrt
 
@@ -160,9 +160,9 @@ class WaveletIndex:
 
 def _check_index(basis: BasisSpec, n_patches, idx: WaveletIndex) -> int:
     """The level of `idx`, or ValueError unless it names a wavelet (level >=
-    j_star) of `basis` on `n_patches` patches."""
+    j_star) of `basis` on `n_patches` patches; a bool is no integer here."""
     fields = (idx.level, idx.patch, idx.etype, idx.k1, idx.k2, idx.m1, idx.m2)
-    if not all(isinstance(v, (int, np.integer)) for v in fields):
+    if not all(type(v) is int or isinstance(v, np.integer) for v in fields):
         raise ValueError(f"{idx} has a non-integer field")
     j = idx.level
     if idx.etype == 0:
@@ -189,32 +189,38 @@ def level_size(basis: BasisSpec, j: int, n_patches: int) -> int:
 
 @dataclass(frozen=True)
 class CoefficientField:
-    """Generator-block plus per-level wavelet coefficients up to level J.
+    """Generator-block plus the wavelet coefficients of every level j_star..J.
 
-    Arrays: ``coarse`` has shape (I, K, K, r, r) with K = 2**j_star;
-    ``levels[j]`` has shape (I, 3, 2**j, 2**j, r, r). C-order flattening matches
-    the documented lexicographic index order (patch, etype, k1, k2, m1, m2).
+    Arrays: ``coarse`` has shape (I, K, K, r, r) with K = 2**j_star and I the
+    surface's patch count; ``levels[j]`` has shape (I, 3, 2**j, 2**j, r, r).
+    C-order flattening matches the documented lexicographic index order
+    (patch, etype, k1, k2, m1, m2).
     """
 
     basis: BasisSpec
     J: int
-    n_patches: int
+    surface: PolyhedralSurface
     coarse: np.ndarray
-    levels: dict[int, np.ndarray] = field(default_factory=dict)
-    surface: PolyhedralSurface | None = None
+    levels: dict[int, np.ndarray]
 
     def __post_init__(self):
+        want, got = set(self.level_range()), self.levels.keys()
+        if got != want:
+            raise ValueError(f"a field holds levels {self.basis.j_star}..{self.J}: "
+                             f"missing {sorted(want - got)}, extra {sorted(got - want)}")
         r, K = self.basis.d, 1 << self.basis.j_star
         if self.coarse.shape != (self.n_patches, K, K, r, r):
             raise ValueError(f"coarse block shape {self.coarse.shape} inconsistent with basis")
         for j, arr in self.levels.items():
-            if not (self.basis.j_star <= j <= self.J):
-                raise ValueError(f"level {j} outside [j_star, J]")
             if arr.shape != (self.n_patches, 3, 1 << j, 1 << j, r, r):
                 raise ValueError(f"level {j} array has shape {arr.shape}")
         self.coarse.flags.writeable = False
         for arr in self.levels.values():
             arr.flags.writeable = False
+
+    @property
+    def n_patches(self) -> int:
+        return self.surface.n_patches
 
     def level(self, j: int) -> np.ndarray:
         return self.levels[j]
@@ -232,11 +238,8 @@ def _zero_arrays(basis: BasisSpec, n_patches: int, J: int, dtype=np.float64):
     return coarse, levels
 
 
-def empty_field(basis: BasisSpec, n_patches: int, J: int,
-                surface: PolyhedralSurface | None = None) -> CoefficientField:
-    coarse, levels = _zero_arrays(basis, n_patches, J)
-    return CoefficientField(basis=basis, J=J, n_patches=n_patches,
-                            coarse=coarse, levels=levels, surface=surface)
+def empty_field(basis: BasisSpec, surface: PolyhedralSurface, J: int) -> CoefficientField:
+    return CoefficientField(basis, J, surface, *_zero_arrays(basis, surface.n_patches, J))
 
 
 # -- analysis -----------------------------------------------------------------
@@ -350,8 +353,7 @@ def analyze(surface: PolyhedralSurface, sampler, basis: BasisSpec, J: int,
                 levels[j][i, 2, c0:c1] = np.einsum("ma,nb,kalb->klmn", Wmat, Wmat, U4) * scale
 
     _map(run, jobs, workers)
-    return CoefficientField(basis=basis, J=J, n_patches=surface.n_patches,
-                            coarse=coarse, levels=levels, surface=surface)
+    return CoefficientField(basis, J, surface, coarse, levels)
 
 
 # -- synthesis ----------------------------------------------------------------
@@ -386,8 +388,6 @@ def synthesize_params(field: CoefficientField, patch_index: int, S, T):
     out += (1 << j0) * np.einsum("pmn,mp,np->p", C, sv, tv)
 
     for j in field.level_range():
-        if j not in field.levels:
-            continue
         k1, ls = local(j, S)
         k2, lt = local(j, T)
         sw = np.stack([fam.wavelet(m, ls) for m in range(r)])
@@ -405,8 +405,6 @@ def synthesize_params(field: CoefficientField, patch_index: int, S, T):
 
 def synthesize(field: CoefficientField, points):
     """Evaluate the expansion at 3D surface points (slow path: chart inversion)."""
-    if field.surface is None:
-        raise ValueError("field has no surface attached; use synthesize_params")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.zeros(len(pts), dtype=field.coarse.dtype)
     surf = field.surface
@@ -589,7 +587,7 @@ def save_field(field: CoefficientField, path) -> None:
         "basis": {"d": field.basis.d, "j_star": field.basis.j_star},
         "J": field.J,
         "n_patches": field.n_patches,
-        "surface_hash": field.surface.content_hash() if field.surface else None,
+        "surface_hash": field.surface.content_hash(),
         "levels": sorted(field.levels.keys()),
     }
     arrays = {f"level_{j}": field.levels[j] for j in field.levels}
@@ -597,8 +595,10 @@ def save_field(field: CoefficientField, path) -> None:
              coarse=field.coarse, **arrays)
 
 
-def load_field(path, surface: PolyhedralSurface | None = None) -> CoefficientField:
-    """Read a save_field archive; any other file is a ValueError naming path."""
+def load_field(path, surface: PolyhedralSurface) -> CoefficientField:
+    """Read a save_field archive of a field on `surface`, or one that records
+    no surface (older ones could) if its arrays fit. Another surface's field
+    is a ValueError, and so is any other file, naming path."""
     try:
         with np.load(path) as data:
             header = json.loads(bytes(data["header"]).decode())
@@ -608,16 +608,9 @@ def load_field(path, surface: PolyhedralSurface | None = None) -> CoefficientFie
             if not (spec.keys() <= {"d", "dt", "j_star", "quad_order"} and all(
                     spec[key] == getattr(basis, key) for key in spec)):
                 raise ValueError(f"basis {spec} is not one that save_field writes")
-            levels = {j: data[f"level_{j}"]
-                      for j in range(basis.j_star, header["J"] + 1)}
-            field = CoefficientField(basis=basis, J=header["J"],
-                                     n_patches=header["n_patches"],
-                                     coarse=data["coarse"], levels=levels,
-                                     surface=surface)
-            built_on = header["surface_hash"]
+            if header["surface_hash"] in (None, surface.content_hash()):
+                return CoefficientField(basis, header["J"], surface, data["coarse"], {
+                    j: data[f"level_{j}"] for j in range(basis.j_star, header["J"] + 1)})
     except (KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
         raise ValueError(f"{path}: not a saved coefficient field: {exc}") from None
-    if surface is not None and built_on is not None:
-        if surface.content_hash() != built_on:
-            raise ValueError("surface does not match the one the field was built on")
-    return field
+    raise ValueError("surface does not match the one the field was built on")

@@ -78,7 +78,7 @@ def vertex_field_multi(cube, alpert2, vertex_handle):
 
 def test_criterion_01_nterm_matches_exhaustive_oracle(cube, haar):
     rng = np.random.default_rng(41)
-    layout = empty_field(haar, cube.n_patches, 3, cube)
+    layout = empty_field(haar, cube, 3)
     sizes = {j: layout.level(j).size for j in layout.level_range()}
     census = sum(sizes.values())
     ps = (1.0, 4.0 / 3.0, 2.0)
@@ -99,8 +99,8 @@ def test_criterion_01_nterm_matches_exhaustive_oracle(cube, haar):
                     levels[j].ravel()[g] = v
                     break
                 g -= sizes[j]
-        field = CoefficientField(haar, 3, cube.n_patches,
-                                 np.zeros_like(layout.coarse), levels, cube)
+        field = CoefficientField(haar, 3, cube, np.zeros_like(layout.coarse),
+                                 levels)
         plan = n_term_plan(field, spec)
         wp = plan.weight_p
         assert np.count_nonzero(wp) == nnz and np.all(wp[nnz:] == 0.0)
@@ -328,9 +328,9 @@ def test_criterion_06_tail_ranges_and_boundary_census(cube, rou, haar,
 # -- criterion 7: double-layer identities, conditioning, reproduction ----------
 
 def test_criterion_07_double_layer_basics(cube, systems, rng):
-    inside = gauss_check(cube, np.array([0.42, 0.57, 0.50]), L=4)
-    on_face = gauss_check(cube, cube.patches[2].chart(0.35, 0.6), patch=2, L=4)
-    outside = gauss_check(cube, np.array([1.7, 0.3, -0.2]), L=4)
+    inside = gauss_check(cube, np.array([0.42, 0.57, 0.50]))
+    on_face = gauss_check(cube, cube.patches[2].chart(0.35, 0.6), patch=2)
+    outside = gauss_check(cube, np.array([1.7, 0.3, -0.2]))
     triple_ok = (abs(inside + 1.0) <= 1e-4 and abs(on_face + 0.5) <= 1e-4
                  and abs(outside) <= 1e-6)
 

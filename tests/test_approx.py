@@ -1,7 +1,7 @@
 import gc
 import math
 import tracemalloc
-from dataclasses import astuple, fields
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -20,22 +20,27 @@ from patchwave import (
     coarse_lp_norm,
     cumulative_tail,
     empty_field,
+    fichera_corner,
     fit_rate,
     gamma_star,
     haar_basis,
     interior_tail_check,
     level_size,
     level_tail_sums,
+    load_surface,
     multiwavelet_basis,
     n_term_plan,
     predicted_rate,
     seq_norm,
     synth_field,
     uniform_approx,
+    unit_cube,
     whitney_check,
 )
 
 L2 = BesovSpec(1.0, 2.0, 2.0)
+_SURFACES = {"cube": load_surface(unit_cube()),
+             "fichera": load_surface(fichera_corner())}
 
 
 def _random_field(cube, haar, seed, J=3):
@@ -74,32 +79,38 @@ def _lexsort_plan(field, target):
 
 
 @settings(max_examples=60)
-@given(order=st.sampled_from([1, 2]), n_patches=st.integers(1, 3),
+@given(order=st.sampled_from([1, 2]), name=st.sampled_from(["cube", "fichera"]),
        extra=st.integers(0, 2),
        target=st.sampled_from([BesovSpec(0.0, 2.0, 2.0), L2,
                                BesovSpec(1.0, 1.0, 1.0)]),
        moduli=st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 0.25]),
                        min_size=1, max_size=4),
        seed=st.integers(0, 2 ** 16))
-def test_plan_order_is_the_three_key_lexsort(order, n_patches, extra, target,
+def test_plan_order_is_the_three_key_lexsort(order, name, extra, target,
                                              moduli, seed):
     # a few moduli, zeros of both signs: most weights tie, within a level
     # and, at weight exponent 0, across levels
     basis = haar_basis() if order == 1 else multiwavelet_basis()
-    shape = empty_field(basis, n_patches, basis.j_star + extra)
+    surface = _SURFACES[name]
+    shape = empty_field(basis, surface, basis.j_star + extra)
     rng = np.random.default_rng(seed)
     field = CoefficientField(
-        basis=basis, J=shape.J, n_patches=n_patches, coarse=shape.coarse,
+        basis=basis, J=shape.J, surface=surface, coarse=shape.coarse,
         levels={j: rng.choice(moduli, size=a.shape)
                 for j, a in shape.levels.items()})
     plan = n_term_plan(field, target)
     level, flat, *floats = _lexsort_plan(field, target)
-    kept = plan.retained(plan.n_indices)
-    assert all(type(v) is int for idx in kept for v in astuple(idx))
-    assert [(idx.level, int(np.ravel_multi_index(
-                (idx.patch, idx.etype - 1, idx.k1, idx.k2, idx.m1, idx.m2),
-                field.level(idx.level).shape))) for idx in kept] == list(
-        zip(level.tolist(), flat.tolist()))
+    # Fichera's plans hold up to 97k indices: the positions are raveled
+    # level by level, and the fields read without astuple's deep copies
+    kept = [(idx.level, idx.patch, idx.etype - 1, idx.k1, idx.k2, idx.m1, idx.m2)
+            for idx in plan.retained(plan.n_indices)]
+    assert all(type(v) is int for idx in kept for v in idx)
+    kept = np.array(kept, dtype=np.int64).reshape(-1, 7)
+    assert np.array_equal(kept[:, 0], level)
+    for j in field.level_range():
+        at = kept[:, 0] == j
+        assert np.array_equal(np.ravel_multi_index(tuple(kept[at, 1:].T),
+                                                   field.level(j).shape), flat[at])
     for got, want in zip((plan.weights, plan.weight_p, plan.tail_p), floats):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -107,10 +118,10 @@ def test_plan_order_is_the_three_key_lexsort(order, n_patches, extra, target,
 def test_plan_keeps_only_its_weights_and_tail(cube, haar):
     # the plan holds the sorted weights (8N bytes) and the tail table
     # (8N + 8); no per-index level or position array is built or kept
-    shape = empty_field(haar, cube.n_patches, 7)
+    shape = empty_field(haar, cube, 7)
     rng = np.random.default_rng(7)
     field = CoefficientField(
-        basis=haar, J=7, n_patches=cube.n_patches, coarse=shape.coarse,
+        basis=haar, J=7, surface=cube, coarse=shape.coarse,
         levels={j: rng.standard_normal(a.shape) for j, a in shape.levels.items()})
     n = sum(a.size for a in field.levels.values())
     gc.collect()
@@ -146,8 +157,8 @@ def _with_nan(field, level, at):
     coarse = field.coarse.copy()
     levels = {j: a.copy() for j, a in field.levels.items()}
     (coarse if level is None else levels[level])[at] = np.nan
-    return CoefficientField(basis=field.basis, J=field.J, n_patches=field.n_patches,
-                            coarse=coarse, levels=levels, surface=field.surface)
+    return CoefficientField(basis=field.basis, J=field.J, surface=field.surface,
+                            coarse=coarse, levels=levels)
 
 
 @pytest.mark.parametrize("call", list(_REDUCTIONS))
@@ -358,6 +369,19 @@ def test_synth_extremal_and_lacunary(cube, haar):
         lev = lac.level(j)
         assert np.count_nonzero(lev) == 1
         assert lev[0, 0, 0, 0, 0, 0] == 2.0 ** (-j * 1.5)
+
+
+@pytest.mark.parametrize("kind, params, match", [
+    ("lacunary", {}, r"lacunary field takes \['alpha'\]: missing \['alpha'\]"),
+    ("random_besov", {"spec": L2}, r"missing \['seed'\], unknown \[\]"),
+    ("lacunary", {"alpha": 1.0, "gamma": 3.0}, r"missing \[\], unknown \['gamma'\]"),
+    ("lacunary", {"alpha": 1.0, "n_patches": 6}, r"unknown \['n_patches'\]"),
+], ids=["missing-alpha", "missing-seed", "unknown-gamma", "unknown-n_patches"])
+def test_synth_field_refuses_a_missing_or_unknown_parameter(cube, haar, kind,
+                                                            params, match):
+    # a missing one was a raw KeyError, an unknown one was ignored
+    with pytest.raises(ValueError, match=match):
+        synth_field(cube, haar, kind, 3, **params)
 
 
 def test_level_tail_sums_split(cube, haar):

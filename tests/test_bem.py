@@ -227,10 +227,11 @@ def test_solid_angle_closed_sums(cube):
         2 * math.pi, rel=1e-9)
 
 
-def test_gauss_identity_triple(cube):
-    inside = gauss_check(cube, np.array([0.42, 0.57, 0.5]), L=3)
-    outside = gauss_check(cube, np.array([1.7, 0.3, -0.2]), L=3)
-    on_face = gauss_check(cube, cube.patches[2].chart(0.35, 0.6), patch=2, L=3)
+def test_gauss_identity_triple(cube, monkeypatch):
+    monkeypatch.setattr(bem, "_GAUSS_LEVEL", 3)
+    inside = gauss_check(cube, np.array([0.42, 0.57, 0.5]))
+    outside = gauss_check(cube, np.array([1.7, 0.3, -0.2]))
+    on_face = gauss_check(cube, cube.patches[2].chart(0.35, 0.6), patch=2)
     assert inside == pytest.approx(-1.0, abs=1e-3)
     assert on_face == pytest.approx(-0.5, abs=1e-3)
     assert outside == pytest.approx(0.0, abs=1e-6)
@@ -951,13 +952,11 @@ _INSIDE = np.array([0.4, 0.5, 0.6])
     (lambda s: solid_angles(np.full((1, 4, 3), np.inf), _INSIDE),
      "quad corners must be finite"),
     # patch 99 was ignored (the interior value -1), L = 1.5 a TypeError
-    (lambda s: gauss_check(s.surface, _INSIDE, patch=99, L=1),
+    # the patch is checked before any cell is integrated
+    (lambda s: gauss_check(s.surface, _INSIDE, patch=99),
      r"patch must be None or a patch index in \[0, 6\), got 99"),
-    (lambda s: gauss_check(s.surface, _INSIDE, patch=-1, L=1), "patch must be None"),
-    (lambda s: gauss_check(s.surface, _INSIDE, patch=1.0, L=1), "patch must be None"),
-    (lambda s: gauss_check(s.surface, _INSIDE, L=1.5),
-     r"L must be >= 1 and an integer, got 1\.5"),
-    (lambda s: gauss_check(s.surface, _INSIDE, L=0), "L must be >= 1"),
+    (lambda s: gauss_check(s.surface, _INSIDE, patch=-1), "patch must be None"),
+    (lambda s: gauss_check(s.surface, _INSIDE, patch=1.0), "patch must be None"),
     (lambda s: galerkin_rhs(s, lambda pts: np.ones(3)),
      "g returned 3 values for 64 points"),
 ])
@@ -1216,7 +1215,7 @@ def test_bad_points_are_value_errors(cube, call, y, match):
         elif call == "solid":
             solid_angles(bem._cell_quads(cube.patches[0], 1), y)
         else:
-            gauss_check(cube, y, L=1)
+            gauss_check(cube, y)
 
 
 def test_interior_dirichlet_reproduces_probes(cube, systems):
@@ -1259,15 +1258,15 @@ def test_analyze_solution_noise_floor(cube, haar):
 
 
 def test_analyze_solution_validation(cube, systems, haar):
-    report = solve(systems[2], lambda pts: np.ones(len(pts)))
+    density = solve(systems[2], lambda pts: np.ones(len(pts))).density
     with pytest.raises(ValueError):
-        analyze_solution(cube, report, haar, 3, WeightedSpec(1, 0.5))  # J > L
+        analyze_solution(cube, density, haar, 3, WeightedSpec(1, 0.5))  # J > L
     with pytest.raises(ValueError):
-        analyze_solution(cube, report, haar, 2, WeightedSpec(1, 0.5), s=1.0)
+        analyze_solution(cube, density, haar, 2, WeightedSpec(1, 0.5), s=1.0)
     # rho = 2 ended in a ZeroDivisionError, rho = 1.5 wrote alpha* = -0.5
     for k, rho in [(1, 0.0), (1, 1.0), (1, 1.5), (1, 2.0), (2, 3.0)]:
         with pytest.raises(ValueError, match="rho in \\(0, k\\)"):
-            analyze_solution(cube, report, haar, 2, WeightedSpec(k, rho))
+            analyze_solution(cube, density, haar, 2, WeightedSpec(k, rho))
 
 
 @pytest.mark.parametrize("shape", [(5, 4, 4), (6, 4, 2), (6, 3, 3), (6, 0, 0),

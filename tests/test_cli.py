@@ -422,6 +422,46 @@ def test_validation_requires_a_field_source():
         config_from_dict({**BASE, "params": {}})
 
 
+@pytest.mark.parametrize("base, value, message", [
+    (SYNTH, {"kind": "lacunary", "alpha": 1.0, "gamma": 3.0},
+     "synth.gamma: not a synth field of kind 'lacunary' (allowed: ['alpha'])"),
+    (SYNTH, {"kind": "extremal_a_star", "alpha": 1.0, "level": 1, "seed": 2},
+     "synth.seed: not a synth field of kind 'extremal_a_star'"),
+    (EMBED, {"kind": "vertex", "beta": 0.6, "v0": 3},
+     "model.v0: not a model field of kind 'vertex' (allowed: ['beta', 'vertex'])"),
+    (EMBED, {"beta": 0.6, "v1": 2}, "model.v1: not a model field of kind 'vertex'"),
+    (EMBED, {"kind": "constant", "beta": 0.6},
+     "model.beta: not a model field of kind 'constant' (allowed: ['value'])"),
+], ids=["lacunary-gamma", "extremal-seed", "vertex-v0", "default-kind-v1",
+        "constant-beta"])
+def test_an_object_takes_only_its_kinds_fields(tmp_path, base, value, message):
+    # each was ignored, and the run exited 0
+    key = next(iter(base["params"]))
+    path = _write(tmp_path, "exp.json", {**base, "params": {key: value}})
+    field = message.split(":")[0].split(".")[1]
+    line = next(i for i, ln in enumerate(path.read_text().splitlines(), 1)
+                if f'"{field}"' in ln)
+    with pytest.raises(ConfigError) as err:
+        config_from_file(path)
+    assert str(err.value).startswith(f"{path}:{line}: params.{message}")
+
+
+def test_model_flags_take_only_the_models_fields(tmp_path, capsys):
+    # --v0 belongs to an edge model; --beta's default goes only to a model
+    # that takes beta, so a constant model still runs from flags
+    argv = ["embed-check", "-J", "2", "--space", "1,2,2", "--tau", "1.6"]
+    assert cli.main([*argv, "--model", "vertex", "--beta", "0.6", "--v0", "3",
+                     "--output-dir", str(tmp_path / "v")]) == 2
+    assert ("params.model.v0: not a model field of kind 'vertex'"
+            in capsys.readouterr().err)
+    assert cli.main([*argv, "--model", "constant",
+                     "--output-dir", str(tmp_path / "c")]) == 0
+    manifest = json.loads((tmp_path / "c" / "manifest.json").read_text())
+    assert manifest["config"]["params"]["model"] == {"kind": "constant"}
+    assert cli.main([*argv, "--model", "constant", "--beta", "0.6",
+                     "--output-dir", str(tmp_path / "cb")]) == 2
+
+
 def test_model_vertex_outside_the_surface(tmp_path):
     # validation cannot see the surface, so this used to reach the model and
     # end in a raw IndexError (index 99 out of bounds for size 8)

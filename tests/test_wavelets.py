@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from patchwave import (
     BasisSpec,
+    BesovSpec,
     EdgePowerModel,
     VertexPowerModel,
     WaveletIndex,
@@ -100,8 +101,7 @@ def test_orthonormality(cube, basis):
             else:
                 levels[idx.level][patch, idx.etype - 1, idx.k1, idx.k2,
                                   idx.m1, idx.m2] = 1.0
-            unit = wavelets.CoefficientField(basis, J, cube.n_patches, coarse,
-                                             levels, cube)
+            unit = wavelets.CoefficientField(basis, J, cube, coarse, levels)
             back = analyze(cube, _FieldSampler(unit), basis, J,
                            min_cell_level=J + 1)
             assert np.abs(back.coarse - unit.coarse).max() <= 1e-12
@@ -122,8 +122,6 @@ def test_analyze_synthesize_roundtrip(cube, basis):
 
 
 def _any_spec():
-    from patchwave import BesovSpec
-
     return BesovSpec(1.0, 2.0, 2.0)
 
 
@@ -611,9 +609,80 @@ def test_load_field_refuses_an_archive_that_is_not_a_field(tmp_path, cube,
 
 
 def test_field_structure(cube, haar):
-    field = empty_field(haar, cube.n_patches, 4)
+    field = empty_field(haar, cube, 4)
     assert list(field.level_range()) == [0, 1, 2, 3, 4]
     assert field.level(2).shape == (6, 3, 4, 4, 1, 1)
+
+
+@pytest.mark.parametrize("levels, match", [
+    ((0, 1, 3), r"missing \[2\], extra \[\]"),
+    ((0, 1, 2, 3, 4), r"missing \[\], extra \[4\]"),
+], ids=["missing-level", "extra-level"])
+def test_a_field_holds_every_level_from_j_star_to_J(cube, haar, levels, match):
+    # a field without level 2 was built, and n_term_plan, besov_norm,
+    # uniform_approx and level_tail_sums then raised a KeyError
+    coarse, arrays = wavelets._zero_arrays(haar, cube.n_patches, 4)
+    with pytest.raises(ValueError, match="a field holds levels 0..3: " + match):
+        wavelets.CoefficientField(haar, 3, cube, coarse,
+                                  {j: arrays[j] for j in levels})
+
+
+def _whole(field, surface):
+    return (list(field.levels) == list(field.level_range())
+            and field.n_patches == surface.n_patches == len(field.coarse))
+
+
+@settings(max_examples=30)
+@given(name=st.sampled_from(["cube", "fichera"]), order=st.sampled_from([1, 2]),
+       extra=st.integers(0, 2), kind=st.sampled_from(
+           ["analyze", "empty", "lacunary", "random_besov", "suffix_saturator",
+            "extremal_a_star"]))
+def test_every_built_or_loaded_field_is_whole(tmp_path_factory, name, order,
+                                              extra, kind):
+    surface = _SURFACES[name]
+    basis = haar_basis() if order == 1 else multiwavelet_basis()
+    J = basis.j_star + extra
+    if kind == "analyze":
+        field = analyze(surface, lambda pts: pts[:, 0] - pts[:, 2], basis, J)
+    elif kind == "empty":
+        field = empty_field(basis, surface, J)
+    else:
+        params = {"lacunary": {"alpha": 1.0},
+                  "random_besov": {"spec": _any_spec(), "seed": 3},
+                  "suffix_saturator": {"gamma": 1.0, "spec": BesovSpec(0.0, 2.0, 2.0)},
+                  "extremal_a_star": {"level": J, "alpha": 0.5}}[kind]
+        field = synth_field(surface, basis, kind, J, **params)
+    assert _whole(field, surface)
+    path = tmp_path_factory.mktemp("whole") / "field.npz"
+    save_field(field, path)
+    back = load_field(path, surface)
+    assert _whole(back, surface) and _bitwise_equal(back, field)
+
+
+def _rewrite_header(src, dst, **changes):
+    """Copy the archive `src` to `dst` with `changes` made to its header."""
+    with np.load(src) as data:
+        members = dict(data)
+    header = json.loads(bytes(members.pop("header")).decode())
+    header.update(changes)
+    np.savez(dst, **members,
+             header=np.frombuffer(json.dumps(header).encode(), np.uint8))
+
+
+def test_load_field_compares_the_surface_before_the_shapes(tmp_path, cube,
+                                                           fichera, haar):
+    field = synth_field(cube, haar, "random_besov", 2, spec=_any_spec(), seed=2)
+    save_field(field, tmp_path / "field.npz")
+    with pytest.raises(ValueError, match="^surface does not match"):
+        load_field(tmp_path / "field.npz", fichera)
+    # an archive that records no surface, as one of a field saved without
+    # its surface did, loads where its arrays fit and nowhere else
+    _rewrite_header(tmp_path / "field.npz", tmp_path / "nohash.npz",
+                    surface_hash=None)
+    assert _bitwise_equal(load_field(tmp_path / "nohash.npz", cube), field)
+    with pytest.raises(ValueError, match="not a saved coefficient field: "
+                                         "coarse block shape"):
+        load_field(tmp_path / "nohash.npz", fichera)
 
 
 _QUERIES = {
@@ -634,6 +703,11 @@ _BAD_INDICES = {
     "components": (WaveletIndex(2, 0, 1, 1, 1, 1, 0), "components"),
     "non-integer": (WaveletIndex(2, 0, 1, 1.5, 1), "non-integer"),
     "below-first-level": (WaveletIndex(-2, 0, 1, 1, 1), "below the first wavelet level"),
+    # a bool patch read as patch 1, and a bool cell indexed the mask as a
+    # boolean array ("truth value of an array ... is ambiguous")
+    "patch-bool": (WaveletIndex(3, True, 1, 2, 2), "non-integer"),
+    "k1-bool": (WaveletIndex(2, 0, 1, True, 1), "non-integer"),
+    "level-bool": (WaveletIndex(True, 0, 1, 0, 1), "non-integer"),
 }
 
 
@@ -647,6 +721,6 @@ _BAD_INDICES = {
 ])
 def test_every_index_query_refuses_an_index_it_does_not_hold(cube, haar, query,
                                                              idx, match):
-    field = empty_field(haar, cube.n_patches, 3, cube)
+    field = empty_field(haar, cube, 3)
     with pytest.raises(ValueError, match=match):
         {**_QUERIES, **_OTHER_QUERIES}[query](field, idx)
