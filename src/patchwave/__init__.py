@@ -10,9 +10,9 @@ from .wavelets import (BasisSpec, CoefficientField, WaveletIndex, analyze,
                        classify_index, classify_level, empty_field, haar_basis,
                        level_size, load_field, moment_check, multiwavelet_basis,
                        save_field, synthesize, synthesize_params)
-from .spaces import (BesovSpec, adaptivity_tau, admissible, besov_level_terms,
-                     besov_norm, coarse_lp_norm, critical_line_spec,
-                     embedding_predicate, on_critical_line, seq_norm)
+from .spaces import (BesovSpec, adaptivity_tau, besov_level_terms, besov_norm,
+                     coarse_lp_norm, critical_line_spec, embedding_predicate,
+                     on_critical_line, seq_norm)
 from .weighted import (ConstantModel, EdgePowerModel, FiniteDifferenceHandle,
                        VertexPowerModel, WeightedNormDivergence, WeightedSpec,
                        partition_face_derivs, sector_q, weighted_sobolev_norm)

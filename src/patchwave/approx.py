@@ -16,8 +16,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._gauss import unit_rule
-from .spaces import (BesovSpec, _finite_sum, admissible, besov_norm,
-                     embedding_predicate)
+from .spaces import BesovSpec, _finite_sum, besov_norm, embedding_predicate
 from .surface import PolyhedralSurface
 from .wavelets import (BasisSpec, CoefficientField, WaveletIndex, _zero_arrays,
                        classify_level, level_size)
@@ -30,10 +29,8 @@ _EXACT_SUM_CUTOFF = 4096
 
 
 def _require_sequence_target(target: BesovSpec) -> None:
-    if math.isinf(target.p) or target.p != target.q:
-        raise ValueError("n-term targets need p = q < inf")
-    if not admissible(target):
-        raise ValueError(f"target {target} is not admissible")
+    if target.p != target.q:
+        raise ValueError("n-term targets need p = q")
 
 
 # -- the approximation plan ------------------------------------------------------
@@ -200,11 +197,17 @@ def predicted_rate(spec0: BesovSpec, spec1: BesovSpec) -> float:
     return min(gamma / 2.0, spec0.inv_q - spec1.inv_q)
 
 
+def _inverse_p(p: float) -> float:
+    """1/p, or ValueError unless p > 0."""
+    if not (p > 0):
+        raise ValueError(f"p must be positive, got {p!r}")
+    return 1.0 / p
+
+
 def alpha_star(rho: float, k: int, s: float, p: float) -> float:
     """Critical adaptivity smoothness from weighted-norm order k, weight rho,
-    and a base space (s, p, p)."""
-    inv_p = 0.0 if math.isinf(p) else 1.0 / p
-    return min(rho, k - rho, s - (inv_p - 0.5))
+    and a base space (s, p, p) with p > 0."""
+    return min(rho, k - rho, s - (_inverse_p(p) - 0.5))
 
 
 def gamma_star(s: float, s_prime: float, p: float, alpha_star: float) -> float:
@@ -212,10 +215,10 @@ def gamma_star(s: float, s_prime: float, p: float, alpha_star: float) -> float:
 
     theta interpolates between the base space (s_prime = 0, theta = 1) and
     the target smoothness; the 0/0 corner at s_prime = 0 resolves to
-    theta = 1. On a Lipschitz boundary s_prime < min(3/2, 1) = 1.
+    theta = 1. On a Lipschitz boundary s_prime < min(3/2, 1) = 1. Needs
+    p > 0.
     """
-    inv_p = 0.0 if math.isinf(p) else 1.0 / p
-    gap = 2.0 * (inv_p - 0.5)
+    gap = 2.0 * (_inverse_p(p) - 0.5)
     if s - s_prime < gap - _TOL:
         raise ValueError("need s - s_prime >= 2(1/p - 1/2)")
     if not (0.0 <= s_prime < 1.0):
@@ -315,8 +318,6 @@ def _inverse_tau(tau: float) -> float:
 def _boundary_window(s: float, p: float, tau: float) -> BesovSpec:
     """(s, p, p), or ValueError unless boundary_tail_check admits it and tau."""
     spec = BesovSpec(s, p, p)
-    if not admissible(spec):
-        raise ValueError(f"(s, p, p) = {spec} is not admissible")
     it, ip = _inverse_tau(tau), spec.inv_p
     if not (0.5 - _TOL <= it <= ip + _TOL or ip < it < 1.0 - ip + s):
         raise ValueError(f"1/tau = {it} outside the admitted range")
@@ -557,10 +558,7 @@ def synth_field(surface: PolyhedralSurface, basis: BasisSpec,
         coarse[...] = rng.standard_normal(coarse.shape)
         for j in sorted(levels):
             g = rng.standard_normal(levels[j].shape)
-            if math.isinf(spec.p):
-                lp = float(np.abs(g).max())
-            else:
-                lp = float((np.abs(g) ** spec.p).sum() ** (1.0 / spec.p))
+            lp = float((np.abs(g) ** spec.p).sum() ** (1.0 / spec.p))
             target_lp = 2.0 ** (-float(j)) / (2.0 ** (j * e))
             levels[j][...] = g * (target_lp / lp)
     else:       # suffix_saturator

@@ -31,7 +31,7 @@ from . import __version__
 from .surface import (PolyhedralSurface, ResolutionOfUnity, SurfaceError,
                       fichera_corner, load_surface, unit_cube)
 from .wavelets import BasisSpec, analyze, level_size, load_field, save_field
-from .spaces import BesovSpec, admissible, besov_norm, embedding_predicate, seq_norm
+from .spaces import BesovSpec, besov_norm, embedding_predicate, seq_norm
 from .weighted import (ConstantModel, EdgePowerModel, VertexPowerModel,
                        WeightedNormDivergence, WeightedSpec,
                        weighted_sobolev_norm)
@@ -219,13 +219,9 @@ def _as_space(value, chk: _Check, path: tuple) -> tuple:
         chk.fail(path, "space must be an [alpha, p, q] triple of numbers")
     try:
         alpha, p, q = (float(v) for v in value)
-        spec = BesovSpec(alpha, p, q)
+        BesovSpec(alpha, p, q)
     except Exception as exc:
         chk.fail(path, str(exc))
-    if not admissible(spec):
-        chk.fail(path, f"space ({alpha}, {p}, {q}) is outside the admissible "
-                       "window 1/2 <= 1/p <= alpha/2 + 1/2 (q <= 2 on the "
-                       "critical line)")
     return (alpha, p, q)
 
 
@@ -847,15 +843,19 @@ def _add_params(parser, table: dict, prefix: str) -> None:
                                 default=argparse.SUPPRESS, **spec)
 
 
-def _flag_doc(args) -> dict:
+def _flag_doc(args, chk: _Check) -> dict:
     """The config of a flag run; its params hold the flags given (and
     model.beta's default, for a model that takes beta), as a config file
-    spelling them out would."""
+    spelling them out would.  A member flag needs its object's flag."""
     given = dict(vars(args))
     if "model" in given and "beta" in _MODEL_KINDS[given["model"]][0]:
         given.setdefault("model.beta", _BETA)
     params = {}
     for key, prm in _KINDS[args.command].params.items():
+        for member, (name, _) in prm.members.items():
+            if f"{key}.{member}" in given and key not in given:
+                chk.fail((name,), f"sets a {key} field, but {prm.flag} is "
+                                  "not given")
         if key in given:
             params[key] = given[key]
             if prm.members:
@@ -885,7 +885,7 @@ def main(argv=None) -> int:
     flags = _Check(None, "command line")
     try:
         if args.config is None:
-            config = config_from_dict(_flag_doc(args), source=flags.source)
+            config = config_from_dict(_flag_doc(args, flags), source=flags.source)
         else:
             config = config_from_file(
                 _as_path(args.config, flags, ("--config",)), kind=args.command)

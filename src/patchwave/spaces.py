@@ -20,7 +20,6 @@ from .wavelets import CoefficientField, family_for
 
 __all__ = [
     "BesovSpec",
-    "admissible",
     "on_critical_line",
     "critical_line_spec",
     "adaptivity_tau",
@@ -36,7 +35,9 @@ _TOL = 1e-12
 
 @dataclass(frozen=True)
 class BesovSpec:
-    """Scale parameters (alpha, p, q); p or q may be math.inf."""
+    """Scale parameters (alpha, p, q) inside the admissible window
+    1/2 <= 1/p <= alpha/2 + 1/2, with q <= 2 on the critical line; p is
+    finite, q may be math.inf off the line."""
 
     alpha: float
     p: float
@@ -46,19 +47,24 @@ class BesovSpec:
         if not math.isfinite(self.alpha):
             raise ValueError(f"alpha must be finite, got {self.alpha!r}")
         if not (self.p > 0):
-            raise ValueError(f"p must be positive (math.inf allowed), "
-                             f"got {self.p!r}")
+            raise ValueError(f"p must be positive, got {self.p!r}")
         if not (self.q > 0):
             raise ValueError(f"q must be positive (math.inf allowed), "
                              f"got {self.q!r}")
+        if (not 0.5 - _TOL <= self.inv_p <= self.alpha / 2.0 + 0.5 + _TOL
+                or on_critical_line(self) and self.q > 2.0 + _TOL):
+            raise ValueError(
+                f"(alpha={self.alpha}, p={self.p}, q={self.q}) lies outside "
+                "the admissible window 1/2 <= 1/p <= alpha/2 + 1/2 (q <= 2 on "
+                "the critical line)")
 
     @property
     def inv_p(self) -> float:
-        return 0.0 if math.isinf(self.p) else 1.0 / self.p
+        return 1.0 / self.p
 
     @property
     def inv_q(self) -> float:
-        return 0.0 if math.isinf(self.q) else 1.0 / self.q
+        return 1.0 / self.q
 
     def weight_exponent(self) -> float:
         """Per-level weight is 2**(level * weight_exponent())."""
@@ -73,23 +79,14 @@ def adaptivity_tau(alpha: float) -> float:
 
 
 def critical_line_spec(alpha: float) -> BesovSpec:
-    """The spec on the critical line with p = q = tau(alpha)."""
+    """The spec on the critical line with p = q = tau(alpha); the window
+    needs alpha >= 0."""
     tau = adaptivity_tau(alpha)
     return BesovSpec(alpha=alpha, p=tau, q=tau)
 
 
 def on_critical_line(spec: BesovSpec) -> bool:
     return abs(spec.inv_p - (spec.alpha / 2.0 + 0.5)) <= _TOL
-
-
-def admissible(spec: BesovSpec) -> bool:
-    """1/2 <= 1/p <= alpha/2 + 1/2, with q <= 2 required on the critical line."""
-    lo, hi = 0.5, spec.alpha / 2.0 + 0.5
-    if spec.inv_p < lo - _TOL or spec.inv_p > hi + _TOL:
-        return False
-    if on_critical_line(spec) and spec.q > 2.0 + _TOL:
-        return False
-    return True
 
 
 def _finite_sum(total: float, block: str) -> float:
@@ -104,8 +101,6 @@ def _finite_sum(total: float, block: str) -> float:
 def _lp(a, p: float, block: str) -> float:
     """l^p norm of the absolute values of the coefficient array `a` of
     `block`, or ValueError if it is not finite."""
-    if math.isinf(p):
-        return _finite_sum(float(np.abs(a).max()), block)
     w = np.abs(a)
     w **= p
     return _finite_sum(float(w.sum()), block) ** (1.0 / p)
@@ -119,47 +114,33 @@ def _lq_combine(terms, q: float) -> float:
 
 
 def coarse_lp_norm(field: CoefficientField, p: float) -> float:
-    """Geometric L_p(surface) norm of the generator-block part of the expansion.
-
-    For finite p, an 8-point Gauss rule per coarse cell and direction. For
-    p = inf the generator part is a product of per-direction polynomials of
-    degree < 2 on each coarse cell, so the max over cell corners is exact.
-    """
+    """Geometric L_p(surface) norm of the generator-block part of the
+    expansion, for a finite p > 0: an 8-point Gauss rule per coarse cell and
+    direction."""
+    if not (math.isfinite(p) and p > 0):
+        raise ValueError(f"p must be finite and positive, got {p!r}")
     basis = field.basis
     fam = family_for(basis)
     j0 = basis.j_star
     cells = 1 << j0
     r = basis.d
 
-    if math.isinf(p):
-        eps = 1e-9
-        edge = np.concatenate([[eps], np.linspace(0.25, 0.75, 3), [1 - eps]])
-        x = ((np.arange(cells)[:, None] + edge[None, :]) / cells).ravel()
-    else:
-        xg, wg = unit_rule(8)
-        x = ((np.arange(cells)[:, None] + xg[None, :]) / cells).ravel()
-        w = np.tile(wg / cells, cells)
+    xg, wg = unit_rule(8)
+    x = ((np.arange(cells)[:, None] + xg[None, :]) / cells).ravel()
+    w = np.tile(wg / cells, cells)
 
     k = np.minimum((x * cells).astype(int), cells - 1)
     loc = x * cells - k
     sval = np.stack([fam.scaling(m, loc) for m in range(r)])   # (r, N)
 
-    best = 0.0
     total = 0.0
     for patch in field.surface.patches:
         C = field.coarse[patch.index]                          # (K, K, r, r)
         Cg = C[np.ix_(k, k)]                                   # (N, N, r, r)
         vals = (1 << j0) * np.einsum("abmn,ma,nb->ab", Cg, sval, sval)
-        if math.isinf(p):
-            # checked per patch: max(best, nan) would drop the nan
-            best = max(best, _finite_sum(float(np.abs(vals).max()),
-                                         "the generator block"))
-        else:
-            S, T = np.meshgrid(x, x, indexing="ij")
-            jac = patch.jacobian_det(S.ravel(), T.ravel()).reshape(S.shape)
-            total += float(np.sum(np.outer(w, w) * np.abs(vals) ** p * jac))
-    if math.isinf(p):
-        return best
+        S, T = np.meshgrid(x, x, indexing="ij")
+        jac = patch.jacobian_det(S.ravel(), T.ravel()).reshape(S.shape)
+        total += float(np.sum(np.outer(w, w) * np.abs(vals) ** p * jac))
     return _finite_sum(total, "the generator block") ** (1.0 / p)
 
 
@@ -171,11 +152,7 @@ def besov_level_terms(field: CoefficientField, spec: BesovSpec) -> dict[int, flo
 
 
 def besov_norm(field: CoefficientField, spec: BesovSpec) -> float:
-    """Coarse L_p part plus weighted level aggregate; errors on inadmissible specs."""
-    if not admissible(spec):
-        raise ValueError(
-            f"(alpha={spec.alpha}, p={spec.p}, q={spec.q}) lies outside the "
-            "admissible window 1/2 <= 1/p <= alpha/2 + 1/2 (q <= 2 on the line)")
+    """Coarse L_p part plus weighted level aggregate."""
     terms = besov_level_terms(field, spec)
     tail = _lq_combine(list(terms.values()), spec.q)
     return coarse_lp_norm(field, spec.p) + tail

@@ -17,7 +17,6 @@ from patchwave import (
     best_n_term,
     boundary_tail_check,
     classify_level,
-    coarse_lp_norm,
     cumulative_tail,
     empty_field,
     fichera_corner,
@@ -170,11 +169,9 @@ def test_a_nan_coefficient_is_a_value_error_naming_its_level(cube, haar, call):
         _REDUCTIONS[call](field)
 
 
-@pytest.mark.parametrize("reduce", [_REDUCTIONS["besov_norm"], _REDUCTIONS["seq_norm"],
-                                    lambda f: coarse_lp_norm(f, math.inf)],
-                         ids=["besov_norm", "seq_norm", "coarse_lp_norm-inf"])
+@pytest.mark.parametrize("reduce", [_REDUCTIONS["besov_norm"], _REDUCTIONS["seq_norm"]],
+                         ids=["besov_norm", "seq_norm"])
 def test_a_nan_generator_coefficient_is_a_value_error(cube, haar, reduce):
-    # at p = inf, Python's max(best, nan) dropped the nan of patch 2
     field = _with_nan(synth_field(cube, haar, "random_besov", 4, spec=L2, seed=3),
                       None, (2, 0, 0, 0, 0))
     with pytest.raises(ValueError, match="sum over the generator block is not finite"):
@@ -338,6 +335,17 @@ def test_alpha_gamma_star():
     assert gamma_star(1.0, 0.5, 2.0, 1.0) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         gamma_star(0.75, 1.6, 2.0, 0.5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: alpha_star(0.5, 1, 0.75, p),
+    lambda p: gamma_star(0.75, 0.0, p, 0.5),
+], ids=["alpha_star", "gamma_star"])
+@pytest.mark.parametrize("p", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
+def test_the_adaptivity_exponents_refuse_a_p_that_is_not_positive(call, p):
+    # p = 0 raised a raw ZeroDivisionError; gamma_star at p = -1 returned 1.0
+    with pytest.raises(ValueError, match="p must be positive"):
+        call(p)
 
 
 def test_synth_suffix_saturator_is_exact(cube, haar):

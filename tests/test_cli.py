@@ -257,7 +257,7 @@ SYNTH = {"kind": "synth", "J": 3,
     (EMBED, "k", 2, "k: the basis' dual order 1 is below the derivative "
                     "order 2"),
     (EMBED, "s", 0.0, "s: 1/tau = 0.875 outside the admitted range"),
-    (EMBED, "p", 1.0, "s: \\(s, p, p\\) = .* is not admissible"),
+    (EMBED, "p", 1.0, "s: .* outside the admissible window"),
     (EMBED, "p", -2.0, "s: p must be positive"),
     # the prediction and the interior tail exponent need min(rho, k - rho) > 0
     (BEM, "rho", 2.0, "rho: with J, rho must lie in \\(0, k\\)"),
@@ -283,7 +283,7 @@ SYNTH = {"kind": "synth", "J": 3,
      "source_space: q must be positive"),
     # a NaN p or q is named as such
     (NTERM, "source_space", [1.0, float("nan"), 2.0],
-     "source_space: p must be positive \\(math.inf allowed\\), got nan"),
+     "source_space: p must be positive, got nan"),
     (NTERM, "source_space", [1.0, 2.0, float("nan")],
      "source_space: q must be positive \\(math.inf allowed\\), got nan"),
     (SYNTH, "synth", {"kind": "random_besov", "spec": [1.0, 2.0, float("nan")]},
@@ -462,6 +462,19 @@ def test_model_flags_take_only_the_models_fields(tmp_path, capsys):
                      "--output-dir", str(tmp_path / "cb")]) == 2
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["embed-check", "--v0", "3"], "--v0"),
+    (["norms", "--field", "f.npz", "--alpha", "2"], "--alpha"),
+    (["nterm", "--synth-spec", "1,2,2", "--field", "f.npz"], "--synth-spec"),
+], ids=["v0-alone", "alpha-with-field", "synth-spec-with-field"])
+def test_a_member_flag_needs_its_objects_flag(tmp_path, capsys, argv, flag):
+    # a member flag without its object flag was dropped, and the run exited 0
+    status = cli.main([*argv, "--space", "1,2,2", "--output-dir", str(tmp_path)])
+    assert status == 2
+    assert f"error: command line: {flag}:" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_model_vertex_outside_the_surface(tmp_path):
     # validation cannot see the surface, so this used to reach the model and
     # end in a raw IndexError (index 99 out of bounds for size 8)
@@ -599,11 +612,11 @@ def test_norms_run_and_admissible_reparse(tmp_path):
     assert lines[3].startswith("# tolerances: ")
     header = lines[4].split(",")
     assert header[:3] == ["alpha", "p", "q"]
-    from patchwave import BesovSpec, admissible
+    from patchwave import BesovSpec
 
     for row in lines[5:]:
         alpha, p, q, *_ = (float(v) for v in row.split(","))
-        assert admissible(BesovSpec(alpha, p, q))
+        BesovSpec(alpha, p, q)      # builds only inside the admissible window
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["schema"] == "1.0.0"
     assert manifest["artifacts"] == ["norms.csv"]
