@@ -90,16 +90,16 @@ class NTermPlan:
         w, offsets = _index_weights(self.field, self.target)
         order = np.argsort(-w, kind="stable")[:max(n, 0)]
         which = np.searchsorted(offsets, order, side="right") - 1
-        js, r, n_patches = (self.field.level_range(), self.field.basis.d,
-                            self.field.n_patches)
-        out = []
-        for lev, flat in zip(which, order - offsets[which]):
-            cells = 1 << js[lev]
-            i, e, k1, k2, m1, m2 = np.unravel_index(
-                int(flat), (n_patches, 3, cells, cells, r, r))
-            out.append(WaveletIndex(js[lev], int(i), int(e) + 1,
-                                    int(k1), int(k2), int(m1), int(m2)))
-        return tuple(out)
+        # one row (level, patch, etype - 1, k1, k2, m1, m2) per index,
+        # decoded one level at a time
+        rows = np.empty((len(order), 7), dtype=np.int64)
+        for lev, j in enumerate(self.field.level_range()):
+            at = which == lev
+            rows[at, 0] = j
+            rows[at, 1:] = np.column_stack(np.unravel_index(
+                order[at] - offsets[lev], self.field.level(j).shape))
+        rows[:, 2] += 1
+        return tuple(WaveletIndex(*row) for row in rows.tolist())
 
 
 def n_term_plan(field: CoefficientField, target: BesovSpec) -> NTermPlan:
@@ -197,17 +197,10 @@ def predicted_rate(spec0: BesovSpec, spec1: BesovSpec) -> float:
     return min(gamma / 2.0, spec0.inv_q - spec1.inv_q)
 
 
-def _inverse_p(p: float) -> float:
-    """1/p, or ValueError unless p > 0."""
-    if not (p > 0):
-        raise ValueError(f"p must be positive, got {p!r}")
-    return 1.0 / p
-
-
 def alpha_star(rho: float, k: int, s: float, p: float) -> float:
     """Critical adaptivity smoothness from weighted-norm order k, weight rho,
-    and a base space (s, p, p) with p > 0."""
-    return min(rho, k - rho, s - (_inverse_p(p) - 0.5))
+    and a base space (s, p, p), which `BesovSpec` must accept."""
+    return min(rho, k - rho, s - (BesovSpec(s, p, p).inv_p - 0.5))
 
 
 def gamma_star(s: float, s_prime: float, p: float, alpha_star: float) -> float:
@@ -215,10 +208,10 @@ def gamma_star(s: float, s_prime: float, p: float, alpha_star: float) -> float:
 
     theta interpolates between the base space (s_prime = 0, theta = 1) and
     the target smoothness; the 0/0 corner at s_prime = 0 resolves to
-    theta = 1. On a Lipschitz boundary s_prime < min(3/2, 1) = 1. Needs
-    p > 0.
+    theta = 1. On a Lipschitz boundary s_prime < min(3/2, 1) = 1. The base
+    space (s, p, p) must be one that `BesovSpec` accepts.
     """
-    gap = 2.0 * (_inverse_p(p) - 0.5)
+    gap = 2.0 * (BesovSpec(s, p, p).inv_p - 0.5)
     if s - s_prime < gap - _TOL:
         raise ValueError("need s - s_prime >= 2(1/p - 1/2)")
     if not (0.0 <= s_prime < 1.0):

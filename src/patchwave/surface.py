@@ -125,6 +125,21 @@ class Patch:
         t = np.asarray(t, dtype=float)[..., None]
         return self.coeff_a + self.coeff_b * s + self.coeff_c * t + self.coeff_d * (s * t)
 
+    def _chart_grid(self, s, t):
+        """The chart on the tensor grid of 1-D arrays s x t as three (len(s),
+        len(t)) coordinate arrays, each bitwise its coordinate of
+        ``chart(s[:, None], t[None, :])``: the same operations in the same
+        order, with a + b s formed once per row and c t once per column."""
+        s = np.asarray(s, dtype=float)[:, None]
+        t = np.asarray(t, dtype=float)[None, :]
+        st = s * t
+        out = []
+        for a, b, c, d in zip(self.coeff_a, self.coeff_b, self.coeff_c, self.coeff_d):
+            x = (a + b * s) + c * t
+            x += d * st
+            out.append(x)
+        return tuple(out)
+
     def jacobian_det(self, s, t):
         """Area scaling |det D kappa| at (s, t); affine in (s, t) for planar quads."""
         s = np.asarray(s, dtype=float)
@@ -448,14 +463,18 @@ def load_surface(source) -> PolyhedralSurface:
 def _smooth_step(t):
     """C-infinity step built from exp(-1/t): 0 at t<=0, 1 at t>=1, monotone."""
     t = np.asarray(t, dtype=float)
-    a = np.zeros_like(t)
-    b = np.zeros_like(t)
+    u = 1.0 - t
     pos = t > 1e-9
-    neg = (1.0 - t) > 1e-9
+    neg = u > 1e-9
+    # exp(-1/t) where t > 1e-9 and exp(-1/(1-t)) where 1-t > 1e-9, +0.0
+    # elsewhere, each formed in place by a masked ufunc
+    a = np.divide(-1.0, t, out=np.zeros_like(t), where=pos)
+    b = np.divide(-1.0, u, out=np.zeros_like(t), where=neg)
     with np.errstate(under="ignore"):
-        a[pos] = np.exp(-1.0 / t[pos])
-        b[neg] = np.exp(-1.0 / (1.0 - t[neg]))
-    return a / (a + b + (a + b == 0.0))
+        np.exp(a, out=a, where=pos)
+        np.exp(b, out=b, where=neg)
+    s = a + b
+    return a / (s + (s == 0.0))
 
 
 def _smooth_step_derivs(t):

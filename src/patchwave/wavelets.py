@@ -161,21 +161,23 @@ class WaveletIndex:
 def _check_index(basis: BasisSpec, n_patches, idx: WaveletIndex) -> int:
     """The level of `idx`, or ValueError unless it names a wavelet (level >=
     j_star) of `basis` on `n_patches` patches; a bool is no integer here."""
-    fields = (idx.level, idx.patch, idx.etype, idx.k1, idx.k2, idx.m1, idx.m2)
-    if not all(type(v) is int or isinstance(v, np.integer) for v in fields):
+    fields = j, i, e, k1, k2, m1, m2 = (idx.level, idx.patch, idx.etype, idx.k1,
+                                        idx.k2, idx.m1, idx.m2)
+    # exact ints, the common case, skip the per-field test
+    if not (int is type(j) is type(i) is type(e) is type(k1) is type(k2)
+            is type(m1) is type(m2)
+            or all(type(v) is int or isinstance(v, np.integer) for v in fields)):
         raise ValueError(f"{idx} has a non-integer field")
-    j = idx.level
-    if idx.etype == 0:
+    if e == 0:
         raise ValueError("generator-block indices are not classified")
-    elif idx.etype not in (1, 2, 3):
-        raise ValueError(f"etype {idx.etype} is not a wavelet type (1, 2 or 3)")
+    elif e not in (1, 2, 3):
+        raise ValueError(f"etype {e} is not a wavelet type (1, 2 or 3)")
     elif j < basis.j_star:
         raise ValueError(f"level {j} is below the first wavelet level {basis.j_star}")
-    if not (0 <= idx.m1 < basis.d and 0 <= idx.m2 < basis.d):
-        raise ValueError(f"components ({idx.m1}, {idx.m2}) outside [0, {basis.d})")
+    if not (0 <= m1 < basis.d and 0 <= m2 < basis.d):
+        raise ValueError(f"components ({m1}, {m2}) outside [0, {basis.d})")
     cells = 1 << j
-    if not (0 <= idx.patch < n_patches
-            and 0 <= idx.k1 < cells and 0 <= idx.k2 < cells):
+    if not (0 <= i < n_patches and 0 <= k1 < cells and 0 <= k2 < cells):
         raise ValueError(f"{idx} lies outside the surface's level-{j} cells")
     return j
 
@@ -263,28 +265,29 @@ def _value_matrices(basis: BasisSpec, subcells: int):
     return nodes, S, W
 
 
-def _sample(sampler, patch, xs, ys):
+def _sample(sampler, patch, box, xs, ys):
     """The sampler on the tensor grid xs x ys of one patch: (len(xs), len(ys)).
 
     A model with a support ball ``_support = (center, r)``, beyond which it is
-    exactly +0.0 (the contract is stated on `weighted._FaceHandleBase`), is
-    charted and evaluated only on the sub-grid in the ball's parameter box,
-    bit for bit as on the full grid; None if that is empty.
-    Other samplers see the full meshgrid.
+    exactly +0.0 (the contract is stated on `weighted._FaceHandleBase`),
+    comes with `box`, the patch's parameter box of the ball. It is charted
+    and evaluated only on the sub-grid in the box, in component form
+    (``_eval_xyz`` on the three coordinate arrays of `Patch._chart_grid`),
+    bit for bit as on the full grid; None if the sub-grid is empty.
+    Other samplers (`box` None) see the full meshgrid.
     """
-    support = getattr(sampler, "_support", None)
-    if support is None:
+    if box is None:
         S, T = np.meshgrid(xs, ys, indexing="ij")
         if hasattr(sampler, "eval_params"):
             return np.asarray(sampler.eval_params(patch.index, S, T))
         return np.asarray(sampler(patch.chart(S.ravel(), T.ravel()))).reshape(S.shape)
-    (s0, s1), (t0, t1) = patch._ball_box(*support)
+    (s0, s1), (t0, t1) = box
     i0, i1 = np.searchsorted(xs, (s0, s1))
     j0, j1 = np.searchsorted(ys, (t0, t1))
     if i0 == i1 or j0 == j1:
         return None
     out = np.zeros((len(xs), len(ys)))
-    out[i0:i1, j0:j1] = sampler(patch.chart(xs[i0:i1, None], ys[None, j0:j1]))
+    out[i0:i1, j0:j1] = sampler._eval_xyz(*patch._chart_grid(xs[i0:i1], ys[j0:j1]))
     return out
 
 
@@ -299,7 +302,9 @@ def analyze(surface: PolyhedralSurface, sampler, basis: BasisSpec, J: int,
     `sampler` is either a callable on 3D points of shape (N, 3) or an object
     with ``eval_params(patch_index, S, T)``. ``min_cell_level`` forces the
     per-cell quadrature grid at least that fine (exactness for data that is
-    piecewise polynomial on a known dyadic grid).
+    piecewise polynomial on a known dyadic grid). A model with a support
+    ball (see `_sample`) has each patch's parameter box of the ball computed
+    once per call, and is evaluated in component form inside it only.
 
     Each job samples its level in blocks of whole rows of cells, at most
     `_ANALYZE_BLOCK` grid points a block unless one row holds more, so the
@@ -317,8 +322,11 @@ def analyze(surface: PolyhedralSurface, sampler, basis: BasisSpec, J: int,
         for j in range(basis.j_star, J + 1):
             jobs.append((patch, j))
 
+    support = getattr(sampler, "_support", None)
+    boxes = [None if support is None else patch._ball_box(*support)
+             for patch in surface.patches]
     # probe dtype cheaply (None: a model with a support ball, which is real)
-    probe = _sample(sampler, surface.patches[0],
+    probe = _sample(sampler, surface.patches[0], boxes[0],
                     np.array([0.21]), np.array([0.37]))
     dtype = np.complex128 if np.iscomplexobj(probe) else np.float64
 
@@ -339,7 +347,8 @@ def analyze(surface: PolyhedralSurface, sampler, basis: BasisSpec, J: int,
         chunk = max(1, min(cells, _ANALYZE_BLOCK // (npc * cells * npc)))
         for c0 in range(0, cells, chunk):
             c1 = min(cells, c0 + chunk)
-            U = _sample(sampler, patch, x1d[c0 * npc:c1 * npc], x1d)
+            U = _sample(sampler, patch, boxes[patch.index],
+                        x1d[c0 * npc:c1 * npc], x1d)
             if U is None:       # the rows miss the support: coefficients stay +0.0
                 continue
             U4 = U.reshape(c1 - c0, npc, cells, npc)
@@ -563,7 +572,9 @@ def moment_check(surface: PolyhedralSurface, basis: BasisSpec,
     fix the quadrature order) and block; the polynomial's degree and
     finiteness are checked there.
     """
-    C = np.atleast_2d(np.asarray(poly_coeffs, dtype=float))
+    C = np.asarray(poly_coeffs, dtype=float)
+    if C.ndim < 2:
+        C = np.atleast_2d(C)
     if C.ndim != 2 or C.size == 0:
         raise ValueError(f"poly_coeffs must be a non-empty 2-D array, got shape {C.shape}")
     j = _check_index(basis, surface.n_patches, idx)

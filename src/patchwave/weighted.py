@@ -168,18 +168,36 @@ def _window_derivs(d, lo, hi, width):
     return w, w1, w2
 
 
+def _norm3(x, y, z):
+    """|(x, y, z)| componentwise, as np.linalg.norm(axis=-1) forms it over a
+    length-3 axis: sqrt((x^2 + y^2) + z^2), bit for bit."""
+    r = x * x
+    r += y * y
+    r += z * z
+    return np.sqrt(r, out=r)
+
+
 class _FaceHandleBase:
     """Shared plumbing: resolve a cone face to (apex, frame) and delegate.
 
     A model may declare a private support ball ``_support = (center, r)``.
     The contract: at distance >= r from the centre the model's value is
-    exactly +0.0 and every derivative of it is exactly zero.
-    `wavelets._sample` and `_face_shells` rely on the contract and evaluate
-    such a model only where the ball can reach.
+    exactly +0.0 and every derivative of it is exactly zero, and the model
+    has a component form ``_eval_xyz(x, y, z)``: its values at the points
+    whose coordinates are the arrays x, y and z (of any one shape).
+    `__call__` splits (..., 3) points into those arrays, so the two agree
+    bit for bit. `wavelets._sample` and `_face_shells` rely on the contract
+    and evaluate such a model only where the ball can reach; `_sample`
+    passes it the coordinate arrays of a parameter grid directly.
     """
 
     def __init__(self, surface: PolyhedralSurface):
         self.surface = surface
+
+    def __call__(self, pts):
+        """Values at points (..., 3), from the component form."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        return self._eval_xyz(pts[..., 0], pts[..., 1], pts[..., 2])
 
     def _face(self, n, t):
         return self.surface.cone_faces(n)[t]
@@ -227,9 +245,9 @@ class VertexPowerModel(_FaceHandleBase):
                + 2.0 * b * d ** (b - 1.0) * chi1 + d ** b * chi2)
         return g, gp, gpp
 
-    def __call__(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        d = np.linalg.norm(pts - self.center, axis=-1)
+    def _eval_xyz(self, x, y, z):
+        c = self.center
+        d = _norm3(x - c[0], y - c[1], z - c[2])
         return d ** self.beta * _smooth_step((self.cut1 - d) / (self.cut1 - self.cut0))
 
     def plane_derivs(self, pts, e1, e2):
@@ -261,14 +279,14 @@ class EdgePowerModel(_FaceHandleBase):
             raise ValueError(f"need band[0] < band[1] and width > 0, got {band}, {width}")
         self._support = (self.a, self.band[1])      # the annulus is 0 beyond it
 
-    def __call__(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        w = pts - self.a
+    def _eval_xyz(self, x, y, z):
+        a, u = self.a, self.direction
+        w = (x - a[0], y - a[1], z - a[2])
         # elementwise, not `w @ direction`: BLAS rounds a one-row block
         # differently, and `analyze` calls this on sub-grids of any shape
-        along = (w * self.direction).sum(-1)
-        dl = np.linalg.norm(w - along[..., None] * self.direction, axis=-1)
-        dv = np.linalg.norm(w, axis=-1)
+        along = (w[0] * u[0] + w[1] * u[1]) + w[2] * u[2]
+        dl = _norm3(*(wk - along * uk for wk, uk in zip(w, u)))
+        dv = _norm3(*w)
         lo, hi = self.band
         ann = (_smooth_step((dv - lo) / self.width)
                * _smooth_step((hi - dv) / self.width))

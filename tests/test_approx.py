@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from patchwave import (
     BesovSpec,
     CoefficientField,
+    WaveletIndex,
     WeightedSpec,
     alpha_star,
     assess_growth,
@@ -36,6 +37,7 @@ from patchwave import (
     unit_cube,
     whitney_check,
 )
+from patchwave import approx
 
 L2 = BesovSpec(1.0, 2.0, 2.0)
 _SURFACES = {"cube": load_surface(unit_cube()),
@@ -112,6 +114,40 @@ def test_plan_order_is_the_three_key_lexsort(order, name, extra, target,
                                                    field.level(j).shape), flat[at])
     for got, want in zip((plan.weights, plan.weight_p, plan.tail_p), floats):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _retained_oracle(plan, n):
+    """The first n indices of the plan, each decoded on its own."""
+    w, offsets = approx._index_weights(plan.field, plan.target)
+    order = np.argsort(-w, kind="stable")[:max(n, 0)]
+    which = np.searchsorted(offsets, order, side="right") - 1
+    js = plan.field.level_range()
+    out = []
+    for lev, flat in zip(which, order - offsets[which]):
+        i, e, k1, k2, m1, m2 = np.unravel_index(
+            int(flat), plan.field.level(js[lev]).shape)
+        out.append(WaveletIndex(js[lev], int(i), int(e) + 1,
+                                int(k1), int(k2), int(m1), int(m2)))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("order, name, J", [(1, "cube", 5), (2, "fichera", 3)])
+def test_retained_decodes_as_one_index_at_a_time(order, name, J):
+    basis = haar_basis() if order == 1 else multiwavelet_basis()
+    shape = empty_field(basis, _SURFACES[name], J)
+    rng = np.random.default_rng(order)
+    # ties across and within levels, and every level in the first few
+    field = CoefficientField(
+        basis=basis, J=J, surface=shape.surface, coarse=shape.coarse,
+        levels={j: rng.choice([0.0, 1.0, 2.0 ** -j, 3.0], size=a.shape)
+                for j, a in shape.levels.items()})
+    plan = n_term_plan(field, BesovSpec(0.0, 2.0, 2.0))
+    want = _retained_oracle(plan, plan.n_indices)
+    got = plan.retained(plan.n_indices + 5)
+    assert got == want
+    assert all(type(v) is int for idx in got for v in vars(idx).values())
+    for n in (-1, 0, 1, 7, plan.n_indices // 3, plan.n_indices):
+        assert plan.retained(n) == want[:max(n, 0)]
 
 
 def test_plan_keeps_only_its_weights_and_tail(cube, haar):
@@ -346,6 +382,34 @@ def test_the_adaptivity_exponents_refuse_a_p_that_is_not_positive(call, p):
     # p = 0 raised a raw ZeroDivisionError; gamma_star at p = -1 returned 1.0
     with pytest.raises(ValueError, match="p must be positive"):
         call(p)
+
+
+@pytest.mark.parametrize("call", [
+    lambda s, p: alpha_star(0.5, 1, s, p),
+    lambda s, p: gamma_star(s, 0.0, p, 0.5),
+], ids=["alpha_star", "gamma_star"])
+@pytest.mark.parametrize("s, p, match", [
+    (0.75, math.inf, "outside the admissible window"),
+    (0.75, 4.0, "outside the admissible window"),
+    (0.75, 1.0, "outside the admissible window"),
+    (math.inf, 2.0, "alpha must be finite"),
+    (math.nan, 2.0, "alpha must be finite"),
+], ids=["p-inf", "below-the-l2-line", "beyond-the-critical-line", "s-inf",
+        "s-nan"])
+def test_the_adaptivity_exponents_refuse_a_base_space_besov_spec_refuses(
+        call, s, p, match):
+    # at p = inf, alpha_star returned 0.5 and gamma_star 1.0
+    with pytest.raises(ValueError, match=match):
+        call(s, p)
+
+
+def test_the_adaptivity_exponents_keep_their_bits_on_the_l2_line():
+    # the base space of analyze_solution, (0.75, 2, 2)
+    for rho, k in ((0.5, 1), (1.2, 2), (0.3, 1)):
+        a = alpha_star(rho, k, 0.75, 2.0)
+        assert a == min(rho, k - rho, 0.75 - (1.0 / 2.0 - 0.5))
+        assert gamma_star(0.75, 0.0, 2.0, a) == (
+            (0.75 - 0.0) + 1.0 * (2.0 * a - 0.75))
 
 
 def test_synth_suffix_saturator_is_exact(cube, haar):

@@ -13,7 +13,8 @@ from patchwave import (
     surface_text,
     unit_cube,
 )
-from patchwave.surface import ResolutionOfUnity, points_quad_distance, quad_edge_distance
+from patchwave.surface import (ResolutionOfUnity, _smooth_step, points_quad_distance,
+                               quad_edge_distance)
 from test_bem import _frustum, _moved_cube, _rotation, point_quad_distance
 
 
@@ -163,6 +164,43 @@ def test_partition_profile_shape(rou):
     assert vals[0] == 1.0
     assert np.all(vals <= 1.0) and np.all(vals >= 0.0)
     assert np.all(np.diff(vals) <= 1e-15)
+
+
+def _smooth_step_oracle(t):
+    """The smooth step by boolean gather and scatter: exp(-1/t) on the
+    entries with t > 1e-9, exp(-1/(1-t)) on those with 1 - t > 1e-9."""
+    t = np.asarray(t, dtype=float)
+    a = np.zeros_like(t)
+    b = np.zeros_like(t)
+    pos = t > 1e-9
+    neg = (1.0 - t) > 1e-9
+    with np.errstate(under="ignore"):
+        a[pos] = np.exp(-1.0 / t[pos])
+        b[neg] = np.exp(-1.0 / (1.0 - t[neg]))
+    return a / (a + b + (a + b == 0.0))
+
+
+_STEP_EDGES = [-1.0, 0.0, np.nextafter(1e-9, 0.0), 1e-9, np.nextafter(1e-9, 1.0),
+               0.5, 1.0 - 1e-9, 1.0, 2.0]
+
+
+@pytest.mark.parametrize("t", _STEP_EDGES)
+def test_smooth_step_is_the_masked_formula_at_its_edges(t):
+    want = _smooth_step_oracle(t)
+    for got in (_smooth_step(t), _smooth_step(np.array([t]))[0]):
+        assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
+
+
+def test_smooth_step_is_the_masked_formula_on_any_array():
+    rng = np.random.default_rng(11)
+    for n in (1, 7, 64, 1001):
+        for lo, hi in ((-1.0, 2.0), (-1e-8, 1e-8), (1.0 - 1e-8, 1.0 + 1e-8)):
+            t = rng.uniform(lo, hi, n)
+            t[rng.random(n) < 0.3] = rng.choice(_STEP_EDGES)
+            for arg in (t, t[::3], t.reshape(-1, 1)):
+                want = _smooth_step_oracle(arg)
+                assert np.array_equal(_smooth_step(arg).view(np.int64),
+                                      want.view(np.int64))
 
 
 @pytest.mark.parametrize("count", [0, 1, 7, 64, 2048, 2049])
@@ -347,11 +385,11 @@ def test_resolution_radii_equal_the_scalar_clearances(name):
 
 
 def _posed(name, q, s, offset, constants=None):
-    """Surface `name` turned by the quaternion q, scaled by s and moved by
-    s * offset."""
-    desc = unit_cube() if name == "cube" else fichera_corner()
-    desc["vertices"] = ((np.array(desc["vertices"]) @ _rotation(q).T + offset)
-                        * s).tolist()
+    """Surface `name` (one of `_surface`'s) turned by the quaternion q,
+    scaled by s and moved by s * offset."""
+    surface = _surface(name)
+    desc = {"vertices": ((surface.vertices @ _rotation(q).T + offset) * s).tolist(),
+            "patches": [list(p.corner_ids) for p in surface.patches]}
     if constants is not None:
         desc["constants"] = constants
     return load_surface(desc)

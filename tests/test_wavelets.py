@@ -36,6 +36,7 @@ from patchwave._gauss import unit_rule
 from patchwave.wavelets import family_for
 from test_bem import _frustum, _moved_cube
 from test_surface import _posed, _surface
+from test_weighted import _call_oracle
 
 
 class _FieldSampler:
@@ -153,26 +154,66 @@ def test_analyze_on_the_support_is_bitwise_the_full_grid(name, order, edge,
                                                          workers, data):
     surface = _frustum() if name == "frustum" else _SURFACES[name]
     basis = haar_basis() if order == 1 else multiwavelet_basis()
+    model = _draw_support_model(surface, edge, data)
+    J = basis.j_star + data.draw(st.integers(0, 2))
+    got = analyze(surface, model, basis, J, workers=workers)
+    # a plain callable declares no support, so it takes the full-grid path;
+    # this one is the model's formula over interleaved (N, 3) points
+    want = analyze(surface, lambda pts: _call_oracle(model, pts), basis, J)
+    assert _bitwise_equal(got, want)
+
+
+def _draw_support_model(surface, edge, data):
+    """A vertex or edge model on `surface`, its radii drawn in units of the
+    shortest edge."""
     h = surface.min_edge
     frac = st.floats(0.02, 1.5)
     if edge:
         ids = surface.patches[data.draw(st.integers(0, surface.n_patches - 1))].corner_ids
         k = data.draw(st.integers(0, 3))
         lo = data.draw(frac) * h
-        model = EdgePowerModel(surface, ids[k], ids[(k + 1) % 4],
-                               data.draw(st.floats(0.1, 1.0)),
-                               band=(lo, lo + data.draw(frac) * h),
-                               width=data.draw(frac) * h / 4)
-    else:
-        cut0 = data.draw(frac) * h
-        model = VertexPowerModel(surface, data.draw(st.integers(0, surface.n_vertices - 1)),
-                                 data.draw(st.floats(-0.4, 1.5)),
-                                 cut=(cut0, cut0 + data.draw(frac) * h))
-    J = basis.j_star + data.draw(st.integers(0, 2))
-    got = analyze(surface, model, basis, J, workers=workers)
-    # a plain callable declares no support, so it takes the full-grid path
-    want = analyze(surface, lambda pts: model(pts), basis, J)
-    assert _bitwise_equal(got, want)
+        return EdgePowerModel(surface, ids[k], ids[(k + 1) % 4],
+                              data.draw(st.floats(0.1, 1.0)),
+                              band=(lo, lo + data.draw(frac) * h),
+                              width=data.draw(frac) * h / 4)
+    cut0 = data.draw(frac) * h
+    return VertexPowerModel(surface, data.draw(st.integers(0, surface.n_vertices - 1)),
+                            data.draw(st.floats(-0.4, 1.5)),
+                            cut=(cut0, cut0 + data.draw(frac) * h))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(["cube", "fichera", "moved_cube", "frustum"]),
+       posed=st.booleans(), edge=st.booleans(), data=st.data())
+def test_the_component_form_is_bitwise_the_interleaved_formula(name, posed,
+                                                               edge, data):
+    surface = _frustum() if name == "frustum" else _SURFACES[name]
+    if posed:
+        q = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+        assume(np.linalg.norm(q) > 0.1)
+        surface = _posed(name, q, 10.0 ** data.draw(st.floats(-3.0, 3.0)),
+                         data.draw(st.lists(st.floats(-3.0, 3.0), min_size=3,
+                                            max_size=3)))
+    model = _draw_support_model(surface, edge, data)
+    patch = surface.patches[data.draw(st.integers(0, surface.n_patches - 1))]
+    grid = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=24)
+    xs, ys = np.sort(data.draw(grid)), np.sort(data.draw(grid))
+    pts = patch.chart(xs[:, None], ys[None, :])
+    # a grid point on the vertex is d = 0, infinite at a negative beta
+    with np.errstate(divide="ignore"):
+        want = _call_oracle(model, pts.reshape(-1, 3)).reshape(pts.shape[:2])
+        # +0.0 is sampled off the parameter box of the support ball
+        got = wavelets._sample(model, patch, patch._ball_box(*model._support),
+                               xs, ys)
+        assert np.array_equal(_bits(np.zeros_like(want) if got is None else got),
+                              _bits(want))
+        # __call__ on the interleaved points, of any leading shape
+        assert np.array_equal(_bits(model(pts)), _bits(_call_oracle(model, pts)))
+        assert np.array_equal(_bits(model(pts[0, 0])), _bits(want[:1, 0]))
 
 
 @pytest.mark.parametrize("name", ["cube", "fichera", "frustum"])
@@ -248,9 +289,9 @@ def test_plain_callables_see_every_grid_point(cube, haar):
     class CountingVertexModel(VertexPowerModel):
         seen = 0
 
-        def __call__(self, pts):
-            self.seen += pts[..., 0].size
-            return super().__call__(pts)
+        def _eval_xyz(self, x, y, z):
+            self.seen += x.size
+            return super()._eval_xyz(x, y, z)
 
     model = CountingVertexModel(cube, 0, 0.6)
     analyze(cube, model, haar, J)

@@ -27,6 +27,7 @@ from patchwave.surface import _smooth_step_derivs
 from patchwave.weighted import (_TERMS, _sector_mesh, _step_down_derivs,
                                 _window_derivs)
 from test_bem import _moved_cube
+from test_surface import _smooth_step_oracle
 
 FAST = dict(depth=16, quad_order=4)
 
@@ -486,6 +487,33 @@ def test_a_nan_in_a_sector_is_a_value_error(cube, rou):
                                          rf"{patch}, derivative term \(0, 0\)"):
         weighted_sobolev_norm(_NanNearVertex0(cube), cube, rou,
                               WeightedSpec(1, 0.5), **FAST)
+
+
+# -- the models' values over interleaved (..., 3) points, kept as oracles ------
+
+
+def _vertex_call_oracle(model, pts):
+    d = np.linalg.norm(pts - model.center, axis=-1)
+    return d ** model.beta * _smooth_step_oracle(
+        (model.cut1 - d) / (model.cut1 - model.cut0))
+
+
+def _edge_call_oracle(model, pts):
+    w = pts - model.a
+    along = (w * model.direction).sum(-1)
+    dl = np.linalg.norm(w - along[..., None] * model.direction, axis=-1)
+    dv = np.linalg.norm(w, axis=-1)
+    lo, hi = model.band
+    ann = (_smooth_step_oracle((dv - lo) / model.width)
+           * _smooth_step_oracle((hi - dv) / model.width))
+    return dl ** model.beta * ann
+
+
+def _call_oracle(model, pts):
+    """A vertex or edge model's values at points (..., 3)."""
+    if isinstance(model, EdgePowerModel):
+        return _edge_call_oracle(model, pts)
+    return _vertex_call_oracle(model, pts)
 
 
 # -- the hand-expanded derivative tables, kept as oracles ---------------------
